@@ -12,7 +12,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +34,6 @@ __all__ = [
     "EXIT_LIVENESS",
     "EXIT_OK",
     "EXIT_USAGE",
-    "RunReport",
     "main",
 ]
 
@@ -62,21 +60,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    mode: str
-    total_cost: float
-    savings_vs_bs1: Optional[float]
-    iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class RunReport:
-    rows: Tuple[ReportRow, ...]
-    paths: Tuple[str, ...]
 
 
 def _effective_seed(seed: int) -> int:
@@ -165,7 +148,7 @@ def _print_outcome(outcome: Outcome) -> None:
 # run
 
 
-def cmd_run(args: argparse.Namespace) -> Tuple[int, Optional[RunReport]]:
+def cmd_run(args: argparse.Namespace) -> int:
     try:
         mode = Mode(args.mode.upper())
     except ValueError:
@@ -194,7 +177,6 @@ def cmd_run(args: argparse.Namespace) -> Tuple[int, Optional[RunReport]]:
     else:
         outcome = solve_centralized(s, mode)
     _print_outcome(outcome)
-    paths: List[str] = []
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -202,31 +184,25 @@ def cmd_run(args: argparse.Namespace) -> Tuple[int, Optional[RunReport]]:
         outcome.write_json(jpath)
         cpath = out / f"schedule_{mode.value}.csv"
         _write_schedule_csv(cpath, s, outcome)
-        paths = [str(jpath), str(cpath)]
         print(f"wrote {jpath} and {cpath}")
-    row = ReportRow(mode.value, outcome.total_cost, None,
-                    outcome.iterations, outcome.converged)
-    return code, RunReport(rows=(row,), paths=tuple(paths))
+    return code
 
 
 # ---------------------------------------------------------------------------
 # compare
 
 
-def cmd_compare(args: argparse.Namespace) -> Tuple[int, Optional[RunReport]]:
+def cmd_compare(args: argparse.Namespace) -> int:
     s = _resolve_scenario(args)
     outcomes: Dict[Mode, Outcome] = {}
     for mode in (Mode.BS1, Mode.BS2, Mode.BS3, Mode.TEM):
         outcomes[mode] = solve_centralized(s, mode)
     base = outcomes[Mode.BS1].total_cost
-    rows: List[ReportRow] = []
     lines = [f"# schema: {SCHEMA_COMPARE}",
              "mode,total_cost,savings_vs_BS1,iterations"]
     for mode in (Mode.BS1, Mode.BS2, Mode.BS3, Mode.TEM):
         o = outcomes[mode]
         savings = (base - o.total_cost) / base if base > 0 else None
-        rows.append(ReportRow(mode.value, o.total_cost, savings,
-                              o.iterations, o.converged))
         stext = "" if savings is None else repr(savings)
         lines.append(f"{mode.value},{o.total_cost!r},{stext},{o.iterations}")
     table = "\n".join(lines)
@@ -242,15 +218,13 @@ def cmd_compare(args: argparse.Namespace) -> Tuple[int, Optional[RunReport]]:
     ann = ", ".join(f"{m} {int(v * 100)}%"
                     for m, v in _REFERENCE_SAVINGS.items())
     print(f"reference reductions (annotation only, not asserted): {ann}")
-    paths: List[str] = []
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         cpath = out / "compare.csv"
         cpath.write_text(table + "\n")
-        paths.append(str(cpath))
         print(f"wrote {cpath}")
-    return EXIT_OK, RunReport(rows=tuple(rows), paths=tuple(paths))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +324,7 @@ def _consensus_demo(n_validators: int, protocol: ConsensusMode, blocks: int,
     return rows, heights
 
 
-def cmd_chain(args: argparse.Namespace) -> Tuple[int, Optional[RunReport]]:
+def cmd_chain(args: argparse.Namespace) -> int:
     if args.validators < 4:
         raise _UsageError("need at least 4 validators to tolerate one fault "
                           "(3f+1 with f >= 1)")
@@ -373,7 +347,7 @@ def cmd_chain(args: argparse.Namespace) -> Tuple[int, Optional[RunReport]]:
             print(f"liveness timeout in {protocol.value} consensus after "
                   f"{e.events} events at t={e.sim_time_ms:.0f}ms",
                   file=sys.stderr)
-            return EXIT_LIVENESS, None
+            return EXIT_LIVENESS
         lines.extend(rows)
         total = sum(int(r.split(",")[2]) for r in rows)
         per_block[protocol.value] = total / args.blocks
@@ -391,15 +365,13 @@ def cmd_chain(args: argparse.Namespace) -> Tuple[int, Optional[RunReport]]:
         print(f"modified/classic message ratio: {ratio:.3f}")
     if faults:
         print(f"final heights with faults {faults}: {last_heights}")
-    paths: List[str] = []
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         cpath = out / "chain_metrics.csv"
         cpath.write_text(table + "\n")
-        paths.append(str(cpath))
         print(f"wrote {cpath}")
-    return EXIT_OK, None
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +436,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not getattr(args, "func", None):
             parser.print_help()
             return EXIT_USAGE
-        code, _report = args.func(args)
-        return code
+        return args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

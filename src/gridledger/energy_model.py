@@ -128,27 +128,6 @@ class VariableLayout:
             raise IndexError(f"slot {t} outside segment {name}")
         return sp.start + t
 
-    def peers(self, user: int) -> Tuple[int, ...]:
-        return tuple(m for m in range(self.scenario_users) if m != user)
-
-    def trade_span(self, user: int, peer: int) -> slice:
-        sp = self.span(user, "trades")
-        idx = self.peers(user).index(peer)
-        start = sp.start + idx * self.horizon
-        return slice(start, start + self.horizon)
-
-    def describe(self) -> str:
-        """Human-readable column table (used by the CLI layout command)."""
-        lines = [f"mode={self.mode.value} users={list(self.users)} "
-                 f"horizon={self.horizon} n_vars={self.n_vars}",
-                 f"{'user':>4} {'variable':<18} {'columns':<14} length"]
-        for u in self.users:
-            for name, start, length in self.segments:
-                base = self._block_start(u) + start
-                lines.append(f"{u:>4} {name:<18} "
-                             f"[{base}, {base + length}) {length:>6}")
-        return "\n".join(lines)
-
 
 def user_layout(scenario_users: int, horizon: int, mode: Mode,
                 users: Optional[Sequence[int]] = None) -> VariableLayout:
@@ -162,8 +141,8 @@ def user_layout(scenario_users: int, horizon: int, mode: Mode,
         names += ["feed_in", "dr_reduce"]
         lengths += [t, t]
     if mode.has_horizontal and scenario_users > 1:
-        names.append("trades")
-        lengths.append((scenario_users - 1) * t)
+        names.append("export")
+        lengths.append(t)
     names.append("peak")
     lengths.append(1)
     segments = []
@@ -296,8 +275,16 @@ def combine_costs(cost: CostBreakdown, reward: CostBreakdown) -> CostBreakdown:
         net_cost=cost.home_cost - reward.vertical_reward - reward.trade_reward)
 
 
-def schedule_from_x(x: np.ndarray, layout: VariableLayout, user: int) -> Schedule:
-    """Extract one home's schedule from a flat solution vector."""
+def schedule_from_x(x: np.ndarray, layout: VariableLayout, user: int,
+                    trades: Optional[np.ndarray] = None) -> Schedule:
+    """Extract one home's schedule from a flat solution vector.
+
+    In trading modes ``x`` holds only net exports.  On a layout covering
+    every home the pairwise trades are the minimum-norm antisymmetric split
+    of the cleared exports, trades[m] = (s[user] - s[m]) / N.  A one-home
+    layout cannot know its peers' exports, so its caller passes the
+    (N, T) ``trades`` row; omitting it there raises ValueError.
+    """
     t = layout.horizon
     n = layout.scenario_users
 
@@ -310,10 +297,16 @@ def schedule_from_x(x: np.ndarray, layout: VariableLayout, user: int) -> Schedul
     else:
         feed = np.zeros(t)
         dr = np.zeros(t)
-    trades = np.zeros((n, t))
-    if layout.mode.has_horizontal and n > 1:
-        for m in layout.peers(user):
-            trades[m] = x[layout.trade_span(user, m)]
+    if trades is not None:
+        trades = np.array(trades, dtype=float)
+    elif not (layout.mode.has_horizontal and n > 1):
+        trades = np.zeros((n, t))
+    elif len(layout.users) == n:
+        exports = np.array([x[layout.span(m, "export")] for m in range(n)])
+        trades = (exports[user] - exports) / n
+    else:
+        raise ValueError(f"a one-home {layout.mode.value} layout holds only "
+                         f"the net export of home {user}; pass its trades")
     return Schedule(
         load_hvac=seg("load_hvac"), load_shift=seg("load_shift"),
         load_curtail=seg("load_curtail"), supply_grid=seg("supply_grid"),
@@ -441,8 +434,7 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
         if mode.has_vertical:
             row[cidx("dr_reduce", tt)] = 1.0
         if mode.has_horizontal and s.n_users > 1:
-            for m in layout.peers(user):
-                row[layout.trade_span(user, m)][tt] = 1.0
+            row[cidx("export", tt)] = 1.0
         eq(row, -float(u.inflexible[tt]), f"power-balance[user={user},t={tt}]")
 
     # total shiftable energy is conserved inside the shift window
@@ -563,6 +555,5 @@ def build_user_objective(s: Scenario, user: int,
         q[layout.span(user, "feed_in")] -= s.prices.feed_in
         q[layout.span(user, "dr_reduce")] -= s.prices.dr * s.grid.dr_mask()
     if mode.has_horizontal and s.n_users > 1:
-        for m in layout.peers(user):
-            q[layout.trade_span(user, m)] -= s.prices.trade
+        q[layout.span(user, "export")] -= s.prices.trade
     return p_diag, q, offset

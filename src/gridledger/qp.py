@@ -15,10 +15,8 @@ point, sharing no code with the solver path.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +31,6 @@ __all__ = [
     "QpProblem",
     "QpSolution",
     "QpStatus",
-    "dump_problem_csv",
     "grid_oracle",
     "kkt_residuals",
     "solve_qp",
@@ -319,7 +316,8 @@ def _polish(red: _Reduced, x0: np.ndarray, rounds: int
     Optimization, Alg. 16.3): on an ill-conditioned face the steps after
     it are rounding noise that need not shrink.  At the start point and
     after a row is dropped, x counts as the face minimum when its face
-    step is below 1e-11 * max(1, max|x|).  Feasibility holds throughout,
+    step is below 1e-11 * max(1, max|x|); that step is still taken when no
+    row outside the working set blocks it.  Feasibility holds throughout,
     so the forced rows can never become mutually inconsistent.  Flat face
     directions with nonzero gradient are followed as rays until blocked.
     ``rounds`` bounds the face steps and multiplier checks together.
@@ -364,6 +362,26 @@ def _polish(red: _Reduced, x0: np.ndarray, rounds: int
         return None
     work = slack <= 1e-7 if m_all else np.zeros(0, bool)
 
+    def ratio_test(x: np.ndarray, p: np.ndarray, is_ray: bool
+                   ) -> Tuple[float, int]:
+        """Longest step along p (at most 1 unless a ray) and its blocker."""
+        alpha = np.inf if is_ray else 1.0
+        blocker = -1
+        if m_all:
+            gp = g_all @ p
+            slack = h_all - g_all @ x
+            movable = ~work & (gp > 1e-12)
+            if movable.any():
+                ratios = np.where(movable,
+                                  np.maximum(slack, 0.0)
+                                  / np.where(movable, gp, 1.0),
+                                  np.inf)
+                j = int(np.argmin(ratios))
+                if ratios[j] < alpha:
+                    alpha = float(ratios[j])
+                    blocker = j
+        return alpha, blocker
+
     zero_steps = 0
     at_min = False
     for _ in range(rounds):
@@ -378,6 +396,8 @@ def _polish(red: _Reduced, x0: np.ndarray, rounds: int
             scale_x = max(1.0, float(np.max(np.abs(x), initial=0.0)))
             at_min = not is_ray and np.max(np.abs(p), initial=0.0) \
                 <= 1e-11 * scale_x
+            if at_min and ratio_test(x, p, False)[1] < 0:
+                x = x + p
         if at_min:
             # face minimum: check the multipliers
             grad = red.p @ x + red.q
@@ -408,22 +428,7 @@ def _polish(red: _Reduced, x0: np.ndarray, rounds: int
             np.clip(zu, 0.0, None, out=zu)
             return x, y, zg, zl, zu
 
-        # ratio test against the rows outside the working set
-        alpha = np.inf if is_ray else 1.0
-        blocker = -1
-        if m_all:
-            gp = g_all @ p
-            slack = h_all - g_all @ x
-            movable = ~work & (gp > 1e-12)
-            if movable.any():
-                ratios = np.where(movable,
-                                  np.maximum(slack, 0.0)
-                                  / np.where(movable, gp, 1.0),
-                                  np.inf)
-                j = int(np.argmin(ratios))
-                if ratios[j] < alpha:
-                    alpha = float(ratios[j])
-                    blocker = j
+        alpha, blocker = ratio_test(x, p, is_ray)
         if not np.isfinite(alpha):
             return None
         x = x + alpha * p
@@ -781,26 +786,3 @@ def grid_oracle(problem: QpProblem, box: Optional[Sequence[Tuple[float, float]]]
         return None
     return GridSolution(x=best_x, value=best_val)
 
-
-# ---------------------------------------------------------------------------
-# debug dump
-
-def dump_problem_csv(problem: QpProblem, directory: str | Path) -> None:
-    """Write (P, q, rows, bounds) as CSV files for external verification."""
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    c = problem.constraints
-    np.savetxt(d / "P.csv", problem.p, delimiter=",")
-    np.savetxt(d / "q.csv", problem.q, delimiter=",")
-    np.savetxt(d / "A_eq.csv", c.a_eq, delimiter=",")
-    np.savetxt(d / "b_eq.csv", c.b_eq, delimiter=",")
-    np.savetxt(d / "A_in.csv", c.a_in, delimiter=",")
-    np.savetxt(d / "b_in.csv", c.b_in, delimiter=",")
-    np.savetxt(d / "bounds.csv", np.stack([c.lo, c.hi]), delimiter=",")
-    with open(d / "rows.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "index", "sense", "tag"])
-        for i, tag in enumerate(c.eq_tags):
-            w.writerow(["eq", i, "=", tag])
-        for i, (sense, tag) in enumerate(zip(c.senses, c.in_tags)):
-            w.writerow(["in", i, sense, tag])

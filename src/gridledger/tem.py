@@ -1,13 +1,16 @@
 """Joint and decomposed solution of the multi-home scheduling problem.
 
-The joint problem minimizes the sum of all home costs minus all rewards,
-with pairwise trade-clearing rows tying the signed trades together.  The
-decomposition alternates per-home subproblems (each home optimizes its own
-schedule against the latest auxiliary trades and prices) with a closed-form
-coordination step that projects the proposed trades onto the cleared,
-antisymmetric subspace and adjusts the per-pair price multipliers.  All
-homes solve against the same snapshot in every sweep, so one iteration is
-a Jacobi round followed by one coordination step.
+The joint problem minimizes the sum of all home costs minus all rewards;
+in trading modes one clearing row per slot makes the homes' net exports
+sum to zero.  The decomposition alternates per-home subproblems (each home
+optimizes its own schedule and net export against the latest auxiliary
+trades and prices) with a closed-form coordination step that projects the
+proposed trades onto the cleared, antisymmetric subspace and adjusts the
+per-pair price multipliers.  Each home's per-peer proposal follows from
+its export in closed form (``split_export``; the exchange problem of Boyd
+et al., Distributed Optimization and Statistical Learning via ADMM, 2011,
+section 7.3).  All homes solve against the same snapshot in every sweep,
+so one iteration is a Jacobi round followed by one coordination step.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
     "run_distributed",
     "sct_step",
     "solve_centralized",
+    "split_export",
 ]
 
 
@@ -206,17 +210,12 @@ def has_converged(d: DualState, prev: DualState, eps: float) -> bool:
 # ---------------------------------------------------------------------------
 # joint problem
 
-_TRADE_TIEBREAK = 1e-8
-
-
 def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
     """Joint QP over all homes, plus trade-clearing rows in trading modes.
 
-    Trade columns get a vanishing tie-break curvature: cycles of offsetting
-    trades between three or more homes cost nothing, so without it the
-    cleared trades are non-unique and the optimal face is degenerate.  The
-    tie-break picks the minimum-norm clearing.  Reported costs are always
-    recomputed from the schedules and never include it.
+    Each home trades through its net-export columns; one clearing row per
+    slot makes the exports of all homes sum to zero.  Reported costs are
+    recomputed from the schedules.
     """
     layout = user_layout(s.n_users, s.grid.horizon, mode)
     nv = layout.n_vars
@@ -238,9 +237,6 @@ def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
         pd_n, q_n, _ = build_user_objective(s, n, mode)
         p_diag[block] = pd_n
         q[block] = q_n
-        if mode.has_horizontal and s.n_users > 1:
-            sp = layout.span(n, "trades")
-            p_diag[sp] += _TRADE_TIEBREAK
         cs = build_user_constraints(s, n, mode)
         for row, rhs, tag in zip(cs.a_eq, cs.b_eq, cs.eq_tags):
             wide = np.zeros(nv)
@@ -258,15 +254,13 @@ def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
         hi[block] = cs.hi
 
     if mode.has_horizontal and s.n_users > 1:
-        for n in range(s.n_users):
-            for m in range(n + 1, s.n_users):
-                for tt in range(t):
-                    row = np.zeros(nv)
-                    row[layout.trade_span(n, m).start + tt] = 1.0
-                    row[layout.trade_span(m, n).start + tt] = 1.0
-                    eq_rows.append(row)
-                    eq_rhs.append(0.0)
-                    eq_tags.append(f"trade-clearing[pair=({n},{m}),t={tt}]")
+        for tt in range(t):
+            row = np.zeros(nv)
+            for n in range(s.n_users):
+                row[layout.col(n, "export", tt)] = 1.0
+            eq_rows.append(row)
+            eq_rhs.append(0.0)
+            eq_tags.append(f"trade-clearing[t={tt}]")
 
     constraints = LinearConstraintSet(
         n_vars=nv, a_eq=np.array(eq_rows), b_eq=np.array(eq_rhs),
@@ -371,20 +365,45 @@ def solve_centralized(s: Scenario, mode: Mode, tol: float = 1e-6) -> Outcome:
 # ---------------------------------------------------------------------------
 # per-home subproblem
 
+def _penalty_centres(d: DualState, user: int) -> np.ndarray:
+    """c[m] = aux[user][m] + lam[user][m] / rho; the own row stays zero."""
+    c = d.trades_aux[user] + d.duals[user] / d.rho
+    c[user] = 0.0
+    return c
+
+
+def split_export(d: DualState, user: int, export: np.ndarray) -> np.ndarray:
+    """Per-peer trades minimizing the home's penalty for a net export.
+
+    Minimizing sum_m rho/2 * (e[m] - c[m])^2 subject to sum_m e[m] = s
+    gives e[m] = c[m] + (s - sum_m c[m]) / (N - 1) for every peer m, so
+    rho * (e[m] - c[m]) is the same for all peers.  Returns the (N, T) row
+    with a zero own entry.
+    """
+    c = _penalty_centres(d, user)
+    row = c + (np.asarray(export, dtype=float) - c.sum(axis=0)) \
+        / (c.shape[0] - 1)
+    row[user] = 0.0
+    return row
+
+
 def assemble_ult(s: Scenario, user: int, d: DualState) -> QpProblem:
     """One home's subproblem given the latest coordination state.
 
-    Objective: the home's own net cost plus, for every peer and slot,
-    rho/2 * (aux - e)^2 - lam * e over its proposed trades.  Constraints
-    are the home's own rows; the clearing rows are replaced by the penalty.
+    Objective: the home's own net cost plus, for every peer and slot, the
+    penalty rho/2 * (aux - e)^2 - lam * e on its proposed trades, minimized
+    over the split of its net export s (``split_export``).  Up to a
+    constant that leaves rho / (2 (N-1)) * (s - sum_m c[m])^2 per slot with
+    c[m] = aux[m] + lam[m] / rho.  Constraints are the home's own rows; the
+    clearing rows are replaced by the penalty.
     """
     layout = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[user])
     p_diag, q, _ = build_user_objective(s, user, Mode.TEM)
     if s.n_users > 1:
-        for m in layout.peers(user):
-            sp = layout.trade_span(user, m)
-            p_diag[sp] += d.rho
-            q[sp] += -d.rho * d.trades_aux[user, m] - d.duals[user, m]
+        sp = layout.span(user, "export")
+        w = d.rho / (s.n_users - 1)
+        p_diag[sp] += w
+        q[sp] -= w * _penalty_centres(d, user).sum(axis=0)
     constraints = build_user_constraints(s, user, Mode.TEM)
     return QpProblem(p=np.diag(p_diag), q=q, constraints=constraints,
                      layout_tag=f"ULT:user={user}:N={s.n_users}:"
@@ -485,7 +504,11 @@ def run_distributed(s: Scenario, params: AdmmParams,
                     f"{sol.status.value}", sol.status)
             warm[n] = sol
             ulay = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[n])
-            sch = schedule_from_x(sol.x, ulay, n)
+            row = None
+            if s.n_users > 1:
+                row = split_export(snap_local, n,
+                                   sol.x[ulay.span(n, "export")])
+            sch = schedule_from_x(sol.x, ulay, n, row)
             schedules[n] = sch
             transport.publish(n, k, sch.trades)
             mirror.trades[n] = sch.trades

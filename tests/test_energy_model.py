@@ -195,15 +195,21 @@ class TestLayout:
         # nine per-slot series plus the scalar peak, then per-mode extras
         assert user_layout(n, t, Mode.BS1).block_size == 9 * t + 1
         assert user_layout(n, t, Mode.BS2).block_size == 11 * t + 1
-        assert user_layout(n, t, Mode.BS3).block_size == 9 * t + (n - 1) * t + 1
-        assert user_layout(n, t, Mode.TEM).block_size == 11 * t + (n - 1) * t + 1
-        assert user_layout(n, t, Mode.TEM).n_vars == 3 * (11 * t + 2 * t + 1)
+        # trading adds one net-export series, whatever the number of homes
+        assert user_layout(n, t, Mode.BS3).block_size == 10 * t + 1
+        assert user_layout(n, t, Mode.TEM).block_size == 12 * t + 1
+        lay = user_layout(n, t, Mode.TEM)
+        assert lay.n_vars == 3 * (12 * t + 1)
+        sp = lay.span(1, "export")
+        assert sp.stop - sp.start == t
+        # a lone home has nobody to trade with
+        assert user_layout(1, t, Mode.TEM).block_size == 11 * t + 1
 
     def test_single_user_layout(self):
         lay = user_layout(3, 4, Mode.TEM, users=[1])
         assert lay.users == (1,)
         assert lay.n_vars == lay.block_size
-        assert lay.peers(1) == (0, 2)
+        assert lay.span(1, "peak").stop == lay.n_vars
 
     def test_spans_partition_block(self):
         lay = user_layout(2, 4, Mode.TEM)
@@ -223,25 +229,31 @@ class TestLayout:
         with pytest.raises(KeyError):
             lay.span(0, "no-such-segment")
 
-    def test_trade_span_per_peer(self):
-        lay = user_layout(3, 4, Mode.TEM)
-        spans = [lay.trade_span(1, m) for m in lay.peers(1)]
-        assert all(sp.stop - sp.start == 4 for sp in spans)
-        assert spans[0].stop == spans[1].start
-        full = lay.span(1, "trades")
-        assert spans[0].start == full.start and spans[1].stop == full.stop
-
     def test_schedule_from_x_round_trip(self):
         lay = user_layout(3, 4, Mode.TEM)
         x = np.arange(lay.n_vars, dtype=float)
+        exports = np.array([[1.0, -2.0, 0.5, 0.0],
+                            [2.0, 1.0, -1.5, 3.0],
+                            [-3.0, 1.0, 1.0, -3.0]])    # cleared: columns sum to 0
+        for u in lay.users:
+            x[lay.span(u, "export")] = exports[u]
         for u in lay.users:
             sch = schedule_from_x(x, lay, u)
             assert np.array_equal(sch.supply_grid, x[lay.span(u, "supply_grid")])
             assert np.array_equal(sch.feed_in, x[lay.span(u, "feed_in")])
             assert sch.peak == x[lay.span(u, "peak")][0]
+            # minimum-norm split of the cleared exports
+            assert np.array_equal(sch.trades, (exports[u] - exports) / 3.0)
             assert np.all(sch.trades[u] == 0.0)
-            for m in lay.peers(u):
-                assert np.array_equal(sch.trades[m], x[lay.trade_span(u, m)])
+            assert np.allclose(sch.trades.sum(axis=0), exports[u], atol=1e-15)
+
+    def test_one_home_trading_layout_needs_trades(self):
+        lay = user_layout(3, 4, Mode.TEM, users=[1])
+        x = np.zeros(lay.n_vars)
+        with pytest.raises(ValueError, match="pass its trades"):
+            schedule_from_x(x, lay, 1)
+        row = np.arange(12, dtype=float).reshape(3, 4)
+        assert np.array_equal(schedule_from_x(x, lay, 1, row).trades, row)
 
     def test_schedule_from_x_fills_absent_channels(self):
         lay = user_layout(2, 4, Mode.BS1)
@@ -250,10 +262,6 @@ class TestLayout:
         assert np.all(sch.feed_in == 0.0)
         assert np.all(sch.dr_reduce == 0.0)
         assert np.all(sch.trades == 0.0)
-
-    def test_describe_mentions_columns(self):
-        text = user_layout(2, 4, Mode.TEM).describe()
-        assert "supply_grid" in text and "n_vars" in text
 
 
 class TestConstraints:
@@ -313,7 +321,10 @@ class TestConstraints:
         dr = x[lay.span(0, "dr_reduce")]
         dr[~s.grid.dr_mask()] = 0.0               # reward identity needs the window
         value = 0.5 * float(x @ (p_diag * x)) + float(q @ x) + offset
-        sch = schedule_from_x(x, lay, 0)
+        # with two homes the whole net export goes to the one peer
+        trades = np.zeros((2, s.grid.horizon))
+        trades[1] = x[lay.span(0, "export")]
+        sch = schedule_from_x(x, lay, 0, trades)
         bd = combine_costs(home_cost_terms(sch, s.users[0], s.tariff),
                            reward_terms(sch, s.prices))
         assert value == pytest.approx(bd.net_cost, abs=1e-9)

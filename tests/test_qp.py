@@ -237,12 +237,17 @@ class TestOnModelProblems:
         assert np.allclose(sol.x, base.x, atol=1e-6)
         assert sol.value == pytest.approx(10.0 * base.value, rel=1e-7)
 
-    @pytest.mark.parametrize("mode", [Mode.BS3, Mode.TEM])
-    def test_joint_trading_solve_is_polished(self, mode):
-        """The trade tie-break makes the working face ill-conditioned; the
-        polish must still reach its minimum, which leaves the peak rows tight
-        instead of at the interior point's distance inside them."""
-        s = generate_synthetic(seed=11, n_users=3, horizon=4)
+    @pytest.mark.parametrize("mode,seed,horizon", [
+        pytest.param(Mode.BS3, 11, 4, id="Mode.BS3"),
+        pytest.param(Mode.TEM, 11, 4, id="Mode.TEM"),
+        pytest.param(Mode.BS1, 13, 8, id="Mode.BS1-seed13"),
+    ])
+    def test_joint_solve_is_polished(self, mode, seed, horizon):
+        """The polish must reach the face minimum, which leaves the peak rows
+        tight instead of at the interior point's distance inside them.  At
+        BS1, seed 13 the start point is already within 1e-11 of that minimum
+        and the remaining step must still be taken."""
+        s = generate_synthetic(seed=seed, n_users=3, horizon=horizon)
         sol = solve_qp(assemble_problem(s, mode), tol=1e-6)
         assert sol.status == QpStatus.OPTIMAL
         assert sol.kkt.worst() <= 1e-12, sol.kkt

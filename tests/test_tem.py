@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gridledger.energy_model import Mode, check_schedule, user_layout
-from gridledger.qp import QpStatus
+from gridledger.energy_model import (Mode, check_schedule, schedule_from_x,
+                                     user_layout)
+from gridledger.qp import QpStatus, solve_qp
+from gridledger.scenario import generate_synthetic
 from gridledger.tem import (
     AdmmParams,
     DualState,
@@ -18,6 +20,7 @@ from gridledger.tem import (
     RhoSchedule,
     SolveFailed,
     advance_iteration,
+    assemble_problem,
     assemble_ult,
     dual_state_digest,
     has_converged,
@@ -25,6 +28,7 @@ from gridledger.tem import (
     run_distributed,
     sct_step,
     solve_centralized,
+    split_export,
 )
 from gridledger.energy_model import build_user_objective
 
@@ -214,13 +218,36 @@ class TestUltAssembly:
         prob = assemble_ult(s, 0, d)
         base_p, base_q, _ = build_user_objective(s, 0, Mode.TEM)
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[0])
-        sp = lay.trade_span(0, 1)
+        sp = lay.span(0, "export")
+        # one peer: curvature rho / (N - 1), centre aux + lam / rho
         assert np.allclose(np.diag(prob.p)[sp], base_p[sp] + 2.0)
-        assert np.allclose(prob.q[sp], base_q[sp] - 2.0 * 1.5 - 0.25)
+        assert np.allclose(prob.q[sp], base_q[sp] - 2.0 * (1.5 + 0.25 / 2.0))
         outside = np.ones(lay.n_vars, dtype=bool)
-        outside[lay.span(0, "trades")] = False
+        outside[sp] = False
         assert np.allclose(np.diag(prob.p)[outside], base_p[outside])
         assert np.allclose(prob.q[outside], base_q[outside])
+
+    def test_split_export_is_penalty_optimal(self):
+        rng = np.random.default_rng(3)
+        n, t, rho = 4, 5, 0.7
+        d = new_dual_state(n, t, rho)
+        d.trades_aux[:] = rng.normal(size=(n, n, t))
+        d.duals[:] = rng.normal(size=(n, n, t))
+        export = rng.normal(size=t)
+        row = split_export(d, 1, export)
+        assert np.all(row[1] == 0.0)
+        assert np.allclose(row.sum(axis=0), export, atol=1e-12)
+        # stationarity of the per-peer penalty under the sum constraint
+        peers = [0, 2, 3]
+        centres = d.trades_aux[1, peers] + d.duals[1, peers] / rho
+        grad = rho * (row[peers] - centres)
+        assert np.allclose(grad, grad[0], atol=1e-12)
+
+    @pytest.mark.parametrize("n_users", [3, 40])
+    def test_home_columns_independent_of_peers(self, n_users):
+        s = generate_synthetic(seed=2, n_users=n_users, horizon=4)
+        prob = assemble_ult(s, 0, new_dual_state(n_users, 4, 1.0))
+        assert prob.q.size == 12 * 4 + 1
 
 
 class TestCentralized:
@@ -247,6 +274,17 @@ class TestCentralized:
         for sch in out.schedules:
             total += sch.trades.sum(axis=0)
         assert float(np.max(np.abs(total))) <= 1e-6
+
+    def test_joint_trades_split_exports(self):
+        s = generate_synthetic(seed=11, n_users=3, horizon=4)
+        sol = solve_qp(assemble_problem(s, Mode.TEM), tol=1e-6)
+        lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
+        trades = np.array([schedule_from_x(sol.x, lay, n).trades
+                           for n in range(s.n_users)])
+        assert np.array_equal(trades, -trades.transpose(1, 0, 2))
+        for n in range(s.n_users):
+            assert np.allclose(trades[n].sum(axis=0),
+                               sol.x[lay.span(n, "export")], atol=1e-12)
 
     def test_infeasible_raises(self, scen_2x4):
         tariff = dataclasses.replace(scen_2x4.tariff, line_cap=0.001)
@@ -295,6 +333,6 @@ class TestDistributed:
         assert last <= 1e-6
 
     def test_unconverged_reports_honestly(self, scen_2x4):
-        out = run_distributed(scen_2x4, AdmmParams(eps=1e-12, max_iter=3))
+        out = run_distributed(scen_2x4, AdmmParams(eps=1e-12, max_iter=1))
         assert not out.converged
-        assert out.iterations == 3
+        assert out.iterations == 1
