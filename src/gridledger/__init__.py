@@ -15,8 +15,8 @@ from .energy_model import (CostBreakdown, Mode, Schedule, VariableLayout,
                            build_user_constraints, build_user_objective,
                            check_schedule, combine_costs, home_cost_terms,
                            reward_terms, schedule_from_x, user_layout)
-from .qp import (Duals, KktResiduals, QpProblem, QpSolution, QpStatus,
-                 grid_oracle, kkt_residuals, solve_qp)
+from .qp import (Duals, KktResiduals, Polish, QpProblem, QpSolution,
+                 QpStatus, grid_oracle, kkt_residuals, solve_qp)
 from .tem import (AdmmParams, DualState, InProcessTransport, IterationRecord,
                   Outcome, RhoKind, RhoSchedule, SolveFailed, Transport,
                   advance_iteration, assemble_problem, assemble_ult,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmmParams", "ChainTransport", "CostBreakdown", "DualState", "Duals",
     "GridTariff", "InProcessTransport", "IterationRecord", "KktResiduals",
-    "LivenessTimeout", "Mode", "NetConfig", "Network", "Outcome",
+    "LivenessTimeout", "Mode", "NetConfig", "Network", "Outcome", "Polish",
     "QpProblem", "QpSolution", "QpStatus", "RhoKind", "RhoSchedule",
     "Scenario", "ScenarioError", "Schedule", "SolveFailed", "TimeGrid",
     "TraceEvent", "TransactivePrices", "Transport", "UserScenario",

@@ -8,8 +8,9 @@ from .blocks import (Block, BlockHeader, CommittedBlock, ConsensusProof,
                      decode_committed, decode_tx, encode_block,
                      encode_committed, encode_tx, make_block, make_vote,
                      sign_tx, tx_digest, verify_proof, verify_tx, verify_vote)
-from .contract import (ContractConfig, ContractState, GRID_ACCOUNT, Receipt,
-                       contract_digest, execute_transactions, genesis)
+from .contract import (COORDINATOR, ContractConfig, ContractState,
+                       GRID_ACCOUNT, Receipt, contract_digest,
+                       execute_transactions, genesis)
 from .node import (Action, AggregatedCommit, AggregatedPrepare,
                    CatchUpRequest, CommitVote, CommittedBlockMsg,
                    ConsensusMode, GENESIS_PARENT, NodeConfig, NodeState,
@@ -19,8 +20,9 @@ from .node import (Action, AggregatedCommit, AggregatedPrepare,
 
 __all__ = [
     "Action", "AggregatedCommit", "AggregatedPrepare", "Block", "BlockHeader",
-    "CatchUpRequest", "CodecError", "CommitVote", "CommittedBlock",
-    "CommittedBlockMsg", "ConsensusMode", "ConsensusProof", "ContractConfig",
+    "COORDINATOR", "CatchUpRequest", "CodecError", "CommitVote",
+    "CommittedBlock", "CommittedBlockMsg", "ConsensusMode", "ConsensusProof",
+    "ContractConfig",
     "ContractState", "GENESIS_PARENT", "GRID_ACCOUNT", "HorizontalTrade",
     "MockSigner", "NodeConfig", "NodeState", "PHASE_COMMIT", "PHASE_PREPARE",
     "PrePrepare", "PrepareVote", "Reader", "Receipt", "SctCompute", "Send",

@@ -5,6 +5,10 @@ the cleared antisymmetric copy, the pair price multipliers, token
 balances and per-sender nonces.  Applying the same transactions in the
 same order to the same state always yields the same state; validators
 compare state digests to prove it.
+
+A home may only publish its own trades and settle its own grid
+quantities (the transaction's sender must be the payload's user), and
+only ``COORDINATOR`` may request the coordination step.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .blocks import (HorizontalTrade, SctCompute, SignedTx, TokenTransfer,
                      VerticalTrade, tx_digest, verify_tx)
 
 __all__ = [
+    "COORDINATOR",
     "ContractConfig",
     "ContractState",
     "GRID_ACCOUNT",
@@ -31,6 +36,7 @@ __all__ = [
 ]
 
 GRID_ACCOUNT = 2 ** 32 - 1
+COORDINATOR = 2 ** 32 - 2
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,19 @@ def contract_digest(state: ContractState) -> str:
     return hexdigest(w.take())
 
 
+def _wrong_sender(sender: int, owner: int) -> Receipt:
+    return Receipt("", "wrong-sender", f"sender {sender}, payload belongs "
+                                       f"to {owner}")
+
+
 def _apply_horizontal(state: ContractState, sender: int,
                       p: HorizontalTrade) -> Receipt:
     n = state.config.n_users
     t = state.config.horizon
     if not 0 <= p.user < n:
         return Receipt("", "unknown-user", f"user {p.user}")
+    if sender != p.user:
+        return _wrong_sender(sender, p.user)
     if len(p.trades) != (n - 1) * t:
         return Receipt("", "bad-shape",
                        f"expected {(n - 1) * t} trade values, "
@@ -126,6 +139,8 @@ def _apply_horizontal(state: ContractState, sender: int,
 
 
 def _apply_sct(state: ContractState, sender: int, p: SctCompute) -> Receipt:
+    if sender != COORDINATOR:
+        return _wrong_sender(sender, COORDINATOR)
     if p.iteration != state.dual.iteration + 1:
         state.stale_rejections += 1
         return Receipt("", "stale-iteration",
@@ -142,6 +157,8 @@ def _apply_vertical(state: ContractState, sender: int,
     t = state.config.horizon
     if not 0 <= p.user < n:
         return Receipt("", "unknown-user", f"user {p.user}")
+    if sender != p.user:
+        return _wrong_sender(sender, p.user)
     if len(p.feed_in) != t or len(p.dr_reduce) != t:
         return Receipt("", "bad-shape",
                        f"need {t} slots in both series")
@@ -151,17 +168,24 @@ def _apply_vertical(state: ContractState, sender: int,
         return Receipt("", "bad-shape", "non-finite quantity")
     if feed.min(initial=0.0) < 0 or dr.min(initial=0.0) < 0:
         return Receipt("", "bad-amount", "negative quantity")
-    reward = float(np.dot(np.asarray(state.config.price_feed_in), feed)
-                   + np.dot(np.asarray(state.config.price_dr), dr))
-    if state.balances[GRID_ACCOUNT] < reward:
+
+    def reward(feed: np.ndarray, dr: np.ndarray) -> float:
+        return float(np.dot(np.asarray(state.config.price_feed_in), feed)
+                     + np.dot(np.asarray(state.config.price_dr), dr))
+
+    # the new quantities replace the standing ones, so only the change in
+    # their reward is paid: settling the same quantities twice pays once
+    delta = reward(feed, dr) - reward(state.feed_in[p.user],
+                                      state.dr_reduce[p.user])
+    if state.balances[GRID_ACCOUNT] < delta:
         return Receipt("", "insufficient-balance", "grid account exhausted")
-    # replace the user's standing quantities; pay the delta is avoided by
-    # paying on first acceptance only in the settlement flow (the driver
-    # submits once per run)
+    if state.balances[p.user] < -delta:
+        return Receipt("", "insufficient-balance",
+                       f"user {p.user} cannot repay {-delta:.6f}")
     state.feed_in[p.user] = feed
     state.dr_reduce[p.user] = dr
-    state.balances[GRID_ACCOUNT] -= reward
-    state.balances[p.user] = state.balances.get(p.user, 0.0) + reward
+    state.balances[GRID_ACCOUNT] -= delta
+    state.balances[p.user] += delta
     return Receipt("", "applied")
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .chain.blocks import (HorizontalTrade, MockSigner, SctCompute, SignedTx,
                            VerticalTrade, encode_tx, sign_tx)
-from .chain.contract import ContractConfig, contract_digest, genesis
+from .chain.contract import (COORDINATOR, ContractConfig, contract_digest,
+                             genesis)
 from .chain.node import (ConsensusMode, NodeConfig, NodeState, Start,
                          SubmitTx, handle, new_node)
 from .netsim import NetConfig, Network
@@ -33,8 +34,6 @@ __all__ = [
     "ChainTransport",
     "committed_tx_bytes",
 ]
-
-COORDINATOR = 2 ** 32 - 2
 
 
 def committed_tx_bytes(state: NodeState) -> List[bytes]:

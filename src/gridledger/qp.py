@@ -4,9 +4,14 @@ Solves  min 0.5 x'Px + q'x  subject to equality rows, inequality rows and
 variable bounds, for symmetric positive semidefinite P.  The solver is a
 primal-dual interior point method (Mehrotra predictor-corrector) on the
 condensed KKT system, preceded by a presolve that eliminates fixed
-variables and followed by an active-set polish step that sharpens the
-returned point to near machine precision.  Everything is deterministic:
-same problem, same answer, bit for bit.
+variables and followed by a polish: one regularised KKT solve on the
+active set the interior point points to (Stellato et al., "OSQP: an
+operator splitting solver for quadratic programs", Math. Prog. Comp.
+2020, section 5.2), kept only when its KKT residuals certify it.  A warm
+start tries the same polish on the previous solution's active set before
+any interior-point iteration.  ``QpSolution.polish`` says which path
+produced the answer.  Everything is deterministic: same problem, same
+answer, bit for bit.
 
 ``grid_oracle`` is an independent brute-force check for small problems: it
 filters an axis-aligned grid for feasibility and returns the best grid
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,6 +33,7 @@ __all__ = [
     "Duals",
     "GridSolution",
     "KktResiduals",
+    "Polish",
     "QpProblem",
     "QpSolution",
     "QpStatus",
@@ -45,14 +51,36 @@ class QpStatus(enum.Enum):
     INFEASIBLE = "Infeasible"
 
 
+class Polish(enum.Enum):
+    """Which path produced a solution.
+
+    ``polished``: the KKT solve on the interior point's active set;
+    ``warm``: the same solve on the warm start's active set, without an
+    interior-point iteration; ``interior``: the interior-point point,
+    because its polish did not certify or the problem is infeasible;
+    ``direct``: no iteration was needed (equality rows only, every
+    variable fixed, or bounds or rows that presolve found contradictory).
+    """
+
+    POLISHED = "polished"
+    WARM = "warm"
+    INTERIOR = "interior"
+    DIRECT = "direct"
+
+
 @dataclass(frozen=True)
 class KktResiduals:
+    """Infinity norms; ``dual`` is the largest negative inequality or
+    bound multiplier, which a certified point must not have."""
+
     stationarity: float
     primal: float
     complementarity: float
+    dual: float = 0.0
 
     def worst(self) -> float:
-        return max(self.stationarity, self.primal, self.complementarity)
+        return max(self.stationarity, self.primal, self.complementarity,
+                   self.dual)
 
 
 @dataclass
@@ -103,6 +131,7 @@ class QpSolution:
     status: QpStatus
     kkt: KktResiduals
     iterations: int
+    polish: Polish
     value: float = 0.0
 
 
@@ -123,7 +152,7 @@ def _normalized_ineq(c: LinearConstraintSet) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def kkt_residuals(problem: QpProblem, x: np.ndarray, duals: Duals) -> KktResiduals:
-    """Infinity norms of stationarity, primal violation and complementarity."""
+    """Stationarity, primal violation, complementarity and multiplier sign."""
     c = problem.constraints
     g, h = _normalized_ineq(c)
     x = np.asarray(x, dtype=float)
@@ -158,8 +187,10 @@ def kkt_residuals(problem: QpProblem, x: np.ndarray, duals: Duals) -> KktResidua
     if finite_hi.any():
         comp.append(float(np.max(np.abs(duals.upper[finite_hi]
                                         * (c.hi[finite_hi] - x[finite_hi])))))
+    signed = np.concatenate([duals.ineq, duals.lower, duals.upper])
     return KktResiduals(stationarity=stationarity, primal=primal,
-                        complementarity=max(comp))
+                        complementarity=max(comp),
+                        dual=max(0.0, -float(signed.min(initial=0.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +274,38 @@ def _presolve(problem: QpProblem, feas_tol: float) -> _Reduced:
                     fixed_vals=fixed_vals, eq_keep=eq_keep, in_keep=in_keep)
 
 
-def _solve_kkt(kmat: np.ndarray, rhs: np.ndarray, reg: float,
-               refine: int = 2) -> np.ndarray:
-    """Solve a symmetric saddle system via statically regularized LU."""
+def _kkt_solver(kmat: np.ndarray, n_primal: int, reg: float,
+                refine: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor a symmetric saddle matrix once; return its solve function.
+
+    The factor is of the quasi-definite regularisation: +reg on the first
+    ``n_primal`` diagonal entries, -reg on the rest.  Each solve takes
+    ``refine`` steps of iterative refinement against the unregularised
+    ``kmat``, which leave the components along its null space where the
+    first regularised solve put them.
+    """
     m = kmat.shape[0]
-    kreg = kmat + reg * np.eye(m)
-    lu, piv = sla.lu_factor(kreg, check_finite=False)
-    sol = sla.lu_solve((lu, piv), rhs, check_finite=False)
-    for _ in range(refine):
-        resid = rhs - kmat @ sol
-        sol = sol + sla.lu_solve((lu, piv), resid, check_finite=False)
-    return sol
+    shift = np.full(m, -reg)
+    shift[:n_primal] = reg
+    lu_piv = sla.lu_factor(kmat + np.diag(shift), check_finite=False)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        sol = sla.lu_solve(lu_piv, rhs, check_finite=False)
+        for _ in range(refine):
+            sol = sol + sla.lu_solve(lu_piv, rhs - kmat @ sol,
+                                     check_finite=False)
+        return sol
+    return solve
+
+
+def _saddle(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The saddle matrix [[P, R'], [R, 0]]."""
+    n, m = p.shape[0], rows.shape[0]
+    kmat = np.zeros((n + m, n + m))
+    kmat[:n, :n] = p
+    kmat[:n, n:] = rows.T
+    kmat[n:, :n] = rows
+    return kmat
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -263,186 +315,43 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(min(1.0, np.min(-v[neg] / dv[neg])))
 
 
-def _face_step(red: _Reduced, x: np.ndarray, cmat: np.ndarray,
-               r: np.ndarray) -> Tuple[np.ndarray, bool]:
-    """Step p from x to the objective's minimum on the face cmat @ p = r.
+def _polish(red: _Reduced, x0: np.ndarray, y0: np.ndarray, zg0: np.ndarray,
+            act_g: np.ndarray, act_l: np.ndarray, act_u: np.ndarray,
+            reg: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 np.ndarray, np.ndarray]:
+    """One regularised KKT solve on a guessed active set (OSQP polish).
 
-    The step is the minimum-norm solution of the face rows plus the
-    Newton step in their null space.  Where the face is flat along a
-    direction with nonzero gradient, that direction is added instead and
-    the second value is True: the caller follows it as a ray.
+    Columns with an active bound are fixed at it; the other columns, the
+    equality rows and the active inequality rows form one saddle system.
+    It is solved for the step from (x0, y0, zg0), not for the point
+    itself, so the regularisation keeps flat primal directions and
+    degenerate multipliers where the start put them.  The bound
+    multipliers follow from stationarity of the fixed columns, and every
+    inequality multiplier is clipped at 0.  Whether the candidate is
+    optimal is for the KKT residuals to decide.
     """
-    n = red.q.size
-    eps = np.finfo(float).eps
-    if cmat.shape[0]:
-        u_svd, sig, vt = np.linalg.svd(cmat, full_matrices=True)
-        cut = sig.max(initial=0.0) * max(cmat.shape) * eps
-        rank = int(np.count_nonzero(sig > cut))
-        ut_r = u_svd.T @ r
-        p0 = vt[:rank].T @ (ut_r[:rank] / sig[:rank]) if rank \
-            else np.zeros(n)
-        z_ns = vt[rank:].T
-    else:
-        p0 = np.zeros(n)
-        z_ns = np.eye(n)
-    if not z_ns.shape[1]:
-        return p0, False
-    h_red = z_ns.T @ red.p @ z_ns
-    rhs_red = -(z_ns.T @ (red.p @ (x + p0) + red.q))
-    lam, vec = np.linalg.eigh(h_red)
-    lcut = max(lam.max(initial=0.0) * lam.size * eps, 1e-13)
-    null = lam <= lcut
-    gn = vec[:, null].T @ rhs_red
-    if np.max(np.abs(gn), initial=0.0) > 1e-10:
-        dirn = z_ns @ (vec[:, null] @ gn)
-        return p0 + dirn / np.max(np.abs(dirn)), True
-    pos = ~null
-    step = vec[:, pos] @ ((vec[:, pos].T @ rhs_red) / lam[pos])
-    return p0 + z_ns @ step, False
-
-
-def _polish(red: _Reduced, x0: np.ndarray, rounds: int
-            ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray, np.ndarray]]:
-    """Primal active-set walk from a feasible point; None when it fails.
-
-    Starting at x0 (feasible, typically the interior-point iterate) with
-    the tight rows as the working set, each step minimizes the objective
-    on the working face and moves along the resulting direction no
-    further than the first blocking row, which then joins the set; at a
-    face minimum the most negative multiplier leaves the set.  A full step
-    that no row blocks ends on the face minimum, so the multipliers are
-    checked next without another face solve (Nocedal & Wright, Numerical
-    Optimization, Alg. 16.3): on an ill-conditioned face the steps after
-    it are rounding noise that need not shrink.  At the start point and
-    after a row is dropped, x counts as the face minimum when its face
-    step is below 1e-11 * max(1, max|x|); that step is still taken when no
-    row outside the working set blocks it.  Feasibility holds throughout,
-    so the forced rows can never become mutually inconsistent.  Flat face
-    directions with nonzero gradient are followed as rays until blocked.
-    ``rounds`` bounds the face steps and multiplier checks together.
-
-    Lower-bound rows are written as -x_i = -lo_i so every recovered
-    inequality multiplier must come out nonnegative.
-    """
-    n = red.q.size
-
-    # inequality rows and finite bounds in one stacked system
-    parts: List[np.ndarray] = []
-    rhs_parts: List[np.ndarray] = []
-    rowmap: List[Tuple[str, int]] = []
-    if red.g.shape[0]:
-        parts.append(red.g)
-        rhs_parts.append(red.h)
-        rowmap.extend(("g", j) for j in range(red.g.shape[0]))
-    lo_idx = np.flatnonzero(np.isfinite(red.lo))
-    if lo_idx.size:
-        e = np.zeros((lo_idx.size, n))
-        e[np.arange(lo_idx.size), lo_idx] = -1.0
-        parts.append(e)
-        rhs_parts.append(-red.lo[lo_idx])
-        rowmap.extend(("l", int(j)) for j in lo_idx)
-    hi_idx = np.flatnonzero(np.isfinite(red.hi))
-    if hi_idx.size:
-        e = np.zeros((hi_idx.size, n))
-        e[np.arange(hi_idx.size), hi_idx] = 1.0
-        parts.append(e)
-        rhs_parts.append(red.hi[hi_idx])
-        rowmap.extend(("u", int(j)) for j in hi_idx)
-    g_all = np.vstack(parts) if parts else np.zeros((0, n))
-    h_all = np.concatenate(rhs_parts) if rhs_parts else np.zeros(0)
-    m_all = g_all.shape[0]
     me = red.a.shape[0]
+    act_u = act_u & ~act_l
+    x = np.array(x0, dtype=float, copy=True)
+    x[act_l] = red.lo[act_l]
+    x[act_u] = red.hi[act_u]
+    free = np.flatnonzero(~(act_l | act_u))
+    rows = np.vstack([red.a, red.g[act_g]])
+    nu = np.concatenate([y0, zg0[act_g]])
+    grad = red.p @ x + red.q + rows.T @ nu
+    gap = rows @ x - np.concatenate([red.b, red.h[act_g]])
+    kmat = _saddle(red.p[np.ix_(free, free)], rows[:, free])
+    step = _kkt_solver(kmat, free.size, reg, refine=3)(
+        -np.concatenate([grad[free], gap]))
+    x[free] += step[:free.size]
+    nu += step[free.size:]
 
-    x = np.clip(x0, red.lo, red.hi)
-    if me and np.max(np.abs(red.a @ x - red.b), initial=0.0) > 1e-6:
-        return None
-    slack = h_all - g_all @ x
-    if m_all and float(slack.min(initial=0.0)) < -1e-6:
-        return None
-    work = slack <= 1e-7 if m_all else np.zeros(0, bool)
-
-    def ratio_test(x: np.ndarray, p: np.ndarray, is_ray: bool
-                   ) -> Tuple[float, int]:
-        """Longest step along p (at most 1 unless a ray) and its blocker."""
-        alpha = np.inf if is_ray else 1.0
-        blocker = -1
-        if m_all:
-            gp = g_all @ p
-            slack = h_all - g_all @ x
-            movable = ~work & (gp > 1e-12)
-            if movable.any():
-                ratios = np.where(movable,
-                                  np.maximum(slack, 0.0)
-                                  / np.where(movable, gp, 1.0),
-                                  np.inf)
-                j = int(np.argmin(ratios))
-                if ratios[j] < alpha:
-                    alpha = float(ratios[j])
-                    blocker = j
-        return alpha, blocker
-
-    zero_steps = 0
-    at_min = False
-    for _ in range(rounds):
-        wi = np.flatnonzero(work)
-        cmat = np.vstack([red.a, g_all[wi]]) if me or wi.size else \
-            np.zeros((0, n))
-        m = cmat.shape[0]
-        if not at_min:
-            r = np.concatenate([red.b - (red.a @ x if me else np.zeros(0)),
-                                h_all[wi] - g_all[wi] @ x])
-            p, is_ray = _face_step(red, x, cmat, r)
-            scale_x = max(1.0, float(np.max(np.abs(x), initial=0.0)))
-            at_min = not is_ray and np.max(np.abs(p), initial=0.0) \
-                <= 1e-11 * scale_x
-            if at_min and ratio_test(x, p, False)[1] < 0:
-                x = x + p
-        if at_min:
-            # face minimum: check the multipliers
-            grad = red.p @ x + red.q
-            if m:
-                nu, *_ = np.linalg.lstsq(cmat.T, -grad, rcond=None)
-            else:
-                nu = np.zeros(0)
-            y = nu[:me]
-            z_w = nu[me:]
-            if z_w.size and float(z_w.min(initial=0.0)) < -1e-9:
-                drop = wi[int(np.argmin(z_w))]
-                work[drop] = False
-                at_min = False
-                continue
-            zg = np.zeros(red.g.shape[0])
-            zl = np.zeros(n)
-            zu = np.zeros(n)
-            for val, row in zip(z_w, wi):
-                kind, j = rowmap[row]
-                if kind == "g":
-                    zg[j] = val
-                elif kind == "l":
-                    zl[j] = val
-                else:
-                    zu[j] = val
-            np.clip(zg, 0.0, None, out=zg)
-            np.clip(zl, 0.0, None, out=zl)
-            np.clip(zu, 0.0, None, out=zu)
-            return x, y, zg, zl, zu
-
-        alpha, blocker = ratio_test(x, p, is_ray)
-        if not np.isfinite(alpha):
-            return None
-        x = x + alpha * p
-        # a full step that no row blocks ends on the face minimum
-        at_min = blocker < 0
-        if blocker >= 0:
-            work[blocker] = True
-        if alpha <= 1e-14:
-            zero_steps += 1
-            if zero_steps > 50:
-                return None
-        else:
-            zero_steps = 0
-    return None
+    grad = red.p @ x + red.q + rows.T @ nu
+    zg = np.zeros(red.g.shape[0])
+    zg[act_g] = np.maximum(nu[me:], 0.0)
+    zl = np.where(act_l, np.maximum(grad, 0.0), 0.0)
+    zu = np.where(act_u, np.maximum(-grad, 0.0), 0.0)
+    return x, nu[:me], zg, zl, zu
 
 
 def _expand(problem: QpProblem, red: _Reduced, x_r: np.ndarray, y_r: np.ndarray,
@@ -482,11 +391,17 @@ def _expand(problem: QpProblem, red: _Reduced, x_r: np.ndarray, y_r: np.ndarray,
 
 def solve_qp(problem: QpProblem, tol: float = 1e-8, max_iter: int = 50_000,
              warm_start: Optional[QpSolution] = None) -> QpSolution:
-    """Solve the QP to ``tol`` on all three KKT residual norms.
+    """Solve the QP to ``tol`` on every KKT residual norm.
 
-    ``warm_start`` takes a previous solution of a problem with the same
-    constraint geometry; its active set is retried first, which typically
-    answers in a single factorization when only the linear term changed.
+    The interior point runs to its own sharp target; the polish then
+    solves one KKT system on the rows whose multiplier exceeds their slack
+    and returns that point when its residuals are within ``tol``,
+    otherwise the interior-point point.  ``warm_start`` takes a previous
+    solution of a problem with the same constraint geometry: the polish
+    on its active set (rows with a positive multiplier) is tried first and,
+    when it certifies, answers with one factorization and no interior-point
+    iteration.  ``QpSolution.polish`` records which of these paths
+    answered.
     """
     c = problem.constraints
     n = problem.q.size
@@ -502,7 +417,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8, max_iter: int = 50_000,
                       lower=np.zeros(n), upper=np.zeros(n))
         return QpSolution(x=x0, duals=duals, status=QpStatus.INFEASIBLE,
                           kkt=kkt_residuals(problem, x0, duals), iterations=0,
-                          value=problem.objective(x0))
+                          value=problem.objective(x0), polish=Polish.DIRECT)
 
     scale = 1.0 + max(
         float(np.max(np.abs(red.q), initial=0.0)),
@@ -510,22 +425,25 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8, max_iter: int = 50_000,
         float(np.max(np.abs(red.h), initial=0.0)))
     reg = 1e-10 * scale
 
-    def finish(x_r, y_r, zg_r, zl_r, zu_r, status, iters) -> QpSolution:
+    def finish(x_r, y_r, zg_r, zl_r, zu_r, status, iters,
+               polish) -> QpSolution:
         x, duals = _expand(problem, red, x_r, y_r, zg_r, zl_r, zu_r)
         kkt = kkt_residuals(problem, x, duals)
-        # the residuals decide optimality, whatever the iteration thought
-        if status == QpStatus.OPTIMAL and kkt.worst() > tol:
+        # the residuals decide optimality, whatever the iteration thought;
+        # a NaN residual certifies nothing
+        if status == QpStatus.OPTIMAL and not kkt.worst() <= tol:
             status = QpStatus.MAX_ITER
         elif status == QpStatus.MAX_ITER and kkt.worst() <= tol:
             status = QpStatus.OPTIMAL
         return QpSolution(x=x, duals=duals, status=status, kkt=kkt,
-                          iterations=iters, value=problem.objective(x))
+                          iterations=iters, value=problem.objective(x),
+                          polish=polish)
 
     nr = red.q.size
     if nr == 0:
         return finish(np.zeros(0), np.zeros(red.a.shape[0]),
                       np.zeros(red.g.shape[0]), np.zeros(0), np.zeros(0),
-                      QpStatus.OPTIMAL, 0)
+                      QpStatus.OPTIMAL, 0, Polish.DIRECT)
 
     jl = np.isfinite(red.lo)
     ju = np.isfinite(red.hi)
@@ -535,23 +453,21 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8, max_iter: int = 50_000,
 
     if mc == 0:
         # equality-constrained (or unconstrained): one saddle solve
-        kmat = np.zeros((nr + me, nr + me))
-        kmat[:nr, :nr] = red.p
-        if me:
-            kmat[:nr, nr:] = red.a.T
-            kmat[nr:, :nr] = red.a
-        sol = _solve_kkt(kmat, np.concatenate([-red.q, red.b]), reg)
+        sol = _kkt_solver(_saddle(red.p, red.a), nr, reg, refine=2)(
+            np.concatenate([-red.q, red.b]))
         return finish(sol[:nr], sol[nr:], np.zeros(0), np.zeros(nr),
-                      np.zeros(nr), QpStatus.OPTIMAL, 1)
+                      np.zeros(nr), QpStatus.OPTIMAL, 1, Polish.DIRECT)
 
-    # --- warm start: walk from the previous solution, constraints unchanged
+    # --- warm start: polish on the previous solution's active set
     if warm_start is not None and warm_start.x.shape == (n,):
-        ws_x = warm_start.x[red.free]
-        got = _polish(red, ws_x, rounds=120 if nr <= 500 else 40)
-        if got is not None:
-            cand = finish(*got, QpStatus.OPTIMAL, 1)
-            if cand.status == QpStatus.OPTIMAL:
-                return cand
+        wd = warm_start.duals
+        zg_w = wd.ineq[red.in_keep]
+        cand = finish(*_polish(red, warm_start.x[red.free], wd.eq[red.eq_keep],
+                               zg_w, zg_w > 0, wd.lower[red.free] > 0,
+                               wd.upper[red.free] > 0, reg),
+                      QpStatus.OPTIMAL, 1, Polish.WARM)
+        if cand.status == QpStatus.OPTIMAL:
+            return cand
 
     # --- interior point iteration
     x = np.zeros(nr)
@@ -631,15 +547,8 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8, max_iter: int = 50_000,
         np.add.at(diag, jl_idx, zl / sl)
         np.add.at(diag, ju_idx, zu / su)
         hmat[np.arange(nr), np.arange(nr)] += diag
-        kmat = np.zeros((nr + me, nr + me))
-        kmat[:nr, :nr] = hmat
-        if me:
-            kmat[:nr, nr:] = red.a.T
-            kmat[nr:, :nr] = red.a
-        kreg = kmat + np.diag(np.concatenate(
-            [np.full(nr, reg), np.full(me, -reg)])) if me else kmat + reg * np.eye(nr)
         try:
-            lu_piv = sla.lu_factor(kreg, check_finite=False)
+            kkt_solve = _kkt_solver(_saddle(hmat, red.a), nr, reg, refine=1)
         except (np.linalg.LinAlgError, ValueError):
             break
 
@@ -651,11 +560,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8, max_iter: int = 50_000,
             tmp_u = (rc_u + zu * rp_u) / su
             np.add.at(r1, jl_idx, tmp_l)
             np.add.at(r1, ju_idx, -tmp_u)
-            rhs = np.concatenate([r1, -rp_e]) if me else r1
-            sol = sla.lu_solve(lu_piv, rhs, check_finite=False)
-            for _ in range(1):
-                resid = (np.concatenate([r1, -rp_e]) if me else r1) - kmat @ sol
-                sol = sol + sla.lu_solve(lu_piv, resid, check_finite=False)
+            sol = kkt_solve(np.concatenate([r1, -rp_e]))
             dx = sol[:nr]
             dy = sol[nr:]
             dsg = -rp_g - red.g @ dx if mi else np.zeros(0)
@@ -701,23 +606,23 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8, max_iter: int = 50_000,
 
     if status == QpStatus.INFEASIBLE:
         zl_f, zu_f = full_duals()
-        return finish(x, y, zg, zl_f, zu_f, QpStatus.INFEASIBLE, it)
+        return finish(x, y, zg, zl_f, zu_f, QpStatus.INFEASIBLE, it,
+                      Polish.INTERIOR)
 
     if best is not None and status != QpStatus.OPTIMAL:
         _, (x, y, zg, zl, zu, sg, sl, su, mu) = best
 
-    # polish: active-set walk from the interior-point iterate
+    # polish: a row is active when its multiplier exceeds its slack
+    act_l = np.zeros(nr, dtype=bool)
+    act_l[jl_idx] = zl > sl
+    act_u = np.zeros(nr, dtype=bool)
+    act_u[ju_idx] = zu > su
+    cand = finish(*_polish(red, x, y, zg, zg > sg, act_l, act_u, reg),
+                  QpStatus.OPTIMAL, it, Polish.POLISHED)
+    if cand.status == QpStatus.OPTIMAL:
+        return cand
     zl_f, zu_f = full_duals()
-    attempts: List[QpSolution] = []
-    got = _polish(red, x, rounds=120 if nr <= 500 else 40)
-    if got is not None:
-        cand = finish(*got, QpStatus.OPTIMAL, it)
-        if cand.status == QpStatus.OPTIMAL:
-            return cand
-        attempts.append(cand)
-
-    attempts.append(finish(x, y, zg, zl_f, zu_f, status, it))
-    return min(attempts, key=lambda c: c.kkt.worst())
+    return finish(x, y, zg, zl_f, zu_f, status, it, Polish.INTERIOR)
 
 
 # ---------------------------------------------------------------------------

@@ -348,9 +348,9 @@ def solve_centralized(s: Scenario, mode: Mode, tol: float = 1e-6) -> Outcome:
     """Solve the joint problem; raises SolveFailed unless optimal.
 
     The returned point is certified to KKT residuals <= tol.  The default
-    suits joint problems with several hundred variables, where the
-    regularized saddle solves plateau near 1e-8; pass a tighter tolerance
-    for small instances.
+    also admits the interior-point point, which plateaus near 1e-8 on joint
+    problems with several hundred variables, should the polish not
+    certify; pass a tighter tolerance for small instances.
     """
     problem = assemble_problem(s, mode)
     sol = solve_qp(problem, tol=tol)

@@ -61,7 +61,7 @@ from gridledger.tem import (
     sct_step,
     solve_centralized,
 )
-from tests.test_qp import make_cs
+from tests.test_qp import BATTERY_CASES, make_cs
 
 
 def _report(text: str) -> None:
@@ -70,10 +70,6 @@ def _report(text: str) -> None:
 
 # ---------------------------------------------------------------------------
 # scenario battery shared by the optimization gates
-
-BATTERY_CASES: Tuple[Tuple[int, int], ...] = (
-    (2, 4), (3, 4), (2, 8), (3, 8), (5, 8), (3, 24))
-
 
 @dataclasses.dataclass
 class BatteryEntry:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridledger.chain import (
+    COORDINATOR,
     AggregatedCommit,
     AggregatedPrepare,
     Block,
@@ -308,7 +309,8 @@ class TestContract:
                                          trades=(2.0, 0.0))),
                _tx(1, 1, HorizontalTrade(user=1, iteration=1,
                                          trades=(-1.0, 0.0))),
-               _tx(0, 2, SctCompute(iteration=1, submitter=0))]
+               _tx(COORDINATOR, 1,
+                   SctCompute(iteration=1, submitter=COORDINATOR))]
         out, recs = execute_transactions(state, txs)
         assert all(r.status == "applied" for r in recs)
         ref = state.dual.copy()
@@ -326,6 +328,46 @@ class TestContract:
         # 0.1*(1+2) + 0.2*3 = 0.9
         assert out.balances[1] == pytest.approx(1000.9)
         assert out.balances[GRID_ACCOUNT] == pytest.approx(1e9 - 0.9)
+
+    def test_vertical_pays_once_per_home(self):
+        state = genesis(_config())
+        settle = VerticalTrade(user=0, feed_in=(1.0, 2.0),
+                               dr_reduce=(0.0, 3.0))
+        out, recs = execute_transactions(
+            state, [_tx(0, 1, settle), _tx(0, 2, settle)])
+        assert [r.status for r in recs] == ["applied", "applied"]
+        assert out.balances[0] == pytest.approx(1000.9)
+        assert out.balances[GRID_ACCOUNT] == pytest.approx(1e9 - 0.9)
+        # a revised settlement pays only the change in reward
+        smaller = VerticalTrade(user=0, feed_in=(1.0, 0.0),
+                                dr_reduce=(0.0, 0.0))
+        out, recs = execute_transactions(out, [_tx(0, 3, smaller)])
+        assert recs[0].status == "applied"
+        assert out.balances[0] == pytest.approx(1000.1)
+        assert out.balances[GRID_ACCOUNT] == pytest.approx(1e9 - 0.1)
+        # a home that cannot repay the difference is refused
+        out, recs = execute_transactions(out, [
+            _tx(0, 4, TokenTransfer(recipient=1, amount=1000.05)),
+            _tx(0, 5, VerticalTrade(user=0, feed_in=(0.0, 0.0),
+                                    dr_reduce=(0.0, 0.0)))])
+        assert [r.status for r in recs] == ["applied", "insufficient-balance"]
+        assert out.feed_in[0].tolist() == [1.0, 0.0]
+
+    def test_payload_must_belong_to_sender(self):
+        state = genesis(_config())
+        txs = [_tx(1, 1, HorizontalTrade(user=0, iteration=1,
+                                         trades=(5.0, 5.0))),
+               _tx(1, 2, VerticalTrade(user=0, feed_in=(1.0, 1.0),
+                                       dr_reduce=(0.0, 0.0))),
+               _tx(0, 1, SctCompute(iteration=1, submitter=0))]
+        out, recs = execute_transactions(state, txs)
+        assert [r.status for r in recs] == ["wrong-sender"] * 3
+        assert "belongs to 0" in recs[0].detail
+        assert str(COORDINATOR) in recs[2].detail
+        assert out.dual.iteration == 0
+        assert not out.dual.trades.any()
+        assert out.balances[0] == 1000.0 and not out.feed_in.any()
+        assert out.nonces == {0: 1, 1: 2}    # consumed: no replay later
 
     def test_vertical_rejects_negative(self):
         state = genesis(_config())

@@ -14,6 +14,7 @@ from gridledger.energy_model import (
 from gridledger.qp import (
     Duals,
     GridSolution,
+    Polish,
     QpProblem,
     QpStatus,
     grid_oracle,
@@ -22,6 +23,9 @@ from gridledger.qp import (
 )
 from gridledger.scenario import generate_synthetic
 from gridledger.tem import assemble_problem
+
+# (homes, slots) of the acceptance battery; case i uses generator seed 10 + i
+BATTERY_CASES = ((2, 4), (3, 4), (2, 8), (3, 8), (5, 8), (3, 24))
 
 
 def make_cs(n, a_eq=None, b_eq=None, a_in=None, b_in=None, senses=None,
@@ -115,6 +119,18 @@ class TestAnalyticCases:
                       lower=np.zeros(1), upper=np.array([2.0]))
         kkt = kkt_residuals(prob, np.array([1.0]), duals)
         assert kkt.worst() <= 1e-12    # grad 2x-4 = -2 cancelled by upper dual
+
+    def test_kkt_residuals_reject_negative_multiplier(self):
+        # min 0.5x^2 - x, x >= 0: x = 0 with lower dual -1 is stationary,
+        # feasible and complementary, but the multiplier has the wrong sign
+        prob = QpProblem(p=np.eye(1), q=np.array([-1.0]),
+                         constraints=make_cs(1, lo=[0.0]))
+        duals = Duals(eq=np.zeros(0), ineq=np.zeros(0),
+                      lower=np.array([-1.0]), upper=np.zeros(1))
+        kkt = kkt_residuals(prob, np.array([0.0]), duals)
+        assert max(kkt.stationarity, kkt.primal, kkt.complementarity) == 0.0
+        assert kkt.dual == 1.0
+        assert kkt.worst() == 1.0
 
 
 class TestInfeasible:
@@ -223,8 +239,22 @@ class TestOnModelProblems:
         warm = solve_qp(nudged, warm_start=cold)
         ref = solve_qp(nudged)
         assert warm.status == QpStatus.OPTIMAL
+        assert warm.polish is Polish.WARM
         assert warm.value == pytest.approx(ref.value, abs=1e-7)
         assert warm.iterations <= ref.iterations
+
+    def test_warm_start_with_wrong_active_set_falls_back(self):
+        # min 0.5x^2 - cx on [0, 1]: c = 2 holds x at 1, c = -2 at 0
+        def box(c):
+            return QpProblem(p=np.eye(1), q=np.array([-c]),
+                             constraints=make_cs(1, lo=[0.0], hi=[1.0]))
+        first = solve_qp(box(2.0))
+        assert first.duals.upper[0] > 0
+        sol = solve_qp(box(-2.0), warm_start=first)
+        assert sol.status == QpStatus.OPTIMAL
+        assert sol.polish is Polish.POLISHED
+        assert sol.x[0] == 0.0
+        assert sol.duals.lower[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_scaling_invariance(self, scen_2x4):
         """Uniformly scaling the objective scales the value, not the point."""
@@ -243,10 +273,10 @@ class TestOnModelProblems:
         pytest.param(Mode.BS1, 13, 8, id="Mode.BS1-seed13"),
     ])
     def test_joint_solve_is_polished(self, mode, seed, horizon):
-        """The polish must reach the face minimum, which leaves the peak rows
-        tight instead of at the interior point's distance inside them.  At
-        BS1, seed 13 the start point is already within 1e-11 of that minimum
-        and the remaining step must still be taken."""
+        """The polish must land on the active set's KKT point, which leaves
+        the peak rows tight instead of at the interior point's distance
+        inside them.  At BS1, seed 13 the interior point is already within
+        1e-11 of that point and the polish must still close the gap."""
         s = generate_synthetic(seed=seed, n_users=3, horizon=horizon)
         sol = solve_qp(assemble_problem(s, mode), tol=1e-6)
         assert sol.status == QpStatus.OPTIMAL
@@ -255,3 +285,27 @@ class TestOnModelProblems:
         for user in range(s.n_users):
             sch = schedule_from_x(sol.x, layout, user)
             assert sch.peak == float(np.max(sch.supply_grid)), user
+
+    @pytest.mark.parametrize("s", [
+        *(pytest.param(dict(seed=10 + i, n_users=n, horizon=t),
+                       id=f"battery-{n}x{t}")
+          for i, (n, t) in enumerate(BATTERY_CASES)),
+        *(pytest.param(dict(seed=seed, n_users=5, horizon=8,
+                            solar_range=(0, 10), ev_arrival_soc=0.85),
+                       id=f"benchmark-seed{seed}") for seed in (3, 0)),
+    ])
+    def test_joint_solves_report_polished(self, s):
+        """Every joint solve of the acceptance battery and of the benchmark
+        scenario (default and held-out seed) is answered by the polish.
+        The benchmark TEM solve has degenerate rows (``ev_energy`` held by
+        both ``ev-full-at-departure`` and its upper bound); their
+        multipliers must come out nonnegative and still certify."""
+        s = generate_synthetic(**s)
+        for mode in Mode:
+            sol = solve_qp(assemble_problem(s, mode), tol=1e-6)
+            assert sol.status == QpStatus.OPTIMAL, mode
+            assert sol.polish is Polish.POLISHED, mode
+            assert sol.kkt.worst() <= 1e-12, (mode, sol.kkt)
+            d = sol.duals
+            assert min(d.ineq.min(initial=0.0), d.lower.min(),
+                       d.upper.min()) >= 0.0, mode
