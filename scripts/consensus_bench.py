@@ -11,41 +11,20 @@ Usage: python scripts/consensus_bench.py [--blocks B] [--sizes 4,7,10,13]
 
 import argparse
 
-from gridledger.chain import (
-    ConsensusMode,
-    ContractConfig,
-    NodeConfig,
-    Start,
-    genesis,
-    handle,
-    new_node,
-)
-from gridledger.cli import _message_bytes, _message_height
+from gridledger.chain import ConsensusMode
+from gridledger.chain.cluster import run_to_height, start_cluster, tally
 from gridledger.netsim import NetConfig, Network
-from gridledger.tem import RhoSchedule
-
-EMPTY = ContractConfig(n_users=1, horizon=1,
-                       rho_schedule=RhoSchedule.fixed(1.0),
-                       price_feed_in=(0.0,), price_dr=(0.0,))
 
 
-def bench(n: int, mode: ConsensusMode, blocks: int, seed: int):
-    validators = tuple(range(n))
-    g = genesis(EMPTY)
+def per_block(n: int, mode: ConsensusMode, blocks: int, seed: int):
+    """Mean messages and bytes per committed block at heights 1..blocks."""
     net = Network(NetConfig(latency_ms=(0.5, 2.0)), seed=seed)
-    for v in validators:
-        net.add_node(v, new_node(NodeConfig(v, validators, mode=mode,
-                                            produce_empty=True), g), handle)
-        net.client_send(v, Start(), at_ms=0.0)
-    net.run(until=lambda nw: min(st.height for st in nw.states.values())
-            > blocks, max_events=500_000)
-    msgs = size = 0
-    for ev in net.trace:
-        h = _message_height(ev.payload)
-        if ev.kind == "emit" and h is not None and 1 <= h <= blocks:
-            msgs += 1
-            size += _message_bytes(ev.payload)
-    return msgs / blocks, size / blocks
+    start_cluster(net, n, mode)
+    run_to_height(net, blocks)
+    per_height = tally(net)
+    heights = [per_height[h] for h in range(1, blocks + 1)]
+    return (sum(t.msgs for t in heights) / blocks,
+            sum(t.bytes for t in heights) / blocks)
 
 
 def main() -> None:
@@ -59,10 +38,10 @@ def main() -> None:
     print(f"{'n':>3}{'aggregated':>12}{'all-to-all':>12}{'ratio':>8}"
           f"{'agg bytes':>11}{'a2a bytes':>11}")
     for n in sizes:
-        m_msgs, m_bytes = bench(n, ConsensusMode.MODIFIED, args.blocks,
-                                args.seed)
-        c_msgs, c_bytes = bench(n, ConsensusMode.CLASSIC, args.blocks,
-                                args.seed)
+        m_msgs, m_bytes = per_block(n, ConsensusMode.MODIFIED, args.blocks,
+                                    args.seed)
+        c_msgs, c_bytes = per_block(n, ConsensusMode.CLASSIC, args.blocks,
+                                    args.seed)
         print(f"{n:>3}{m_msgs:>12.1f}{c_msgs:>12.1f}"
               f"{m_msgs / c_msgs:>8.3f}{m_bytes:>11.0f}{c_bytes:>11.0f}")
 

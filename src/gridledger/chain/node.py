@@ -55,6 +55,7 @@ __all__ = [
     "fault_tolerance",
     "handle",
     "leader_for",
+    "message_height",
     "new_node",
     "quorum_size",
 ]
@@ -363,8 +364,10 @@ def _replay_stash(st: NodeState, now: float, acts: List[Action]) -> None:
         acts.extend(handle(st, sender, msg, now))
 
 
-def _vote_height(msg: Message) -> Optional[int]:
-    """Height a phase message argues about, for look-ahead buffering."""
+def message_height(msg: object) -> Optional[int]:
+    """Height a proposal or phase message argues about; None for others."""
+    if isinstance(msg, PrePrepare):
+        return msg.block.header.height
     if isinstance(msg, (PrepareVote, CommitVote)):
         return msg.vote.height
     if isinstance(msg, AggregatedPrepare):
@@ -631,8 +634,8 @@ def handle(st: NodeState, sender: int, msg: Message, now: float
            ) -> List[Action]:
     """Advance the node with one delivered message; returns sends/timers."""
     acts: List[Action] = []
-    bh = _vote_height(msg)
-    if bh is not None:
+    bh = message_height(msg)
+    if bh is not None and not isinstance(msg, PrePrepare):
         # nodes commit at slightly different times, so phase traffic for
         # the next height (or for a proposal still in flight) is held and
         # replayed instead of lost

@@ -15,11 +15,8 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .chain.blocks import encode_block, encode_proof, encode_vote
-from .chain.node import (AggregatedCommit, AggregatedPrepare, CommitVote,
-                         ConsensusMode, NodeConfig, PrePrepare, PrepareVote,
-                         Start, handle, new_node)
-from .chain.contract import ContractConfig, genesis
+from .chain.cluster import run_to_height, start_cluster, tally
+from .chain.node import ConsensusMode
 from .chain_transport import ChainTransport
 from .energy_model import Mode
 from .netsim import LivenessTimeout, NetConfig, Network
@@ -250,80 +247,6 @@ def _parse_faults(specs: Sequence[str]) -> List[Tuple[int, float]]:
     return out
 
 
-def _message_bytes(payload: object) -> int:
-    if isinstance(payload, PrePrepare):
-        return len(encode_block(payload.block))
-    if isinstance(payload, (PrepareVote, CommitVote)):
-        return len(encode_vote(payload.vote))
-    if isinstance(payload, AggregatedPrepare):
-        return 8 + 8 + 32 + sum(len(encode_vote(v)) for v in payload.votes)
-    if isinstance(payload, AggregatedCommit):
-        return len(encode_proof(payload.proof))
-    return 64
-
-
-def _message_height(payload: object) -> Optional[int]:
-    if isinstance(payload, PrePrepare):
-        return payload.block.header.height
-    if isinstance(payload, (PrepareVote, CommitVote)):
-        return payload.vote.height
-    if isinstance(payload, AggregatedPrepare):
-        return payload.height
-    if isinstance(payload, AggregatedCommit):
-        return payload.proof.height
-    return None
-
-
-def _consensus_demo(n_validators: int, protocol: ConsensusMode, blocks: int,
-                    seed: int, faults: Sequence[Tuple[int, float]]
-                    ) -> Tuple[List[str], Dict[int, int]]:
-    """Run empty-block consensus to a height; returns CSV rows per height."""
-    validators = tuple(range(n_validators))
-    ccfg = ContractConfig(n_users=1, horizon=1,
-                          rho_schedule=RhoSchedule.fixed(1.0),
-                          price_feed_in=(0.0,), price_dr=(0.0,))
-    g = genesis(ccfg)
-    net = Network(NetConfig(latency_ms=(1.0, 10.0)), seed=seed)
-    for v in validators:
-        node = new_node(NodeConfig(v, validators, mode=protocol,
-                                   produce_empty=True), g)
-        net.add_node(v, node, handle)
-        net.client_send(v, Start(), at_ms=0.0)
-    for node_id, at_ms in faults:
-        if node_id not in net.states:
-            raise _UsageError(f"fault names unknown validator {node_id}")
-        net.crash(node_id, at_ms)
-
-    def done(n: Network) -> bool:
-        live = [s.height for v, s in n.states.items() if n.alive(v)]
-        return bool(live) and min(live) > blocks
-
-    net.run(until=done, max_events=4000 * blocks + 40000)
-    net.check_conservation()
-
-    msgs: Dict[int, int] = {}
-    size: Dict[int, int] = {}
-    first: Dict[int, float] = {}
-    last: Dict[int, float] = {}
-    for ev in net.trace:
-        h = _message_height(ev.payload)
-        if h is None or not 1 <= h <= blocks:
-            continue
-        if ev.kind == "emit" or (ev.kind == "drop" and ev.src != -1):
-            msgs[h] = msgs.get(h, 0) + 1
-            size[h] = size.get(h, 0) + _message_bytes(ev.payload)
-            first[h] = min(first.get(h, ev.time_ms), ev.time_ms)
-        if ev.kind == "deliver":
-            last[h] = max(last.get(h, ev.time_ms), ev.time_ms)
-    rows = []
-    for h in range(1, blocks + 1):
-        lat = last.get(h, 0.0) - first.get(h, 0.0)
-        rows.append(f"{protocol.value},{h},{msgs.get(h, 0)},"
-                    f"{size.get(h, 0)},{lat:.3f}")
-    heights = {v: s.height for v, s in net.states.items()}
-    return rows, heights
-
-
 def cmd_chain(args: argparse.Namespace) -> int:
     if args.validators < 4:
         raise _UsageError("need at least 4 validators to tolerate one fault "
@@ -340,18 +263,26 @@ def cmd_chain(args: argparse.Namespace) -> int:
     per_block: Dict[str, float] = {}
     last_heights: Dict[int, int] = {}
     for protocol in protocols:
+        net = Network(NetConfig(latency_ms=(1.0, 10.0)), seed=seed)
+        start_cluster(net, args.validators, protocol)
+        for node_id, at_ms in faults:
+            if node_id not in net.states:
+                raise _UsageError(f"fault names unknown validator {node_id}")
+            net.crash(node_id, at_ms)
         try:
-            rows, heights = _consensus_demo(args.validators, protocol,
-                                            args.blocks, seed, faults)
+            run_to_height(net, args.blocks)
         except LivenessTimeout as e:
             print(f"liveness timeout in {protocol.value} consensus after "
                   f"{e.events} events at t={e.sim_time_ms:.0f}ms",
                   file=sys.stderr)
             return EXIT_LIVENESS
-        lines.extend(rows)
-        total = sum(int(r.split(",")[2]) for r in rows)
-        per_block[protocol.value] = total / args.blocks
-        last_heights = heights
+        per_height = tally(net)
+        heights = [per_height[h] for h in range(1, args.blocks + 1)]
+        lines.extend(f"{protocol.value},{h},{t.msgs},{t.bytes},"
+                     f"{t.latency_ms:.3f}"
+                     for h, t in enumerate(heights, start=1))
+        per_block[protocol.value] = sum(t.msgs for t in heights) / args.blocks
+        last_heights = {v: st.height for v, st in net.states.items()}
     table = "\n".join(lines)
     print(table)
     n = args.validators

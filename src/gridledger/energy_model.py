@@ -371,9 +371,9 @@ def check_schedule(sch: Schedule, s: Scenario, user: int,
 class LinearConstraintSet:
     """Dense linear constraints with per-row tags.
 
-    Inequality senses are recorded per row ("<=" or ">="); builders in this
-    module emit "<=" only.  Bounds are per-column closed intervals with
-    +-inf for absent sides.
+    Equality rows read ``a_eq x = b_eq`` and inequality rows
+    ``a_in x <= b_in``.  Bounds are per-column closed intervals with +-inf
+    for absent sides.
     """
 
     n_vars: int
@@ -382,7 +382,6 @@ class LinearConstraintSet:
     eq_tags: List[str]
     a_in: np.ndarray
     b_in: np.ndarray
-    senses: List[str]
     in_tags: List[str]
     lo: np.ndarray
     hi: np.ndarray
@@ -521,8 +520,7 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
     a_in = np.array(in_rows) if in_rows else np.zeros((0, nv))
     return LinearConstraintSet(
         n_vars=nv, a_eq=a_eq, b_eq=np.array(eq_rhs), eq_tags=eq_tags,
-        a_in=a_in, b_in=np.array(in_rhs), senses=["<="] * len(in_rhs),
-        in_tags=in_tags, lo=lo, hi=hi)
+        a_in=a_in, b_in=np.array(in_rhs), in_tags=in_tags, lo=lo, hi=hi)
 
 
 def build_user_objective(s: Scenario, user: int,

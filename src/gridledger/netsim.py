@@ -42,14 +42,10 @@ class NetConfig:
     """Link behaviour.
 
     ``latency_ms`` is either one number or an inclusive uniform range.
-    ``bandwidth_bytes_per_ms`` adds a size-proportional delay using
-    ``size_hint`` bytes per message when no sizer is given.
     """
 
     latency_ms: Union[float, Tuple[float, float]] = (1.0, 10.0)
     drop_prob: float = 0.0
-    bandwidth_bytes_per_ms: Optional[float] = None
-    size_hint: int = 256
     serialize_gap_ms: float = 0.0
 
     def __post_init__(self) -> None:
@@ -89,7 +85,6 @@ class LivenessTimeout(RuntimeError):
 
 
 Handler = Callable[[object, int, object, float], List[object]]
-Sizer = Callable[[object], int]
 
 
 @dataclass
@@ -100,11 +95,9 @@ class _Partition:
 
 
 class Network:
-    def __init__(self, config: NetConfig = NetConfig(), seed: int = 0,
-                 sizer: Optional[Sizer] = None):
+    def __init__(self, config: NetConfig = NetConfig(), seed: int = 0):
         self.config = config
         self.rng = random.Random(seed)
-        self.sizer = sizer
         self.states: Dict[int, object] = {}
         self.handlers: Dict[int, Handler] = {}
         self.trace: List[TraceEvent] = []
@@ -177,17 +170,11 @@ class Network:
         self._push(at_ms, _KIND_DELIVER, CLIENT, dest, msg)
         self.counters["client"] += 1
 
-    def _latency(self, msg: object) -> float:
+    def _latency(self) -> float:
         lat = self.config.latency_ms
         if isinstance(lat, tuple):
-            delay = self.rng.uniform(lat[0], lat[1])
-        else:
-            delay = float(lat)
-        bw = self.config.bandwidth_bytes_per_ms
-        if bw is not None:
-            size = self.sizer(msg) if self.sizer else self.config.size_hint
-            delay += size / bw
-        return delay
+            return self.rng.uniform(lat[0], lat[1])
+        return float(lat)
 
     def _emit(self, src: int, dst: int, msg: object) -> None:
         self.counters["sends"] += 1
@@ -204,7 +191,7 @@ class Network:
             self._drop(src, dst, msg, "lost")
             return
         self._record("emit", src, dst, msg)
-        self._push(self.now + self._latency(msg), _KIND_DELIVER, src, dst, msg)
+        self._push(self.now + self._latency(), _KIND_DELIVER, src, dst, msg)
 
     def _drop(self, src: int, dst: int, msg: object, reason: str) -> None:
         key = "client_drops" if src == CLIENT else "drops"
@@ -254,10 +241,6 @@ class Network:
         """Validator messages on the wire: sent but not yet delivered."""
         return sum(1 for e in self._heap
                    if e[2] == _KIND_DELIVER and e[3] != CLIENT)
-
-    def queued(self) -> int:
-        """Messages in sender outboxes that have not hit the wire yet."""
-        return sum(1 for e in self._heap if e[2] == _KIND_EMIT)
 
     def client_in_flight(self) -> int:
         return sum(1 for e in self._heap

@@ -138,23 +138,10 @@ class QpSolution:
 # ---------------------------------------------------------------------------
 # residuals
 
-def _normalized_ineq(c: LinearConstraintSet) -> Tuple[np.ndarray, np.ndarray]:
-    """Inequality rows flipped so that every row reads  g'x <= h."""
-    g = np.array(c.a_in, dtype=float, copy=True)
-    h = np.array(c.b_in, dtype=float, copy=True)
-    for i, sense in enumerate(c.senses):
-        if sense == ">=":
-            g[i] = -g[i]
-            h[i] = -h[i]
-        elif sense != "<=":
-            raise ValueError(f"unknown sense {sense!r} in row {i}")
-    return g, h
-
-
 def kkt_residuals(problem: QpProblem, x: np.ndarray, duals: Duals) -> KktResiduals:
     """Stationarity, primal violation, complementarity and multiplier sign."""
     c = problem.constraints
-    g, h = _normalized_ineq(c)
+    g, h = c.a_in, c.b_in
     x = np.asarray(x, dtype=float)
 
     stat = problem.p @ x + problem.q
@@ -232,7 +219,6 @@ def _presolve(problem: QpProblem, feas_tol: float) -> _Reduced:
     fixed_vals = np.full(n, np.nan)
     fixed_vals[fixed] = 0.5 * (lo[fixed] + hi[fixed])
 
-    g, h = _normalized_ineq(c)
     xf = np.where(fixed, np.nan_to_num(fixed_vals), 0.0)
     q_r = problem.q[free] + problem.p[np.ix_(free, np.flatnonzero(fixed))] \
         @ fixed_vals[fixed] if fixed.any() else problem.q[free]
@@ -261,7 +247,7 @@ def _presolve(problem: QpProblem, feas_tol: float) -> _Reduced:
         return mat_r[keep_idx], rhs_r[keep_idx], keep_idx
 
     a_r, b_r, eq_keep = reduce_rows(c.a_eq, c.b_eq, True)
-    g_r, h_r, in_keep = reduce_rows(g, h, False)
+    g_r, h_r, in_keep = reduce_rows(c.a_in, c.b_in, False)
     if a_r.shape[0]:
         # rank-inconsistent equality systems never reach the iteration
         resid = a_r @ np.linalg.lstsq(a_r, b_r, rcond=None)[0] - b_r
@@ -374,12 +360,11 @@ def _expand(problem: QpProblem, red: _Reduced, x_r: np.ndarray, y_r: np.ndarray,
     # close the stationarity rows of fixed variables through their bound duals
     fixed = np.flatnonzero(~np.isnan(red.fixed_vals))
     if fixed.size:
-        g, _ = _normalized_ineq(c)
         resid = problem.p @ x + problem.q
         if c.a_eq.shape[0]:
             resid += c.a_eq.T @ y
-        if g.shape[0]:
-            resid += g.T @ zg
+        if c.a_in.shape[0]:
+            resid += c.a_in.T @ zg
         r = resid[fixed]
         zl[fixed] = np.maximum(r, 0.0)
         zu[fixed] = np.maximum(-r, 0.0)
@@ -657,7 +642,7 @@ def grid_oracle(problem: QpProblem, box: Optional[Sequence[Tuple[float, float]]]
             raise ValueError("variable bounds are unbounded; pass an explicit box")
         box = list(zip(c.lo.tolist(), c.hi.tolist()))
     axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-    g, h = _normalized_ineq(c)
+    g, h = c.a_in, c.b_in
 
     best_x: Optional[np.ndarray] = None
     best_val = np.inf

@@ -265,7 +265,7 @@ def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
     constraints = LinearConstraintSet(
         n_vars=nv, a_eq=np.array(eq_rows), b_eq=np.array(eq_rhs),
         eq_tags=eq_tags, a_in=np.array(in_rows), b_in=np.array(in_rhs),
-        senses=["<="] * len(in_rhs), in_tags=in_tags, lo=lo, hi=hi)
+        in_tags=in_tags, lo=lo, hi=hi)
     return QpProblem(p=np.diag(p_diag), q=q, constraints=constraints,
                      layout_tag=f"{mode.value}:joint:N={s.n_users}:T={t}")
 

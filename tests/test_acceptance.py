@@ -16,23 +16,18 @@ import numpy as np
 import pytest
 
 from gridledger.chain import (
-    AggregatedCommit,
-    AggregatedPrepare,
-    CommitVote,
     ConsensusMode,
-    ContractConfig,
     HorizontalTrade,
-    NodeConfig,
-    PrePrepare,
-    PrepareVote,
     SctCompute,
-    Start,
     VerticalTrade,
     block_digest,
     decode_tx,
-    genesis,
-    handle,
-    new_node,
+)
+from gridledger.chain.cluster import (
+    live_above,
+    run_to_height,
+    start_cluster,
+    tally,
 )
 from gridledger.chain_transport import (
     COORDINATOR,
@@ -270,20 +265,6 @@ def test_c06_dynamics_conservation(battery):
 # ---------------------------------------------------------------------------
 # consensus gates
 
-_EMPTY_CONTRACT = ContractConfig(
-    n_users=1, horizon=1, rho_schedule=RhoSchedule.fixed(1.0),
-    price_feed_in=(0.0,), price_dr=(0.0,))
-
-
-def _spin_cluster(n: int, mode: ConsensusMode, net: Network) -> None:
-    validators = tuple(range(n))
-    g = genesis(_EMPTY_CONTRACT)
-    for v in validators:
-        net.add_node(v, new_node(NodeConfig(v, validators, mode=mode,
-                                            produce_empty=True), g), handle)
-        net.client_send(v, Start(), at_ms=0.0)
-
-
 def _ledger_prefixes_agree(net: Network) -> None:
     ledgers = [st.ledger for st in net.states.values()]
     for i in range(len(ledgers)):
@@ -298,18 +279,15 @@ def _crash_run(seed: int) -> Tuple[int, bool]:
     rng = random.Random(seed)
     net = Network(NetConfig(latency_ms=(1.0, 10.0), serialize_gap_ms=0.01),
                   seed=seed)
-    _spin_cluster(4, ConsensusMode.MODIFIED, net)
+    start_cluster(net, 4, ConsensusMode.MODIFIED)
     n_crashes = rng.randint(0, 2)
     for v in rng.sample(range(4), n_crashes):
         net.crash(v, rng.uniform(0.0, 200.0))
 
-    def done(nw: Network) -> bool:
-        live = [st.height for v, st in nw.states.items() if nw.alive(v)]
-        return bool(live) and min(live) > 10
-
     reached = True
     try:
-        net.run(until=done, until_ms=20_000.0, max_events=400_000)
+        net.run(until=lambda nw: live_above(nw, 10), until_ms=20_000.0,
+                max_events=400_000)
     except LivenessTimeout:
         reached = False
     net.check_conservation()
@@ -318,49 +296,30 @@ def _crash_run(seed: int) -> Tuple[int, bool]:
 
 
 def test_c07_consensus_safety_under_crashes():
-    tally = {0: 0, 1: 0, 2: 0}
+    by_crashes = {0: 0, 1: 0, 2: 0}
     for seed in range(200):
         n_crashes, reached = _crash_run(seed)
-        tally[n_crashes] += 1
+        by_crashes[n_crashes] += 1
         if n_crashes <= 1:
             assert reached, f"seed {seed} stalled with {n_crashes} crash(es)"
-    assert tally[2] > 0 and tally[0] + tally[1] > 0
-    _report(f"07 consensus safety: 200 seeded runs (crashes {tally}), "
+    assert by_crashes[2] > 0 and by_crashes[0] + by_crashes[1] > 0
+    _report(f"07 consensus safety: 200 seeded runs (crashes {by_crashes}), "
             f"no conflicting commits, height 10 reached whenever <=1 crashed")
-
-
-def _payload_height(payload: object):
-    if isinstance(payload, PrePrepare):
-        return payload.block.header.height
-    if isinstance(payload, (PrepareVote, CommitVote)):
-        return payload.vote.height
-    if isinstance(payload, AggregatedPrepare):
-        return payload.height
-    if isinstance(payload, AggregatedCommit):
-        return payload.proof.height
-    return None
-
-
-def _msgs_per_height(n: int, mode: ConsensusMode, blocks: int) -> Dict[int, int]:
-    net = Network(NetConfig(latency_ms=(0.5, 2.0)), seed=5)
-    _spin_cluster(n, mode, net)
-    net.run(until=lambda nw: min(st.height for st in nw.states.values())
-            > blocks, max_events=500_000)
-    net.check_conservation()
-    per: Dict[int, int] = {}
-    for ev in net.trace:
-        h = _payload_height(ev.payload)
-        if ev.kind == "emit" and h is not None and 1 <= h <= blocks:
-            per[h] = per.get(h, 0) + 1
-    return per
 
 
 def test_c08_message_complexity():
     blocks = 4
     ratios = []
     for n in (4, 7, 10, 13):
-        per_mod = _msgs_per_height(n, ConsensusMode.MODIFIED, blocks)
-        per_cls = _msgs_per_height(n, ConsensusMode.CLASSIC, blocks)
+        per = {}
+        for mode in ConsensusMode:
+            net = Network(NetConfig(latency_ms=(0.5, 2.0)), seed=5)
+            start_cluster(net, n, mode)
+            run_to_height(net, blocks)
+            per[mode] = {h: t.msgs for h, t in tally(net).items()
+                         if 1 <= h <= blocks}
+        per_mod = per[ConsensusMode.MODIFIED]
+        per_cls = per[ConsensusMode.CLASSIC]
         assert per_mod == {h: 5 * (n - 1) for h in range(1, blocks + 1)}, n
         for h in range(1, blocks + 1):
             assert per_cls[h] >= 2 * n * (n - 1), (n, h, per_cls[h])

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from gridledger.chain import (
     COORDINATOR,
-    AggregatedCommit,
-    AggregatedPrepare,
     Block,
+    CatchUpRequest,
     CodecError,
-    CommitVote,
     ConsensusMode,
     ConsensusProof,
     ContractConfig,
@@ -24,8 +22,6 @@ from gridledger.chain import (
     NodeConfig,
     PHASE_COMMIT,
     PHASE_PREPARE,
-    PrePrepare,
-    PrepareVote,
     Reader,
     SctCompute,
     Send,
@@ -57,6 +53,9 @@ from gridledger.chain import (
     verify_tx,
     verify_vote,
 )
+from gridledger.chain.cluster import (message_bytes, message_height,
+                                     run_to_height, start_cluster, tally)
+from gridledger.netsim import NetConfig, Network
 from gridledger.tem import (RhoSchedule, advance_iteration, dual_state_digest,
                             sct_step)
 
@@ -480,18 +479,6 @@ class SyncCluster:
         assert len(states) == 1
 
 
-def _vote_height(msg):
-    if isinstance(msg, (PrepareVote, CommitVote)):
-        return msg.vote.height
-    if isinstance(msg, PrePrepare):
-        return msg.block.header.height
-    if isinstance(msg, AggregatedPrepare):
-        return msg.height
-    if isinstance(msg, AggregatedCommit):
-        return msg.proof.height
-    return None
-
-
 class TestAgreement:
     def test_leader_rotation_oracle(self):
         cluster = SyncCluster(4, ConsensusMode.MODIFIED)
@@ -512,7 +499,7 @@ class TestAgreement:
         cluster.run_to_height(heights)
         counts = {}
         for _, msg in cluster.sent:
-            h = _vote_height(msg)
+            h = message_height(msg)
             if h is not None and 1 <= h <= heights:
                 counts[h] = counts.get(h, 0) + 1
         assert counts == {h: per_block for h in range(1, heights + 1)}
@@ -557,6 +544,22 @@ class TestAgreement:
         assert cluster.nodes[3].height >= 5
         cluster.ledgers_agree(4)
 
+    def test_partitioned_node_catches_up_on_network(self):
+        net = Network(NetConfig(latency_ms=(1.0, 10.0)), seed=1)
+        start_cluster(net, 4, ConsensusMode.MODIFIED)
+        net.partition([[0, 1, 2], [3]], 0.0, 300.0)
+        net.run(until_ms=300.0)
+        assert [net.states[v].height for v in range(4)] == [6, 6, 6, 1]
+        run_to_height(net, 8)
+        assert all(st.height >= 9 for st in net.states.values())
+        assert net.counters["sent:CatchUpRequest"] >= 1
+        assert net.counters["sent:CommittedBlockMsg"] >= 1
+        ledgers = {tuple(block_digest(cb.block) for cb in st.ledger[:8])
+                   for st in net.states.values()}
+        assert len(ledgers) == 1
+        states = {contract_digest(st.contract) for st in net.states.values()}
+        assert len(states) == 1
+
     def test_submitted_tx_lands_in_block(self):
         cluster = SyncCluster(4, ConsensusMode.MODIFIED)
         tx = _tx(0, 1, TokenTransfer(recipient=1, amount=5.0))
@@ -568,3 +571,25 @@ class TestAgreement:
         packed = [t for cb in node.ledger for t in cb.block.txs]
         assert tx in packed
         assert node.contract.balances[1] == pytest.approx(1005.0)
+
+
+class TestCluster:
+    def test_tally_counts_each_send_once(self):
+        # validator 2 crashes mid-run, so messages to it are dropped on
+        # arrival after being counted at their emit
+        net = Network(NetConfig(latency_ms=(1.0, 10.0)), seed=0)
+        start_cluster(net, 4, ConsensusMode.MODIFIED)
+        net.crash(2, 50.0)
+        run_to_height(net, 5)
+        assert net.counters["drop:crashed-dest"] > 0
+        per_height = tally(net)
+        assert [per_height[h].msgs for h in range(1, 6)] == [15, 29, 13, 13, 13]
+        heightless = sum(v for k, v in net.counters.items()
+                         if k in ("sent:ViewChange", "sent:CatchUpRequest",
+                                  "sent:CommittedBlockMsg"))
+        assert (sum(t.msgs for t in per_height.values()) + heightless
+                == net.counters["sends"])
+
+    def test_message_bytes_rejects_heightless_kinds(self):
+        with pytest.raises(TypeError, match="CatchUpRequest"):
+            message_bytes(CatchUpRequest(1))

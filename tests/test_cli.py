@@ -187,3 +187,6 @@ class TestChain:
         assert code == EXIT_OK
         text = capsys.readouterr().out
         assert "final heights with faults" in text
+        # a message to the crashed validator counts once, at its send, and
+        # not again when it is dropped on arrival
+        assert "3 commits, 13.0 msgs/block" in text

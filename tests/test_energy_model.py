@@ -272,7 +272,6 @@ class TestConstraints:
         assert cs.a_in.shape == (len(cs.b_in), cs.n_vars)
         assert len(cs.eq_tags) == len(cs.b_eq)
         assert len(cs.in_tags) == len(cs.b_in)
-        assert all(s == "<=" for s in cs.senses)
         for tag in cs.eq_tags + cs.in_tags:
             assert base_tag(tag) in CONSTRAINT_TAGS
 

@@ -166,7 +166,7 @@ class TestFaults:
         assert state.get("ticks", 0) == 0
 
 
-class TestTimersAndBandwidth:
+class TestTimers:
     def test_timer_fires_after_delay(self):
         seen = []
 
@@ -181,26 +181,6 @@ class TestTimersAndBandwidth:
         net.client_send(0, "arm", at_ms=2.0)
         net.run()
         assert seen == [9.5]
-
-    def test_bandwidth_adds_size_delay(self):
-        net = Network(NetConfig(latency_ms=1.0, bandwidth_bytes_per_ms=256.0,
-                                size_hint=256))
-        net.add_node(0, {"peers": [1], "got": []}, flood_handler)
-        net.add_node(1, {"peers": [0], "got": []}, flood_handler)
-        net.client_send(0, 1)
-        net.run()
-        deliver = [e for e in net.trace if e.kind == "deliver" and e.src == 0][0]
-        assert deliver.time_ms == 2.0    # 1 ms wire + 256/256 ms transmit
-
-    def test_sizer_overrides_hint(self):
-        net = Network(NetConfig(latency_ms=1.0, bandwidth_bytes_per_ms=256.0),
-                      sizer=lambda msg: 512)
-        net.add_node(0, {"peers": [1], "got": []}, flood_handler)
-        net.add_node(1, {"peers": [0], "got": []}, flood_handler)
-        net.client_send(0, 1)
-        net.run()
-        deliver = [e for e in net.trace if e.kind == "deliver" and e.src == 0][0]
-        assert deliver.time_ms == 3.0
 
 
 class TestRunControl:

@@ -28,8 +28,7 @@ from gridledger.tem import assemble_problem
 BATTERY_CASES = ((2, 4), (3, 4), (2, 8), (3, 8), (5, 8), (3, 24))
 
 
-def make_cs(n, a_eq=None, b_eq=None, a_in=None, b_in=None, senses=None,
-            lo=None, hi=None):
+def make_cs(n, a_eq=None, b_eq=None, a_in=None, b_in=None, lo=None, hi=None):
     a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, float)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, float)
     a_in = np.zeros((0, n)) if a_in is None else np.asarray(a_in, float)
@@ -40,7 +39,6 @@ def make_cs(n, a_eq=None, b_eq=None, a_in=None, b_in=None, senses=None,
         n_vars=n, a_eq=a_eq, b_eq=b_eq,
         eq_tags=[f"eq{i}" for i in range(len(b_eq))],
         a_in=a_in, b_in=b_in,
-        senses=senses if senses is not None else ["<="] * len(b_in),
         in_tags=[f"in{i}" for i in range(len(b_in))], lo=lo, hi=hi)
 
 
@@ -93,10 +91,9 @@ class TestAnalyticCases:
         assert sol.duals.ineq[0] == pytest.approx(4.0, abs=1e-6)
 
     def test_ge_sense_row(self):
-        # min x^2  s.t.  x >= 2, expressed with a ">=" sense row
+        # min x^2  s.t.  x >= 2, written as the row -x <= -2
         prob = QpProblem(p=2.0 * np.eye(1), q=np.zeros(1),
-                         constraints=make_cs(1, a_in=[[1.0]], b_in=[2.0],
-                                             senses=[">="]))
+                         constraints=make_cs(1, a_in=[[-1.0]], b_in=[-2.0]))
         sol = solve_qp(prob)
         assert sol.status == QpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(2.0, abs=1e-8)
