@@ -3,9 +3,8 @@
 from .codec import CodecError, Reader, Writer, digest, hexdigest
 from .blocks import (Block, BlockHeader, CommittedBlock, ConsensusProof,
                      HorizontalTrade, MockSigner, PHASE_COMMIT, PHASE_PREPARE,
-                     SctCompute, SignedTx, TokenTransfer, VerticalTrade, Vote,
-                     block_digest, compute_tx_root, decode_block,
-                     decode_committed, decode_tx, encode_block,
+                     SctCompute, SignedTx, VerticalTrade, Vote, block_digest,
+                     compute_tx_root, decode_tx, encode_block,
                      encode_committed, encode_tx, make_block, make_vote,
                      sign_tx, tx_digest, verify_proof, verify_tx, verify_vote)
 from .contract import (COORDINATOR, ContractConfig, ContractState,
@@ -26,10 +25,10 @@ __all__ = [
     "ContractState", "GENESIS_PARENT", "GRID_ACCOUNT", "HorizontalTrade",
     "MockSigner", "NodeConfig", "NodeState", "PHASE_COMMIT", "PHASE_PREPARE",
     "PrePrepare", "PrepareVote", "Reader", "Receipt", "SctCompute", "Send",
-    "SetTimer", "SignedTx", "Start", "SubmitTx", "TokenTransfer",
-    "VerticalTrade", "ViewChange", "ViewTimeout", "Vote", "Writer",
-    "block_digest", "compute_tx_root", "contract_digest", "decode_block",
-    "decode_committed", "decode_tx", "digest", "encode_block",
+    "SetTimer", "SignedTx", "Start", "SubmitTx", "VerticalTrade",
+    "ViewChange", "ViewTimeout", "Vote", "Writer",
+    "block_digest", "compute_tx_root", "contract_digest", "decode_tx",
+    "digest", "encode_block",
     "encode_committed", "encode_tx", "execute_transactions",
     "fault_tolerance", "genesis", "handle", "hexdigest", "leader_for",
     "make_block", "make_vote", "new_node", "quorum_size", "sign_tx",

@@ -1,16 +1,17 @@
 """Transactions, blocks and vote certificates.
 
 Every structure has one canonical encoding (see codec) and is digested
-with SHA-256 over those bytes.  Signatures are produced by a pluggable
-signer; the default mock signer is deterministic, 64 bytes, and binds the
-signing key id into the digest so distinct validators never collide.
+with SHA-256 over those bytes.  Signatures are produced by a signer
+and checked against the mock scheme, which is deterministic, 64 bytes,
+and binds the signing key id into the digest so distinct validators
+never collide.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Protocol, Sequence, Tuple, Union
 
 from .codec import CodecError, Reader, Writer, digest
 
@@ -26,13 +27,10 @@ __all__ = [
     "SctCompute",
     "Signer",
     "SignedTx",
-    "TokenTransfer",
     "VerticalTrade",
     "Vote",
     "block_digest",
     "compute_tx_root",
-    "decode_block",
-    "decode_committed",
     "decode_tx",
     "encode_block",
     "encode_committed",
@@ -82,9 +80,6 @@ class MockSigner:
         return signature == d + hashlib.sha256(d).digest()
 
 
-Verifier = Callable[[int, bytes, bytes], bool]
-
-
 # ---------------------------------------------------------------------------
 # transaction payloads
 
@@ -118,18 +113,11 @@ class VerticalTrade:
     dr_reduce: Tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class TokenTransfer:
-    recipient: int
-    amount: float
-
-
-TxPayload = Union[HorizontalTrade, SctCompute, VerticalTrade, TokenTransfer]
+TxPayload = Union[HorizontalTrade, SctCompute, VerticalTrade]
 
 _TAG_HORIZONTAL = 1
 _TAG_SCT = 2
 _TAG_VERTICAL = 3
-_TAG_TRANSFER = 4
 
 
 @dataclass(frozen=True)
@@ -155,10 +143,6 @@ def _encode_payload(w: Writer, payload: TxPayload) -> None:
         w.u32(payload.user)
         w.f64_list(payload.feed_in)
         w.f64_list(payload.dr_reduce)
-    elif isinstance(payload, TokenTransfer):
-        w.u8(_TAG_TRANSFER)
-        w.u32(payload.recipient)
-        w.f64(payload.amount)
     else:
         raise CodecError(f"unknown payload type {type(payload).__name__}")
 
@@ -173,8 +157,6 @@ def _decode_payload(r: Reader) -> TxPayload:
     if tag == _TAG_VERTICAL:
         return VerticalTrade(user=r.u32(), feed_in=tuple(r.f64_list()),
                              dr_reduce=tuple(r.f64_list()))
-    if tag == _TAG_TRANSFER:
-        return TokenTransfer(recipient=r.u32(), amount=r.f64())
     raise CodecError(f"unknown transaction tag {tag}")
 
 
@@ -193,10 +175,10 @@ def sign_tx(signer: Signer, sender: int, nonce: int,
                     signature=sig)
 
 
-def verify_tx(tx: SignedTx, verifier: Verifier = MockSigner.verify) -> bool:
-    return verifier(tx.sender,
-                    _tx_signing_bytes(tx.sender, tx.nonce, tx.payload),
-                    tx.signature)
+def verify_tx(tx: SignedTx) -> bool:
+    return MockSigner.verify(
+        tx.sender, _tx_signing_bytes(tx.sender, tx.nonce, tx.payload),
+        tx.signature)
 
 
 def encode_tx(tx: SignedTx) -> bytes:
@@ -210,12 +192,6 @@ def encode_tx(tx: SignedTx) -> bytes:
 
 def decode_tx(data: bytes) -> SignedTx:
     r = Reader(data)
-    tx = _decode_tx_from(r)
-    r.done()
-    return tx
-
-
-def _decode_tx_from(r: Reader) -> SignedTx:
     sender = r.u32()
     nonce = r.u64()
     payload = _decode_payload(r)
@@ -223,6 +199,7 @@ def _decode_tx_from(r: Reader) -> SignedTx:
     if len(sig) != SIGNATURE_SIZE:
         raise CodecError(f"signature must be {SIGNATURE_SIZE} bytes, "
                          f"got {len(sig)}")
+    r.done()
     return SignedTx(sender=sender, nonce=nonce, payload=payload,
                     signature=sig)
 
@@ -265,12 +242,6 @@ def encode_header(header: BlockHeader) -> bytes:
     return w.take()
 
 
-def _decode_header_from(r: Reader) -> BlockHeader:
-    return BlockHeader(height=r.u64(), parent=r.raw(32),
-                       timestamp_ms=r.u64(), tx_root=r.raw(32),
-                       proposer=r.u32(), round=r.u64())
-
-
 def block_digest(block_or_header: Union[Block, BlockHeader]) -> bytes:
     header = block_or_header.header if isinstance(block_or_header, Block) \
         else block_or_header
@@ -293,22 +264,6 @@ def encode_block(block: Block) -> bytes:
     for tx in block.txs:
         w.blob(encode_tx(tx))
     return w.take()
-
-
-def decode_block(data: bytes) -> Block:
-    r = Reader(data)
-    block = _decode_block_from(r)
-    r.done()
-    return block
-
-
-def _decode_block_from(r: Reader) -> Block:
-    header = _decode_header_from(r)
-    count = r.u32()
-    txs = []
-    for _ in range(count):
-        txs.append(decode_tx(r.blob()))
-    return Block(header=header, txs=tuple(txs))
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +296,11 @@ def make_vote(signer: Signer, phase: int, height: int, round: int,
                 block_digest=block_dig, voter=signer.key_id, signature=sig)
 
 
-def verify_vote(vote: Vote, verifier: Verifier = MockSigner.verify) -> bool:
-    return verifier(vote.voter,
-                    vote_payload(vote.phase, vote.height, vote.round,
-                                 vote.block_digest),
-                    vote.signature)
+def verify_vote(vote: Vote) -> bool:
+    return MockSigner.verify(
+        vote.voter,
+        vote_payload(vote.phase, vote.height, vote.round, vote.block_digest),
+        vote.signature)
 
 
 def encode_vote(vote: Vote) -> bytes:
@@ -359,11 +314,6 @@ def encode_vote(vote: Vote) -> bytes:
     return w.take()
 
 
-def _decode_vote_from(r: Reader) -> Vote:
-    return Vote(phase=r.u8(), height=r.u64(), round=r.u64(),
-                block_digest=r.raw(32), voter=r.u32(), signature=r.blob())
-
-
 @dataclass(frozen=True)
 class ConsensusProof:
     """Commit certificate: a quorum of commit votes on one block digest."""
@@ -375,7 +325,7 @@ class ConsensusProof:
 
 
 def verify_proof(proof: ConsensusProof, validators: Sequence[int],
-                 quorum: int, verifier: Verifier = MockSigner.verify) -> bool:
+                 quorum: int) -> bool:
     voters = set()
     vset = set(validators)
     for vote in proof.votes:
@@ -387,7 +337,7 @@ def verify_proof(proof: ConsensusProof, validators: Sequence[int],
             return False
         if vote.voter not in vset or vote.voter in voters:
             return False
-        if not verify_vote(vote, verifier):
+        if not verify_vote(vote):
             return False
         voters.add(vote.voter)
     return len(voters) >= quorum
@@ -404,19 +354,6 @@ def encode_proof(proof: ConsensusProof) -> bytes:
     return w.take()
 
 
-def _decode_proof_from(r: Reader) -> ConsensusProof:
-    height = r.u64()
-    round_ = r.u64()
-    dig = r.raw(32)
-    votes = []
-    for _ in range(r.u32()):
-        vr = Reader(r.blob())
-        votes.append(_decode_vote_from(vr))
-        vr.done()
-    return ConsensusProof(height=height, round=round_, block_digest=dig,
-                          votes=tuple(votes))
-
-
 @dataclass(frozen=True)
 class CommittedBlock:
     """A block plus its commit certificate, shippable for catch-up."""
@@ -430,15 +367,3 @@ def encode_committed(cb: CommittedBlock) -> bytes:
     w.blob(encode_block(cb.block))
     w.blob(encode_proof(cb.proof))
     return w.take()
-
-
-def decode_committed(data: bytes) -> CommittedBlock:
-    r = Reader(data)
-    br = Reader(r.blob())
-    block = _decode_block_from(br)
-    br.done()
-    pr = Reader(r.blob())
-    proof = _decode_proof_from(pr)
-    pr.done()
-    r.done()
-    return CommittedBlock(block=block, proof=proof)

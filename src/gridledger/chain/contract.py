@@ -21,8 +21,8 @@ import numpy as np
 from ..tem import (DualState, RhoSchedule, advance_iteration,
                    dual_state_digest, new_dual_state, sct_step)
 from .codec import Writer, hexdigest
-from .blocks import (HorizontalTrade, SctCompute, SignedTx, TokenTransfer,
-                     VerticalTrade, tx_digest, verify_tx)
+from .blocks import (HorizontalTrade, SctCompute, SignedTx, VerticalTrade,
+                     tx_digest, verify_tx)
 
 __all__ = [
     "COORDINATOR",
@@ -37,6 +37,8 @@ __all__ = [
 
 GRID_ACCOUNT = 2 ** 32 - 1
 COORDINATOR = 2 ** 32 - 2
+INITIAL_BALANCE = 1000.0
+GRID_BALANCE = 1e9
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,6 @@ class ContractConfig:
     rho_schedule: RhoSchedule
     price_feed_in: Tuple[float, ...]
     price_dr: Tuple[float, ...]
-    initial_balance: float = 1000.0
-    grid_balance: float = 1e9
 
 
 @dataclass
@@ -79,8 +79,8 @@ class Receipt:
 def genesis(config: ContractConfig) -> ContractState:
     dual = new_dual_state(config.n_users, config.horizon,
                           config.rho_schedule.rho_at(1))
-    balances = {u: config.initial_balance for u in range(config.n_users)}
-    balances[GRID_ACCOUNT] = config.grid_balance
+    balances = {u: INITIAL_BALANCE for u in range(config.n_users)}
+    balances[GRID_ACCOUNT] = GRID_BALANCE
     return ContractState(
         config=config, dual=dual, balances=balances, nonces={},
         feed_in=np.zeros((config.n_users, config.horizon)),
@@ -189,23 +189,6 @@ def _apply_vertical(state: ContractState, sender: int,
     return Receipt("", "applied")
 
 
-def _apply_transfer(state: ContractState, sender: int,
-                    p: TokenTransfer) -> Receipt:
-    if not np.isfinite(p.amount) or p.amount <= 0:
-        return Receipt("", "bad-amount", f"amount {p.amount!r}")
-    if p.recipient != GRID_ACCOUNT and not \
-            0 <= p.recipient < state.config.n_users:
-        return Receipt("", "unknown-user", f"recipient {p.recipient}")
-    if state.balances.get(sender, 0.0) < p.amount:
-        return Receipt("", "insufficient-balance",
-                       f"sender {sender} holds "
-                       f"{state.balances.get(sender, 0.0):.6f}")
-    state.balances[sender] -= p.amount
-    state.balances[p.recipient] = \
-        state.balances.get(p.recipient, 0.0) + p.amount
-    return Receipt("", "applied")
-
-
 def execute_transactions(state: ContractState,
                          txs: List[SignedTx]
                          ) -> Tuple[ContractState, List[Receipt]]:
@@ -235,8 +218,6 @@ def execute_transactions(state: ContractState,
             rec = _apply_sct(out, tx.sender, p)
         elif isinstance(p, VerticalTrade):
             rec = _apply_vertical(out, tx.sender, p)
-        elif isinstance(p, TokenTransfer):
-            rec = _apply_transfer(out, tx.sender, p)
         else:
             rec = Receipt("", "bad-shape", f"payload {type(p).__name__}")
         receipts.append(Receipt(txid, rec.status, rec.detail))

@@ -15,7 +15,8 @@ by a leader's own proposal.  Stalled rounds are resolved by view
 changes that carry prepared certificates; the new leader re-proposes
 the certified block byte for byte, which keeps its digest stable.  A
 node that discovers it is behind asks the sender for committed blocks
-and replays them through proof verification.
+and replays them through proof verification; that request is the only
+message answered with history, and stale phase messages are ignored.
 
 Handlers mutate the node state in place and return the network actions
 to perform; all nondeterminism lives in the surrounding scheduler.
@@ -61,6 +62,8 @@ __all__ = [
 ]
 
 GENESIS_PARENT = bytes(32)
+# a round with no progress for this long triggers a view change
+VIEW_TIMEOUT_MS = 100.0
 
 
 class ConsensusMode(Enum):
@@ -173,7 +176,6 @@ class NodeConfig:
     node_id: int
     validators: Tuple[int, ...]
     mode: ConsensusMode = ConsensusMode.MODIFIED
-    timeout_ms: float = 100.0
     produce_empty: bool = False
 
     def __post_init__(self) -> None:
@@ -236,7 +238,7 @@ def _broadcast(st: NodeState, msg: Message) -> List[Action]:
 
 def _arm_timer(st: NodeState, acts: List[Action]) -> None:
     st.timer_epoch += 1
-    acts.append(SetTimer(st.config.timeout_ms,
+    acts.append(SetTimer(VIEW_TIMEOUT_MS,
                          ViewTimeout(st.height, st.view, st.timer_epoch)))
 
 
@@ -380,14 +382,8 @@ def message_height(msg: object) -> Optional[int]:
 def _request_catchup(st: NodeState, sender: int, now: float,
                      acts: List[Action]) -> None:
     if now >= st.next_catchup_ok:
-        st.next_catchup_ok = now + st.config.timeout_ms / 2
+        st.next_catchup_ok = now + VIEW_TIMEOUT_MS / 2
         acts.append(Send(sender, CatchUpRequest(st.height)))
-
-
-def _serve_height(st: NodeState, sender: int, height: int,
-                  acts: List[Action]) -> None:
-    if 1 <= height < st.height:
-        acts.append(Send(sender, CommittedBlockMsg(st.ledger[height - 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +394,6 @@ def _on_preprepare(st: NodeState, sender: int, block: Block, now: float,
                    acts: List[Action]) -> None:
     h = block.header
     if h.height < st.height:
-        _serve_height(st, sender, h.height, acts)
         return
     if h.height > st.height + 1:
         _request_catchup(st, sender, now, acts)
@@ -536,8 +531,7 @@ def _on_aggregated_commit(st: NodeState, sender: int, msg: AggregatedCommit,
         # first so every replica casts its commit vote
         st.future.setdefault(st.height, []).append((sender, msg))
         return
-    if not verify_proof(proof, st.config.validators, st.quorum,
-                        MockSigner.verify):
+    if not verify_proof(proof, st.config.validators, st.quorum):
         return
     _commit(st, CommittedBlock(st.candidate, proof), now, acts)
 
@@ -559,7 +553,6 @@ def _on_view_timeout(st: NodeState, msg: ViewTimeout, now: float,
 def _on_view_change(st: NodeState, sender: int, vc: ViewChange, now: float,
                     acts: List[Action]) -> None:
     if vc.height < st.height:
-        _serve_height(st, sender, vc.height, acts)
         return
     if vc.height > st.height:
         _request_catchup(st, sender, now, acts)
@@ -598,7 +591,9 @@ def _check_view_quorum(st: NodeState, nv: int, now: float,
 
 def _on_catchup_request(st: NodeState, sender: int, msg: CatchUpRequest,
                         acts: List[Action]) -> None:
-    _serve_height(st, sender, msg.height, acts)
+    """The one catch-up path: answer with the committed block asked for."""
+    if 1 <= msg.height < st.height:
+        acts.append(Send(sender, CommittedBlockMsg(st.ledger[msg.height - 1])))
 
 
 def _on_committed_block(st: NodeState, sender: int, msg: CommittedBlockMsg,
@@ -609,8 +604,7 @@ def _on_committed_block(st: NodeState, sender: int, msg: CommittedBlockMsg,
         return
     if committed.proof.block_digest != block_digest(block):
         return
-    if not verify_proof(committed.proof, st.config.validators, st.quorum,
-                        MockSigner.verify):
+    if not verify_proof(committed.proof, st.config.validators, st.quorum):
         return
     st.next_catchup_ok = 0.0
     _commit(st, committed, now, acts)

@@ -23,8 +23,8 @@ from .chain.blocks import (HorizontalTrade, MockSigner, SctCompute, SignedTx,
                            VerticalTrade, encode_tx, sign_tx)
 from .chain.contract import (COORDINATOR, ContractConfig, contract_digest,
                              genesis)
-from .chain.node import (ConsensusMode, NodeConfig, NodeState, Start,
-                         SubmitTx, handle, new_node)
+from .chain.node import (NodeConfig, NodeState, Start, SubmitTx, handle,
+                         new_node)
 from .netsim import NetConfig, Network
 from .scenario import Scenario
 from .tem import AdmmParams, DualState, Outcome, dual_state_digest
@@ -34,6 +34,9 @@ __all__ = [
     "ChainTransport",
     "committed_tx_bytes",
 ]
+
+# event budget for one coordination step or the settlement to commit
+_EVENTS_PER_STEP = 50_000
 
 
 def committed_tx_bytes(state: NodeState) -> List[bytes]:
@@ -48,18 +51,14 @@ def committed_tx_bytes(state: NodeState) -> List[bytes]:
 class ChainTransport:
     """Runs the coordination state as a replicated contract."""
 
-    def __init__(self, n_validators: int = 4,
-                 mode: ConsensusMode = ConsensusMode.MODIFIED,
-                 net_config: Optional[NetConfig] = None, seed: int = 0,
-                 reference: int = 0, events_per_step: int = 50_000):
+    # the validator reads come from while it is live
+    reference = 0
+
+    def __init__(self, n_validators: int = 4, seed: int = 0):
         if n_validators < 4:
             raise ValueError("need at least 4 validators to survive a fault")
         self.validators = tuple(range(n_validators))
-        self.mode = mode
-        self.net_config = net_config or NetConfig(latency_ms=1.0)
         self.seed = seed
-        self.reference = reference
-        self.events_per_step = events_per_step
         self.network: Optional[Network] = None
         self._scenario: Optional[Scenario] = None
         self._pending: List[SignedTx] = []
@@ -98,7 +97,7 @@ class ChainTransport:
         assert self.network is not None
         self.network.run(
             until=lambda net: predicate(),
-            max_events=self.network.events + self.events_per_step)
+            max_events=self.network.events + _EVENTS_PER_STEP)
         if not predicate():
             raise RuntimeError(f"validators never reached: {what}")
 
@@ -121,9 +120,9 @@ class ChainTransport:
             price_feed_in=tuple(float(p) for p in s.prices.feed_in),
             price_dr=tuple(float(p) for p in s.prices.dr))
         g = genesis(config)
-        self.network = Network(self.net_config, seed=self.seed)
+        self.network = Network(NetConfig(latency_ms=1.0), seed=self.seed)
         for v in self.validators:
-            node = new_node(NodeConfig(v, self.validators, mode=self.mode), g)
+            node = new_node(NodeConfig(v, self.validators), g)
             self.network.add_node(v, node, handle)
             self.network.client_send(v, Start(), at_ms=0.0)
 

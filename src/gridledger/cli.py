@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .chain.cluster import run_to_height, start_cluster, tally
 from .chain.node import ConsensusMode
 from .chain_transport import ChainTransport
-from .energy_model import Mode
+from .energy_model import SCHEDULE_SERIES, Mode
 from .netsim import LivenessTimeout, NetConfig, Network
 from .qp import QpStatus
 from .scenario import (Scenario, ScenarioError, generate_synthetic,
@@ -117,16 +117,14 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
 
 
 def _write_schedule_csv(path: Path, s: Scenario, outcome: Outcome) -> None:
-    cols = ["user", "slot", "load_hvac", "load_shift", "load_curtail",
-            "supply_grid", "supply_renewable", "ev_charge", "ev_discharge",
-            "ev_energy", "temp_in", "feed_in", "dr_reduce"]
+    cols = ["user", "slot", *SCHEDULE_SERIES]
     cols += [f"trade_to_{m}" for m in range(s.n_users)]
     cols.append("peak")
     lines = [f"# schema: {SCHEMA_SCHEDULE}", ",".join(cols)]
     for n, sch in enumerate(outcome.schedules):
         for t in range(s.grid.horizon):
             row = [str(n), str(t)]
-            for field in cols[2:13]:
+            for field in SCHEDULE_SERIES:
                 row.append(repr(float(getattr(sch, field)[t])))
             for m in range(s.n_users):
                 row.append(repr(float(sch.trades[m, t])))

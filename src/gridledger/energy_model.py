@@ -21,16 +21,16 @@ BS3    no                  yes
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scenario import (EvParams, GridTariff, Scenario, TransactivePrices,
-                       UserScenario, slots_to_mask)
+from .scenario import GridTariff, Scenario, TransactivePrices, UserScenario
 
 __all__ = [
     "CONSTRAINT_TAGS",
+    "SCHEDULE_SERIES",
     "CostBreakdown",
     "LinearConstraintSet",
     "Mode",
@@ -217,6 +217,11 @@ class Schedule:
     dr_reduce: np.ndarray
     trades: np.ndarray           # (n_users, horizon); own row all zero
     peak: float                  # epigraph value for the highest grid draw
+
+
+# the per-slot series of a Schedule in field order: all but trades and peak
+SCHEDULE_SERIES: Tuple[str, ...] = tuple(
+    f.name for f in fields(Schedule) if f.name not in ("trades", "peak"))
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Deterministic discrete-event network for the validator nodes.
 
 Nodes are plain state objects plus a handler callable; the simulator
-owns every source of nondeterminism (latency draws, loss, event order)
+owns every source of nondeterminism (latency draws, event order)
 behind one seeded ``random.Random``.  Events are totally ordered by
 ``(time, seq)`` with ``seq`` assigned at scheduling time, so two runs
 with the same seed produce byte-identical traces.
@@ -9,8 +9,9 @@ with the same seed produce byte-identical traces.
 Sends from one handler invocation are emitted ``serialize_gap_ms``
 apart.  A crash that lands inside that window cuts the broadcast short,
 which is how the partial-commit scenarios are produced.  Every send
-attempt ends up in exactly one bucket: delivered, dropped (with a
-reason), or still in flight, and ``check_conservation`` asserts it.
+attempt ends up in exactly one bucket: delivered, dropped (by a crash
+or a partition; links lose nothing on their own), or still in flight,
+and ``check_conservation`` asserts it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class NetConfig:
     """
 
     latency_ms: Union[float, Tuple[float, float]] = (1.0, 10.0)
-    drop_prob: float = 0.0
     serialize_gap_ms: float = 0.0
 
     def __post_init__(self) -> None:
@@ -55,8 +55,6 @@ class NetConfig:
                 raise ValueError("latency range must satisfy 0 <= lo <= hi")
         elif self.latency_ms < 0:
             raise ValueError("latency must be non-negative")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError("drop_prob must be in [0, 1]")
         if self.serialize_gap_ms < 0:
             raise ValueError("serialize_gap_ms must be non-negative")
 
@@ -185,10 +183,6 @@ class Network:
             return
         if self._cut(src, dst, self.now):
             self._drop(src, dst, msg, "partitioned")
-            return
-        if self.config.drop_prob > 0 and \
-                self.rng.random() < self.config.drop_prob:
-            self._drop(src, dst, msg, "lost")
             return
         self._record("emit", src, dst, msg)
         self._push(self.now + self._latency(), _KIND_DELIVER, src, dst, msg)

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _PSD_SHIFT = 1e-10
+_IPM_CAP = 200
 
 
 class QpStatus(enum.Enum):
@@ -374,7 +375,7 @@ def _expand(problem: QpProblem, red: _Reduced, x_r: np.ndarray, y_r: np.ndarray,
 # ---------------------------------------------------------------------------
 # main entry point
 
-def solve_qp(problem: QpProblem, tol: float = 1e-8, max_iter: int = 50_000,
+def solve_qp(problem: QpProblem, tol: float = 1e-8,
              warm_start: Optional[QpSolution] = None) -> QpSolution:
     """Solve the QP to ``tol`` on every KKT residual norm.
 
@@ -480,13 +481,12 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8, max_iter: int = 50_000,
         zu_f[ju_idx] = zu
         return zl_f, zu_f
 
-    ipm_cap = int(min(max_iter, 200))
     best = None
     stalls = 0
     status = QpStatus.MAX_ITER
     it = 0
     mu = 1.0
-    for it in range(1, ipm_cap + 1):
+    for it in range(1, _IPM_CAP + 1):
         zl_f, zu_f = full_duals()
         rd = red.p @ x + red.q + (red.a.T @ y if me else 0.0) \
             + (red.g.T @ zg if mi else 0.0) - zl_f + zu_f

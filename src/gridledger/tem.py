@@ -20,12 +20,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from .energy_model import (CostBreakdown, LinearConstraintSet, Mode, Schedule,
-                           VariableLayout, build_user_constraints,
+from .energy_model import (SCHEDULE_SERIES, CostBreakdown, LinearConstraintSet,
+                           Mode, Schedule, build_user_constraints,
                            build_user_objective, combine_costs,
                            home_cost_terms, reward_terms, schedule_from_x,
                            user_layout)
@@ -47,11 +47,17 @@ __all__ = [
     "dual_state_digest",
     "has_converged",
     "new_dual_state",
+    "residuals",
     "run_distributed",
     "sct_step",
     "solve_centralized",
     "split_export",
 ]
+
+
+# KKT tolerance of the joint solve and of each home's subproblem
+_JOINT_TOL = 1e-6
+_HOME_TOL = 1e-8
 
 
 class SolveFailed(RuntimeError):
@@ -141,7 +147,6 @@ class AdmmParams:
     eps: float = 1e-6
     max_iter: int = 1000
     rho_schedule: RhoSchedule = field(default_factory=RhoSchedule.fixed)
-    qp_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
@@ -192,18 +197,28 @@ def advance_iteration(d: DualState, schedule: RhoSchedule) -> DualState:
                      rho=schedule.rho_at(k + 1), iteration=k)
 
 
-def has_converged(d: DualState, prev: DualState, eps: float) -> bool:
-    """True when proposals match the cleared trades and prices have settled.
+def residuals(d: DualState, prev: DualState) -> Tuple[float, float]:
+    """Primal and dual residual of the step from ``prev`` to ``d``.
 
-    Sum over homes of the Euclidean gap between proposed and cleared
-    trades, and the Euclidean change of the multipliers since the previous
-    iteration; both must be <= eps (inclusive).
+    Primal: the sum over homes of the Euclidean gap between proposed and
+    cleared trades.  Dual: the Euclidean change of the multipliers since
+    the previous iteration.
     """
     n = d.trades.shape[0]
     primal = sum(
         float(np.linalg.norm((d.trades_aux[i] - d.trades[i]).ravel()))
         for i in range(n))
     dual = float(np.linalg.norm((d.duals - prev.duals).ravel()))
+    return primal, dual
+
+
+def has_converged(d: DualState, prev: DualState, eps: float) -> bool:
+    """True when proposals match the cleared trades and prices have settled.
+
+    Both ``residuals`` must be <= eps (inclusive); ``run_distributed``
+    stops on the same test.
+    """
+    primal, dual = residuals(d, prev)
     return primal <= eps and dual <= eps
 
 
@@ -306,17 +321,8 @@ class Outcome:
                 {
                     "costs": vars(c).copy(),
                     "schedule": {
-                        "load_hvac": arr(sch.load_hvac),
-                        "load_shift": arr(sch.load_shift),
-                        "load_curtail": arr(sch.load_curtail),
-                        "supply_grid": arr(sch.supply_grid),
-                        "supply_renewable": arr(sch.supply_renewable),
-                        "ev_charge": arr(sch.ev_charge),
-                        "ev_discharge": arr(sch.ev_discharge),
-                        "ev_energy": arr(sch.ev_energy),
-                        "temp_in": arr(sch.temp_in),
-                        "feed_in": arr(sch.feed_in),
-                        "dr_reduce": arr(sch.dr_reduce),
+                        **{name: arr(getattr(sch, name))
+                           for name in SCHEDULE_SERIES},
                         "trades": arr(sch.trades),
                         "peak": sch.peak,
                     },
@@ -344,16 +350,15 @@ def _outcome_from_schedules(s: Scenario, mode: Mode, schedules: List[Schedule],
                    converged=converged, history=history or [])
 
 
-def solve_centralized(s: Scenario, mode: Mode, tol: float = 1e-6) -> Outcome:
+def solve_centralized(s: Scenario, mode: Mode) -> Outcome:
     """Solve the joint problem; raises SolveFailed unless optimal.
 
-    The returned point is certified to KKT residuals <= tol.  The default
+    The returned point is certified to KKT residuals <= 1e-6.  That bound
     also admits the interior-point point, which plateaus near 1e-8 on joint
-    problems with several hundred variables, should the polish not
-    certify; pass a tighter tolerance for small instances.
+    problems with several hundred variables, should the polish not certify.
     """
     problem = assemble_problem(s, mode)
-    sol = solve_qp(problem, tol=tol)
+    sol = solve_qp(problem, tol=_JOINT_TOL)
     if sol.status is not QpStatus.OPTIMAL:
         raise SolveFailed(f"joint {mode.value} solve ended with "
                           f"{sol.status.value} (kkt={sol.kkt})", sol.status)
@@ -497,7 +502,7 @@ def run_distributed(s: Scenario, params: AdmmParams,
         snap_local = mirror.copy()
         for n in range(s.n_users):
             problem = assemble_ult(s, n, snap_local)
-            sol = solve_qp(problem, tol=params.qp_tol, warm_start=warm.get(n))
+            sol = solve_qp(problem, tol=_HOME_TOL, warm_start=warm.get(n))
             if sol.status is not QpStatus.OPTIMAL:
                 raise SolveFailed(
                     f"home {n} subproblem at iteration {k} ended with "
@@ -517,15 +522,12 @@ def run_distributed(s: Scenario, params: AdmmParams,
         remote = transport.run_sct()
         dl = dual_state_digest(mirror)
         dr = dual_state_digest(remote)
-        primal = sum(
-            float(np.linalg.norm((mirror.trades_aux[i] - mirror.trades[i]).ravel()))
-            for i in range(s.n_users))
-        dual = float(np.linalg.norm((mirror.duals - prev.duals).ravel()))
+        primal, dual = residuals(mirror, prev)
         history.append(IterationRecord(
             iteration=k, rho=prev.rho, primal_residual=primal,
             dual_residual=dual, digest_local=dl, digest_transport=dr))
         iterations = k
-        if has_converged(mirror, prev, params.eps):
+        if primal <= params.eps and dual <= params.eps:
             converged = True
             break
 

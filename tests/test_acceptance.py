@@ -30,7 +30,6 @@ from gridledger.chain.cluster import (
     tally,
 )
 from gridledger.chain_transport import (
-    COORDINATOR,
     ChainTransport,
     committed_tx_bytes,
 )

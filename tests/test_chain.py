@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gridledger.chain import (
     COORDINATOR,
-    Block,
     CatchUpRequest,
     CodecError,
     ConsensusMode,
@@ -28,15 +27,12 @@ from gridledger.chain import (
     SetTimer,
     SignedTx,
     Start,
-    TokenTransfer,
     VerticalTrade,
     Writer,
     block_digest,
     compute_tx_root,
     contract_digest,
-    decode_block,
     decode_tx,
-    encode_block,
     encode_tx,
     execute_transactions,
     fault_tolerance,
@@ -139,8 +135,6 @@ payloads = st.one_of(
     st.builds(VerticalTrade, user=st.integers(0, 10),
               feed_in=st.lists(floats, max_size=8).map(tuple),
               dr_reduce=st.lists(floats, max_size=8).map(tuple)),
-    st.builds(TokenTransfer, recipient=st.integers(0, 2 ** 32 - 1),
-              amount=floats),
 )
 
 
@@ -156,14 +150,15 @@ class TestTransactions:
         assert tx_digest(back) == tx_digest(tx)
 
     def test_tampered_payload_fails_verification(self):
-        tx = _tx(0, 1, TokenTransfer(recipient=1, amount=5.0))
+        tx = _tx(0, 1, VerticalTrade(user=0, feed_in=(5.0,), dr_reduce=(0.0,)))
         forged = SignedTx(sender=tx.sender, nonce=tx.nonce,
-                          payload=TokenTransfer(recipient=1, amount=50.0),
+                          payload=VerticalTrade(user=0, feed_in=(50.0,),
+                                                dr_reduce=(0.0,)),
                           signature=tx.signature)
         assert not verify_tx(forged)
 
     def test_wrong_sender_fails_verification(self):
-        tx = _tx(0, 1, TokenTransfer(recipient=1, amount=5.0))
+        tx = _tx(0, 1, VerticalTrade(user=0, feed_in=(5.0,), dr_reduce=(0.0,)))
         forged = SignedTx(sender=2, nonce=tx.nonce, payload=tx.payload,
                           signature=tx.signature)
         assert not verify_tx(forged)
@@ -182,17 +177,11 @@ class TestBlocks:
                           timestamp_ms=123, proposer=0, round=round,
                           txs=list(txs))
 
-    def test_round_trip(self):
-        txs = [_tx(0, 1, TokenTransfer(recipient=1, amount=1.0)),
-               _tx(1, 1, SctCompute(iteration=1, submitter=1))]
-        block = self._block(txs)
-        back = decode_block(encode_block(block))
-        assert back == block
-        assert block_digest(back) == block_digest(block)
-
     def test_tx_root_binds_transactions(self):
-        a = self._block([_tx(0, 1, TokenTransfer(recipient=1, amount=1.0))])
-        b = self._block([_tx(0, 1, TokenTransfer(recipient=1, amount=2.0))])
+        a = self._block([_tx(0, 1, HorizontalTrade(user=0, iteration=1,
+                                                   trades=(1.0,)))])
+        b = self._block([_tx(0, 1, HorizontalTrade(user=0, iteration=1,
+                                                   trades=(2.0,)))])
         assert a.header.tx_root != b.header.tx_root
         assert block_digest(a) != block_digest(b)
         assert compute_tx_root(list(a.txs)) == a.header.tx_root
@@ -345,11 +334,11 @@ class TestContract:
         assert out.balances[0] == pytest.approx(1000.1)
         assert out.balances[GRID_ACCOUNT] == pytest.approx(1e9 - 0.1)
         # a home that cannot repay the difference is refused
+        out.balances[0] = 0.05
         out, recs = execute_transactions(out, [
-            _tx(0, 4, TokenTransfer(recipient=1, amount=1000.05)),
-            _tx(0, 5, VerticalTrade(user=0, feed_in=(0.0, 0.0),
+            _tx(0, 4, VerticalTrade(user=0, feed_in=(0.0, 0.0),
                                     dr_reduce=(0.0, 0.0)))])
-        assert [r.status for r in recs] == ["applied", "insufficient-balance"]
+        assert [r.status for r in recs] == ["insufficient-balance"]
         assert out.feed_in[0].tolist() == [1.0, 0.0]
 
     def test_payload_must_belong_to_sender(self):
@@ -375,29 +364,13 @@ class TestContract:
         _, recs = execute_transactions(state, [tx])
         assert recs[0].status == "bad-amount"
 
-    def test_transfer_and_insufficient_balance(self):
-        state = genesis(_config())
-        txs = [_tx(0, 1, TokenTransfer(recipient=1, amount=100.0)),
-               _tx(0, 2, TokenTransfer(recipient=1, amount=1e12))]
-        out, recs = execute_transactions(state, txs)
-        assert recs[0].status == "applied"
-        assert recs[1].status == "insufficient-balance"
-        assert out.balances[0] == pytest.approx(900.0)
-        assert out.balances[1] == pytest.approx(1100.0)
-        assert out.nonces[0] == 2
-
-    def test_transfer_rejects_nonpositive_amount(self):
-        state = genesis(_config())
-        _, recs = execute_transactions(
-            state, [_tx(0, 1, TokenTransfer(recipient=1, amount=0.0))])
-        assert recs[0].status == "bad-amount"
-
     def test_execution_is_pure(self):
         state = genesis(_config())
         before = contract_digest(state)
         execute_transactions(state, [
             _tx(0, 1, HorizontalTrade(user=0, iteration=1, trades=(1.0, 1.0))),
-            _tx(0, 2, TokenTransfer(recipient=1, amount=10.0))])
+            _tx(0, 2, VerticalTrade(user=0, feed_in=(1.0, 0.0),
+                                    dr_reduce=(0.0, 0.0)))])
         assert contract_digest(state) == before
 
     def test_bad_shape_detected(self):
@@ -562,7 +535,8 @@ class TestAgreement:
 
     def test_submitted_tx_lands_in_block(self):
         cluster = SyncCluster(4, ConsensusMode.MODIFIED)
-        tx = _tx(0, 1, TokenTransfer(recipient=1, amount=5.0))
+        tx = _tx(0, 1, VerticalTrade(user=0, feed_in=(1.0, 2.0),
+                                     dr_reduce=(0.0, 3.0)))
         from gridledger.chain import SubmitTx
         for v in cluster.validators:
             cluster._dispatch(v, -1, SubmitTx(tx))
@@ -570,7 +544,7 @@ class TestAgreement:
         node = cluster.nodes[0]
         packed = [t for cb in node.ledger for t in cb.block.txs]
         assert tx in packed
-        assert node.contract.balances[1] == pytest.approx(1005.0)
+        assert node.contract.balances[0] == pytest.approx(1000.9)
 
 
 class TestCluster:

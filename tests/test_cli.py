@@ -97,6 +97,19 @@ class TestRun:
         first = cpath.read_text().splitlines()[0]
         assert first == f"# schema: {SCHEMA_SCHEDULE}"
 
+    def test_chain_transport_writes_identical_outputs(self, tmp_path, capsys):
+        # the replicated contract runs the same coordination step as the
+        # in-process state, so the written outcome and schedule match
+        base = ["run", "--synthetic", "3,8", "--seed", "2", "--mode", "TEM",
+                "--distributed"]
+        for transport in ("inprocess", "chain"):
+            code = main(base + ["--transport", transport,
+                                "--out", str(tmp_path / transport)])
+            assert code == EXIT_OK
+        for name in ("outcome_TEM.json", "schedule_TEM.csv"):
+            assert ((tmp_path / "chain" / name).read_bytes()
+                    == (tmp_path / "inprocess" / name).read_bytes())
+
     def test_infeasible_scenario_exits_2(self, tmp_path, capsys):
         s = generate_synthetic(seed=1, n_users=2, horizon=4)
         tariff = dataclasses.replace(s.tariff, line_cap=0.001)

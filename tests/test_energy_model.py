@@ -1,7 +1,5 @@
 """Energy model tests against hand-computed oracles plus invariants."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
