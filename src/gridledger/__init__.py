@@ -17,8 +17,8 @@ from .energy_model import (CostBreakdown, Mode, Schedule, VariableLayout,
                            reward_terms, schedule_from_x, user_layout)
 from .qp import (Duals, KktResiduals, Polish, QpProblem, QpSolution,
                  QpStatus, grid_oracle, kkt_residuals, solve_qp)
-from .tem import (AdmmParams, DualState, InProcessTransport, IterationRecord,
-                  Outcome, RhoKind, RhoSchedule, SolveFailed, Transport,
+from .tem import (AdmmParams, DualState, IterationRecord, Outcome, RhoKind,
+                  RhoSchedule, SolveFailed, Transport,
                   advance_iteration, assemble_problem, assemble_ult,
                   dual_state_digest, has_converged, new_dual_state,
                   run_distributed, sct_step, solve_centralized)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmmParams", "ChainTransport", "CostBreakdown", "DualState", "Duals",
-    "GridTariff", "InProcessTransport", "IterationRecord", "KktResiduals",
+    "GridTariff", "IterationRecord", "KktResiduals",
     "LivenessTimeout", "Mode", "NetConfig", "Network", "Outcome", "Polish",
     "QpProblem", "QpSolution", "QpStatus", "RhoKind", "RhoSchedule",
     "Scenario", "ScenarioError", "Schedule", "SolveFailed", "TimeGrid",

@@ -109,20 +109,8 @@ class Reader:
     def u64(self) -> int:
         return int.from_bytes(self._need(8), "little")
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self._need(8))[0]
-
-    def raw(self, count: int) -> bytes:
-        return self._need(count)
-
     def blob(self) -> bytes:
         return self._need(self.u32())
-
-    def text(self) -> str:
-        try:
-            return self.blob().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid utf-8: {exc}") from exc
 
     def f64_list(self) -> List[float]:
         count = self.u32()

@@ -23,8 +23,8 @@ from .netsim import LivenessTimeout, NetConfig, Network
 from .qp import QpStatus
 from .scenario import (Scenario, ScenarioError, generate_synthetic,
                        load_scenario, validate_scenario)
-from .tem import (AdmmParams, InProcessTransport, Outcome, RhoSchedule,
-                  SolveFailed, run_distributed, solve_centralized)
+from .tem import (AdmmParams, Outcome, RhoSchedule, SolveFailed,
+                  run_distributed, solve_centralized)
 
 __all__ = [
     "EXIT_INFEASIBLE",
@@ -157,11 +157,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         if mode is not Mode.TEM:
             raise _UsageError("--distributed decomposes the trading mode; "
                               "use --mode TEM")
+        transport = None
         if args.transport == "chain":
             transport = ChainTransport(n_validators=args.validators,
                                        seed=_effective_seed(args.seed))
-        else:
-            transport = InProcessTransport()
         outcome = run_distributed(s, params, transport)
         if not outcome.converged:
             print(f"no convergence within {params.max_iter} iterations "

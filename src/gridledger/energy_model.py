@@ -423,7 +423,7 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
     shift_mask = s.grid.shift_mask(user)
     dr_mask = s.grid.dr_mask()
     ev_mask = s.grid.ev_mask(user)
-    w0 = ev.t_arrive - 1
+    arrive, depart = s.grid.ev_windows[user]
 
     # supply must cover demand in every slot
     for tt in range(t):
@@ -466,14 +466,14 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
         row[cidx("ev_energy", tt)] = 1.0
         row[cidx("ev_charge", tt)] = -ev.eff_charge
         row[cidx("ev_discharge", tt)] = 1.0 / ev.eff_discharge
-        if tt == w0:
+        if tt == arrive - 1:
             rhs = ev.charge_init
         else:
             row[cidx("ev_energy", tt - 1)] = -1.0
             rhs = 0.0
         eq(row, rhs, f"ev-charge-update[user={user},t={tt}]")
     row = np.zeros(nv)
-    row[cidx("ev_energy", ev.t_depart - 1)] = 1.0
+    row[cidx("ev_energy", depart - 1)] = 1.0
     eq(row, ev.capacity, f"ev-full-at-departure[user={user}]")
 
     if mode.has_vertical:

@@ -4,7 +4,13 @@ Solves  min 0.5 x'Px + q'x  subject to equality rows, inequality rows and
 variable bounds, for symmetric positive semidefinite P.  The solver is a
 primal-dual interior point method (Mehrotra predictor-corrector) on the
 condensed KKT system, preceded by a presolve that eliminates fixed
-variables and followed by a polish: one regularised KKT solve on the
+variables and followed by a polish.  The interior point treats inequality
+rows and finite bounds as one family C x <= d, with one slack and one
+multiplier per row, and moves primal and dual variables by one step
+length (Nocedal & Wright, Numerical Optimization, 2nd ed., Alg. 16.4).
+With P != 0, unequal lengths a_p != a_d leave (a_p - a_d) P dx in the dual
+residual, which can grow in the end-game and make the iteration count
+depend on rounding.  The polish is one regularised KKT solve on the
 active set the interior point points to (Stellato et al., "OSQP: an
 operator splitting solver for quadratic programs", Math. Prog. Comp.
 2020, section 5.2), kept only when its KKT residuals certify it.  A warm
@@ -379,7 +385,12 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
              warm_start: Optional[QpSolution] = None) -> QpSolution:
     """Solve the QP to ``tol`` on every KKT residual norm.
 
-    The interior point runs to its own sharp target; the polish then
+    The interior point runs to its own sharp target on C x <= d, where
+    C = [G; -I_lo; I_hi] stacks the inequality rows and the finite lower
+    and upper bounds; the bound rows stay implicit, so the condensed
+    matrix is P + G'W_gG + diag(w).  One step length moves x, the slacks
+    and both multiplier vectors, which keeps the dual residual shrinking
+    by the same factor as the primal one.  The polish then
     solves one KKT system on the rows whose multiplier exceeds their slack
     and returns that point when its residuals are within ``tol``,
     otherwise the interior-point point.  ``warm_start`` takes a previous
@@ -433,9 +444,10 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
 
     jl = np.isfinite(red.lo)
     ju = np.isfinite(red.hi)
-    mi = red.g.shape[0]
+    jl_idx, ju_idx = np.flatnonzero(jl), np.flatnonzero(ju)
+    mi, nl = red.g.shape[0], jl_idx.size
     me = red.a.shape[0]
-    mc = mi + int(jl.sum()) + int(ju.sum())
+    mc = mi + nl + ju_idx.size
 
     if mc == 0:
         # equality-constrained (or unconstrained): one saddle solve
@@ -455,7 +467,28 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
         if cand.status == QpStatus.OPTIMAL:
             return cand
 
-    # --- interior point iteration
+    # --- interior point iteration on C x <= d, C = [G; -I_lo; I_hi]; the
+    # bound rows stay implicit in these two products
+    d = np.concatenate([red.h, -red.lo[jl_idx], red.hi[ju_idx]])
+
+    def c_mul(v: np.ndarray) -> np.ndarray:
+        return np.concatenate([red.g @ v, -v[jl_idx], v[ju_idx]])
+
+    def ct_mul(w: np.ndarray) -> np.ndarray:
+        out = red.g.T @ w[:mi]
+        out[jl_idx] -= w[mi:mi + nl]
+        out[ju_idx] += w[mi + nl:]
+        return out
+
+    def split(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows of C -> (G rows, lower bounds, upper bounds), each bound
+        part scattered onto all columns."""
+        lower = np.zeros(nr, dtype=v.dtype)
+        lower[jl_idx] = v[mi:mi + nl]
+        upper = np.zeros(nr, dtype=v.dtype)
+        upper[ju_idx] = v[mi + nl:]
+        return v[:mi], lower, upper
+
     x = np.zeros(nr)
     both = jl & ju
     x[both] = 0.5 * (red.lo[both] + red.hi[both])
@@ -464,48 +497,26 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     only_hi = ju & ~jl
     x[only_hi] = red.hi[only_hi] - 1.0
 
-    sg = np.maximum(red.h - red.g @ x, 1.0) if mi else np.zeros(0)
-    zg = np.ones(mi)
-    sl = np.maximum(x[jl] - red.lo[jl], 1.0)
-    zl = np.ones(int(jl.sum()))
-    su = np.maximum(red.hi[ju] - x[ju], 1.0)
-    zu = np.ones(int(ju.sum()))
+    s = np.maximum(d - c_mul(x), 1.0)
+    z = np.ones(mc)
     y = np.zeros(me)
-    jl_idx = np.flatnonzero(jl)
-    ju_idx = np.flatnonzero(ju)
-
-    def full_duals() -> Tuple[np.ndarray, np.ndarray]:
-        zl_f = np.zeros(nr)
-        zl_f[jl_idx] = zl
-        zu_f = np.zeros(nr)
-        zu_f[ju_idx] = zu
-        return zl_f, zu_f
 
     best = None
     stalls = 0
     status = QpStatus.MAX_ITER
     it = 0
-    mu = 1.0
     for it in range(1, _IPM_CAP + 1):
-        zl_f, zu_f = full_duals()
-        rd = red.p @ x + red.q + (red.a.T @ y if me else 0.0) \
-            + (red.g.T @ zg if mi else 0.0) - zl_f + zu_f
-        rp_e = red.a @ x - red.b if me else np.zeros(0)
-        rp_g = red.g @ x + sg - red.h if mi else np.zeros(0)
-        rp_l = red.lo[jl_idx] - x[jl_idx] + sl
-        rp_u = x[ju_idx] + su - red.hi[ju_idx]
-        mu = (float(sg @ zg) + float(sl @ zl) + float(su @ zu)) / mc
-        res_p = max(
-            float(np.max(np.abs(rp_e), initial=0.0)),
-            float(np.max(np.abs(rp_g), initial=0.0)),
-            float(np.max(np.abs(rp_l), initial=0.0)),
-            float(np.max(np.abs(rp_u), initial=0.0)))
+        rd = red.p @ x + red.q + red.a.T @ y + ct_mul(z)
+        rp_e = red.a @ x - red.b
+        rp = c_mul(x) + s - d
+        mu = float(s @ z) / mc
+        res_p = max(float(np.max(np.abs(rp_e), initial=0.0)),
+                    float(np.max(np.abs(rp))))
         res_d = float(np.max(np.abs(rd), initial=0.0))
 
         if best is None or max(res_p, res_d) + mu < best[0]:
             best = (max(res_p, res_d) + mu,
-                    (x.copy(), y.copy(), zg.copy(), zl.copy(), zu.copy(),
-                     sg.copy(), sl.copy(), su.copy(), mu))
+                    (x.copy(), y.copy(), s.copy(), z.copy()))
         # iterate to the sharpest practical target regardless of the
         # caller's tolerance; tol only gates certification at the end
         target = min(tol, 1e-8)
@@ -514,100 +525,62 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
             status = QpStatus.OPTIMAL
             break
 
-        dual_norm = max(
-            float(np.max(np.abs(y), initial=0.0)),
-            float(np.max(zg, initial=0.0)),
-            float(np.max(zl, initial=0.0)),
-            float(np.max(zu, initial=0.0)))
+        dual_norm = max(float(np.max(np.abs(y), initial=0.0)), float(z.max()))
         if dual_norm > 1e9 * scale and res_p > 100.0 * feas_tol:
             status = QpStatus.INFEASIBLE
             break
 
-        # condensed Newton matrix, bounds folded onto the diagonal
-        hmat = red.p.copy()
-        if mi:
-            wg = zg / sg
-            hmat += (red.g * wg[:, None]).T @ red.g
-        diag = np.zeros(nr)
-        np.add.at(diag, jl_idx, zl / sl)
-        np.add.at(diag, ju_idx, zu / su)
-        hmat[np.arange(nr), np.arange(nr)] += diag
+        # condensed Newton matrix P + G'W_gG + diag(w), the bound rows'
+        # weights folded onto the diagonal
+        w_g, w_l, w_u = split(z / s)
+        hmat = red.p + (red.g * w_g[:, None]).T @ red.g
+        hmat[np.arange(nr), np.arange(nr)] += w_l + w_u
         try:
             kkt_solve = _kkt_solver(_saddle(hmat, red.a), nr, reg, refine=1)
         except (np.linalg.LinAlgError, ValueError):
             break
 
-        def newton(rc_g, rc_l, rc_u):
-            r1 = -rd.copy()
-            if mi:
-                r1 -= red.g.T @ ((rc_g + zg * rp_g) / sg)
-            tmp_l = (rc_l + zl * rp_l) / sl
-            tmp_u = (rc_u + zu * rp_u) / su
-            np.add.at(r1, jl_idx, tmp_l)
-            np.add.at(r1, ju_idx, -tmp_u)
-            sol = kkt_solve(np.concatenate([r1, -rp_e]))
+        def newton(rc):
+            sol = kkt_solve(np.concatenate(
+                [-rd - ct_mul((rc + z * rp) / s), -rp_e]))
             dx = sol[:nr]
-            dy = sol[nr:]
-            dsg = -rp_g - red.g @ dx if mi else np.zeros(0)
-            dzg = (rc_g - zg * dsg) / sg if mi else np.zeros(0)
-            dsl = -rp_l + dx[jl_idx]
-            dzl = (rc_l - zl * dsl) / sl
-            dsu = -rp_u - dx[ju_idx]
-            dzu = (rc_u - zu * dsu) / su
-            return dx, dy, dsg, dzg, dsl, dzl, dsu, dzu
+            ds = -rp - c_mul(dx)
+            return dx, sol[nr:], ds, (rc - z * ds) / s
 
-        # predictor
-        aff = newton(-sg * zg if mi else np.zeros(0), -sl * zl, -su * zu)
-        dx_a, dy_a, dsg_a, dzg_a, dsl_a, dzl_a, dsu_a, dzu_a = aff
-        ap = min(_max_step(sg, dsg_a), _max_step(sl, dsl_a), _max_step(su, dsu_a))
-        ad = min(_max_step(zg, dzg_a), _max_step(zl, dzl_a), _max_step(zu, dzu_a))
-        mu_aff = (float((sg + ap * dsg_a) @ (zg + ad * dzg_a))
-                  + float((sl + ap * dsl_a) @ (zl + ad * dzl_a))
-                  + float((su + ap * dsu_a) @ (zu + ad * dzu_a))) / mc
+        # predictor; its separate lengths only set the centring sigma
+        _, _, ds_a, dz_a = newton(-s * z)
+        mu_aff = float((s + _max_step(s, ds_a) * ds_a)
+                       @ (z + _max_step(z, dz_a) * dz_a)) / mc
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
-        # corrector
-        rc_g = -sg * zg + sigma * mu - dsg_a * dzg_a if mi else np.zeros(0)
-        rc_l = -sl * zl + sigma * mu - dsl_a * dzl_a
-        rc_u = -su * zu + sigma * mu - dsu_a * dzu_a
-        dx, dy, dsg, dzg, dsl, dzl, dsu, dzu = newton(rc_g, rc_l, rc_u)
-        tau = 0.995
-        ap = tau * min(_max_step(sg, dsg), _max_step(sl, dsl), _max_step(su, dsu))
-        ad = tau * min(_max_step(zg, dzg), _max_step(zl, dzl), _max_step(zu, dzu))
-        if max(ap, ad) < 1e-11:
+        # corrector; one length for primal and dual, since with P != 0 a
+        # dual residual left by unequal lengths grows with (a_p - a_d) P dx
+        dx, dy, ds, dz = newton(-s * z + sigma * mu - ds_a * dz_a)
+        alpha = 0.995 * min(_max_step(s, ds), _max_step(z, dz))
+        if alpha < 1e-11:
             stalls += 1
             if stalls >= 3:
                 break
         else:
             stalls = 0
-        x += ap * dx
-        y += ad * dy
-        sg += ap * dsg
-        zg += ad * dzg
-        sl += ap * dsl
-        zl += ad * dzl
-        su += ap * dsu
-        zu += ad * dzu
+        x += alpha * dx
+        y += alpha * dy
+        s += alpha * ds
+        z += alpha * dz
 
     if status == QpStatus.INFEASIBLE:
-        zl_f, zu_f = full_duals()
-        return finish(x, y, zg, zl_f, zu_f, QpStatus.INFEASIBLE, it,
+        return finish(x, y, *split(z), QpStatus.INFEASIBLE, it,
                       Polish.INTERIOR)
 
     if best is not None and status != QpStatus.OPTIMAL:
-        _, (x, y, zg, zl, zu, sg, sl, su, mu) = best
+        _, (x, y, s, z) = best
 
     # polish: a row is active when its multiplier exceeds its slack
-    act_l = np.zeros(nr, dtype=bool)
-    act_l[jl_idx] = zl > sl
-    act_u = np.zeros(nr, dtype=bool)
-    act_u[ju_idx] = zu > su
-    cand = finish(*_polish(red, x, y, zg, zg > sg, act_l, act_u, reg),
+    cand = finish(*_polish(red, x, y, z[:mi], *split(z > s), reg),
                   QpStatus.OPTIMAL, it, Polish.POLISHED)
     if cand.status == QpStatus.OPTIMAL:
         return cand
-    zl_f, zu_f = full_duals()
-    return finish(x, y, zg, zl_f, zu_f, status, it, Polish.INTERIOR)
+    return finish(x, y, *split(z), status, it, Polish.INTERIOR)
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,9 @@ def slots_to_mask(slots: Sequence[int], horizon: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Horizon layout: slot width plus per-user activity windows (1-based)."""
+    """Horizon layout: per-user activity windows (1-based)."""
 
     horizon: int
-    slot_hours: float
     shift_windows: Tuple[Tuple[int, ...], ...]
     dr_window: Tuple[int, ...]
     ev_windows: Tuple[Tuple[int, int], ...]
@@ -94,8 +93,6 @@ class EvParams:
     eff_charge: float        # charge efficiency in (0, 1]
     eff_discharge: float     # discharge efficiency in (0, 1]
     w_degrade: float         # quadratic discharge degradation weight
-    t_arrive: int            # first plugged-in slot, 1-based
-    t_depart: int            # last plugged-in slot, 1-based
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,6 @@ def validate_scenario(s: Scenario) -> List[Violation]:
     if t < 1:
         bad(None, "horizon", f"horizon must be >= 1, got {t}")
         return out
-    if s.grid.slot_hours <= 0:
-        bad(None, "slot_hours", "slot width must be positive")
     if s.n_users < 1:
         bad(None, "n_users", f"need at least one user, got {s.n_users}")
     if len(s.users) != s.n_users:
@@ -230,8 +225,6 @@ def validate_scenario(s: Scenario) -> List[Violation]:
         arrive, depart = s.grid.ev_windows[n]
         if not (1 <= arrive <= depart <= t):
             bad(n, "ev_window", f"window [{arrive}, {depart}] invalid for horizon {t}")
-        if (ev.t_arrive, ev.t_depart) != (arrive, depart):
-            bad(n, "ev", "EV params window disagrees with the time grid")
         if ev.capacity <= 0:
             bad(n, "ev.capacity", "battery capacity must be positive")
         elif not 0 <= ev.charge_init <= ev.capacity:
@@ -317,8 +310,7 @@ def generate_synthetic(seed: int, n_users: int, horizon: int, *,
                           capacity - slot_budget * window_len)
         ev = EvParams(capacity=capacity, charge_init=charge_init,
                       charge_max=50.0, discharge_max=10.0,
-                      eff_charge=0.9, eff_discharge=0.9, w_degrade=0.1,
-                      t_arrive=ev_arrive, t_depart=ev_depart)
+                      eff_charge=0.9, eff_discharge=0.9, w_degrade=0.1)
         users.append(UserScenario(
             shift_pref=shift_pref, curtail_pref=curtail_pref,
             inflexible=inflexible, renewable_cap=renewable_cap,
@@ -329,8 +321,7 @@ def generate_synthetic(seed: int, n_users: int, horizon: int, *,
         shift_windows.append(tuple(range(1, t + 1)))
         ev_windows.append((ev_arrive, ev_depart))
 
-    grid = TimeGrid(horizon=t, slot_hours=1.0,
-                    shift_windows=tuple(shift_windows),
+    grid = TimeGrid(horizon=t, shift_windows=tuple(shift_windows),
                     dr_window=dr_window, ev_windows=tuple(ev_windows))
     scen = Scenario(n_users=n_users, grid=grid, users=tuple(users),
                     tariff=tariff, prices=prices, rng_seed=seed)
@@ -372,7 +363,6 @@ def write_scenario(s: Scenario, path: str | Path) -> None:
     cfg = {
         "n_users": s.n_users,
         "horizon": s.grid.horizon,
-        "slot_hours": s.grid.slot_hours,
         "rng_seed": s.rng_seed,
         "series_file": "series.csv",
         "tariff": {"price_energy": s.tariff.price_energy,
@@ -442,7 +432,6 @@ def load_scenario(path: str | Path) -> Scenario:
     where = str(cfg_path)
     n_users = int(_require(cfg, "n_users", where))
     horizon = int(_require(cfg, "horizon", where))
-    slot_hours = float(cfg.get("slot_hours", 1.0))
     rng_seed = int(cfg.get("rng_seed", 0))
     tariff_cfg = _require(cfg, "tariff", where)
     tariff = GridTariff(price_energy=float(tariff_cfg["price_energy"]),
@@ -540,8 +529,7 @@ def load_scenario(path: str | Path) -> Scenario:
                       discharge_max=float(evc["discharge_max"]),
                       eff_charge=float(evc["eff_charge"]),
                       eff_discharge=float(evc["eff_discharge"]),
-                      w_degrade=float(evc["w_degrade"]),
-                      t_arrive=arrive, t_depart=depart)
+                      w_degrade=float(evc["w_degrade"]))
         temp_ref = col(n, "Tref")
         users.append(UserScenario(
             shift_pref=col(n, "L_S"), curtail_pref=col(n, "L_C"),
@@ -555,8 +543,7 @@ def load_scenario(path: str | Path) -> Scenario:
         shift_windows.append(shift)
         ev_windows.append((arrive, depart))
 
-    grid = TimeGrid(horizon=horizon, slot_hours=slot_hours,
-                    shift_windows=tuple(shift_windows),
+    grid = TimeGrid(horizon=horizon, shift_windows=tuple(shift_windows),
                     dr_window=dr_window, ev_windows=tuple(ev_windows))
     scen = Scenario(n_users=n_users, grid=grid, users=tuple(users),
                     tariff=tariff, prices=prices, rng_seed=rng_seed)

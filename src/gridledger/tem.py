@@ -35,7 +35,6 @@ from .scenario import Scenario
 __all__ = [
     "AdmmParams",
     "DualState",
-    "InProcessTransport",
     "IterationRecord",
     "Outcome",
     "RhoSchedule",
@@ -434,42 +433,6 @@ class Transport(Protocol):
     def settle(self, s: Scenario, outcome: Outcome) -> None: ...
 
 
-class InProcessTransport:
-    """Coordination state held directly in this process."""
-
-    def __init__(self) -> None:
-        self.state: Optional[DualState] = None
-        self._schedule: Optional[RhoSchedule] = None
-
-    def begin(self, s: Scenario, params: AdmmParams) -> None:
-        self._schedule = params.rho_schedule
-        self.state = new_dual_state(s.n_users, s.grid.horizon,
-                                    params.rho_schedule.rho_at(1))
-
-    def read_state(self) -> DualState:
-        assert self.state is not None
-        return self.state.copy()
-
-    def publish(self, user: int, iteration: int, trades_row: np.ndarray) -> None:
-        assert self.state is not None
-        if iteration != self.state.iteration + 1:
-            raise ValueError(f"decision for iteration {iteration} but the "
-                             f"state accepts {self.state.iteration + 1}")
-        self.state.trades[user] = trades_row
-
-    def run_sct(self) -> DualState:
-        assert self.state is not None and self._schedule is not None
-        self.state = advance_iteration(sct_step(self.state), self._schedule)
-        return self.state.copy()
-
-    def digest(self) -> str:
-        assert self.state is not None
-        return dual_state_digest(self.state)
-
-    def settle(self, s: Scenario, outcome: Outcome) -> None:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # distributed driver
 
@@ -477,16 +440,17 @@ def run_distributed(s: Scenario, params: AdmmParams,
                     transport: Optional[Transport] = None) -> Outcome:
     """Jacobi sweeps of per-home solves plus coordination steps.
 
-    Every sweep solves all homes against the same snapshot, publishes the
-    proposed trades, runs the coordination step through the transport and
-    mirrors it locally; the mirrored and transported states must stay in
-    lockstep (their digests are recorded per iteration).  The returned
-    schedules carry the final cleared trades, which are antisymmetric
-    exactly; each home's own proposal history stays in the dual state.
+    Every sweep solves all homes against the same snapshot and runs the
+    coordination step on the local state (the mirror).  With a
+    ``transport``, the proposed trades are also published through it and
+    its coordination step must reproduce the mirror's: a differing digest
+    raises ``RuntimeError``.  Without one, the mirror is the only state
+    and is recorded as its own transport digest.  The returned schedules
+    carry the final cleared trades, which are antisymmetric exactly; each
+    home's own proposal history stays in the dual state.
     """
-    if transport is None:
-        transport = InProcessTransport()
-    transport.begin(s, params)
+    if transport is not None:
+        transport.begin(s, params)
     mirror = new_dual_state(s.n_users, s.grid.horizon,
                             params.rho_schedule.rho_at(1))
     history: List[IterationRecord] = []
@@ -496,9 +460,11 @@ def run_distributed(s: Scenario, params: AdmmParams,
     iterations = 0
 
     for k in range(1, params.max_iter + 1):
-        snap = transport.read_state()
-        if snap.iteration != mirror.iteration or snap.rho != mirror.rho:
-            raise RuntimeError("transport state diverged from the local mirror")
+        if transport is not None:
+            snap = transport.read_state()
+            if snap.iteration != mirror.iteration or snap.rho != mirror.rho:
+                raise RuntimeError(f"transport state diverged from the "
+                                   f"local mirror before iteration {k}")
         snap_local = mirror.copy()
         for n in range(s.n_users):
             problem = assemble_ult(s, n, snap_local)
@@ -515,13 +481,18 @@ def run_distributed(s: Scenario, params: AdmmParams,
                                    sol.x[ulay.span(n, "export")])
             sch = schedule_from_x(sol.x, ulay, n, row)
             schedules[n] = sch
-            transport.publish(n, k, sch.trades)
+            if transport is not None:
+                transport.publish(n, k, sch.trades)
             mirror.trades[n] = sch.trades
         prev = mirror.copy()
         mirror = advance_iteration(sct_step(mirror), params.rho_schedule)
-        remote = transport.run_sct()
-        dl = dual_state_digest(mirror)
-        dr = dual_state_digest(remote)
+        dl = dr = dual_state_digest(mirror)
+        if transport is not None:
+            dr = dual_state_digest(transport.run_sct())
+            if dr != dl:
+                raise RuntimeError(
+                    f"transport state diverged from the local mirror at "
+                    f"iteration {k}: digest {dr} != {dl}")
         primal, dual = residuals(mirror, prev)
         history.append(IterationRecord(
             iteration=k, rho=prev.rho, primal_residual=primal,
@@ -536,5 +507,6 @@ def run_distributed(s: Scenario, params: AdmmParams,
         schedules[n].trades = mirror.trades_aux[n].copy()
     outcome = _outcome_from_schedules(s, Mode.TEM, list(schedules),
                                       iterations, converged, history)
-    transport.settle(s, outcome)
+    if transport is not None:
+        transport.settle(s, outcome)
     return outcome

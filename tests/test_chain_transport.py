@@ -1,4 +1,4 @@
-"""Replicated transport tests: lockstep with the in-process reference."""
+"""Replicated transport tests: lockstep with the local mirror."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from gridledger.chain_transport import COORDINATOR, ChainTransport, committed_tx
 from gridledger.scenario import generate_synthetic
 from gridledger.tem import (
     AdmmParams,
-    InProcessTransport,
     RhoSchedule,
     run_distributed,
 )
@@ -21,13 +20,13 @@ from gridledger.tem import (
 
 @pytest.fixture(scope="module")
 def small_run():
-    """One distributed solve over each transport on the same tiny scenario."""
+    """One distributed solve over the chain and one on the mirror alone."""
     s = generate_synthetic(seed=3, n_users=2, horizon=4)
     params = AdmmParams(eps=1e-5, max_iter=120,
                         rho_schedule=RhoSchedule.fixed(1.0))
     chain = ChainTransport(n_validators=4, seed=11)
     via_chain = run_distributed(s, params, chain)
-    via_local = run_distributed(s, params, InProcessTransport())
+    via_local = run_distributed(s, params)
     return s, chain, via_chain, via_local
 
 

@@ -36,7 +36,7 @@ def _mini_user(horizon=3):
     """Hand-sized user for cost arithmetic; values chosen for easy sums."""
     ev = EvParams(capacity=10.0, charge_init=5.0, charge_max=4.0,
                   discharge_max=3.0, eff_charge=0.9, eff_discharge=0.8,
-                  w_degrade=0.1, t_arrive=1, t_depart=horizon)
+                  w_degrade=0.1)
     z = np.zeros(horizon)
     return UserScenario(
         shift_pref=np.array([2.0, 2.0, 0.0]), curtail_pref=np.array([1.0, 0.0, 0.0]),

@@ -1,5 +1,7 @@
 """QP solver tests: analytic cases, brute-force cross-checks, KKT quality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -306,3 +308,25 @@ class TestOnModelProblems:
             d = sol.duals
             assert min(d.ineq.min(initial=0.0), d.lower.min(),
                        d.upper.min()) >= 0.0, mode
+
+    @pytest.mark.parametrize("mode", [Mode.BS3, Mode.TEM])
+    def test_joint_iterations_independent_of_home_order(self, mode):
+        """Reordering the homes permutes the same problem, so the interior
+        point must take as many iterations for every order.  With separate
+        primal and dual step lengths the BS3 end-game let the dual residual
+        grow, and some orders took 13 to 40 iterations instead of 12."""
+        base = generate_synthetic(3, 5, 8, solar_range=(0, 10),
+                                  ev_arrival_soc=0.85)
+        iterations = set()
+        for k in range(1, 11):
+            order = np.random.default_rng(k).permutation(base.n_users)
+            grid = dataclasses.replace(
+                base.grid,
+                shift_windows=tuple(base.grid.shift_windows[i] for i in order),
+                ev_windows=tuple(base.grid.ev_windows[i] for i in order))
+            s = dataclasses.replace(base, grid=grid,
+                                    users=tuple(base.users[i] for i in order))
+            sol = solve_qp(assemble_problem(s, mode), tol=1e-6)
+            assert sol.polish is Polish.POLISHED, k
+            iterations.add(sol.iterations)
+        assert len(iterations) == 1, iterations

@@ -124,12 +124,13 @@ class TestValidate:
         found = validate_scenario(bad)
         assert any(v.field == "ev.eff_charge" for v in found)
 
-    def test_ev_window_mismatch(self, scen_2x4):
-        ev = dataclasses.replace(scen_2x4.users[0].ev,
-                                 t_arrive=1, t_depart=1)
-        bad = self._corrupt_user(scen_2x4, ev=ev)
-        found = validate_scenario(bad)
-        assert any(v.field == "ev" for v in found)
+    def test_ev_window_outside_horizon(self, scen_2x4):
+        t = scen_2x4.grid.horizon
+        grid = dataclasses.replace(
+            scen_2x4.grid,
+            ev_windows=((1, t + 1),) + scen_2x4.grid.ev_windows[1:])
+        found = validate_scenario(dataclasses.replace(scen_2x4, grid=grid))
+        assert any(v.field == "ev_window" and v.user == 0 for v in found)
 
     def test_negative_price_signal(self, scen_2x4):
         prices = dataclasses.replace(scen_2x4.prices,
@@ -166,6 +167,14 @@ class TestRoundTrip:
             assert ua.ev == ub.ev
             assert (ua.w_shift, ua.w_curtail, ua.w_comfort) == \
                    (ub.w_shift, ub.w_curtail, ub.w_comfort)
+
+    def test_load_ignores_retired_slot_hours(self, tmp_path, scen_2x4):
+        # config files written before the slot width was dropped carry it
+        write_scenario(scen_2x4, tmp_path)
+        cfg = json.loads((tmp_path / "config.json").read_text())
+        cfg["slot_hours"] = 0.5
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert load_scenario(tmp_path).grid == scen_2x4.grid
 
     def test_load_accepts_config_path(self, tmp_path, scen_2x4):
         write_scenario(scen_2x4, tmp_path)
@@ -253,5 +262,6 @@ class TestRoundTrip:
 def test_ev_params_plain_dataclass():
     ev = EvParams(capacity=40.0, charge_init=20.0, charge_max=50.0,
                   discharge_max=10.0, eff_charge=0.9, eff_discharge=0.9,
-                  w_degrade=0.1, t_arrive=2, t_depart=5)
-    assert ev.t_depart - ev.t_arrive == 3
+                  w_degrade=0.1)
+    assert dataclasses.replace(ev, charge_init=30.0).charge_init == 30.0
+    assert ev.charge_init == 20.0

@@ -16,7 +16,6 @@ from gridledger.scenario import generate_synthetic
 from gridledger.tem import (
     AdmmParams,
     DualState,
-    InProcessTransport,
     RhoSchedule,
     SolveFailed,
     advance_iteration,
@@ -190,23 +189,50 @@ class TestConvergence:
         assert not has_converged(d, prev, eps)
 
 
-class TestInProcessTransport:
-    def test_publish_guards_iteration(self, scen_2x4):
-        tr = InProcessTransport()
-        tr.begin(scen_2x4, AdmmParams())
-        row = np.zeros((2, scen_2x4.grid.horizon))
-        tr.publish(0, 1, row)
-        with pytest.raises(ValueError):
-            tr.publish(0, 2, row)
+class _PerturbingTransport:
+    """Runs the coordination step itself; nudges one dual at iteration ``at``."""
 
+    def __init__(self, at: int):
+        self.at = at
+
+    def begin(self, s, params):
+        self.schedule = params.rho_schedule
+        self.state = new_dual_state(s.n_users, s.grid.horizon,
+                                    params.rho_schedule.rho_at(1))
+
+    def read_state(self):
+        return self.state.copy()
+
+    def publish(self, user, iteration, trades_row):
+        self.state.trades[user] = trades_row
+
+    def run_sct(self):
+        self.state = advance_iteration(sct_step(self.state), self.schedule)
+        if self.state.iteration == self.at:
+            self.state.duals[0, 1, 0] += 2.0 ** -40
+        return self.state.copy()
+
+    def digest(self):
+        return dual_state_digest(self.state)
+
+    def settle(self, s, outcome):
+        return None
+
+
+class TestMirror:
     def test_run_sct_advances(self, scen_2x4):
-        tr = InProcessTransport()
-        tr.begin(scen_2x4, AdmmParams(rho_schedule=RhoSchedule.reciprocal()))
-        assert tr.read_state().iteration == 0
-        out = tr.run_sct()
-        assert out.iteration == 1
-        assert out.rho == 0.5
-        assert tr.digest() == dual_state_digest(out)
+        out = run_distributed(scen_2x4, AdmmParams(
+            eps=1e-12, max_iter=2, rho_schedule=RhoSchedule.reciprocal()))
+        assert [rec.iteration for rec in out.history] == [1, 2]
+        assert [rec.rho for rec in out.history] == [1.0, 0.5]
+        for rec in out.history:
+            assert rec.digest_local == rec.digest_transport
+
+    def test_diverging_transport_raises(self, scen_2x4):
+        # iteration 1 must pass the digest check, iteration 2 must not
+        with pytest.raises(RuntimeError, match="iteration 2"):
+            run_distributed(scen_2x4, AdmmParams(eps=1e-12, max_iter=3),
+                            _PerturbingTransport(at=2))
 
 
 class TestUltAssembly:
