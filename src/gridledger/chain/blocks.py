@@ -1,17 +1,17 @@
 """Transactions, blocks and vote certificates.
 
 Every structure has one canonical encoding (see codec) and is digested
-with SHA-256 over those bytes.  Signatures are produced by a signer
-and checked against the mock scheme, which is deterministic, 64 bytes,
-and binds the signing key id into the digest so distinct validators
-never collide.
+with SHA-256 over those bytes; a signed structure encodes as its signing
+bytes followed by its remaining fields.  Signatures come from the mock
+scheme (``MockSigner``), which is deterministic, 64 bytes, and binds the
+signing key id into the digest so distinct validators never collide.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Protocol, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from .codec import CodecError, Reader, Writer, digest
 
@@ -25,7 +25,6 @@ __all__ = [
     "PHASE_COMMIT",
     "PHASE_PREPARE",
     "SctCompute",
-    "Signer",
     "SignedTx",
     "VerticalTrade",
     "Vote",
@@ -49,12 +48,6 @@ SIGNATURE_SIZE = 64
 
 PHASE_PREPARE = 1
 PHASE_COMMIT = 2
-
-
-class Signer(Protocol):
-    key_id: int
-
-    def sign(self, payload: bytes) -> bytes: ...
 
 
 class MockSigner:
@@ -85,10 +78,11 @@ class MockSigner:
 
 @dataclass(frozen=True)
 class HorizontalTrade:
-    """One home's proposed trades for one iteration.
+    """One home's decision for one iteration.
 
-    ``trades`` holds (n_users - 1) * horizon values, peer-major in
-    ascending peer id order with the sender's own row omitted.
+    ``trades`` holds the home's net sale per slot (``horizon`` values;
+    negative: net purchase).  The contract derives the per-peer row from
+    it with ``tem.split_export``.
     """
 
     user: int
@@ -168,7 +162,7 @@ def _tx_signing_bytes(sender: int, nonce: int, payload: TxPayload) -> bytes:
     return w.take()
 
 
-def sign_tx(signer: Signer, sender: int, nonce: int,
+def sign_tx(signer: MockSigner, sender: int, nonce: int,
             payload: TxPayload) -> SignedTx:
     sig = signer.sign(_tx_signing_bytes(sender, nonce, payload))
     return SignedTx(sender=sender, nonce=nonce, payload=payload,
@@ -183,9 +177,7 @@ def verify_tx(tx: SignedTx) -> bool:
 
 def encode_tx(tx: SignedTx) -> bytes:
     w = Writer()
-    w.u32(tx.sender)
-    w.u64(tx.nonce)
-    _encode_payload(w, tx.payload)
+    w.raw(_tx_signing_bytes(tx.sender, tx.nonce, tx.payload))
     w.blob(tx.signature)
     return w.take()
 
@@ -289,7 +281,7 @@ def vote_payload(phase: int, height: int, round: int,
     return w.take()
 
 
-def make_vote(signer: Signer, phase: int, height: int, round: int,
+def make_vote(signer: MockSigner, phase: int, height: int, round: int,
               block_dig: bytes) -> Vote:
     sig = signer.sign(vote_payload(phase, height, round, block_dig))
     return Vote(phase=phase, height=height, round=round,
@@ -305,10 +297,8 @@ def verify_vote(vote: Vote) -> bool:
 
 def encode_vote(vote: Vote) -> bytes:
     w = Writer()
-    w.u8(vote.phase)
-    w.u64(vote.height)
-    w.u64(vote.round)
-    w.raw(vote.block_digest)
+    w.raw(vote_payload(vote.phase, vote.height, vote.round,
+                       vote.block_digest))
     w.u32(vote.voter)
     w.blob(vote.signature)
     return w.take()

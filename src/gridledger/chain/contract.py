@@ -6,9 +6,12 @@ balances and per-sender nonces.  Applying the same transactions in the
 same order to the same state always yields the same state; validators
 compare state digests to prove it.
 
-A home may only publish its own trades and settle its own grid
-quantities (the transaction's sender must be the payload's user), and
-only ``COORDINATOR`` may request the coordination step.
+A home publishes its net export per slot; the contract stores the
+per-peer row that ``tem.split_export`` derives from it against the
+contract's own coordination state, exactly as the local mirror does.  A
+home may only publish its own trades and settle its own grid quantities
+(the transaction's sender must be the payload's user), and only
+``COORDINATOR`` may request the coordination step.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..tem import (DualState, RhoSchedule, advance_iteration,
-                   dual_state_digest, new_dual_state, sct_step)
+                   dual_state_digest, new_dual_state, sct_step, split_export)
 from .codec import Writer, hexdigest
 from .blocks import (HorizontalTrade, SctCompute, SignedTx, VerticalTrade,
                      tx_digest, verify_tx)
@@ -118,23 +121,20 @@ def _apply_horizontal(state: ContractState, sender: int,
         return Receipt("", "unknown-user", f"user {p.user}")
     if sender != p.user:
         return _wrong_sender(sender, p.user)
-    if len(p.trades) != (n - 1) * t:
+    if n < 2:
+        return Receipt("", "no-peers", "a one-home contract has no trades")
+    if len(p.trades) != t:
         return Receipt("", "bad-shape",
-                       f"expected {(n - 1) * t} trade values, "
-                       f"got {len(p.trades)}")
+                       f"expected {t} export values, got {len(p.trades)}")
     if p.iteration != state.dual.iteration + 1:
         state.stale_rejections += 1
         return Receipt("", "stale-iteration",
                        f"iteration {p.iteration}, contract accepts "
                        f"{state.dual.iteration + 1}")
-    values = np.asarray(p.trades, dtype=float).reshape(n - 1, t)
-    if not np.all(np.isfinite(values)):
+    export = np.asarray(p.trades, dtype=float)
+    if not np.all(np.isfinite(export)):
         return Receipt("", "bad-shape", "non-finite trade value")
-    row = np.zeros((n, t))
-    peers = [m for m in range(n) if m != p.user]
-    for i, m in enumerate(peers):
-        row[m] = values[i]
-    state.dual.trades[p.user] = row
+    state.dual.trades[p.user] = split_export(state.dual, p.user, export)
     return Receipt("", "applied")
 
 

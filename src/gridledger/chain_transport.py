@@ -1,15 +1,17 @@
 """Coordination transport backed by the replicated contract.
 
-Implements the same transport interface the in-process runner uses, but
-every publish becomes a signed transaction, the coordination step is a
-transaction executed by the contract on all validators, and reads come
-back from a reference validator's committed state.  Within one
-iteration the trade submissions reach each validator before the step
-request does, and blocks order transactions by sender, so the step can
-never run ahead of the trades it settles.
+Implements the transport interface of ``tem.run_distributed``: every
+publish becomes a signed transaction carrying one home's net export per
+slot, submitted at once; the coordination step is a transaction executed
+by the contract on all validators, and reads come back from a reference
+validator's committed state.  Within one iteration the trade submissions
+reach each validator before the step request does, and blocks order
+transactions by sender, so the step can never run ahead of the trades it
+settles.
 
-The contract reuses the exact coordination-step code the local mirror
-runs, so the two dual states stay bitwise identical and their digests
+The contract derives each home's per-peer row with the same
+``split_export`` and runs the same coordination-step code as the local
+mirror, so the two dual states stay bitwise identical and their digests
 can be compared per iteration.
 """
 
@@ -60,8 +62,6 @@ class ChainTransport:
         self.validators = tuple(range(n_validators))
         self.seed = seed
         self.network: Optional[Network] = None
-        self._scenario: Optional[Scenario] = None
-        self._pending: List[SignedTx] = []
         self._nonces: Dict[int, int] = {}
         self._iteration = 0
 
@@ -112,7 +112,6 @@ class ChainTransport:
     def begin(self, s: Scenario, params: AdmmParams) -> None:
         if self.network is not None:
             raise RuntimeError("transport already started")
-        self._scenario = s
         horizon = s.grid.horizon
         config = ContractConfig(
             n_users=s.n_users, horizon=horizon,
@@ -129,25 +128,18 @@ class ChainTransport:
     def read_state(self) -> DualState:
         return self._ref().contract.dual.copy()
 
-    def publish(self, user: int, iteration: int,
-                trades_row: np.ndarray) -> None:
-        assert self._scenario is not None
-        n = self._scenario.n_users
+    def publish(self, user: int, iteration: int, export: np.ndarray) -> None:
         if iteration != self._iteration + 1:
             raise ValueError(f"decision for iteration {iteration} but the "
                              f"contract accepts {self._iteration + 1}")
-        flat = tuple(float(v) for m in range(n) if m != user
-                     for v in trades_row[m])
-        payload = HorizontalTrade(user=user, iteration=iteration, trades=flat)
-        tx = sign_tx(MockSigner(user), user, self._next_nonce(user), payload)
-        self._pending.append(tx)
+        payload = HorizontalTrade(user=user, iteration=iteration,
+                                  trades=tuple(float(v) for v in export))
+        self._submit(sign_tx(MockSigner(user), user, self._next_nonce(user),
+                             payload))
 
     def run_sct(self) -> DualState:
         assert self.network is not None
         k = self._iteration + 1
-        for tx in self._pending:
-            self._submit(tx)
-        self._pending = []
         step = SctCompute(iteration=k, submitter=COORDINATOR)
         self._submit(sign_tx(MockSigner(COORDINATOR), COORDINATOR,
                              self._next_nonce(COORDINATOR), step))

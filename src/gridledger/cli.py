@@ -22,7 +22,7 @@ from .energy_model import SCHEDULE_SERIES, Mode
 from .netsim import LivenessTimeout, NetConfig, Network
 from .qp import QpStatus
 from .scenario import (Scenario, ScenarioError, generate_synthetic,
-                       load_scenario, validate_scenario)
+                       load_scenario)
 from .tem import (AdmmParams, Outcome, RhoSchedule, SolveFailed,
                   run_distributed, solve_centralized)
 
@@ -100,20 +100,13 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
     if getattr(args, "config", None) and args.synthetic:
         raise _UsageError("give either a config path or --synthetic, not both")
     if getattr(args, "config", None):
-        s = load_scenario(Path(args.config))
-    elif args.synthetic:
+        return load_scenario(Path(args.config))
+    if args.synthetic:
         n, t = _parse_synthetic(args.synthetic)
-        s = generate_synthetic(seed=_effective_seed(args.seed), n_users=n,
-                               horizon=t)
-    else:
-        raise _UsageError("a scenario is required: config path or "
-                          "--synthetic N,T")
-    problems = validate_scenario(s)
-    if problems:
-        for v in problems:
-            print(f"infeasible scenario: {v}", file=sys.stderr)
-        raise SolveFailed("scenario validation failed", QpStatus.INFEASIBLE)
-    return s
+        return generate_synthetic(seed=_effective_seed(args.seed), n_users=n,
+                                  horizon=t)
+    raise _UsageError("a scenario is required: config path or "
+                      "--synthetic N,T")
 
 
 def _write_schedule_csv(path: Path, s: Scenario, outcome: Outcome) -> None:

@@ -6,11 +6,14 @@ sum to zero.  The decomposition alternates per-home subproblems (each home
 optimizes its own schedule and net export against the latest auxiliary
 trades and prices) with a closed-form coordination step that projects the
 proposed trades onto the cleared, antisymmetric subspace and adjusts the
-per-pair price multipliers.  Each home's per-peer proposal follows from
-its export in closed form (``split_export``; the exchange problem of Boyd
-et al., Distributed Optimization and Statistical Learning via ADMM, 2011,
-section 7.3).  All homes solve against the same snapshot in every sweep,
-so one iteration is a Jacobi round followed by one coordination step.
+per-pair price multipliers.  A home decides and publishes only its net
+export per slot; its per-peer proposal follows from that export and the
+public coordination state in closed form (``split_export``; the exchange
+problem of Boyd et al., Distributed Optimization and Statistical Learning
+via ADMM, 2011, section 7.3), so the local mirror and the contract derive
+it with the same code.  All homes solve against the same snapshot in
+every sweep, so one iteration is a Jacobi round followed by one
+coordination step.
 """
 
 from __future__ import annotations
@@ -424,7 +427,9 @@ class Transport(Protocol):
 
     def read_state(self) -> DualState: ...
 
-    def publish(self, user: int, iteration: int, trades_row: np.ndarray) -> None: ...
+    def publish(self, user: int, iteration: int, export: np.ndarray) -> None:
+        """Post a home's net export per slot; the receiver derives its
+        per-peer row with ``split_export`` against its own state."""
 
     def run_sct(self) -> DualState: ...
 
@@ -441,13 +446,15 @@ def run_distributed(s: Scenario, params: AdmmParams,
     """Jacobi sweeps of per-home solves plus coordination steps.
 
     Every sweep solves all homes against the same snapshot and runs the
-    coordination step on the local state (the mirror).  With a
-    ``transport``, the proposed trades are also published through it and
-    its coordination step must reproduce the mirror's: a differing digest
+    coordination step on the local state (the mirror).  Each home's net
+    export becomes its proposed row through ``split_export``.  With a
+    ``transport``, the export is also published through it and its
+    coordination step must reproduce the mirror's: a differing digest
     raises ``RuntimeError``.  Without one, the mirror is the only state
-    and is recorded as its own transport digest.  The returned schedules
-    carry the final cleared trades, which are antisymmetric exactly; each
-    home's own proposal history stays in the dual state.
+    and is recorded as its own transport digest.  A single home has no
+    peers and publishes nothing.  The returned schedules carry the final
+    cleared trades, which are antisymmetric exactly; each home's own
+    proposal history stays in the dual state.
     """
     if transport is not None:
         transport.begin(s, params)
@@ -455,7 +462,8 @@ def run_distributed(s: Scenario, params: AdmmParams,
                             params.rho_schedule.rho_at(1))
     history: List[IterationRecord] = []
     warm: Dict[int, QpSolution] = {}
-    schedules: List[Schedule] = [None] * s.n_users  # type: ignore[list-item]
+    layouts = [user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[n])
+               for n in range(s.n_users)]
     converged = False
     iterations = 0
 
@@ -465,26 +473,21 @@ def run_distributed(s: Scenario, params: AdmmParams,
             if snap.iteration != mirror.iteration or snap.rho != mirror.rho:
                 raise RuntimeError(f"transport state diverged from the "
                                    f"local mirror before iteration {k}")
-        snap_local = mirror.copy()
+        # the sweep writes only mirror.trades, which no home reads
         for n in range(s.n_users):
-            problem = assemble_ult(s, n, snap_local)
+            problem = assemble_ult(s, n, mirror)
             sol = solve_qp(problem, tol=_HOME_TOL, warm_start=warm.get(n))
             if sol.status is not QpStatus.OPTIMAL:
                 raise SolveFailed(
                     f"home {n} subproblem at iteration {k} ended with "
                     f"{sol.status.value}", sol.status)
             warm[n] = sol
-            ulay = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[n])
-            row = None
             if s.n_users > 1:
-                row = split_export(snap_local, n,
-                                   sol.x[ulay.span(n, "export")])
-            sch = schedule_from_x(sol.x, ulay, n, row)
-            schedules[n] = sch
-            if transport is not None:
-                transport.publish(n, k, sch.trades)
-            mirror.trades[n] = sch.trades
-        prev = mirror.copy()
+                export = sol.x[layouts[n].span(n, "export")]
+                if transport is not None:
+                    transport.publish(n, k, export)
+                mirror.trades[n] = split_export(mirror, n, export)
+        prev = mirror
         mirror = advance_iteration(sct_step(mirror), params.rho_schedule)
         dl = dr = dual_state_digest(mirror)
         if transport is not None:
@@ -503,10 +506,11 @@ def run_distributed(s: Scenario, params: AdmmParams,
             break
 
     # final schedules carry the cleared trades
-    for n in range(s.n_users):
-        schedules[n].trades = mirror.trades_aux[n].copy()
-    outcome = _outcome_from_schedules(s, Mode.TEM, list(schedules),
-                                      iterations, converged, history)
+    schedules = [schedule_from_x(warm[n].x, layouts[n], n,
+                                 mirror.trades_aux[n])
+                 for n in range(s.n_users)]
+    outcome = _outcome_from_schedules(s, Mode.TEM, schedules, iterations,
+                                      converged, history)
     if transport is not None:
         transport.settle(s, outcome)
     return outcome

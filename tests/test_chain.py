@@ -53,7 +53,7 @@ from gridledger.chain.cluster import (message_bytes, message_height,
                                      run_to_height, start_cluster, tally)
 from gridledger.netsim import NetConfig, Network
 from gridledger.tem import (RhoSchedule, advance_iteration, dual_state_digest,
-                            sct_step)
+                            sct_step, split_export)
 
 floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -264,6 +264,34 @@ class TestContract:
         assert recs[0].status == "applied"
         assert out.dual.trades[0, 1].tolist() == [1.0, -2.0]
         assert out.nonces[0] == 1
+
+    def test_horizontal_splits_export_against_state(self):
+        state = genesis(ContractConfig(
+            n_users=3, horizon=2, rho_schedule=RhoSchedule.fixed(0.5),
+            price_feed_in=(0.1, 0.1), price_dr=(0.2, 0.2)))
+        rng = np.random.default_rng(5)
+        state.dual.trades_aux[:] = rng.normal(size=(3, 3, 2))
+        state.dual.duals[:] = rng.normal(size=(3, 3, 2))
+        export = (1.25, -0.5)
+        out, recs = execute_transactions(
+            state, [_tx(1, 1, HorizontalTrade(user=1, iteration=1,
+                                              trades=export))])
+        assert recs[0].status == "applied"
+        row = out.dual.trades[1]
+        assert np.array_equal(row, split_export(state.dual, 1,
+                                                np.array(export)))
+        assert np.allclose(row.sum(axis=0), export, atol=1e-12)
+        assert np.all(row[1] == 0.0)
+        assert not out.dual.trades[[0, 2]].any()
+
+    def test_horizontal_needs_peers(self):
+        state = genesis(_config(n_users=1))
+        out, recs = execute_transactions(
+            state, [_tx(0, 1, HorizontalTrade(user=0, iteration=1,
+                                              trades=(1.0, 2.0)))])
+        assert recs[0].status == "no-peers"
+        assert out.nonces[0] == 1    # consumed: no replay later
+        assert dual_state_digest(out.dual) == dual_state_digest(state.dual)
 
     def test_stale_iteration_counted_and_nonce_used(self):
         state = genesis(_config())

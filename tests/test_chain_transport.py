@@ -65,6 +65,8 @@ class TestLockstep:
         seen_trades = {}
         for tx in txs:
             if isinstance(tx.payload, HorizontalTrade):
+                # one net export per slot, whatever the number of homes
+                assert len(tx.payload.trades) == s.grid.horizon
                 seen_trades.setdefault(tx.payload.iteration, set()).add(
                     tx.payload.user)
             elif isinstance(tx.payload, SctCompute):
@@ -96,7 +98,7 @@ class TestGuards:
         s = generate_synthetic(seed=3, n_users=2, horizon=4)
         tr = ChainTransport(n_validators=4, seed=0)
         tr.begin(s, AdmmParams())
-        row = np.zeros((2, 4))
-        tr.publish(0, 1, row)
+        export = np.zeros(4)
+        tr.publish(0, 1, export)
         with pytest.raises(ValueError):
-            tr.publish(1, 2, row)
+            tr.publish(1, 2, export)

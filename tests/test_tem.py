@@ -203,8 +203,8 @@ class _PerturbingTransport:
     def read_state(self):
         return self.state.copy()
 
-    def publish(self, user, iteration, trades_row):
-        self.state.trades[user] = trades_row
+    def publish(self, user, iteration, export):
+        self.state.trades[user] = split_export(self.state, user, export)
 
     def run_sct(self):
         self.state = advance_iteration(sct_step(self.state), self.schedule)
