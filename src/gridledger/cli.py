@@ -143,8 +143,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise _UsageError(f"unknown mode {args.mode!r}; choose from "
                           f"TEM, BS1, BS2, BS3")
     s = _resolve_scenario(args)
-    params = AdmmParams(eps=args.eps, max_iter=args.max_iter,
-                        rho_schedule=_parse_rho(args.rho))
+    rho = _parse_rho(args.rho)
+    try:
+        params = AdmmParams(eps=args.eps, max_iter=args.max_iter,
+                            rho_schedule=rho)
+    except ValueError as e:
+        raise _UsageError(str(e))
     code = EXIT_OK
     if args.distributed:
         if mode is not Mode.TEM:
@@ -152,8 +156,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                               "use --mode TEM")
         transport = None
         if args.transport == "chain":
-            transport = ChainTransport(n_validators=args.validators,
-                                       seed=_effective_seed(args.seed))
+            try:
+                transport = ChainTransport(n_validators=args.validators,
+                                           seed=_effective_seed(args.seed))
+            except ValueError as e:
+                raise _UsageError(str(e))
         outcome = run_distributed(s, params, transport)
         if not outcome.converged:
             print(f"no convergence within {params.max_iter} iterations "

@@ -26,17 +26,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .qp import LinearConstraintSet
 from .scenario import GridTariff, Scenario, TransactivePrices, UserScenario
 
 __all__ = [
-    "CONSTRAINT_TAGS",
     "SCHEDULE_SERIES",
     "CostBreakdown",
-    "LinearConstraintSet",
     "Mode",
     "Schedule",
     "VariableLayout",
-    "base_tag",
     "build_user_constraints",
     "build_user_objective",
     "check_schedule",
@@ -63,25 +61,6 @@ class Mode(enum.Enum):
     @property
     def has_horizontal(self) -> bool:
         return self in (Mode.TEM, Mode.BS3)
-
-
-# Stable identifiers for every constraint row family.  Row tags are
-# "<base>[user=<n>,t=<slot>]" (slot omitted for one-off rows).
-CONSTRAINT_TAGS = frozenset({
-    "power-balance",
-    "shift-total",
-    "indoor-temp-update",
-    "ev-charge-update",
-    "ev-full-at-departure",
-    "dr-within-grid-draw",
-    "renewable-split-cap",
-    "peak-epigraph",
-    "trade-clearing",
-})
-
-
-def base_tag(tag: str) -> str:
-    return tag.split("[", 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,26 +351,6 @@ def check_schedule(sch: Schedule, s: Scenario, user: int,
 # ---------------------------------------------------------------------------
 # constraint and objective assembly
 
-@dataclass
-class LinearConstraintSet:
-    """Dense linear constraints with per-row tags.
-
-    Equality rows read ``a_eq x = b_eq`` and inequality rows
-    ``a_in x <= b_in``.  Bounds are per-column closed intervals with +-inf
-    for absent sides.
-    """
-
-    n_vars: int
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    eq_tags: List[str]
-    a_in: np.ndarray
-    b_in: np.ndarray
-    in_tags: List[str]
-    lo: np.ndarray
-    hi: np.ndarray
-
-
 def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstraintSet:
     """All rows and bounds for one home (no cross-user clearing rows)."""
     layout = user_layout(s.n_users, s.grid.horizon, mode, users=[user])
@@ -402,20 +361,16 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
 
     eq_rows: List[np.ndarray] = []
     eq_rhs: List[float] = []
-    eq_tags: List[str] = []
     in_rows: List[np.ndarray] = []
     in_rhs: List[float] = []
-    in_tags: List[str] = []
 
-    def eq(row: np.ndarray, rhs: float, tag: str) -> None:
+    def eq(row: np.ndarray, rhs: float) -> None:
         eq_rows.append(row)
         eq_rhs.append(rhs)
-        eq_tags.append(tag)
 
-    def le(row: np.ndarray, rhs: float, tag: str) -> None:
+    def le(row: np.ndarray, rhs: float) -> None:
         in_rows.append(row)
         in_rhs.append(rhs)
-        in_tags.append(tag)
 
     def cidx(name: str, tt: int = 0) -> int:
         return layout.col(user, name, tt)
@@ -439,12 +394,12 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
             row[cidx("dr_reduce", tt)] = 1.0
         if mode.has_horizontal and s.n_users > 1:
             row[cidx("export", tt)] = 1.0
-        eq(row, -float(u.inflexible[tt]), f"power-balance[user={user},t={tt}]")
+        eq(row, -float(u.inflexible[tt]))
 
     # total shiftable energy is conserved inside the shift window
     row = np.zeros(nv)
     row[layout.span(user, "load_shift")] = shift_mask.astype(float)
-    eq(row, float(u.shift_pref[shift_mask].sum()), f"shift-total[user={user}]")
+    eq(row, float(u.shift_pref[shift_mask].sum()))
 
     # linear indoor temperature update
     for tt in range(t):
@@ -456,7 +411,7 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
         else:
             row[cidx("temp_in", tt - 1)] = -(1.0 - u.hvac_beta)
             rhs = u.hvac_beta * float(u.temp_out[tt])
-        eq(row, rhs, f"indoor-temp-update[user={user},t={tt}]")
+        eq(row, rhs)
 
     # battery bookkeeping inside the plug-in window
     for tt in range(t):
@@ -471,10 +426,10 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
         else:
             row[cidx("ev_energy", tt - 1)] = -1.0
             rhs = 0.0
-        eq(row, rhs, f"ev-charge-update[user={user},t={tt}]")
+        eq(row, rhs)
     row = np.zeros(nv)
     row[cidx("ev_energy", depart - 1)] = 1.0
-    eq(row, ev.capacity, f"ev-full-at-departure[user={user}]")
+    eq(row, ev.capacity)
 
     if mode.has_vertical:
         for tt in range(t):
@@ -482,20 +437,19 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
                 row = np.zeros(nv)
                 row[cidx("dr_reduce", tt)] = 1.0
                 row[cidx("supply_grid", tt)] = -1.0
-                le(row, 0.0, f"dr-within-grid-draw[user={user},t={tt}]")
+                le(row, 0.0)
         for tt in range(t):
             row = np.zeros(nv)
             row[cidx("supply_renewable", tt)] = 1.0
             row[cidx("feed_in", tt)] = 1.0
-            le(row, float(u.renewable_cap[tt]),
-               f"renewable-split-cap[user={user},t={tt}]")
+            le(row, float(u.renewable_cap[tt]))
 
     # peak epigraph: the peak variable dominates every grid draw
     for tt in range(t):
         row = np.zeros(nv)
         row[cidx("supply_grid", tt)] = 1.0
         row[cidx("peak", 0)] = -1.0
-        le(row, 0.0, f"peak-epigraph[user={user},t={tt}]")
+        le(row, 0.0)
 
     lo = np.full(nv, -np.inf)
     hi = np.full(nv, np.inf)
@@ -524,8 +478,8 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
     a_eq = np.array(eq_rows) if eq_rows else np.zeros((0, nv))
     a_in = np.array(in_rows) if in_rows else np.zeros((0, nv))
     return LinearConstraintSet(
-        n_vars=nv, a_eq=a_eq, b_eq=np.array(eq_rhs), eq_tags=eq_tags,
-        a_in=a_in, b_in=np.array(in_rhs), in_tags=in_tags, lo=lo, hi=hi)
+        n_vars=nv, a_eq=a_eq, b_eq=np.array(eq_rhs), a_in=a_in,
+        b_in=np.array(in_rhs), lo=lo, hi=hi)
 
 
 def build_user_objective(s: Scenario, user: int,

@@ -1,13 +1,15 @@
 """Dense convex QP solver with verifiable optimality residuals.
 
 Solves  min 0.5 x'Px + q'x  subject to equality rows, inequality rows and
-variable bounds, for symmetric positive semidefinite P.  The solver is a
-primal-dual interior point method (Mehrotra predictor-corrector) on the
-condensed KKT system, preceded by a presolve that eliminates fixed
-variables and followed by a polish.  The interior point treats inequality
-rows and finite bounds as one family C x <= d, with one slack and one
-multiplier per row, and moves primal and dual variables by one step
-length (Nocedal & Wright, Numerical Optimization, 2nd ed., Alg. 16.4).
+variable bounds (a ``LinearConstraintSet``: plain row matrices, right-hand
+sides and per-column bounds), for symmetric positive semidefinite P.  The
+solver is a primal-dual interior point method (Mehrotra
+predictor-corrector) on the condensed KKT system, preceded by a presolve
+that eliminates fixed variables and followed by a polish.  The interior
+point treats inequality rows and finite bounds as one family C x <= d,
+with one slack and one multiplier per row, and moves primal and dual
+variables by one step length (Nocedal & Wright, Numerical Optimization,
+2nd ed., Alg. 16.4).
 With P != 0, unequal lengths a_p != a_d leave (a_p - a_d) P dx in the dual
 residual, which can grow in the end-game and make the iteration count
 depend on rounding.  The polish is one regularised KKT solve on the
@@ -18,32 +20,25 @@ start tries the same polish on the previous solution's active set before
 any interior-point iteration.  ``QpSolution.polish`` says which path
 produced the answer.  Everything is deterministic: same problem, same
 answer, bit for bit.
-
-``grid_oracle`` is an independent brute-force check for small problems: it
-filters an axis-aligned grid for feasibility and returns the best grid
-point, sharing no code with the solver path.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
 
-from .energy_model import LinearConstraintSet
-
 __all__ = [
     "Duals",
-    "GridSolution",
     "KktResiduals",
+    "LinearConstraintSet",
     "Polish",
     "QpProblem",
     "QpSolution",
     "QpStatus",
-    "grid_oracle",
     "kkt_residuals",
     "solve_qp",
 ]
@@ -98,6 +93,21 @@ class Duals:
     ineq: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+
+
+@dataclass
+class LinearConstraintSet:
+    """Dense linear constraints: equality rows ``a_eq x = b_eq``, inequality
+    rows ``a_in x <= b_in`` and per-column closed bounds, +-inf for absent
+    sides."""
+
+    n_vars: int
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    a_in: np.ndarray
+    b_in: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 @dataclass
@@ -581,71 +591,3 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     if cand.status == QpStatus.OPTIMAL:
         return cand
     return finish(x, y, *split(z), status, it, Polish.INTERIOR)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-@dataclass(frozen=True)
-class GridSolution:
-    x: np.ndarray
-    value: float
-
-
-def grid_oracle(problem: QpProblem, box: Optional[Sequence[Tuple[float, float]]] = None,
-                resolution: int = 101, feas_tol: float = 1e-9
-                ) -> Optional[GridSolution]:
-    """Best feasible point on an axis-aligned grid, or None if none is.
-
-    Exhaustively evaluates ``resolution`` points per axis over ``box``
-    (default: the variable bounds, which must then be finite), keeps the
-    points satisfying every constraint within ``feas_tol`` and returns the
-    one with the lowest objective.  Only usable for dimension <= 4.
-    """
-    c = problem.constraints
-    n = problem.q.size
-    if n > 4:
-        raise ValueError(f"grid oracle limited to dimension <= 4, got {n}")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    if resolution ** n > 50_000_000:
-        raise ValueError("grid too large; lower the resolution")
-    if box is None:
-        if not (np.all(np.isfinite(c.lo)) and np.all(np.isfinite(c.hi))):
-            raise ValueError("variable bounds are unbounded; pass an explicit box")
-        box = list(zip(c.lo.tolist(), c.hi.tolist()))
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-    g, h = c.a_in, c.b_in
-
-    best_x: Optional[np.ndarray] = None
-    best_val = np.inf
-    # chunk over the first axis to bound memory on 3- and 4-dim grids
-    tail = axes[1:]
-    tail_mesh = np.meshgrid(*tail, indexing="ij") if tail else []
-    tail_pts = np.stack([m.ravel() for m in tail_mesh], axis=1) \
-        if tail else np.zeros((1, 0))
-    for v0 in axes[0]:
-        pts = np.empty((tail_pts.shape[0], n))
-        pts[:, 0] = v0
-        if n > 1:
-            pts[:, 1:] = tail_pts
-        ok = np.ones(pts.shape[0], dtype=bool)
-        if c.a_eq.shape[0]:
-            ok &= np.all(np.abs(pts @ c.a_eq.T - c.b_eq) <= feas_tol, axis=1)
-        if g.shape[0]:
-            ok &= np.all(pts @ g.T - h <= feas_tol, axis=1)
-        ok &= np.all(pts >= c.lo - feas_tol, axis=1)
-        ok &= np.all(pts <= c.hi + feas_tol, axis=1)
-        if not ok.any():
-            continue
-        feas = pts[ok]
-        vals = 0.5 * np.einsum("ij,jk,ik->i", feas, problem.p, feas) \
-            + feas @ problem.q
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_x = feas[i].copy()
-    if best_x is None:
-        return None
-    return GridSolution(x=best_x, value=best_val)
-

@@ -245,6 +245,34 @@ def validate_scenario(s: Scenario) -> List[Violation]:
 # ---------------------------------------------------------------------------
 # synthetic generation
 
+# Home parameters that every synthetic home shares and that a config file
+# may leave out, by config.json section; users override per key.
+_HOME_DEFAULTS = {
+    "hvac": {"alpha": 0.75, "beta": 0.2, "temp_lo": 15.0, "temp_hi": 32.0,
+             "temp_init": 24.0},
+    "sensitivities": {"shift": 1.0, "curtail": 1.0, "comfort": 1.0},
+    "ev": {"charge_max": 50.0, "discharge_max": 10.0, "eff_charge": 0.9,
+           "eff_discharge": 0.9, "w_degrade": 0.1},
+}
+
+
+def _home_params(sections: dict) -> Tuple[dict, dict]:
+    """UserScenario and EvParams keywords from sections shaped like
+    ``_HOME_DEFAULTS``."""
+    hvac, sens = sections["hvac"], sections["sensitivities"]
+    home = dict(temp_init=float(hvac["temp_init"]),
+                temp_lo=float(hvac["temp_lo"]),
+                temp_hi=float(hvac["temp_hi"]),
+                hvac_alpha=float(hvac["alpha"]),
+                hvac_beta=float(hvac["beta"]),
+                w_shift=float(sens["shift"]),
+                w_curtail=float(sens["curtail"]),
+                w_comfort=float(sens["comfort"]))
+    ev_limits = {key: float(sections["ev"][key])
+                 for key in _HOME_DEFAULTS["ev"]}
+    return home, ev_limits
+
+
 def generate_synthetic(seed: int, n_users: int, horizon: int, *,
                        solar_range: Tuple[float, float] = (2.0, 6.0),
                        ev_arrival_soc: float = 0.5) -> Scenario:
@@ -284,6 +312,7 @@ def generate_synthetic(seed: int, n_users: int, horizon: int, *,
     trade = np.round(rng.uniform(0.10, 0.16, size=t), 6)
     prices = TransactivePrices(feed_in=feed_in, dr=dr_price, trade=trade)
 
+    home, ev_limits = _home_params(_HOME_DEFAULTS)
     users = []
     shift_windows = []
     ev_windows = []
@@ -305,19 +334,15 @@ def generate_synthetic(seed: int, n_users: int, horizon: int, *,
 
         capacity = rng.uniform(30.0, 50.0)
         window_len = ev_depart - ev_arrive + 1
-        slot_budget = 0.5 * 0.9 * min(50.0, tariff.line_cap)
+        slot_budget = 0.5 * ev_limits["eff_charge"] \
+            * min(ev_limits["charge_max"], tariff.line_cap)
         charge_init = max(ev_arrival_soc * capacity,
                           capacity - slot_budget * window_len)
-        ev = EvParams(capacity=capacity, charge_init=charge_init,
-                      charge_max=50.0, discharge_max=10.0,
-                      eff_charge=0.9, eff_discharge=0.9, w_degrade=0.1)
+        ev = EvParams(capacity=capacity, charge_init=charge_init, **ev_limits)
         users.append(UserScenario(
             shift_pref=shift_pref, curtail_pref=curtail_pref,
             inflexible=inflexible, renewable_cap=renewable_cap,
-            temp_out=temp_out, temp_ref=temp_ref,
-            temp_init=24.0, temp_lo=15.0, temp_hi=32.0,
-            hvac_alpha=0.75, hvac_beta=0.2,
-            w_shift=1.0, w_curtail=1.0, w_comfort=1.0, ev=ev))
+            temp_out=temp_out, temp_ref=temp_ref, ev=ev, **home))
         shift_windows.append(tuple(range(1, t + 1)))
         ev_windows.append((ev_arrive, ev_depart))
 
@@ -440,16 +465,8 @@ def load_scenario(path: str | Path) -> Scenario:
     windows = cfg.get("windows", {})
     dr_window = _window_from_json(windows.get("dr", []), f"{where}: windows.dr")
 
-    defaults = {
-        "hvac": {"alpha": 0.75, "beta": 0.2, "temp_lo": 15.0, "temp_hi": 32.0,
-                 "temp_init": 24.0},
-        "sensitivities": {"shift": 1.0, "curtail": 1.0, "comfort": 1.0},
-        "ev": {"charge_max": 50.0, "discharge_max": 10.0, "eff_charge": 0.9,
-               "eff_discharge": 0.9, "w_degrade": 0.1},
-        "windows": windows,
-    }
-    for key in ("hvac", "sensitivities", "ev"):
-        defaults[key] = {**defaults[key], **cfg.get(key, {})}
+    defaults = {key: {**table, **cfg.get(key, {})}
+                for key, table in _HOME_DEFAULTS.items()}
 
     user_cfgs = cfg.get("users", [{} for _ in range(n_users)])
     if len(user_cfgs) != n_users:
@@ -507,10 +524,10 @@ def load_scenario(path: str | Path) -> Scenario:
     shift_windows: List[Tuple[int, ...]] = []
     ev_windows: List[Tuple[int, int]] = []
     for n, ucfg in enumerate(user_cfgs):
-        hv = {**defaults["hvac"], **ucfg.get("hvac", {})}
-        sens = {**defaults["sensitivities"], **ucfg.get("sensitivities", {})}
-        evc = {**defaults["ev"], **ucfg.get("ev", {})}
-        uw = {**defaults["windows"], **ucfg.get("windows", {})}
+        sections = {key: {**table, **ucfg.get(key, {})}
+                    for key, table in defaults.items()}
+        evc = sections["ev"]
+        uw = {**windows, **ucfg.get("windows", {})}
         if "shift" in uw:
             shift = _window_from_json(uw["shift"], f"{where}: user {n} shift window")
         else:
@@ -524,22 +541,12 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"{where}: user {n}: ev.capacity is required")
         capacity = float(evc["capacity"])
         charge_init = float(evc.get("charge_init", 0.5 * capacity))
-        ev = EvParams(capacity=capacity, charge_init=charge_init,
-                      charge_max=float(evc["charge_max"]),
-                      discharge_max=float(evc["discharge_max"]),
-                      eff_charge=float(evc["eff_charge"]),
-                      eff_discharge=float(evc["eff_discharge"]),
-                      w_degrade=float(evc["w_degrade"]))
-        temp_ref = col(n, "Tref")
+        home, ev_limits = _home_params(sections)
+        ev = EvParams(capacity=capacity, charge_init=charge_init, **ev_limits)
         users.append(UserScenario(
             shift_pref=col(n, "L_S"), curtail_pref=col(n, "L_C"),
             inflexible=col(n, "l_I"), renewable_cap=col(n, "S_R"),
-            temp_out=col(n, "Tout"), temp_ref=temp_ref,
-            temp_init=float(hv.get("temp_init", temp_ref[0])),
-            temp_lo=float(hv["temp_lo"]), temp_hi=float(hv["temp_hi"]),
-            hvac_alpha=float(hv["alpha"]), hvac_beta=float(hv["beta"]),
-            w_shift=float(sens["shift"]), w_curtail=float(sens["curtail"]),
-            w_comfort=float(sens["comfort"]), ev=ev))
+            temp_out=col(n, "Tout"), temp_ref=col(n, "Tref"), ev=ev, **home))
         shift_windows.append(shift)
         ev_windows.append((arrive, depart))
 

@@ -26,13 +26,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
+import scipy.linalg as sla
 
-from .energy_model import (SCHEDULE_SERIES, CostBreakdown, LinearConstraintSet,
-                           Mode, Schedule, build_user_constraints,
-                           build_user_objective, combine_costs,
-                           home_cost_terms, reward_terms, schedule_from_x,
-                           user_layout)
-from .qp import QpProblem, QpSolution, QpStatus, solve_qp
+from .energy_model import (SCHEDULE_SERIES, CostBreakdown, Mode, Schedule,
+                           build_user_constraints, build_user_objective,
+                           combine_costs, home_cost_terms, reward_terms,
+                           schedule_from_x, user_layout)
+from .qp import (LinearConstraintSet, QpProblem, QpSolution, QpStatus,
+                 solve_qp)
 from .scenario import Scenario
 
 __all__ = [
@@ -228,61 +229,36 @@ def has_converged(d: DualState, prev: DualState, eps: float) -> bool:
 # joint problem
 
 def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
-    """Joint QP over all homes, plus trade-clearing rows in trading modes.
+    """Joint QP over all homes: the block-diagonal stack of the home QPs.
 
-    Each home trades through its net-export columns; one clearing row per
-    slot makes the exports of all homes sum to zero.  Reported costs are
+    Home n's rows, bounds and objective (``build_user_constraints``,
+    ``build_user_objective``) fill the n-th diagonal block; no row couples
+    two homes except, in trading modes with more than one home, one
+    clearing row per slot appended after the equality blocks, which makes
+    the net exports of all homes sum to zero.  Reported costs are
     recomputed from the schedules.
     """
     layout = user_layout(s.n_users, s.grid.horizon, mode)
-    nv = layout.n_vars
     t = s.grid.horizon
-    p_diag = np.zeros(nv)
-    q = np.zeros(nv)
-    eq_rows: List[np.ndarray] = []
-    eq_rhs: List[float] = []
-    eq_tags: List[str] = []
-    in_rows: List[np.ndarray] = []
-    in_rhs: List[float] = []
-    in_tags: List[str] = []
-    lo = np.full(nv, -np.inf)
-    hi = np.full(nv, np.inf)
-
-    for n in range(s.n_users):
-        base = layout._block_start(n)
-        block = slice(base, base + layout.block_size)
-        pd_n, q_n, _ = build_user_objective(s, n, mode)
-        p_diag[block] = pd_n
-        q[block] = q_n
-        cs = build_user_constraints(s, n, mode)
-        for row, rhs, tag in zip(cs.a_eq, cs.b_eq, cs.eq_tags):
-            wide = np.zeros(nv)
-            wide[block] = row
-            eq_rows.append(wide)
-            eq_rhs.append(float(rhs))
-            eq_tags.append(tag)
-        for row, rhs, tag in zip(cs.a_in, cs.b_in, cs.in_tags):
-            wide = np.zeros(nv)
-            wide[block] = row
-            in_rows.append(wide)
-            in_rhs.append(float(rhs))
-            in_tags.append(tag)
-        lo[block] = cs.lo
-        hi[block] = cs.hi
-
+    homes = [build_user_constraints(s, n, mode) for n in range(s.n_users)]
+    objectives = [build_user_objective(s, n, mode) for n in range(s.n_users)]
+    a_eq = sla.block_diag(*(cs.a_eq for cs in homes))
+    b_eq = np.concatenate([cs.b_eq for cs in homes])
     if mode.has_horizontal and s.n_users > 1:
-        for tt in range(t):
-            row = np.zeros(nv)
-            for n in range(s.n_users):
-                row[layout.col(n, "export", tt)] = 1.0
-            eq_rows.append(row)
-            eq_rhs.append(0.0)
-            eq_tags.append(f"trade-clearing[t={tt}]")
-
+        # each clearing row puts a 1 on its slot in every home's export
+        # span; home 0's block starts at column 0, so its span is local
+        unit = np.zeros((t, layout.block_size))
+        unit[:, layout.span(0, "export")] = np.eye(t)
+        a_eq = np.vstack([a_eq, np.tile(unit, s.n_users)])
+        b_eq = np.concatenate([b_eq, np.zeros(t)])
     constraints = LinearConstraintSet(
-        n_vars=nv, a_eq=np.array(eq_rows), b_eq=np.array(eq_rhs),
-        eq_tags=eq_tags, a_in=np.array(in_rows), b_in=np.array(in_rhs),
-        in_tags=in_tags, lo=lo, hi=hi)
+        n_vars=layout.n_vars, a_eq=a_eq, b_eq=b_eq,
+        a_in=sla.block_diag(*(cs.a_in for cs in homes)),
+        b_in=np.concatenate([cs.b_in for cs in homes]),
+        lo=np.concatenate([cs.lo for cs in homes]),
+        hi=np.concatenate([cs.hi for cs in homes]))
+    p_diag = np.concatenate([p_n for p_n, _, _ in objectives])
+    q = np.concatenate([q_n for _, q_n, _ in objectives])
     return QpProblem(p=np.diag(p_diag), q=q, constraints=constraints,
                      layout_tag=f"{mode.value}:joint:N={s.n_users}:T={t}")
 

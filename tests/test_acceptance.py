@@ -42,7 +42,6 @@ from gridledger.netsim import LivenessTimeout, NetConfig, Network
 from gridledger.qp import (
     QpProblem,
     QpStatus,
-    grid_oracle,
     solve_qp,
 )
 from gridledger.scenario import Scenario, generate_synthetic
@@ -55,7 +54,7 @@ from gridledger.tem import (
     sct_step,
     solve_centralized,
 )
-from tests.test_qp import BATTERY_CASES, make_cs
+from tests.test_qp import BATTERY_CASES, grid_oracle, make_cs
 
 
 def _report(text: str) -> None:

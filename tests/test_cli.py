@@ -79,6 +79,18 @@ class TestRun:
                      "--distributed"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", [
+        ["--transport", "chain", "--validators", "3"],
+        ["--max-iter", "0"],
+        ["--eps", "-1"],
+    ], ids=["validators", "max-iter", "eps"])
+    def test_bad_run_argument_is_usage_error(self, capsys, flag):
+        code = main(["run", "--synthetic", "2,4", "--distributed", *flag])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "usage error" in err
+        assert "Traceback" not in err
+
     def test_distributed_inprocess(self, capsys):
         code = main(["run", "--synthetic", "2,4", "--distributed",
                      "--eps", "1e-4"])

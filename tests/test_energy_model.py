@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gridledger.energy_model import (
-    CONSTRAINT_TAGS,
     Mode,
     Schedule,
-    base_tag,
     build_user_constraints,
     build_user_objective,
     check_schedule,
@@ -264,14 +262,16 @@ class TestLayout:
 
 class TestConstraints:
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_shapes_and_tags(self, scen_2x4, mode):
-        cs = build_user_constraints(scen_2x4, 0, mode)
-        assert cs.a_eq.shape == (len(cs.b_eq), cs.n_vars)
-        assert cs.a_in.shape == (len(cs.b_in), cs.n_vars)
-        assert len(cs.eq_tags) == len(cs.b_eq)
-        assert len(cs.in_tags) == len(cs.b_in)
-        for tag in cs.eq_tags + cs.in_tags:
-            assert base_tag(tag) in CONSTRAINT_TAGS
+    def test_shapes(self, scen_2x4, mode):
+        s = scen_2x4
+        cs = build_user_constraints(s, 0, mode)
+        nv = user_layout(s.n_users, s.grid.horizon, mode, users=[0]).n_vars
+        assert cs.n_vars == nv
+        assert cs.a_eq.shape == (cs.b_eq.size, nv)
+        assert cs.a_in.shape == (cs.b_in.size, nv)
+        assert cs.b_eq.shape == (cs.b_eq.size,)
+        assert cs.b_in.shape == (cs.b_in.size,)
+        assert cs.lo.shape == cs.hi.shape == (nv,)
 
     def test_bounds_respect_windows(self, scen_2x4):
         s = scen_2x4
@@ -294,16 +294,33 @@ class TestConstraints:
         # without a feed-in split the renewable series is capped directly
         assert np.array_equal(cs_bs1.hi[lay_bs1.span(0, "supply_renewable")],
                               s.users[0].renewable_cap)
+        # with one, a row per slot caps renewable use plus feed-in instead
+        lay_tem = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[0])
         cs_tem = build_user_constraints(s, 0, Mode.TEM)
-        assert any(base_tag(t) == "renewable-split-cap" for t in cs_tem.in_tags)
+        assert np.all(cs_tem.hi[lay_tem.span(0, "supply_renewable")] == np.inf)
+        split = (cs_tem.a_in[:, lay_tem.span(0, "supply_renewable")] == 1.0) \
+            & (cs_tem.a_in[:, lay_tem.span(0, "feed_in")] == 1.0)
+        rows, slots = np.nonzero(split)
+        assert np.array_equal(slots, np.arange(s.grid.horizon))
+        assert np.array_equal(cs_tem.b_in[rows], s.users[0].renewable_cap)
 
     def test_balance_row_count(self, scen_2x4):
-        cs = build_user_constraints(scen_2x4, 0, Mode.TEM)
-        t = scen_2x4.grid.horizon
-        n_balance = sum(1 for g in cs.eq_tags if base_tag(g) == "power-balance")
-        assert n_balance == t
-        n_peak = sum(1 for g in cs.in_tags if base_tag(g) == "peak-epigraph")
-        assert n_peak == t
+        s = scen_2x4
+        cs = build_user_constraints(s, 0, Mode.TEM)
+        lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[0])
+        t = s.grid.horizon
+        # a balance row serves its slot's HVAC load from its grid draw
+        balance = (cs.a_eq[:, lay.span(0, "load_hvac")] == 1.0) \
+            & (cs.a_eq[:, lay.span(0, "supply_grid")] == -1.0)
+        rows, slots = np.nonzero(balance)
+        assert np.array_equal(slots, np.arange(t))
+        assert np.unique(rows).size == t
+        # an epigraph row holds its slot's grid draw under the peak column
+        peak = cs.a_in[:, lay.span(0, "peak")] == -1.0
+        epigraph = peak & (cs.a_in[:, lay.span(0, "supply_grid")] == 1.0)
+        rows, slots = np.nonzero(epigraph)
+        assert np.array_equal(slots, np.arange(t))
+        assert np.unique(rows).size == t
 
     def test_objective_matches_breakdown(self, scen_2x4):
         """Algebraic objective equals the schedule-level cost arithmetic."""
@@ -407,8 +424,3 @@ class TestCheckSchedule:
         sch.ev_charge = cha    # energy series still flat, so inconsistent
         found = check_schedule(sch, scen_2x4, 0)
         assert any("battery series" in m for m in found)
-
-
-def test_base_tag_strips_indices():
-    assert base_tag("power-balance[user=1,t=3]") == "power-balance"
-    assert base_tag("shift-total") == "shift-total"

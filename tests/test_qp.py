@@ -1,12 +1,12 @@
 """QP solver tests: analytic cases, brute-force cross-checks, KKT quality."""
 
 import dataclasses
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 
 from gridledger.energy_model import (
-    LinearConstraintSet,
     Mode,
     build_user_constraints,
     build_user_objective,
@@ -15,11 +15,10 @@ from gridledger.energy_model import (
 )
 from gridledger.qp import (
     Duals,
-    GridSolution,
+    LinearConstraintSet,
     Polish,
     QpProblem,
     QpStatus,
-    grid_oracle,
     kkt_residuals,
     solve_qp,
 )
@@ -37,11 +36,74 @@ def make_cs(n, a_eq=None, b_eq=None, a_in=None, b_in=None, lo=None, hi=None):
     b_in = np.zeros(0) if b_in is None else np.asarray(b_in, float)
     lo = np.full(n, -np.inf) if lo is None else np.asarray(lo, float)
     hi = np.full(n, np.inf) if hi is None else np.asarray(hi, float)
-    return LinearConstraintSet(
-        n_vars=n, a_eq=a_eq, b_eq=b_eq,
-        eq_tags=[f"eq{i}" for i in range(len(b_eq))],
-        a_in=a_in, b_in=b_in,
-        in_tags=[f"in{i}" for i in range(len(b_in))], lo=lo, hi=hi)
+    return LinearConstraintSet(n_vars=n, a_eq=a_eq, b_eq=b_eq, a_in=a_in,
+                               b_in=b_in, lo=lo, hi=hi)
+
+
+@dataclasses.dataclass(frozen=True)
+class GridSolution:
+    x: np.ndarray
+    value: float
+
+
+def grid_oracle(problem: QpProblem,
+                box: Optional[Sequence[Tuple[float, float]]] = None,
+                resolution: int = 101, feas_tol: float = 1e-9
+                ) -> Optional[GridSolution]:
+    """Best feasible point on an axis-aligned grid, or None if none is.
+
+    An independent brute-force check that shares no code with the solver:
+    it evaluates ``resolution`` points per axis over ``box`` (default: the
+    variable bounds, which must then be finite), keeps the points that
+    satisfy every constraint within ``feas_tol`` and returns the one with
+    the lowest objective.  Only usable for dimension <= 4.
+    """
+    c = problem.constraints
+    n = problem.q.size
+    if n > 4:
+        raise ValueError(f"grid oracle limited to dimension <= 4, got {n}")
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    if resolution ** n > 50_000_000:
+        raise ValueError("grid too large; lower the resolution")
+    if box is None:
+        if not (np.all(np.isfinite(c.lo)) and np.all(np.isfinite(c.hi))):
+            raise ValueError("variable bounds are unbounded; pass an explicit box")
+        box = list(zip(c.lo.tolist(), c.hi.tolist()))
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
+    g, h = c.a_in, c.b_in
+
+    best_x: Optional[np.ndarray] = None
+    best_val = np.inf
+    # chunk over the first axis to bound memory on 3- and 4-dim grids
+    tail = axes[1:]
+    tail_mesh = np.meshgrid(*tail, indexing="ij") if tail else []
+    tail_pts = np.stack([m.ravel() for m in tail_mesh], axis=1) \
+        if tail else np.zeros((1, 0))
+    for v0 in axes[0]:
+        pts = np.empty((tail_pts.shape[0], n))
+        pts[:, 0] = v0
+        if n > 1:
+            pts[:, 1:] = tail_pts
+        ok = np.ones(pts.shape[0], dtype=bool)
+        if c.a_eq.shape[0]:
+            ok &= np.all(np.abs(pts @ c.a_eq.T - c.b_eq) <= feas_tol, axis=1)
+        if g.shape[0]:
+            ok &= np.all(pts @ g.T - h <= feas_tol, axis=1)
+        ok &= np.all(pts >= c.lo - feas_tol, axis=1)
+        ok &= np.all(pts <= c.hi + feas_tol, axis=1)
+        if not ok.any():
+            continue
+        feas = pts[ok]
+        vals = 0.5 * np.einsum("ij,jk,ik->i", feas, problem.p, feas) \
+            + feas @ problem.q
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val = float(vals[i])
+            best_x = feas[i].copy()
+    if best_x is None:
+        return None
+    return GridSolution(x=best_x, value=best_val)
 
 
 class TestProblemValidation:

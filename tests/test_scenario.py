@@ -176,6 +176,24 @@ class TestRoundTrip:
         (tmp_path / "config.json").write_text(json.dumps(cfg))
         assert load_scenario(tmp_path).grid == scen_2x4.grid
 
+    def test_load_defaults_match_synthetic(self, tmp_path, scen_2x4):
+        # users that give only a battery size and the EV window get the
+        # home parameters every synthetic home has
+        write_scenario(scen_2x4, tmp_path)
+        cfg = json.loads((tmp_path / "config.json").read_text())
+        cfg["users"] = [{"windows": {"ev": u["windows"]["ev"]},
+                         "ev": {"capacity": u["ev"]["capacity"]}}
+                        for u in cfg["users"]]
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        back = load_scenario(tmp_path)
+        for ua, ub in zip(scen_2x4.users, back.users):
+            for name in ("hvac_alpha", "hvac_beta", "temp_lo", "temp_hi",
+                         "temp_init", "w_shift", "w_curtail", "w_comfort"):
+                assert getattr(ub, name) == getattr(ua, name), name
+            for name in ("charge_max", "discharge_max", "eff_charge",
+                         "eff_discharge", "w_degrade"):
+                assert getattr(ub.ev, name) == getattr(ua.ev, name), name
+
     def test_load_accepts_config_path(self, tmp_path, scen_2x4):
         write_scenario(scen_2x4, tmp_path)
         back = load_scenario(tmp_path / "config.json")

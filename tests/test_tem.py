@@ -29,7 +29,8 @@ from gridledger.tem import (
     solve_centralized,
     split_export,
 )
-from gridledger.energy_model import build_user_objective
+from gridledger.energy_model import (build_user_constraints,
+                                     build_user_objective)
 
 small = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -285,6 +286,52 @@ class TestCentralized:
             sum(c.net_cost for c in out.costs), abs=1e-12)
         for n, sch in enumerate(out.schedules):
             assert check_schedule(sch, scen_2x4, n, tol=1e-6) == []
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_joint_problem_is_block_stack(self, scen_3x8, mode):
+        s = scen_3x8
+        prob = assemble_problem(s, mode)
+        c = prob.constraints
+        lay = user_layout(s.n_users, s.grid.horizon, mode)
+        t = s.grid.horizon
+        eq_home = np.zeros(c.a_eq.shape, dtype=bool)
+        in_home = np.zeros(c.a_in.shape, dtype=bool)
+        p_home = np.zeros(prob.p.shape, dtype=bool)
+        r_eq = r_in = 0
+        for n in range(s.n_users):
+            cs = build_user_constraints(s, n, mode)
+            p_diag, q, _ = build_user_objective(s, n, mode)
+            cols = slice(n * lay.block_size, (n + 1) * lay.block_size)
+            rows_eq = slice(r_eq, r_eq + cs.b_eq.size)
+            rows_in = slice(r_in, r_in + cs.b_in.size)
+            assert np.array_equal(c.a_eq[rows_eq, cols], cs.a_eq)
+            assert np.array_equal(c.b_eq[rows_eq], cs.b_eq)
+            assert np.array_equal(c.a_in[rows_in, cols], cs.a_in)
+            assert np.array_equal(c.b_in[rows_in], cs.b_in)
+            assert np.array_equal(c.lo[cols], cs.lo)
+            assert np.array_equal(c.hi[cols], cs.hi)
+            assert np.array_equal(prob.p[cols, cols], np.diag(p_diag))
+            assert np.array_equal(prob.q[cols], q)
+            eq_home[rows_eq, cols] = True
+            in_home[rows_in, cols] = True
+            p_home[cols, cols] = True
+            r_eq, r_in = rows_eq.stop, rows_in.stop
+        assert r_in == c.b_in.size
+        assert np.all(c.a_in[~in_home] == 0.0)
+        assert np.all(prob.p[~p_home] == 0.0)
+        assert np.all(c.a_eq[:r_eq][~eq_home[:r_eq]] == 0.0)
+        # the rows after the home blocks clear the exports, one per slot
+        clearing, rhs = c.a_eq[r_eq:], c.b_eq[r_eq:]
+        if not mode.has_horizontal:
+            assert clearing.shape[0] == 0
+            return
+        assert clearing.shape[0] == t
+        assert np.all(rhs == 0.0)
+        want = np.zeros((t, lay.n_vars))
+        for n in range(s.n_users):
+            for tt in range(t):
+                want[tt, lay.col(n, "export", tt)] = 1.0
+        assert np.array_equal(clearing, want)
 
     def test_mode_ordering_small(self, scen_2x4):
         costs = {m: solve_centralized(scen_2x4, m).total_cost for m in Mode}
