@@ -63,10 +63,12 @@ def _effective_seed(seed: int) -> int:
     env = os.environ.get("GRIDLEDGER_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise _UsageError(f"GRIDLEDGER_SEED must be an integer, "
                               f"got {env!r}")
+    if seed < 0:
+        raise _UsageError(f"seed must be nonnegative, got {seed}")
     return seed
 
 
@@ -248,6 +250,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
     if args.validators < 4:
         raise _UsageError("need at least 4 validators to tolerate one fault "
                           "(3f+1 with f >= 1)")
+    if args.blocks < 1:
+        raise _UsageError(f"--blocks must be >= 1, got {args.blocks}")
     faults = _parse_faults(args.faults or [])
     protocols: List[ConsensusMode]
     if args.mode == "both":

@@ -2,8 +2,8 @@
 
 Solves  min 0.5 x'Px + q'x  subject to equality rows, inequality rows and
 variable bounds (a ``LinearConstraintSet``: plain row matrices, right-hand
-sides and per-column bounds), for symmetric positive semidefinite P.  The
-solver is a primal-dual interior point method (Mehrotra
+sides and per-column bounds), for diagonal P >= 0 given as its diagonal.
+The solver is a primal-dual interior point method (Mehrotra
 predictor-corrector) on the condensed KKT system, preceded by a presolve
 that eliminates fixed variables and followed by a polish.  The interior
 point treats inequality rows and finite bounds as one family C x <= d,
@@ -43,7 +43,6 @@ __all__ = [
     "solve_qp",
 ]
 
-_PSD_SHIFT = 1e-10
 _IPM_CAP = 200
 
 
@@ -112,7 +111,7 @@ class LinearConstraintSet:
 
 @dataclass
 class QpProblem:
-    """Convex QP data; construction checks P for symmetry and PSD-ness."""
+    """Convex QP data; ``p`` is diag(P), which must be nonnegative."""
 
     p: np.ndarray
     q: np.ndarray
@@ -123,22 +122,16 @@ class QpProblem:
         self.p = np.asarray(self.p, dtype=float)
         self.q = np.asarray(self.q, dtype=float)
         n = self.q.size
-        if self.p.shape != (n, n):
-            raise ValueError(f"P must be {n}x{n}, got {self.p.shape}")
-        scale = max(1.0, float(np.max(np.abs(self.p)))) if n else 1.0
-        if n:
-            if float(np.max(np.abs(self.p - self.p.T))) > 1e-8 * scale:
-                raise ValueError("P must be symmetric")
-            try:
-                np.linalg.cholesky(0.5 * (self.p + self.p.T)
-                                   + _PSD_SHIFT * max(1.0, scale) * np.eye(n))
-            except np.linalg.LinAlgError as e:
-                raise ValueError("P must be positive semidefinite") from e
+        if self.p.shape != (n,):
+            raise ValueError(f"p must be diag(P), shape ({n},), "
+                             f"got {self.p.shape}")
+        if not np.all(self.p >= 0):     # NaN fails this too
+            raise ValueError("diag(P) must be nonnegative")
         if self.constraints.n_vars != n:
             raise ValueError("constraint set sized for a different variable count")
 
     def objective(self, x: np.ndarray) -> float:
-        return float(0.5 * x @ self.p @ x + self.q @ x)
+        return float(0.5 * x * self.p @ x + self.q @ x)
 
 
 @dataclass
@@ -161,7 +154,7 @@ def kkt_residuals(problem: QpProblem, x: np.ndarray, duals: Duals) -> KktResidua
     g, h = c.a_in, c.b_in
     x = np.asarray(x, dtype=float)
 
-    stat = problem.p @ x + problem.q
+    stat = problem.p * x + problem.q
     if c.a_eq.shape[0]:
         stat = stat + c.a_eq.T @ duals.eq
     if g.shape[0]:
@@ -204,7 +197,7 @@ def kkt_residuals(problem: QpProblem, x: np.ndarray, duals: Duals) -> KktResidua
 class _Reduced:
     """Problem after presolve: fixed variables substituted out."""
 
-    p: np.ndarray
+    p: np.ndarray             # diag(P) over the surviving variables
     q: np.ndarray
     a: np.ndarray
     b: np.ndarray
@@ -235,33 +228,24 @@ def _presolve(problem: QpProblem, feas_tol: float) -> _Reduced:
     free = np.flatnonzero(~fixed)
     fixed_vals = np.full(n, np.nan)
     fixed_vals[fixed] = 0.5 * (lo[fixed] + hi[fixed])
-
-    xf = np.where(fixed, np.nan_to_num(fixed_vals), 0.0)
-    q_r = problem.q[free] + problem.p[np.ix_(free, np.flatnonzero(fixed))] \
-        @ fixed_vals[fixed] if fixed.any() else problem.q[free]
-    p_r = problem.p[np.ix_(free, free)]
+    xf = np.nan_to_num(fixed_vals)          # 0 on the free columns
 
     def reduce_rows(mat: np.ndarray, rhs: np.ndarray, is_eq: bool
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if mat.shape[0] == 0:
-            return mat[:, free], rhs, np.arange(0)
+        """Substitute the fixed columns; drop the rows left empty, unless
+        their right-hand side contradicts 0 = rhs (or 0 <= rhs)."""
         rhs_r = rhs - mat @ xf
         mat_r = mat[:, free]
-        keep = []
-        for i in range(mat_r.shape[0]):
-            if np.max(np.abs(mat_r[i]), initial=0.0) <= 1e-14:
-                if is_eq and abs(rhs_r[i]) > feas_tol:
-                    raise _Contradiction(
-                        f"equality row {i} became 0 = {rhs_r[i]:.3e} after "
-                        f"substituting fixed variables")
-                if not is_eq and rhs_r[i] < -feas_tol:
-                    raise _Contradiction(
-                        f"inequality row {i} became 0 <= {rhs_r[i]:.3e} after "
-                        f"substituting fixed variables")
-            else:
-                keep.append(i)
-        keep_idx = np.array(keep, dtype=int)
-        return mat_r[keep_idx], rhs_r[keep_idx], keep_idx
+        empty = np.max(np.abs(mat_r), axis=1, initial=0.0) <= 1e-14
+        bad = empty & (np.abs(rhs_r) > feas_tol if is_eq
+                       else rhs_r < -feas_tol)
+        if bad.any():
+            i = int(np.argmax(bad))
+            kind, rel = ("equality", "=") if is_eq else ("inequality", "<=")
+            raise _Contradiction(f"{kind} row {i} became 0 {rel} {rhs_r[i]:.3e}"
+                                 f" after substituting fixed variables")
+        keep = np.flatnonzero(~empty)
+        return mat_r[keep], rhs_r[keep], keep
 
     a_r, b_r, eq_keep = reduce_rows(c.a_eq, c.b_eq, True)
     g_r, h_r, in_keep = reduce_rows(c.a_in, c.b_in, False)
@@ -272,8 +256,8 @@ def _presolve(problem: QpProblem, feas_tol: float) -> _Reduced:
         if gap > 1e-7 * (1.0 + float(np.max(np.abs(b_r), initial=0.0))):
             raise _Contradiction(
                 f"equality rows are mutually inconsistent (residual {gap:.3e})")
-    return _Reduced(p=p_r, q=q_r, a=a_r, b=b_r, g=g_r, h=h_r,
-                    lo=lo[free], hi=hi[free], free=free,
+    return _Reduced(p=problem.p[free], q=problem.q[free], a=a_r, b=b_r,
+                    g=g_r, h=h_r, lo=lo[free], hi=hi[free], free=free,
                     fixed_vals=fixed_vals, eq_keep=eq_keep, in_keep=in_keep)
 
 
@@ -341,15 +325,15 @@ def _polish(red: _Reduced, x0: np.ndarray, y0: np.ndarray, zg0: np.ndarray,
     free = np.flatnonzero(~(act_l | act_u))
     rows = np.vstack([red.a, red.g[act_g]])
     nu = np.concatenate([y0, zg0[act_g]])
-    grad = red.p @ x + red.q + rows.T @ nu
+    grad = red.p * x + red.q + rows.T @ nu
     gap = rows @ x - np.concatenate([red.b, red.h[act_g]])
-    kmat = _saddle(red.p[np.ix_(free, free)], rows[:, free])
+    kmat = _saddle(np.diag(red.p[free]), rows[:, free])
     step = _kkt_solver(kmat, free.size, reg, refine=3)(
         -np.concatenate([grad[free], gap]))
     x[free] += step[:free.size]
     nu += step[free.size:]
 
-    grad = red.p @ x + red.q + rows.T @ nu
+    grad = red.p * x + red.q + rows.T @ nu
     zg = np.zeros(red.g.shape[0])
     zg[act_g] = np.maximum(nu[me:], 0.0)
     zl = np.where(act_l, np.maximum(grad, 0.0), 0.0)
@@ -377,7 +361,7 @@ def _expand(problem: QpProblem, red: _Reduced, x_r: np.ndarray, y_r: np.ndarray,
     # close the stationarity rows of fixed variables through their bound duals
     fixed = np.flatnonzero(~np.isnan(red.fixed_vals))
     if fixed.size:
-        resid = problem.p @ x + problem.q
+        resid = problem.p * x + problem.q
         if c.a_eq.shape[0]:
             resid += c.a_eq.T @ y
         if c.a_in.shape[0]:
@@ -398,7 +382,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     The interior point runs to its own sharp target on C x <= d, where
     C = [G; -I_lo; I_hi] stacks the inequality rows and the finite lower
     and upper bounds; the bound rows stay implicit, so the condensed
-    matrix is P + G'W_gG + diag(w).  One step length moves x, the slacks
+    matrix is G'W_gG + diag(p + w).  One step length moves x, the slacks
     and both multiplier vectors, which keeps the dual residual shrinking
     by the same factor as the primal one.  The polish then
     solves one KKT system on the rows whose multiplier exceeds their slack
@@ -461,7 +445,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
 
     if mc == 0:
         # equality-constrained (or unconstrained): one saddle solve
-        sol = _kkt_solver(_saddle(red.p, red.a), nr, reg, refine=2)(
+        sol = _kkt_solver(_saddle(np.diag(red.p), red.a), nr, reg, refine=2)(
             np.concatenate([-red.q, red.b]))
         return finish(sol[:nr], sol[nr:], np.zeros(0), np.zeros(nr),
                       np.zeros(nr), QpStatus.OPTIMAL, 1, Polish.DIRECT)
@@ -516,7 +500,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     status = QpStatus.MAX_ITER
     it = 0
     for it in range(1, _IPM_CAP + 1):
-        rd = red.p @ x + red.q + red.a.T @ y + ct_mul(z)
+        rd = red.p * x + red.q + red.a.T @ y + ct_mul(z)
         rp_e = red.a @ x - red.b
         rp = c_mul(x) + s - d
         mu = float(s @ z) / mc
@@ -540,10 +524,11 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
             status = QpStatus.INFEASIBLE
             break
 
-        # condensed Newton matrix P + G'W_gG + diag(w), the bound rows'
-        # weights folded onto the diagonal
+        # condensed Newton matrix G'W_gG + diag(p + w); p and w go on one
+        # after the other, as the one vector p + w would round differently
         w_g, w_l, w_u = split(z / s)
-        hmat = red.p + (red.g * w_g[:, None]).T @ red.g
+        hmat = (red.g * w_g[:, None]).T @ red.g
+        hmat[np.arange(nr), np.arange(nr)] += red.p
         hmat[np.arange(nr), np.arange(nr)] += w_l + w_u
         try:
             kkt_solve = _kkt_solver(_saddle(hmat, red.a), nr, reg, refine=1)

@@ -182,6 +182,16 @@ def validate_scenario(s: Scenario) -> List[Violation]:
         bad(None, "grid", "per-user window count does not match user count")
         return out
 
+    # every comparison with NaN is false, so the range tests below miss it
+    values = [(None, f"{group}.{k}", v) for group in ("tariff", "prices")
+              for k, v in vars(getattr(s, group)).items()]
+    for n, u in enumerate(s.users):
+        values += [(n, k, v) for k, v in vars(u).items() if k != "ev"]
+        values += [(n, f"ev.{k}", v) for k, v in vars(u.ev).items()]
+    for user, fld, v in values:
+        if not np.all(np.isfinite(v)):
+            bad(user, fld, "values must be finite")
+
     for name, slots in [("dr_window", s.grid.dr_window)]:
         for sl in slots:
             if not 1 <= sl <= t:

@@ -259,7 +259,7 @@ def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
         hi=np.concatenate([cs.hi for cs in homes]))
     p_diag = np.concatenate([p_n for p_n, _, _ in objectives])
     q = np.concatenate([q_n for _, q_n, _ in objectives])
-    return QpProblem(p=np.diag(p_diag), q=q, constraints=constraints,
+    return QpProblem(p=p_diag, q=q, constraints=constraints,
                      layout_tag=f"{mode.value}:joint:N={s.n_users}:T={t}")
 
 
@@ -388,7 +388,7 @@ def assemble_ult(s: Scenario, user: int, d: DualState) -> QpProblem:
         p_diag[sp] += w
         q[sp] -= w * _penalty_centres(d, user).sum(axis=0)
     constraints = build_user_constraints(s, user, Mode.TEM)
-    return QpProblem(p=np.diag(p_diag), q=q, constraints=constraints,
+    return QpProblem(p=p_diag, q=q, constraints=constraints,
                      layout_tag=f"ULT:user={user}:N={s.n_users}:"
                                 f"T={s.grid.horizon}")
 

@@ -135,6 +135,26 @@ class TestRun:
         assert main(["run", str(tmp_path)]) == EXIT_USAGE
         assert "scenario error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where,field", [("series", "inflexible"),
+                                             ("config", "tariff.line_cap")])
+    def test_nan_in_scenario_exits_1(self, tmp_path, capsys, where, field):
+        write_scenario(generate_synthetic(seed=1, n_users=2, horizon=4),
+                       tmp_path)
+        if where == "series":
+            lines = (tmp_path / "series.csv").read_text().splitlines()
+            parts = lines[2].split(",")
+            parts[4] = "nan"    # the l_I cell of user 0, slot 2
+            lines[2] = ",".join(parts)
+            (tmp_path / "series.csv").write_text("\n".join(lines) + "\n")
+        else:
+            cfg = json.loads((tmp_path / "config.json").read_text())
+            cfg["tariff"]["line_cap"] = float("nan")
+            (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["run", str(tmp_path), "--mode", "BS1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "scenario error" in err
+        assert f"field {field}" in err
+
     def test_loaded_config_round_trip(self, tmp_path, capsys):
         s = generate_synthetic(seed=5, n_users=2, horizon=4)
         write_scenario(s, tmp_path)
@@ -215,3 +235,20 @@ class TestChain:
         # a message to the crashed validator counts once, at its send, and
         # not again when it is dropped on arrival
         assert "3 commits, 13.0 msgs/block" in text
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["chain", "--blocks", "0"], None),
+    (["chain", "--blocks", "-2"], None),
+    (["run", "--synthetic", "2,4", "--seed", "-1"], None),
+    (["compare", "--synthetic", "2,4", "--seed", "-1"], None),
+    (["run", "--synthetic", "2,4"], "-1"),
+], ids=["blocks-0", "blocks-negative", "run-seed", "compare-seed", "env-seed"])
+def test_negative_blocks_or_seed_is_usage_error(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("GRIDLEDGER_SEED", env)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "usage error" in err
+    assert "Traceback" not in err

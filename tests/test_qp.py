@@ -19,6 +19,7 @@ from gridledger.qp import (
     Polish,
     QpProblem,
     QpStatus,
+    _presolve,
     kkt_residuals,
     solve_qp,
 )
@@ -95,8 +96,7 @@ def grid_oracle(problem: QpProblem,
         if not ok.any():
             continue
         feas = pts[ok]
-        vals = 0.5 * np.einsum("ij,jk,ik->i", feas, problem.p, feas) \
-            + feas @ problem.q
+        vals = 0.5 * (feas ** 2) @ problem.p + feas @ problem.q
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = float(vals[i])
@@ -107,22 +107,21 @@ def grid_oracle(problem: QpProblem,
 
 
 class TestProblemValidation:
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            QpProblem(p=np.array([[1.0, 1.0], [0.0, 1.0]]), q=np.zeros(2),
-                      constraints=make_cs(2))
+    def test_rejects_matrix(self):
+        with pytest.raises(ValueError, match="shape"):
+            QpProblem(p=np.eye(2), q=np.zeros(2), constraints=make_cs(2))
 
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="semidefinite"):
-            QpProblem(p=np.array([[-1.0, 0.0], [0.0, 1.0]]), q=np.zeros(2),
-                      constraints=make_cs(2))
+    def test_rejects_negative_entry(self):
+        for p in ([-1.0, 1.0], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                QpProblem(p=np.array(p), q=np.zeros(2), constraints=make_cs(2))
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
-            QpProblem(p=np.eye(2), q=np.zeros(2), constraints=make_cs(3))
+            QpProblem(p=np.full(2, 1.0), q=np.zeros(2), constraints=make_cs(3))
 
     def test_objective_value(self):
-        prob = QpProblem(p=2.0 * np.eye(1), q=np.array([-4.0]),
+        prob = QpProblem(p=np.full(1, 2.0), q=np.array([-4.0]),
                          constraints=make_cs(1))
         assert prob.objective(np.array([1.0])) == pytest.approx(-3.0)
 
@@ -130,7 +129,7 @@ class TestProblemValidation:
 class TestAnalyticCases:
     def test_bound_clamp(self):
         # min (x-2)^2 on [0, 1]  ->  x = 1
-        prob = QpProblem(p=2.0 * np.eye(1), q=np.array([-4.0]),
+        prob = QpProblem(p=np.full(1, 2.0), q=np.array([-4.0]),
                          constraints=make_cs(1, lo=[0.0], hi=[1.0]))
         sol = solve_qp(prob)
         assert sol.status == QpStatus.OPTIMAL
@@ -139,7 +138,7 @@ class TestAnalyticCases:
 
     def test_equality_projection(self):
         # min x^2 + y^2  s.t.  x + y = 2  ->  (1, 1)
-        prob = QpProblem(p=2.0 * np.eye(2), q=np.zeros(2),
+        prob = QpProblem(p=np.full(2, 2.0), q=np.zeros(2),
                          constraints=make_cs(2, a_eq=[[1.0, 1.0]], b_eq=[2.0]))
         sol = solve_qp(prob)
         assert sol.status == QpStatus.OPTIMAL
@@ -147,7 +146,7 @@ class TestAnalyticCases:
 
     def test_active_inequality_and_dual(self):
         # min (x-3)^2  s.t.  x <= 1  ->  x = 1, multiplier 4
-        prob = QpProblem(p=2.0 * np.eye(1), q=np.array([-6.0]),
+        prob = QpProblem(p=np.full(1, 2.0), q=np.array([-6.0]),
                          constraints=make_cs(1, a_in=[[1.0]], b_in=[1.0]))
         sol = solve_qp(prob)
         assert sol.status == QpStatus.OPTIMAL
@@ -156,25 +155,24 @@ class TestAnalyticCases:
 
     def test_ge_sense_row(self):
         # min x^2  s.t.  x >= 2, written as the row -x <= -2
-        prob = QpProblem(p=2.0 * np.eye(1), q=np.zeros(1),
+        prob = QpProblem(p=np.full(1, 2.0), q=np.zeros(1),
                          constraints=make_cs(1, a_in=[[-1.0]], b_in=[-2.0]))
         sol = solve_qp(prob)
         assert sol.status == QpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_fixed_variable_presolve(self):
-        # y pinned to 3 by its bounds; objective couples x to y
-        p = np.array([[2.0, 1.0], [1.0, 2.0]])
-        prob = QpProblem(p=p, q=np.zeros(2),
-                         constraints=make_cs(2, lo=[-10.0, 3.0], hi=[10.0, 3.0]))
+        # y pinned to 3 by its bounds; the row 2x + y = 0 couples x to y
+        prob = QpProblem(p=np.full(2, 2.0), q=np.zeros(2),
+                         constraints=make_cs(2, a_eq=[[2.0, 1.0]], b_eq=[0.0],
+                                             lo=[-10.0, 3.0], hi=[10.0, 3.0]))
         sol = solve_qp(prob)
         assert sol.status == QpStatus.OPTIMAL
         assert sol.x[1] == pytest.approx(3.0)
-        # stationarity in x: 2x + y = 0
         assert sol.x[0] == pytest.approx(-1.5, abs=1e-8)
 
     def test_kkt_residuals_hand_values(self):
-        prob = QpProblem(p=2.0 * np.eye(1), q=np.array([-4.0]),
+        prob = QpProblem(p=np.full(1, 2.0), q=np.array([-4.0]),
                          constraints=make_cs(1, lo=[0.0], hi=[1.0]))
         duals = Duals(eq=np.zeros(0), ineq=np.zeros(0),
                       lower=np.zeros(1), upper=np.array([2.0]))
@@ -184,7 +182,7 @@ class TestAnalyticCases:
     def test_kkt_residuals_reject_negative_multiplier(self):
         # min 0.5x^2 - x, x >= 0: x = 0 with lower dual -1 is stationary,
         # feasible and complementary, but the multiplier has the wrong sign
-        prob = QpProblem(p=np.eye(1), q=np.array([-1.0]),
+        prob = QpProblem(p=np.full(1, 1.0), q=np.array([-1.0]),
                          constraints=make_cs(1, lo=[0.0]))
         duals = Duals(eq=np.zeros(0), ineq=np.zeros(0),
                       lower=np.array([-1.0]), upper=np.zeros(1))
@@ -196,30 +194,43 @@ class TestAnalyticCases:
 
 class TestInfeasible:
     def test_crossed_bounds(self):
-        prob = QpProblem(p=2.0 * np.eye(1), q=np.zeros(1),
+        prob = QpProblem(p=np.full(1, 2.0), q=np.zeros(1),
                          constraints=make_cs(1, lo=[2.0], hi=[1.0]))
         assert solve_qp(prob).status == QpStatus.INFEASIBLE
 
     def test_contradictory_equalities(self):
-        prob = QpProblem(p=2.0 * np.eye(1), q=np.zeros(1),
+        prob = QpProblem(p=np.full(1, 2.0), q=np.zeros(1),
                          constraints=make_cs(1, a_eq=[[1.0], [1.0]],
                                              b_eq=[0.0, 1.0]))
         assert solve_qp(prob).status == QpStatus.INFEASIBLE
 
     def test_equality_beyond_bounds(self):
-        prob = QpProblem(p=2.0 * np.eye(2), q=np.zeros(2),
+        prob = QpProblem(p=np.full(2, 2.0), q=np.zeros(2),
                          constraints=make_cs(2, a_eq=[[1.0, 1.0]], b_eq=[10.0],
                                              lo=[0.0, 0.0], hi=[1.0, 1.0]))
         assert solve_qp(prob).status == QpStatus.INFEASIBLE
 
     def test_inequality_against_bound(self):
-        prob = QpProblem(p=2.0 * np.eye(1), q=np.zeros(1),
+        prob = QpProblem(p=np.full(1, 2.0), q=np.zeros(1),
                          constraints=make_cs(1, a_in=[[1.0]], b_in=[-1.0],
                                              lo=[0.0], hi=[5.0]))
         assert solve_qp(prob).status == QpStatus.INFEASIBLE
 
+    @pytest.mark.parametrize("rows", [
+        dict(a_eq=[[1.0, 0.0]], b_eq=[5.0]),
+        dict(a_in=[[1.0, 0.0]], b_in=[0.5]),
+    ], ids=["equality", "inequality"])
+    def test_row_emptied_by_fixed_column(self, rows):
+        # x0 is fixed at 1 by its bounds, so the row reads 0 = 4 (0 <= -0.5)
+        prob = QpProblem(p=np.full(2, 2.0), q=np.zeros(2),
+                         constraints=make_cs(2, lo=[1.0, -3.0], hi=[1.0, 3.0],
+                                             **rows))
+        sol = solve_qp(prob)
+        assert sol.status == QpStatus.INFEASIBLE
+        assert sol.polish is Polish.DIRECT
+
     def test_duplicated_consistent_rows_still_solve(self):
-        prob = QpProblem(p=2.0 * np.eye(2), q=np.zeros(2),
+        prob = QpProblem(p=np.full(2, 2.0), q=np.zeros(2),
                          constraints=make_cs(2, a_eq=[[1.0, 1.0], [2.0, 2.0]],
                                              b_eq=[2.0, 4.0]))
         sol = solve_qp(prob)
@@ -227,9 +238,33 @@ class TestInfeasible:
         assert np.allclose(sol.x, [1.0, 1.0], atol=1e-8)
 
 
+def test_presolve_rows_match_row_loop():
+    """The vectorised row reduction keeps the rows, and substitutes the
+    right-hand sides, that a per-row loop over the fixed columns does."""
+    rng = np.random.default_rng(7)
+    lo = np.array([1.0, -1.0, 2.0, -2.0, -3.0])
+    hi = np.array([1.0, 1.0, 2.0, 2.0, 3.0])      # columns 0 and 2 fixed
+    free, xf = [1, 3, 4], np.array([1.0, 0.0, 2.0, 0.0, 0.0])
+    a = rng.normal(size=(6, 5))
+    a[::2][:, free] = 0.0                          # even rows only see x0, x2
+    b = a @ xf + np.where(np.arange(6) % 2 == 0, 0.0, rng.normal(size=6))
+    prob = QpProblem(p=np.ones(5), q=np.zeros(5), constraints=make_cs(
+        5, a_eq=a[:3], b_eq=b[:3], a_in=a[3:], b_in=b[3:] + 1.0,
+        lo=lo, hi=hi))
+    red = _presolve(prob, 1e-9)
+    for mat, rhs, keep, got_mat, got_rhs in (
+            (a[:3], b[:3], red.eq_keep, red.a, red.b),
+            (a[3:], b[3:] + 1.0, red.in_keep, red.g, red.h)):
+        rows = [i for i in range(mat.shape[0])
+                if np.max(np.abs(mat[i, free])) > 1e-14]
+        assert np.array_equal(keep, rows)
+        assert np.array_equal(got_mat, mat[rows][:, free])
+        assert np.array_equal(got_rhs, (rhs - mat @ xf)[rows])
+
+
 def _random_problem(rng, n):
     r = rng.normal(size=(n, n))
-    p = r.T @ r + 0.1 * np.eye(n)
+    p = np.diag(r.T @ r) + 0.1
     q = rng.normal(size=n)
     lo = np.full(n, -2.0)
     hi = np.full(n, 2.0)
@@ -254,7 +289,7 @@ class TestAgainstGridOracle:
 
     def test_grid_oracle_exact_on_gridpoint(self):
         # minimizer (1, -1) lies on the 101-point grid over [-2, 2]
-        prob = QpProblem(p=2.0 * np.eye(2), q=np.array([-2.0, 2.0]),
+        prob = QpProblem(p=np.full(2, 2.0), q=np.array([-2.0, 2.0]),
                          constraints=make_cs(2, lo=[-2.0, -2.0], hi=[2.0, 2.0]))
         oracle = grid_oracle(prob, resolution=101)
         assert isinstance(oracle, GridSolution)
@@ -263,17 +298,17 @@ class TestAgainstGridOracle:
         assert abs(sol.value - oracle.value) <= 1e-9
 
     def test_grid_oracle_none_when_infeasible(self):
-        prob = QpProblem(p=2.0 * np.eye(1), q=np.zeros(1),
+        prob = QpProblem(p=np.full(1, 2.0), q=np.zeros(1),
                          constraints=make_cs(1, a_in=[[1.0]], b_in=[-5.0],
                                              lo=[0.0], hi=[1.0]))
         assert grid_oracle(prob, resolution=11) is None
 
     def test_grid_oracle_guards(self):
-        prob = QpProblem(p=2.0 * np.eye(5), q=np.zeros(5),
+        prob = QpProblem(p=np.full(5, 2.0), q=np.zeros(5),
                          constraints=make_cs(5, lo=np.zeros(5), hi=np.ones(5)))
         with pytest.raises(ValueError, match="dimension"):
             grid_oracle(prob)
-        unbounded = QpProblem(p=2.0 * np.eye(1), q=np.zeros(1),
+        unbounded = QpProblem(p=np.full(1, 2.0), q=np.zeros(1),
                               constraints=make_cs(1))
         with pytest.raises(ValueError, match="bounds"):
             grid_oracle(unbounded)
@@ -283,7 +318,7 @@ class TestOnModelProblems:
     def _single_user_problem(self, s, user, mode):
         cs = build_user_constraints(s, user, mode)
         p_diag, q, _ = build_user_objective(s, user, mode)
-        return QpProblem(p=np.diag(p_diag), q=q, constraints=cs,
+        return QpProblem(p=p_diag, q=q, constraints=cs,
                          layout_tag=f"user{user}-{mode.value}")
 
     @pytest.mark.parametrize("mode", [Mode.BS1, Mode.TEM])
@@ -307,7 +342,7 @@ class TestOnModelProblems:
     def test_warm_start_with_wrong_active_set_falls_back(self):
         # min 0.5x^2 - cx on [0, 1]: c = 2 holds x at 1, c = -2 at 0
         def box(c):
-            return QpProblem(p=np.eye(1), q=np.array([-c]),
+            return QpProblem(p=np.full(1, 1.0), q=np.array([-c]),
                              constraints=make_cs(1, lo=[0.0], hi=[1.0]))
         first = solve_qp(box(2.0))
         assert first.duals.upper[0] > 0

@@ -145,6 +145,22 @@ class TestValidate:
         found = validate_scenario(bad)
         assert any(v.field == "tariff.line_cap" for v in found)
 
+    def test_non_finite_values_named(self, scen_2x4):
+        ev = dataclasses.replace(scen_2x4.users[0].ev, capacity=np.inf)
+        temp_out = scen_2x4.users[0].temp_out.copy()
+        temp_out[1] = np.nan
+        bad = self._corrupt_user(scen_2x4, ev=ev, w_comfort=np.nan,
+                                 temp_out=temp_out)
+        dr = scen_2x4.prices.dr.copy()
+        dr[0] = np.nan
+        bad = dataclasses.replace(
+            bad, prices=dataclasses.replace(bad.prices, dr=dr),
+            tariff=dataclasses.replace(bad.tariff, price_peak=-np.inf))
+        found = {(v.user, v.field) for v in validate_scenario(bad)
+                 if v.message == "values must be finite"}
+        assert found == {(0, "ev.capacity"), (0, "w_comfort"), (0, "temp_out"),
+                         (None, "prices.dr"), (None, "tariff.price_peak")}
+
     def test_charge_init_above_capacity(self, scen_2x4):
         ev0 = scen_2x4.users[0].ev
         ev = dataclasses.replace(ev0, charge_init=ev0.capacity + 1.0)

@@ -247,11 +247,11 @@ class TestUltAssembly:
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[0])
         sp = lay.span(0, "export")
         # one peer: curvature rho / (N - 1), centre aux + lam / rho
-        assert np.allclose(np.diag(prob.p)[sp], base_p[sp] + 2.0)
+        assert np.allclose(prob.p[sp], base_p[sp] + 2.0)
         assert np.allclose(prob.q[sp], base_q[sp] - 2.0 * (1.5 + 0.25 / 2.0))
         outside = np.ones(lay.n_vars, dtype=bool)
         outside[sp] = False
-        assert np.allclose(np.diag(prob.p)[outside], base_p[outside])
+        assert np.allclose(prob.p[outside], base_p[outside])
         assert np.allclose(prob.q[outside], base_q[outside])
 
     def test_split_export_is_penalty_optimal(self):
@@ -296,7 +296,6 @@ class TestCentralized:
         t = s.grid.horizon
         eq_home = np.zeros(c.a_eq.shape, dtype=bool)
         in_home = np.zeros(c.a_in.shape, dtype=bool)
-        p_home = np.zeros(prob.p.shape, dtype=bool)
         r_eq = r_in = 0
         for n in range(s.n_users):
             cs = build_user_constraints(s, n, mode)
@@ -310,15 +309,13 @@ class TestCentralized:
             assert np.array_equal(c.b_in[rows_in], cs.b_in)
             assert np.array_equal(c.lo[cols], cs.lo)
             assert np.array_equal(c.hi[cols], cs.hi)
-            assert np.array_equal(prob.p[cols, cols], np.diag(p_diag))
+            assert np.array_equal(prob.p[cols], p_diag)
             assert np.array_equal(prob.q[cols], q)
             eq_home[rows_eq, cols] = True
             in_home[rows_in, cols] = True
-            p_home[cols, cols] = True
             r_eq, r_in = rows_eq.stop, rows_in.stop
         assert r_in == c.b_in.size
         assert np.all(c.a_in[~in_home] == 0.0)
-        assert np.all(prob.p[~p_home] == 0.0)
         assert np.all(c.a_eq[:r_eq][~eq_home[:r_eq]] == 0.0)
         # the rows after the home blocks clear the exports, one per slot
         clearing, rhs = c.a_eq[r_eq:], c.b_eq[r_eq:]
