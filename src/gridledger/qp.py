@@ -12,20 +12,25 @@ variables by one step length (Nocedal & Wright, Numerical Optimization,
 2nd ed., Alg. 16.4).
 With P != 0, unequal lengths a_p != a_d leave (a_p - a_d) P dx in the dual
 residual, which can grow in the end-game and make the iteration count
-depend on rounding.  The polish is one regularised KKT solve on the
+depend on rounding.  The polish is a regularised KKT solve on the
 active set the interior point points to (Stellato et al., "OSQP: an
 operator splitting solver for quadratic programs", Math. Prog. Comp.
-2020, section 5.2), kept only when its KKT residuals certify it.  A warm
-start tries the same polish on the previous solution's active set before
-any interior-point iteration.  ``QpSolution.polish`` says which path
-produced the answer.  Everything is deterministic: same problem, same
-answer, bit for bit.
+2020, section 5.2), kept only when its KKT residuals certify it.  A
+candidate that does not certify repairs the guess: the rows and bounds
+it violates join, the active ones with a negative multiplier leave, and
+the solve is repeated, at most three times.  A warm start runs the same
+polish on the previous solution's active set before any interior-point
+iteration.  A warm-started solution carries its presolve, which the next
+warm start on the same ``LinearConstraintSet`` object reuses, so a
+sequence of solves presolves its rows twice, not once per solve.
+``QpSolution.polish`` says which path produced the answer.  Everything is
+deterministic: same problem, same answer, bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -44,6 +49,8 @@ __all__ = [
 ]
 
 _IPM_CAP = 200
+# polish retries after the first active-set guess
+_REPAIRS = 3
 
 
 class QpStatus(enum.Enum):
@@ -55,10 +62,12 @@ class QpStatus(enum.Enum):
 class Polish(enum.Enum):
     """Which path produced a solution.
 
-    ``polished``: the KKT solve on the interior point's active set;
-    ``warm``: the same solve on the warm start's active set, without an
-    interior-point iteration; ``interior``: the interior-point point,
-    because its polish did not certify or the problem is infeasible;
+    ``polished``: the KKT solve on the interior point's active set, or on
+    that set as repaired from candidates that did not certify; ``warm``:
+    the same solve and repairs from the warm start's active set, without
+    an interior-point iteration (``iterations`` is 1); ``interior``: the
+    interior-point point, because no polish candidate certified or the
+    problem is infeasible;
     ``direct``: no iteration was needed (equality rows only, every
     variable fixed, or bounds or rows that presolve found contradictory).
     """
@@ -143,6 +152,10 @@ class QpSolution:
     iterations: int
     polish: Polish
     value: float = 0.0
+    # the presolve of a warm-started solve, which the next warm start on
+    # the same constraint-set object reuses; None for a cold solve
+    _presolved: Optional[_Reduced] = field(default=None, repr=False,
+                                           compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +210,7 @@ def kkt_residuals(problem: QpProblem, x: np.ndarray, duals: Duals) -> KktResidua
 class _Reduced:
     """Problem after presolve: fixed variables substituted out."""
 
+    source: LinearConstraintSet   # the rows and bounds this reduces
     p: np.ndarray             # diag(P) over the surviving variables
     q: np.ndarray
     a: np.ndarray
@@ -215,8 +229,18 @@ class _Contradiction(Exception):
     pass
 
 
-def _presolve(problem: QpProblem, feas_tol: float) -> _Reduced:
+def _presolve(problem: QpProblem, feas_tol: float,
+              carried: Optional[_Reduced] = None) -> _Reduced:
+    """Substitute out fixed variables and check the rows left.
+
+    Everything but ``p`` and ``q`` depends on the constraints alone, so a
+    ``carried`` presolve of the same constraint-set object is reused with
+    only the objective reduced afresh.
+    """
     c = problem.constraints
+    if carried is not None and carried.source is c:
+        return replace(carried, p=problem.p[carried.free],
+                       q=problem.q[carried.free])
     n = problem.q.size
     lo = np.array(c.lo, dtype=float, copy=True)
     hi = np.array(c.hi, dtype=float, copy=True)
@@ -256,8 +280,8 @@ def _presolve(problem: QpProblem, feas_tol: float) -> _Reduced:
         if gap > 1e-7 * (1.0 + float(np.max(np.abs(b_r), initial=0.0))):
             raise _Contradiction(
                 f"equality rows are mutually inconsistent (residual {gap:.3e})")
-    return _Reduced(p=problem.p[free], q=problem.q[free], a=a_r, b=b_r,
-                    g=g_r, h=h_r, lo=lo[free], hi=hi[free], free=free,
+    return _Reduced(source=c, p=problem.p[free], q=problem.q[free], a=a_r,
+                    b=b_r, g=g_r, h=h_r, lo=lo[free], hi=hi[free], free=free,
                     fixed_vals=fixed_vals, eq_keep=eq_keep, in_keep=in_keep)
 
 
@@ -304,9 +328,10 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
 
 def _polish(red: _Reduced, x0: np.ndarray, y0: np.ndarray, zg0: np.ndarray,
             act_g: np.ndarray, act_l: np.ndarray, act_u: np.ndarray,
-            reg: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray, np.ndarray]:
-    """One regularised KKT solve on a guessed active set (OSQP polish).
+            reg: float, certify: Callable[..., QpSolution]
+            ) -> Optional[QpSolution]:
+    """Regularised KKT solves on a guessed active set (OSQP polish), the
+    guess repaired from each candidate that does not certify.
 
     Columns with an active bound are fixed at it; the other columns, the
     equality rows and the active inequality rows form one saddle system.
@@ -314,31 +339,47 @@ def _polish(red: _Reduced, x0: np.ndarray, y0: np.ndarray, zg0: np.ndarray,
     itself, so the regularisation keeps flat primal directions and
     degenerate multipliers where the start put them.  The bound
     multipliers follow from stationarity of the fixed columns, and every
-    inequality multiplier is clipped at 0.  Whether the candidate is
-    optimal is for the KKT residuals to decide.
+    inequality multiplier is clipped at 0.  ``certify`` maps the candidate
+    (x, y, zg, zl, zu) to a solution whose KKT residuals decide.  When
+    they do not certify, the guess gains the rows and bounds the candidate
+    violates and loses the active ones whose raw multiplier is negative,
+    and the solve is repeated from the same start, at most ``_REPAIRS``
+    times (Stellato et al. 2020, section 5.2).  None when no candidate
+    certifies.
     """
     me = red.a.shape[0]
     act_u = act_u & ~act_l
-    x = np.array(x0, dtype=float, copy=True)
-    x[act_l] = red.lo[act_l]
-    x[act_u] = red.hi[act_u]
-    free = np.flatnonzero(~(act_l | act_u))
-    rows = np.vstack([red.a, red.g[act_g]])
-    nu = np.concatenate([y0, zg0[act_g]])
-    grad = red.p * x + red.q + rows.T @ nu
-    gap = rows @ x - np.concatenate([red.b, red.h[act_g]])
-    kmat = _saddle(np.diag(red.p[free]), rows[:, free])
-    step = _kkt_solver(kmat, free.size, reg, refine=3)(
-        -np.concatenate([grad[free], gap]))
-    x[free] += step[:free.size]
-    nu += step[free.size:]
+    for _ in range(1 + _REPAIRS):
+        x = np.array(x0, dtype=float, copy=True)
+        x[act_l] = red.lo[act_l]
+        x[act_u] = red.hi[act_u]
+        free = np.flatnonzero(~(act_l | act_u))
+        rows = np.vstack([red.a, red.g[act_g]])
+        nu = np.concatenate([y0, zg0[act_g]])
+        grad = red.p * x + red.q + rows.T @ nu
+        gap = rows @ x - np.concatenate([red.b, red.h[act_g]])
+        kmat = _saddle(np.diag(red.p[free]), rows[:, free])
+        step = _kkt_solver(kmat, free.size, reg, refine=3)(
+            -np.concatenate([grad[free], gap]))
+        x[free] += step[:free.size]
+        nu += step[free.size:]
 
-    grad = red.p * x + red.q + rows.T @ nu
-    zg = np.zeros(red.g.shape[0])
-    zg[act_g] = np.maximum(nu[me:], 0.0)
-    zl = np.where(act_l, np.maximum(grad, 0.0), 0.0)
-    zu = np.where(act_u, np.maximum(-grad, 0.0), 0.0)
-    return x, nu[:me], zg, zl, zu
+        grad = red.p * x + red.q + rows.T @ nu
+        raw_g = np.zeros(red.g.shape[0])
+        raw_g[act_g] = nu[me:]
+        raw_l = np.where(act_l, grad, 0.0)
+        raw_u = np.where(act_u, -grad, 0.0)
+        cand = certify(x, nu[:me], np.maximum(raw_g, 0.0),
+                       np.maximum(raw_l, 0.0), np.maximum(raw_u, 0.0))
+        if cand.status is QpStatus.OPTIMAL:
+            return cand
+        repaired = (np.where(act_g, raw_g >= 0.0, red.g @ x > red.h),
+                    np.where(act_l, raw_l >= 0.0, x < red.lo),
+                    np.where(act_u, raw_u >= 0.0, x > red.hi))
+        if all(map(np.array_equal, repaired, (act_g, act_l, act_u))):
+            return None
+        act_g, act_l, act_u = repaired
+    return None
 
 
 def _expand(problem: QpProblem, red: _Reduced, x_r: np.ndarray, y_r: np.ndarray,
@@ -386,20 +427,28 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     and both multiplier vectors, which keeps the dual residual shrinking
     by the same factor as the primal one.  The polish then
     solves one KKT system on the rows whose multiplier exceeds their slack
-    and returns that point when its residuals are within ``tol``,
-    otherwise the interior-point point.  ``warm_start`` takes a previous
-    solution of a problem with the same constraint geometry: the polish
-    on its active set (rows with a positive multiplier) is tried first and,
-    when it certifies, answers with one factorization and no interior-point
-    iteration.  ``QpSolution.polish`` records which of these paths
-    answered.
+    and returns that point when its residuals are within ``tol``.  When
+    they are not, it adds the rows and bounds the point violates, drops
+    the active ones with a negative multiplier and solves again, up to
+    ``_REPAIRS`` times; if none certifies, the interior-point point is
+    returned.  ``warm_start`` takes a previous solution of a problem with
+    the same constraint geometry: the polish and its repairs on its
+    active set (rows with a positive multiplier) are tried first and, when
+    one certifies, answer without an interior-point iteration; otherwise
+    the interior point runs from cold.  A warm-started solve carries its
+    presolve in the solution; when the warm start carries one made on
+    this problem's ``constraints`` object itself, that presolve of the
+    rows and bounds is reused and only ``p`` and ``q`` are reduced afresh.
+    The constraint arrays must not have been changed in place since.
+    ``QpSolution.polish`` records which of these paths answered.
     """
     c = problem.constraints
     n = problem.q.size
     feas_tol = 1e-9
 
     try:
-        red = _presolve(problem, feas_tol)
+        red = _presolve(problem, feas_tol, None if warm_start is None
+                        else warm_start._presolved)
     except _Contradiction:
         zero = np.zeros(n)
         x0 = np.clip(zero, np.where(np.isfinite(c.lo), c.lo, -np.inf),
@@ -410,6 +459,9 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
                           kkt=kkt_residuals(problem, x0, duals), iterations=0,
                           value=problem.objective(x0), polish=Polish.DIRECT)
 
+    # only a warm-started solve, one of a sequence, carries its presolve
+    # on; a one-off solve keeps no more than its point and multipliers
+    carried = None if warm_start is None else red
     scale = 1.0 + max(
         float(np.max(np.abs(red.q), initial=0.0)),
         float(np.max(np.abs(red.b), initial=0.0)),
@@ -428,7 +480,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
             status = QpStatus.OPTIMAL
         return QpSolution(x=x, duals=duals, status=status, kkt=kkt,
                           iterations=iters, value=problem.objective(x),
-                          polish=polish)
+                          polish=polish, _presolved=carried)
 
     nr = red.q.size
     if nr == 0:
@@ -454,11 +506,12 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     if warm_start is not None and warm_start.x.shape == (n,):
         wd = warm_start.duals
         zg_w = wd.ineq[red.in_keep]
-        cand = finish(*_polish(red, warm_start.x[red.free], wd.eq[red.eq_keep],
-                               zg_w, zg_w > 0, wd.lower[red.free] > 0,
-                               wd.upper[red.free] > 0, reg),
-                      QpStatus.OPTIMAL, 1, Polish.WARM)
-        if cand.status == QpStatus.OPTIMAL:
+        cand = _polish(red, warm_start.x[red.free], wd.eq[red.eq_keep], zg_w,
+                       zg_w > 0, wd.lower[red.free] > 0,
+                       wd.upper[red.free] > 0, reg,
+                       lambda *pt: finish(*pt, QpStatus.OPTIMAL, 1,
+                                          Polish.WARM))
+        if cand is not None:
             return cand
 
     # --- interior point iteration on C x <= d, C = [G; -I_lo; I_hi]; the
@@ -571,8 +624,9 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
         _, (x, y, s, z) = best
 
     # polish: a row is active when its multiplier exceeds its slack
-    cand = finish(*_polish(red, x, y, z[:mi], *split(z > s), reg),
-                  QpStatus.OPTIMAL, it, Polish.POLISHED)
-    if cand.status == QpStatus.OPTIMAL:
+    cand = _polish(red, x, y, z[:mi], *split(z > s), reg,
+                   lambda *pt: finish(*pt, QpStatus.OPTIMAL, it,
+                                      Polish.POLISHED))
+    if cand is not None:
         return cand
     return finish(x, y, *split(z), status, it, Polish.INTERIOR)

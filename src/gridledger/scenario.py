@@ -377,17 +377,30 @@ def _window_to_json(slots: Sequence[int]) -> object:
     return list(slots)
 
 
+def _as_int(value: object, what: str) -> int:
+    """An integer config value; NaN (which ``json.loads`` accepts),
+    infinities, fractions and non-numeric strings raise, naming ``what``."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ScenarioError(f"{what}: must be an integer, "
+                            f"got {value!r}") from e
+    if isinstance(value, float) and value != out:
+        raise ScenarioError(f"{what}: must be an integer, got {value!r}")
+    return out
+
+
 def _window_from_json(obj: object, what: str) -> Tuple[int, ...]:
     if isinstance(obj, dict):
-        try:
-            lo, hi = int(obj["from"]), int(obj["to"])
-        except KeyError as e:
-            raise ScenarioError(f"{what}: range window needs 'from' and 'to'") from e
+        if "from" not in obj or "to" not in obj:
+            raise ScenarioError(f"{what}: range window needs 'from' and 'to'")
+        lo = _as_int(obj["from"], f"{what}.from")
+        hi = _as_int(obj["to"], f"{what}.to")
         if lo > hi:
             raise ScenarioError(f"{what}: empty window [{lo}, {hi}]")
         return tuple(range(lo, hi + 1))
     if isinstance(obj, list):
-        return tuple(int(x) for x in obj)
+        return tuple(_as_int(x, f"{what}[{i}]") for i, x in enumerate(obj))
     raise ScenarioError(f"{what}: window must be a range object or slot list")
 
 
@@ -465,9 +478,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{cfg_path}: invalid JSON ({e})") from e
 
     where = str(cfg_path)
-    n_users = int(_require(cfg, "n_users", where))
-    horizon = int(_require(cfg, "horizon", where))
-    rng_seed = int(cfg.get("rng_seed", 0))
+    n_users = _as_int(_require(cfg, "n_users", where), f"{where}: n_users")
+    horizon = _as_int(_require(cfg, "horizon", where), f"{where}: horizon")
+    rng_seed = _as_int(cfg.get("rng_seed", 0), f"{where}: rng_seed")
     tariff_cfg = _require(cfg, "tariff", where)
     tariff = GridTariff(price_energy=float(tariff_cfg["price_energy"]),
                         price_peak=float(tariff_cfg["price_peak"]),
@@ -512,6 +525,11 @@ def load_scenario(path: str | Path) -> Scenario:
             series[n][slot] = vals
             pkey = (slot,)
             ptriple = (vals["p_FIT"], vals["p_DR"], vals["p_T"])
+            # NaN != NaN, so a NaN price would otherwise read as a mismatch
+            for k in ("p_FIT", "p_DR", "p_T"):
+                if not np.isfinite(vals[k]):
+                    raise ScenarioError(f"{series_file}:{i}: field {k}: "
+                                        f"values must be finite, got {vals[k]}")
             if pkey in price_rows and price_rows[pkey] != ptriple:
                 raise ScenarioError(f"{series_file}:{i}: price columns differ "
                                     f"between users at slot {slot}; the price "
@@ -546,7 +564,8 @@ def load_scenario(path: str | Path) -> Scenario:
         if not isinstance(evw, dict) or "arrive" not in evw or "depart" not in evw:
             raise ScenarioError(f"{where}: user {n}: windows.ev needs "
                                 f"'arrive' and 'depart'")
-        arrive, depart = int(evw["arrive"]), int(evw["depart"])
+        arrive, depart = (_as_int(evw[k], f"{where}: user {n} windows.ev.{k}")
+                          for k in ("arrive", "depart"))
         if "capacity" not in evc:
             raise ScenarioError(f"{where}: user {n}: ev.capacity is required")
         capacity = float(evc["capacity"])

@@ -49,6 +49,7 @@ __all__ = [
     "assemble_ult",
     "dual_state_digest",
     "has_converged",
+    "home_problem",
     "new_dual_state",
     "residuals",
     "run_distributed",
@@ -228,11 +229,21 @@ def has_converged(d: DualState, prev: DualState, eps: float) -> bool:
 # ---------------------------------------------------------------------------
 # joint problem
 
+def home_problem(s: Scenario, user: int, mode: Mode) -> QpProblem:
+    """One home's own QP: its rows, bounds and net cost
+    (``build_user_constraints``, ``build_user_objective``), without any
+    coupling to the other homes."""
+    p_diag, q, _ = build_user_objective(s, user, mode)
+    return QpProblem(p=p_diag, q=q,
+                     constraints=build_user_constraints(s, user, mode),
+                     layout_tag=f"{mode.value}:user={user}:N={s.n_users}:"
+                                f"T={s.grid.horizon}")
+
+
 def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
     """Joint QP over all homes: the block-diagonal stack of the home QPs.
 
-    Home n's rows, bounds and objective (``build_user_constraints``,
-    ``build_user_objective``) fill the n-th diagonal block; no row couples
+    Home n's ``home_problem`` fills the n-th diagonal block; no row couples
     two homes except, in trading modes with more than one home, one
     clearing row per slot appended after the equality blocks, which makes
     the net exports of all homes sum to zero.  Reported costs are
@@ -240,10 +251,10 @@ def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
     """
     layout = user_layout(s.n_users, s.grid.horizon, mode)
     t = s.grid.horizon
-    homes = [build_user_constraints(s, n, mode) for n in range(s.n_users)]
-    objectives = [build_user_objective(s, n, mode) for n in range(s.n_users)]
-    a_eq = sla.block_diag(*(cs.a_eq for cs in homes))
-    b_eq = np.concatenate([cs.b_eq for cs in homes])
+    homes = [home_problem(s, n, mode) for n in range(s.n_users)]
+    cons = [h.constraints for h in homes]
+    a_eq = sla.block_diag(*(cs.a_eq for cs in cons))
+    b_eq = np.concatenate([cs.b_eq for cs in cons])
     if mode.has_horizontal and s.n_users > 1:
         # each clearing row puts a 1 on its slot in every home's export
         # span; home 0's block starts at column 0, so its span is local
@@ -253,13 +264,13 @@ def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
         b_eq = np.concatenate([b_eq, np.zeros(t)])
     constraints = LinearConstraintSet(
         n_vars=layout.n_vars, a_eq=a_eq, b_eq=b_eq,
-        a_in=sla.block_diag(*(cs.a_in for cs in homes)),
-        b_in=np.concatenate([cs.b_in for cs in homes]),
-        lo=np.concatenate([cs.lo for cs in homes]),
-        hi=np.concatenate([cs.hi for cs in homes]))
-    p_diag = np.concatenate([p_n for p_n, _, _ in objectives])
-    q = np.concatenate([q_n for _, q_n, _ in objectives])
-    return QpProblem(p=p_diag, q=q, constraints=constraints,
+        a_in=sla.block_diag(*(cs.a_in for cs in cons)),
+        b_in=np.concatenate([cs.b_in for cs in cons]),
+        lo=np.concatenate([cs.lo for cs in cons]),
+        hi=np.concatenate([cs.hi for cs in cons]))
+    return QpProblem(p=np.concatenate([h.p for h in homes]),
+                     q=np.concatenate([h.q for h in homes]),
+                     constraints=constraints,
                      layout_tag=f"{mode.value}:joint:N={s.n_users}:T={t}")
 
 
@@ -370,27 +381,29 @@ def split_export(d: DualState, user: int, export: np.ndarray) -> np.ndarray:
     return row
 
 
-def assemble_ult(s: Scenario, user: int, d: DualState) -> QpProblem:
-    """One home's subproblem given the latest coordination state.
+def assemble_ult(home: QpProblem, user: int, d: DualState) -> QpProblem:
+    """Home ``user``'s subproblem given the latest coordination state.
 
-    Objective: the home's own net cost plus, for every peer and slot, the
+    ``home`` is the home's own TEM problem (``home_problem``), built once
+    per run.  Objective: its net cost plus, for every peer and slot, the
     penalty rho/2 * (aux - e)^2 - lam * e on its proposed trades, minimized
     over the split of its net export s (``split_export``).  Up to a
     constant that leaves rho / (2 (N-1)) * (s - sum_m c[m])^2 per slot with
-    c[m] = aux[m] + lam[m] / rho.  Constraints are the home's own rows; the
-    clearing rows are replaced by the penalty.
+    c[m] = aux[m] + lam[m] / rho, added to copies of ``home.p`` and
+    ``home.q``.  The constraint set is ``home``'s own object, so a warm
+    start can reuse its presolve; the clearing rows are replaced by the
+    penalty.
     """
-    layout = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[user])
-    p_diag, q, _ = build_user_objective(s, user, Mode.TEM)
-    if s.n_users > 1:
-        sp = layout.span(user, "export")
-        w = d.rho / (s.n_users - 1)
+    n_users, _, horizon = d.trades.shape
+    p_diag, q = home.p.copy(), home.q.copy()
+    if n_users > 1:
+        sp = user_layout(n_users, horizon, Mode.TEM,
+                         users=[user]).span(user, "export")
+        w = d.rho / (n_users - 1)
         p_diag[sp] += w
         q[sp] -= w * _penalty_centres(d, user).sum(axis=0)
-    constraints = build_user_constraints(s, user, Mode.TEM)
-    return QpProblem(p=p_diag, q=q, constraints=constraints,
-                     layout_tag=f"ULT:user={user}:N={s.n_users}:"
-                                f"T={s.grid.horizon}")
+    return QpProblem(p=p_diag, q=q, constraints=home.constraints,
+                     layout_tag=home.layout_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +434,10 @@ def run_distributed(s: Scenario, params: AdmmParams,
                     transport: Optional[Transport] = None) -> Outcome:
     """Jacobi sweeps of per-home solves plus coordination steps.
 
-    Every sweep solves all homes against the same snapshot and runs the
-    coordination step on the local state (the mirror).  Each home's net
+    Each home's rows, bounds and own cost are built once per run
+    (``home_problem``); every sweep adds only the export penalty
+    (``assemble_ult``), solves all homes against the same snapshot and
+    runs the coordination step on the local state (the mirror).  Each home's net
     export becomes its proposed row through ``split_export``.  With a
     ``transport``, the export is also published through it and its
     coordination step must reproduce the mirror's: a differing digest
@@ -440,6 +455,7 @@ def run_distributed(s: Scenario, params: AdmmParams,
     warm: Dict[int, QpSolution] = {}
     layouts = [user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[n])
                for n in range(s.n_users)]
+    homes = [home_problem(s, n, Mode.TEM) for n in range(s.n_users)]
     converged = False
     iterations = 0
 
@@ -451,7 +467,7 @@ def run_distributed(s: Scenario, params: AdmmParams,
                                    f"local mirror before iteration {k}")
         # the sweep writes only mirror.trades, which no home reads
         for n in range(s.n_users):
-            problem = assemble_ult(s, n, mirror)
+            problem = assemble_ult(homes[n], n, mirror)
             sol = solve_qp(problem, tol=_HOME_TOL, warm_start=warm.get(n))
             if sol.status is not QpStatus.OPTIMAL:
                 raise SolveFailed(

@@ -155,6 +155,43 @@ class TestRun:
         assert "scenario error" in err
         assert f"field {field}" in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_users", float("nan")), ("horizon", "four"),
+        ("rng_seed", float("nan")), ("windows.ev.arrive", float("nan")),
+        ("windows.dr.from", "x")])
+    def test_bad_integer_in_config_exits_1(self, tmp_path, capsys, field,
+                                           value):
+        write_scenario(generate_synthetic(seed=1, n_users=2, horizon=4),
+                       tmp_path)
+        cfg = json.loads((tmp_path / "config.json").read_text())
+        if field == "windows.ev.arrive":
+            cfg["users"][0]["windows"]["ev"]["arrive"] = value
+        elif field == "windows.dr.from":
+            cfg["windows"]["dr"] = {"from": value, "to": 3}
+        else:
+            cfg[field] = value
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["run", str(tmp_path), "--mode", "BS1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "scenario error" in err
+        assert f"{field}: must be an integer" in err
+
+    def test_nan_price_exits_1(self, tmp_path, capsys):
+        """The same NaN trade price for both homes is a non-finite value,
+        not a mismatch between the homes' price columns."""
+        write_scenario(generate_synthetic(seed=1, n_users=2, horizon=4),
+                       tmp_path)
+        lines = (tmp_path / "series.csv").read_text().splitlines()
+        for row in (1, 5):              # slot 1 of user 0 and of user 1
+            parts = lines[row].split(",")
+            parts[-1] = "nan"           # p_T
+            lines[row] = ",".join(parts)
+        (tmp_path / "series.csv").write_text("\n".join(lines) + "\n")
+        assert main(["run", str(tmp_path), "--mode", "BS1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "field p_T: values must be finite" in err
+        assert "differ" not in err
+
     def test_loaded_config_round_trip(self, tmp_path, capsys):
         s = generate_synthetic(seed=5, n_users=2, horizon=4)
         write_scenario(s, tmp_path)

@@ -262,6 +262,14 @@ def test_presolve_rows_match_row_loop():
         assert np.array_equal(got_rhs, (rhs - mat @ xf)[rows])
 
 
+def isotonic_rows(n):
+    """Problem factory: min 0.5 |x - c|^2 subject to x_i <= x_{i+1}."""
+    a_in = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
+    cs = make_cs(n, a_in=a_in, b_in=np.zeros(n - 1))
+    return lambda c: QpProblem(p=np.ones(n), q=-np.asarray(c, dtype=float),
+                               constraints=cs)
+
+
 def _random_problem(rng, n):
     r = rng.normal(size=(n, n))
     p = np.diag(r.T @ r) + 0.1
@@ -340,7 +348,9 @@ class TestOnModelProblems:
         assert warm.iterations <= ref.iterations
 
     def test_warm_start_with_wrong_active_set_falls_back(self):
-        # min 0.5x^2 - cx on [0, 1]: c = 2 holds x at 1, c = -2 at 0
+        # min 0.5x^2 - cx on [0, 1]: c = 2 holds x at 1, c = -2 at 0.  The
+        # repair drops the upper bound (multiplier -3), then adds the lower
+        # bound that x = -2 violates, and certifies without an iteration
         def box(c):
             return QpProblem(p=np.full(1, 1.0), q=np.array([-c]),
                              constraints=make_cs(1, lo=[0.0], hi=[1.0]))
@@ -348,9 +358,62 @@ class TestOnModelProblems:
         assert first.duals.upper[0] > 0
         sol = solve_qp(box(-2.0), warm_start=first)
         assert sol.status == QpStatus.OPTIMAL
-        assert sol.polish is Polish.POLISHED
+        assert sol.polish is Polish.WARM
+        assert sol.iterations == 1
         assert sol.x[0] == 0.0
         assert sol.duals.lower[0] == pytest.approx(2.0, abs=1e-12)
+
+        # an isotonic fit whose warm start holds every row x_i <= x_{i+1}:
+        # releasing them frees x to c, and each repair then pools only one
+        # more adjacent violator, so four repairs would be needed; past the
+        # cap the cold interior point and its polish answer
+        iso = isotonic_rows(6)
+        first = solve_qp(iso([5.0, 4.0, 3.0, 2.0, 1.0, 0.0]))
+        assert np.all(first.duals.ineq > 0)
+        sol = solve_qp(iso([0.0, -1.0, -1.0, -1.0, 2.0, 2.0]),
+                       warm_start=first)
+        assert sol.status == QpStatus.OPTIMAL
+        assert sol.polish is Polish.POLISHED
+        assert np.allclose(sol.x, [-0.75] * 4 + [2.0, 2.0], atol=1e-12)
+
+    def test_warm_start_one_row_off_is_repaired(self):
+        """The warm start has row 0 of the isotonic fit active; the answer
+        needs rows 0 and 1.  The first candidate violates row 1, and the
+        one repair that adds it certifies as ``warm``."""
+        iso = isotonic_rows(6)
+        first = solve_qp(iso([0.0, -1.0, 1.0, 2.0, 3.0, 4.0]))
+        assert np.array_equal(np.flatnonzero(first.duals.ineq > 0), [0])
+        sol = solve_qp(iso([0.0, -1.0, -1.0, 2.0, 2.0, 3.0]),
+                       warm_start=first)
+        assert sol.status == QpStatus.OPTIMAL
+        assert sol.polish is Polish.WARM
+        assert np.array_equal(np.flatnonzero(sol.duals.ineq > 0), [0, 1])
+        assert np.allclose(sol.x, [-2 / 3] * 3 + [2.0, 2.0, 3.0], atol=1e-12)
+
+    def test_warm_start_reuses_presolve_of_same_constraints(self, scen_2x4):
+        """A warm-started solve carries its presolve into the next warm
+        start on the same constraint-set object, which answers exactly as a
+        fresh presolve does.  A cold solve carries none, and an equal but
+        distinct constraint object is presolved anew."""
+        prob = self._single_user_problem(scen_2x4, 0, Mode.TEM)
+
+        def nudged(dq, constraints=prob.constraints):
+            return QpProblem(p=prob.p, q=prob.q + dq, constraints=constraints)
+        cold = solve_qp(prob)
+        assert cold._presolved is None
+        first = solve_qp(nudged(1e-3), warm_start=cold)
+        assert first._presolved is not None
+        warm = solve_qp(nudged(2e-3), warm_start=first)
+        fresh = solve_qp(nudged(2e-3), warm_start=dataclasses.replace(
+            first, _presolved=None))
+        assert warm.polish is Polish.WARM
+        assert warm._presolved.a is first._presolved.a
+        assert fresh._presolved.a is not first._presolved.a
+        assert np.array_equal(warm.x, fresh.x)
+        copied = solve_qp(nudged(2e-3, dataclasses.replace(prob.constraints)),
+                          warm_start=first)
+        assert copied._presolved.a is not first._presolved.a
+        assert np.array_equal(copied.x, warm.x)
 
     def test_scaling_invariance(self, scen_2x4):
         """Uniformly scaling the objective scales the value, not the point."""

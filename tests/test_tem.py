@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gridledger import tem
 from gridledger.energy_model import (Mode, check_schedule, schedule_from_x,
                                      user_layout)
-from gridledger.qp import QpStatus, solve_qp
+from gridledger.qp import Polish, QpStatus, solve_qp
 from gridledger.scenario import generate_synthetic
 from gridledger.tem import (
     AdmmParams,
@@ -23,6 +24,7 @@ from gridledger.tem import (
     assemble_ult,
     dual_state_digest,
     has_converged,
+    home_problem,
     new_dual_state,
     run_distributed,
     sct_step,
@@ -242,7 +244,7 @@ class TestUltAssembly:
         d = new_dual_state(s.n_users, s.grid.horizon, rho=2.0)
         d.trades_aux[0, 1] = 1.5
         d.duals[0, 1] = 0.25
-        prob = assemble_ult(s, 0, d)
+        prob = assemble_ult(home_problem(s, 0, Mode.TEM), 0, d)
         base_p, base_q, _ = build_user_objective(s, 0, Mode.TEM)
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[0])
         sp = lay.span(0, "export")
@@ -273,8 +275,35 @@ class TestUltAssembly:
     @pytest.mark.parametrize("n_users", [3, 40])
     def test_home_columns_independent_of_peers(self, n_users):
         s = generate_synthetic(seed=2, n_users=n_users, horizon=4)
-        prob = assemble_ult(s, 0, new_dual_state(n_users, 4, 1.0))
+        prob = assemble_ult(home_problem(s, 0, Mode.TEM), 0,
+                            new_dual_state(n_users, 4, 1.0))
         assert prob.q.size == 12 * 4 + 1
+
+    def test_penalty_leaves_home_problem_alone(self, scen_2x4):
+        """Each iteration copies p and q and shares the constraint-set
+        object, which is what lets a warm start reuse its presolve."""
+        home = home_problem(scen_2x4, 1, Mode.TEM)
+        p0, q0 = home.p.copy(), home.q.copy()
+        d = new_dual_state(2, scen_2x4.grid.horizon, 3.0)
+        d.trades_aux[1, 0] = 0.5
+        prob = assemble_ult(home, 1, d)
+        assert prob.constraints is home.constraints
+        assert not np.array_equal(prob.q, q0)
+        assert np.array_equal(home.p, p0) and np.array_equal(home.q, q0)
+
+    def test_home_subproblem_polishes_after_repair(self):
+        """Home 1 at iteration 1 of seed 5 (N=5, T=24): the interior-point
+        point has a complementarity residual of 2.5e-8, and the first
+        active-set guess leaves a row violated by 4.2e-4.  The repaired
+        polish certifies, where the interior-point point alone ended
+        ``MaxIter`` at tol 1e-8 at one and two BLAS threads."""
+        s = generate_synthetic(5, 5, 24)
+        prob = assemble_ult(home_problem(s, 1, Mode.TEM), 1,
+                            new_dual_state(5, 24, 1.0))
+        sol = solve_qp(prob, tol=1e-8)
+        assert sol.status is QpStatus.OPTIMAL
+        assert sol.polish is Polish.POLISHED
+        assert sol.kkt.worst() <= 1e-12, sol.kkt
 
 
 class TestCentralized:
@@ -401,6 +430,22 @@ class TestDistributed:
         last = out.history[-1].primal_residual
         assert last <= first
         assert last <= 1e-6
+
+    def test_homes_built_once_per_run(self, scen_3x8, monkeypatch):
+        calls = {"constraints": 0, "objective": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(tem, "build_user_constraints", counted(
+            "constraints", tem.build_user_constraints))
+        monkeypatch.setattr(tem, "build_user_objective", counted(
+            "objective", tem.build_user_objective))
+        out = run_distributed(scen_3x8, AdmmParams(eps=1e-12, max_iter=4))
+        assert out.iterations == 4
+        assert calls == {"constraints": 3, "objective": 3}
 
     def test_unconverged_reports_honestly(self, scen_2x4):
         out = run_distributed(scen_2x4, AdmmParams(eps=1e-12, max_iter=1))
