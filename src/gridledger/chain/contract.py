@@ -11,13 +11,15 @@ per-peer row that ``tem.split_export`` derives from it against the
 contract's own coordination state, exactly as the local mirror does.  A
 home may only publish its own trades and settle its own grid quantities
 (the transaction's sender must be the payload's user), and only
-``COORDINATOR`` may request the coordination step.
+``COORDINATOR`` may request the coordination step.  With two or more
+homes the step runs only once every home has published for its
+iteration, so it never settles a stale row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
@@ -62,6 +64,8 @@ class ContractState:
     feed_in: np.ndarray
     dr_reduce: np.ndarray
     stale_rejections: int = 0
+    # homes that have published for the pending iteration
+    published: FrozenSet[int] = frozenset()
 
     def copy(self) -> "ContractState":
         return ContractState(config=self.config, dual=self.dual.copy(),
@@ -69,7 +73,8 @@ class ContractState:
                              nonces=dict(self.nonces),
                              feed_in=self.feed_in.copy(),
                              dr_reduce=self.dr_reduce.copy(),
-                             stale_rejections=self.stale_rejections)
+                             stale_rejections=self.stale_rejections,
+                             published=self.published)
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,9 @@ def contract_digest(state: ContractState) -> str:
     w.raw(np.ascontiguousarray(state.feed_in, dtype="<f8").tobytes())
     w.raw(np.ascontiguousarray(state.dr_reduce, dtype="<f8").tobytes())
     w.u64(state.stale_rejections)
+    w.u32(len(state.published))
+    for user in sorted(state.published):
+        w.u32(user)
     return hexdigest(w.take())
 
 
@@ -135,6 +143,7 @@ def _apply_horizontal(state: ContractState, sender: int,
     if not np.all(np.isfinite(export)):
         return Receipt("", "bad-shape", "non-finite trade value")
     state.dual.trades[p.user] = split_export(state.dual, p.user, export)
+    state.published |= {p.user}
     return Receipt("", "applied")
 
 
@@ -146,8 +155,14 @@ def _apply_sct(state: ContractState, sender: int, p: SctCompute) -> Receipt:
         return Receipt("", "stale-iteration",
                        f"iteration {p.iteration}, contract accepts "
                        f"{state.dual.iteration + 1}")
+    missing = sorted(set(range(state.config.n_users)) - state.published)
+    if state.config.n_users > 1 and missing:
+        return Receipt("", "missing-publish",
+                       f"homes {missing} have not published iteration "
+                       f"{p.iteration}")
     state.dual = advance_iteration(sct_step(state.dual),
                                    state.config.rho_schedule)
+    state.published = frozenset()
     return Receipt("", "applied")
 
 

@@ -271,16 +271,10 @@ def schedule_from_x(x: np.ndarray, layout: VariableLayout, user: int,
     """
     t = layout.horizon
     n = layout.scenario_users
-
-    def seg(name: str) -> np.ndarray:
-        return np.array(x[layout.span(user, name)], dtype=float)
-
-    if layout.mode.has_vertical:
-        feed = seg("feed_in")
-        dr = seg("dr_reduce")
-    else:
-        feed = np.zeros(t)
-        dr = np.zeros(t)
+    names = {name for name, _, _ in layout.segments}
+    # a channel the mode lacks (feed-in, demand response) stays at zero
+    series = {name: np.array(x[layout.span(user, name)], dtype=float)
+              if name in names else np.zeros(t) for name in SCHEDULE_SERIES}
     if trades is not None:
         trades = np.array(trades, dtype=float)
     elif not (layout.mode.has_horizontal and n > 1):
@@ -291,13 +285,8 @@ def schedule_from_x(x: np.ndarray, layout: VariableLayout, user: int,
     else:
         raise ValueError(f"a one-home {layout.mode.value} layout holds only "
                          f"the net export of home {user}; pass its trades")
-    return Schedule(
-        load_hvac=seg("load_hvac"), load_shift=seg("load_shift"),
-        load_curtail=seg("load_curtail"), supply_grid=seg("supply_grid"),
-        supply_renewable=seg("supply_renewable"), ev_charge=seg("ev_charge"),
-        ev_discharge=seg("ev_discharge"), ev_energy=seg("ev_energy"),
-        temp_in=seg("temp_in"), feed_in=feed, dr_reduce=dr, trades=trades,
-        peak=float(x[layout.span(user, "peak")][0]))
+    return Schedule(**series, trades=trades,
+                    peak=float(x[layout.span(user, "peak")][0]))
 
 
 def check_schedule(sch: Schedule, s: Scenario, user: int,
@@ -312,10 +301,9 @@ def check_schedule(sch: Schedule, s: Scenario, user: int,
         if not ok:
             out.append(msg)
 
-    for name in ("load_hvac", "load_shift", "load_curtail", "supply_grid",
-                 "supply_renewable", "ev_charge", "ev_discharge", "ev_energy",
-                 "feed_in", "dr_reduce"):
-        expect(bool(np.all(getattr(sch, name) >= -tol)),
+    # every series but the indoor temperature is an amount of energy
+    for name in SCHEDULE_SERIES:
+        expect(name == "temp_in" or bool(np.all(getattr(sch, name) >= -tol)),
                f"{name} has negative entries")
     expect(bool(np.all(sch.supply_grid <= s.tariff.line_cap + tol)),
            "grid draw exceeds the line capacity")
@@ -352,104 +340,67 @@ def check_schedule(sch: Schedule, s: Scenario, user: int,
 # constraint and objective assembly
 
 def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstraintSet:
-    """All rows and bounds for one home (no cross-user clearing rows)."""
+    """All rows and bounds for one home (no cross-user clearing rows); each
+    equation family is one block of rows built from (T x T) slot blocks."""
     layout = user_layout(s.n_users, s.grid.horizon, mode, users=[user])
     t = s.grid.horizon
     u = s.users[user]
     ev = u.ev
     nv = layout.n_vars
 
-    eq_rows: List[np.ndarray] = []
-    eq_rhs: List[float] = []
-    in_rows: List[np.ndarray] = []
-    in_rhs: List[float] = []
-
-    def eq(row: np.ndarray, rhs: float) -> None:
-        eq_rows.append(row)
-        eq_rhs.append(rhs)
-
-    def le(row: np.ndarray, rhs: float) -> None:
-        in_rows.append(row)
-        in_rhs.append(rhs)
-
-    def cidx(name: str, tt: int = 0) -> int:
-        return layout.col(user, name, tt)
+    def rows(**blocks) -> np.ndarray:
+        """Each block added onto zeros in its named segment's columns, so a
+        negated zero stays +0; the first block sets the row count."""
+        out = np.zeros((len(next(iter(blocks.values()))), nv))
+        for name, block in blocks.items():
+            out[:, layout.span(user, name)] += block
+        return out
 
     shift_mask = s.grid.shift_mask(user)
     dr_mask = s.grid.dr_mask()
     ev_mask = s.grid.ev_mask(user)
     arrive, depart = s.grid.ev_windows[user]
+    eye = np.eye(t)
+    lag = np.eye(t, k=-1)           # row tt reads column tt - 1
 
     # supply must cover demand in every slot
-    for tt in range(t):
-        row = np.zeros(nv)
-        row[cidx("load_hvac", tt)] = 1.0
-        row[cidx("load_shift", tt)] = 1.0
-        row[cidx("load_curtail", tt)] = 1.0
-        row[cidx("ev_charge", tt)] = 1.0
-        row[cidx("supply_renewable", tt)] = -1.0
-        row[cidx("supply_grid", tt)] = -1.0
-        row[cidx("ev_discharge", tt)] = -1.0
-        if mode.has_vertical:
-            row[cidx("dr_reduce", tt)] = 1.0
-        if mode.has_horizontal and s.n_users > 1:
-            row[cidx("export", tt)] = 1.0
-        eq(row, -float(u.inflexible[tt]))
-
-    # total shiftable energy is conserved inside the shift window
-    row = np.zeros(nv)
-    row[layout.span(user, "load_shift")] = shift_mask.astype(float)
-    eq(row, float(u.shift_pref[shift_mask].sum()))
-
-    # linear indoor temperature update
-    for tt in range(t):
-        row = np.zeros(nv)
-        row[cidx("temp_in", tt)] = 1.0
-        row[cidx("load_hvac", tt)] = -u.hvac_alpha
-        if tt == 0:
-            rhs = (1.0 - u.hvac_beta) * u.temp_init + u.hvac_beta * float(u.temp_out[0])
-        else:
-            row[cidx("temp_in", tt - 1)] = -(1.0 - u.hvac_beta)
-            rhs = u.hvac_beta * float(u.temp_out[tt])
-        eq(row, rhs)
-
-    # battery bookkeeping inside the plug-in window
-    for tt in range(t):
-        if not ev_mask[tt]:
-            continue
-        row = np.zeros(nv)
-        row[cidx("ev_energy", tt)] = 1.0
-        row[cidx("ev_charge", tt)] = -ev.eff_charge
-        row[cidx("ev_discharge", tt)] = 1.0 / ev.eff_discharge
-        if tt == arrive - 1:
-            rhs = ev.charge_init
-        else:
-            row[cidx("ev_energy", tt - 1)] = -1.0
-            rhs = 0.0
-        eq(row, rhs)
-    row = np.zeros(nv)
-    row[cidx("ev_energy", depart - 1)] = 1.0
-    eq(row, ev.capacity)
-
+    balance = dict(load_hvac=eye, load_shift=eye, load_curtail=eye,
+                   ev_charge=eye, supply_renewable=-eye, supply_grid=-eye,
+                   ev_discharge=-eye)
     if mode.has_vertical:
-        for tt in range(t):
-            if dr_mask[tt]:
-                row = np.zeros(nv)
-                row[cidx("dr_reduce", tt)] = 1.0
-                row[cidx("supply_grid", tt)] = -1.0
-                le(row, 0.0)
-        for tt in range(t):
-            row = np.zeros(nv)
-            row[cidx("supply_renewable", tt)] = 1.0
-            row[cidx("feed_in", tt)] = 1.0
-            le(row, float(u.renewable_cap[tt]))
-
+        balance["dr_reduce"] = eye
+    if mode.has_horizontal and s.n_users > 1:
+        balance["export"] = eye
+    # the indoor temperature enters slot 1 at temp_init
+    thermal_rhs = u.hvac_beta * u.temp_out
+    thermal_rhs[0] += (1.0 - u.hvac_beta) * u.temp_init
+    # the battery enters its plug-in window at charge_init, so the arrival
+    # row carries nothing from the slot before
+    carry = lag.copy()
+    carry[arrive - 1] = 0.0
+    battery_rhs = np.zeros(t)
+    battery_rhs[arrive - 1] = ev.charge_init
+    # (rows, right-hand sides) per equation family, in row order
+    eq = [(rows(**balance), -u.inflexible),
+          # total shiftable energy is conserved inside the shift window
+          (rows(load_shift=shift_mask[None, :].astype(float)),
+           [float(u.shift_pref[shift_mask].sum())]),
+          (rows(temp_in=eye - (1.0 - u.hvac_beta) * lag,
+                load_hvac=-u.hvac_alpha * eye), thermal_rhs),
+          (rows(ev_energy=eye - carry, ev_charge=-ev.eff_charge * eye,
+                ev_discharge=eye / ev.eff_discharge)[ev_mask],
+           battery_rhs[ev_mask]),
+          # the car leaves full
+          (rows(ev_energy=eye[[depart - 1]]), [ev.capacity])]
+    le = []
+    if mode.has_vertical:
+        # demand response inside its window claims at most the grid draw;
+        # feed-in and own use share the renewable output
+        le += [(rows(dr_reduce=eye, supply_grid=-eye)[dr_mask],
+                np.zeros(int(dr_mask.sum()))),
+               (rows(supply_renewable=eye, feed_in=eye), u.renewable_cap)]
     # peak epigraph: the peak variable dominates every grid draw
-    for tt in range(t):
-        row = np.zeros(nv)
-        row[cidx("supply_grid", tt)] = 1.0
-        row[cidx("peak", 0)] = -1.0
-        le(row, 0.0)
+    le.append((rows(supply_grid=eye, peak=-1.0), np.zeros(t)))
 
     lo = np.full(nv, -np.inf)
     hi = np.full(nv, np.inf)
@@ -475,11 +426,11 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
     set_bounds("temp_in", u.temp_lo, u.temp_hi)
     set_bounds("peak", 0.0, np.inf)
 
-    a_eq = np.array(eq_rows) if eq_rows else np.zeros((0, nv))
-    a_in = np.array(in_rows) if in_rows else np.zeros((0, nv))
     return LinearConstraintSet(
-        n_vars=nv, a_eq=a_eq, b_eq=np.array(eq_rhs), a_in=a_in,
-        b_in=np.array(in_rhs), lo=lo, hi=hi)
+        n_vars=nv, a_eq=np.vstack([a for a, _ in eq]),
+        b_eq=np.concatenate([b for _, b in eq]),
+        a_in=np.vstack([a for a, _ in le]),
+        b_in=np.concatenate([b for _, b in le]), lo=lo, hi=hi)
 
 
 def build_user_objective(s: Scenario, user: int,

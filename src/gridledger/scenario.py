@@ -266,20 +266,23 @@ _HOME_DEFAULTS = {
 }
 
 
-def _home_params(sections: dict) -> Tuple[dict, dict]:
+def _home_params(sections: dict, where: str) -> Tuple[dict, dict]:
     """UserScenario and EvParams keywords from sections shaped like
-    ``_HOME_DEFAULTS``."""
-    hvac, sens = sections["hvac"], sections["sensitivities"]
-    home = dict(temp_init=float(hvac["temp_init"]),
-                temp_lo=float(hvac["temp_lo"]),
-                temp_hi=float(hvac["temp_hi"]),
-                hvac_alpha=float(hvac["alpha"]),
-                hvac_beta=float(hvac["beta"]),
-                w_shift=float(sens["shift"]),
-                w_curtail=float(sens["curtail"]),
-                w_comfort=float(sens["comfort"]))
-    ev_limits = {key: float(sections["ev"][key])
-                 for key in _HOME_DEFAULTS["ev"]}
+    ``_HOME_DEFAULTS``; a bad value raises ScenarioError naming
+    ``where`` and its key."""
+
+    def num(section: str, key: str) -> float:
+        return _as_float(sections[section][key], f"{where} {section}.{key}")
+
+    home = dict(temp_init=num("hvac", "temp_init"),
+                temp_lo=num("hvac", "temp_lo"),
+                temp_hi=num("hvac", "temp_hi"),
+                hvac_alpha=num("hvac", "alpha"),
+                hvac_beta=num("hvac", "beta"),
+                w_shift=num("sensitivities", "shift"),
+                w_curtail=num("sensitivities", "curtail"),
+                w_comfort=num("sensitivities", "comfort"))
+    ev_limits = {key: num("ev", key) for key in _HOME_DEFAULTS["ev"]}
     return home, ev_limits
 
 
@@ -322,7 +325,7 @@ def generate_synthetic(seed: int, n_users: int, horizon: int, *,
     trade = np.round(rng.uniform(0.10, 0.16, size=t), 6)
     prices = TransactivePrices(feed_in=feed_in, dr=dr_price, trade=trade)
 
-    home, ev_limits = _home_params(_HOME_DEFAULTS)
+    home, ev_limits = _home_params(_HOME_DEFAULTS, "defaults")
     users = []
     shift_windows = []
     ev_windows = []
@@ -388,6 +391,15 @@ def _as_int(value: object, what: str) -> int:
     if isinstance(value, float) and value != out:
         raise ScenarioError(f"{what}: must be an integer, got {value!r}")
     return out
+
+
+def _as_float(value: object, what: str) -> float:
+    """A numeric config value; null, lists and non-numeric strings raise,
+    naming ``what``.  Non-finite values are left to ``validate_scenario``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ScenarioError(f"{what}: must be a number, got {value!r}") from e
 
 
 def _window_from_json(obj: object, what: str) -> Tuple[int, ...]:
@@ -482,9 +494,10 @@ def load_scenario(path: str | Path) -> Scenario:
     horizon = _as_int(_require(cfg, "horizon", where), f"{where}: horizon")
     rng_seed = _as_int(cfg.get("rng_seed", 0), f"{where}: rng_seed")
     tariff_cfg = _require(cfg, "tariff", where)
-    tariff = GridTariff(price_energy=float(tariff_cfg["price_energy"]),
-                        price_peak=float(tariff_cfg["price_peak"]),
-                        line_cap=float(tariff_cfg["line_cap"]))
+    tariff = GridTariff(**{
+        key: _as_float(_require(tariff_cfg, key, f"{where}: tariff"),
+                       f"{where}: tariff.{key}")
+        for key in ("price_energy", "price_peak", "line_cap")})
     windows = cfg.get("windows", {})
     dr_window = _window_from_json(windows.get("dr", []), f"{where}: windows.dr")
 
@@ -568,9 +581,10 @@ def load_scenario(path: str | Path) -> Scenario:
                           for k in ("arrive", "depart"))
         if "capacity" not in evc:
             raise ScenarioError(f"{where}: user {n}: ev.capacity is required")
-        capacity = float(evc["capacity"])
-        charge_init = float(evc.get("charge_init", 0.5 * capacity))
-        home, ev_limits = _home_params(sections)
+        capacity = _as_float(evc["capacity"], f"{where}: user {n} ev.capacity")
+        charge_init = _as_float(evc.get("charge_init", 0.5 * capacity),
+                                f"{where}: user {n} ev.charge_init")
+        home, ev_limits = _home_params(sections, f"{where}: user {n}")
         ev = EvParams(capacity=capacity, charge_init=charge_init, **ev_limits)
         users.append(UserScenario(
             shift_pref=col(n, "L_S"), curtail_pref=col(n, "L_C"),

@@ -1,5 +1,6 @@
 """Chain stack tests: codec, transactions, blocks, contract, agreement."""
 
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -67,6 +68,52 @@ def _config(n_users=2, horizon=2):
 
 def _tx(sender, nonce, payload):
     return sign_tx(MockSigner(sender), sender, nonce, payload)
+
+
+def _step(nonce, iteration=1):
+    return _tx(COORDINATOR, nonce,
+               SctCompute(iteration=iteration, submitter=COORDINATOR))
+
+
+# multiples of 1/4 against dyadic prices keep every settlement exact
+quarters = st.integers(-20, 20).map(lambda k: k / 4)
+
+
+def _random_txs(data, n):
+    """Publishes, steps and settlements for ``n`` homes, some of them
+    stale, early, from the wrong sender, with a bad nonce or forged."""
+    nonces = {}
+    txs = []
+    for _ in range(data.draw(st.integers(0, 24), label="length")):
+        kind = data.draw(st.sampled_from(["publish", "step", "settle"]))
+        user = data.draw(st.integers(0, n - 1))
+        fault = data.draw(st.sampled_from(
+            [None, None, None, "sender", "nonce", "forged"]))
+        iteration = data.draw(st.integers(1, 2))
+        if kind == "publish":
+            owner = user
+            payload = HorizontalTrade(user=user, iteration=iteration, trades=(
+                data.draw(quarters), data.draw(quarters)))
+        elif kind == "step":
+            owner = COORDINATOR
+            payload = SctCompute(iteration=iteration, submitter=COORDINATOR)
+        else:
+            owner = user
+            amounts = st.tuples(quarters, quarters).map(
+                lambda q: tuple(abs(v) for v in q))
+            payload = VerticalTrade(user=user, feed_in=data.draw(amounts),
+                                    dr_reduce=data.draw(amounts))
+        sender = (user + 1) % n if fault == "sender" else owner
+        expected = nonces.get(sender, 0) + 1
+        nonce = expected + 2 if fault == "nonce" else expected
+        tx = _tx(sender, nonce, payload)
+        if fault == "forged":
+            tx = dataclasses.replace(tx, payload=SctCompute(
+                iteration=99, submitter=COORDINATOR))
+        else:
+            nonces[sender] = nonce if fault is None else nonces.get(sender, 0)
+        txs.append(tx)
+    return txs
 
 
 class TestCodecPrimitives:
@@ -402,6 +449,62 @@ class TestContract:
             _tx(0, 2, VerticalTrade(user=0, feed_in=(1.0, 0.0),
                                     dr_reduce=(0.0, 0.0)))])
         assert contract_digest(state) == before
+
+    def test_step_waits_for_every_home(self):
+        state = genesis(_config(n_users=3))
+        publish = [_tx(u, 1, HorizontalTrade(user=u, iteration=1,
+                                             trades=(1.0, -1.0)))
+                   for u in (0, 2)]
+        partial, _ = execute_transactions(state, publish)
+        out, recs = execute_transactions(partial, [_step(1)])
+        assert recs[0].status == "missing-publish"
+        assert "homes [1]" in recs[0].detail
+        assert out.nonces[COORDINATOR] == 1    # consumed: no replay later
+        assert out.dual.iteration == 0
+        assert dual_state_digest(out.dual) == dual_state_digest(partial.dual)
+        assert out.published == {0, 2}
+        assert contract_digest(out) != contract_digest(
+            dataclasses.replace(out, published=frozenset({0})))
+        out, recs = execute_transactions(out, [
+            _tx(1, 1, HorizontalTrade(user=1, iteration=1,
+                                      trades=(0.5, 0.5))),
+            _step(2)])
+        assert [r.status for r in recs] == ["applied", "applied"]
+        assert out.dual.iteration == 1
+        assert out.published == frozenset()
+
+    def test_lone_home_steps_without_publishing(self):
+        out, recs = execute_transactions(genesis(_config(n_users=1)),
+                                         [_step(1)])
+        assert recs[0].status == "applied"
+        assert out.dual.iteration == 1
+
+    @given(data=st.data(), n=st.integers(2, 3))
+    @settings(deadline=None, max_examples=60)
+    def test_random_interleavings(self, data, n):
+        """Any split into blocks gives the same state; settlements conserve
+        the balances; the step never runs while a home is missing."""
+        state = genesis(ContractConfig(
+            n_users=n, horizon=2, rho_schedule=RhoSchedule.fixed(1.0),
+            price_feed_in=(0.125, 0.25), price_dr=(0.25, 0.5)))
+        txs = _random_txs(data, n)
+        whole, _ = execute_transactions(state, txs)
+        cuts = sorted(data.draw(st.sets(st.integers(0, len(txs))),
+                                label="cuts"))
+        split = state
+        for lo, hi in zip([0] + cuts, cuts + [len(txs)]):
+            split, _ = execute_transactions(split, txs[lo:hi])
+        assert contract_digest(split) == contract_digest(whole)
+        total = sum(state.balances.values())
+        one_by_one = state
+        for tx in txs:
+            nxt, _ = execute_transactions(one_by_one, [tx])
+            if nxt.dual.iteration != one_by_one.dual.iteration:
+                assert one_by_one.published == frozenset(range(n))
+                assert not nxt.published
+            assert sum(nxt.balances.values()) == total
+            one_by_one = nxt
+        assert contract_digest(one_by_one) == contract_digest(whole)
 
     def test_bad_shape_detected(self):
         state = genesis(_config())

@@ -176,6 +176,29 @@ class TestRun:
         assert "scenario error" in err
         assert f"{field}: must be an integer" in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("tariff.line_cap", "abc"), ("tariff.price_peak", ...),
+        ("hvac.alpha", None), ("ev.capacity", "x")])
+    def test_bad_number_in_config_exits_1(self, tmp_path, capsys, field,
+                                          value):
+        """A non-numeric value, or a missing tariff key (value ``...``), is
+        named instead of escaping as a traceback."""
+        write_scenario(generate_synthetic(seed=1, n_users=2, horizon=4),
+                       tmp_path)
+        cfg = json.loads((tmp_path / "config.json").read_text())
+        section, key = field.split(".")
+        if value is ...:
+            del cfg["tariff"][key]
+        elif section == "tariff":
+            cfg["tariff"][key] = value
+        else:
+            cfg["users"][0][section][key] = value
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["run", str(tmp_path), "--mode", "BS1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "scenario error" in err
+        assert key in err and "Traceback" not in err
+
     def test_nan_price_exits_1(self, tmp_path, capsys):
         """The same NaN trade price for both homes is a non-finite value,
         not a mismatch between the homes' price columns."""

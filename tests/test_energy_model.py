@@ -23,6 +23,8 @@ from gridledger.energy_model import (
 from gridledger.scenario import (
     EvParams,
     GridTariff,
+    Scenario,
+    TimeGrid,
     TransactivePrices,
     UserScenario,
 )
@@ -321,6 +323,55 @@ class TestConstraints:
         rows, slots = np.nonzero(epigraph)
         assert np.array_equal(slots, np.arange(t))
         assert np.unique(rows).size == t
+
+    @given(data=st.data(), t=st.integers(1, 12), mode=st.sampled_from(Mode))
+    @settings(deadline=None, max_examples=60)
+    def test_dynamics_rows_hold_on_trajectories(self, data, t, mode):
+        """Thermal and battery rows vanish on the series that the
+        trajectory recurrences produce, whatever the inputs."""
+        arrive = data.draw(st.integers(1, t), label="arrive")
+        unit = st.floats(0.05, 1.0)
+        series = hnp.arrays(float, t, elements=st.floats(0.0, 10.0))
+        ev = EvParams(capacity=500.0, charge_init=data.draw(st.floats(0, 50)),
+                      charge_max=10.0, discharge_max=10.0,
+                      eff_charge=data.draw(unit), eff_discharge=data.draw(unit),
+                      w_degrade=0.1)
+        z = np.zeros(t)
+        u = UserScenario(
+            shift_pref=z, curtail_pref=z, inflexible=z, renewable_cap=z,
+            temp_out=data.draw(hnp.arrays(float, t, elements=st.floats(-10, 40))),
+            temp_ref=z, temp_init=data.draw(st.floats(15, 30)), temp_lo=0.0,
+            temp_hi=50.0, hvac_alpha=data.draw(unit), hvac_beta=data.draw(unit),
+            w_shift=1.0, w_curtail=1.0, w_comfort=1.0, ev=ev)
+        s = Scenario(
+            n_users=1, grid=TimeGrid(horizon=t, shift_windows=((),),
+                                     dr_window=(), ev_windows=((arrive, t),)),
+            users=(u,), tariff=GridTariff(0.2, 0.8, 20.0),
+            prices=TransactivePrices(feed_in=z, dr=z, trade=z), rng_seed=0)
+        lay = user_layout(1, t, mode, users=[0])
+        window = s.grid.ev_slice(0)
+        x = np.zeros(lay.n_vars)
+        hvac, cha, dis = (data.draw(series) for _ in range(3))
+        x[lay.span(0, "load_hvac")] = hvac
+        x[lay.span(0, "temp_in")] = hvac_trajectory(
+            hvac, u.temp_out, u.temp_init, u.hvac_alpha, u.hvac_beta)
+        # slots outside the window hold junk, which no window row may read
+        energy = data.draw(series)
+        energy[window] = ev_trajectory(cha[window], dis[window], ev.charge_init,
+                                       ev.eff_charge, ev.eff_discharge)
+        x[lay.span(0, "ev_energy")] = energy
+        x[lay.span(0, "ev_charge")][window] = cha[window]
+        x[lay.span(0, "ev_discharge")][window] = dis[window]
+
+        cs = build_user_constraints(s, 0, mode)
+        touches = {name: np.any(cs.a_eq[:, lay.span(0, name)] != 0.0, axis=1)
+                   for name in ("temp_in", "ev_energy", "ev_charge")}
+        thermal = touches["temp_in"]
+        battery = touches["ev_energy"] & touches["ev_charge"]
+        assert thermal.sum() == t
+        assert battery.sum() == t - arrive + 1
+        residual = cs.a_eq @ x - cs.b_eq
+        assert np.max(np.abs(residual[thermal | battery])) <= 1e-12
 
     def test_objective_matches_breakdown(self, scen_2x4):
         """Algebraic objective equals the schedule-level cost arithmetic."""
