@@ -1,7 +1,8 @@
 """Command line driver: run scenarios, compare modes, demo the chain.
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 the
-problem is infeasible, 3 convergence or liveness timed out.  The
+problem is infeasible, 3 convergence or liveness timed out, or the mode
+costs of ``compare`` break the ordering TEM <= BS2,BS3 <= BS1.  The
 ``GRIDLEDGER_SEED`` environment variable overrides ``--seed`` wherever
 a seed is accepted, and every CSV starts with a schema header row.
 """
@@ -204,13 +205,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     table = "\n".join(lines)
     print(table)
     tol = 1e-6
-    ok = (outcomes[Mode.TEM].total_cost <= outcomes[Mode.BS2].total_cost + tol
-          and outcomes[Mode.BS2].total_cost <= base + tol
-          and outcomes[Mode.TEM].total_cost
-          <= outcomes[Mode.BS3].total_cost + tol
-          and outcomes[Mode.BS3].total_cost <= base + tol)
+    cost = {m: o.total_cost for m, o in outcomes.items()}
+    broken = [f"{lo.value} {cost[lo]!r} > {hi.value} {cost[hi]!r}"
+              for lo, hi in ((Mode.TEM, Mode.BS2), (Mode.BS2, Mode.BS1),
+                             (Mode.TEM, Mode.BS3), (Mode.BS3, Mode.BS1))
+              if not cost[lo] <= cost[hi] + tol]
     print(f"mode ordering (TEM <= BS2,BS3 <= BS1): "
-          f"{'ok' if ok else 'VIOLATED'}")
+          f"{'VIOLATED' if broken else 'ok'}")
     ann = ", ".join(f"{m} {int(v * 100)}%"
                     for m, v in _REFERENCE_SAVINGS.items())
     print(f"reference reductions (annotation only, not asserted): {ann}")
@@ -220,6 +221,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         cpath = out / "compare.csv"
         cpath.write_text(table + "\n")
         print(f"wrote {cpath}")
+    if broken:
+        print(f"mode ordering violated beyond {tol:g}: {'; '.join(broken)}",
+              file=sys.stderr)
+        return EXIT_LIVENESS
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Dense convex QP solver with verifiable optimality residuals.
+"""Convex QP solver with verifiable optimality residuals.
 
 Solves  min 0.5 x'Px + q'x  subject to equality rows, inequality rows and
 variable bounds (a ``LinearConstraintSet``: plain row matrices, right-hand
@@ -23,6 +23,10 @@ polish on the previous solution's active set before any interior-point
 iteration.  A warm-started solution carries its presolve, which the next
 warm start on the same ``LinearConstraintSet`` object reuses, so a
 sequence of solves presolves its rows twice, not once per solve.
+Each regularised, quasi-definite saddle system (Vanderbei, SIAM J. Optim.
+1995) is factored sparse; the interior point fixes its pattern once per
+solve, and the carried presolve keeps the last polish factor for reuse on
+the same matrix (Stellato et al. 2020, section 3.1).
 ``QpSolution.polish`` says which path produced the answer.  Everything is
 deterministic: same problem, same answer, bit for bit.
 """
@@ -34,7 +38,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 __all__ = [
     "Duals",
@@ -166,40 +171,22 @@ def kkt_residuals(problem: QpProblem, x: np.ndarray, duals: Duals) -> KktResidua
     c = problem.constraints
     g, h = c.a_in, c.b_in
     x = np.asarray(x, dtype=float)
+    lo, hi = np.isfinite(c.lo), np.isfinite(c.hi)
 
-    stat = problem.p * x + problem.q
-    if c.a_eq.shape[0]:
-        stat = stat + c.a_eq.T @ duals.eq
-    if g.shape[0]:
-        stat = stat + g.T @ duals.ineq
-    stat = stat - duals.lower + duals.upper
-    stationarity = float(np.max(np.abs(stat))) if stat.size else 0.0
+    def top(v: np.ndarray) -> float:
+        return float(np.max(v, initial=0.0))
 
-    viol = [0.0]
-    if c.a_eq.shape[0]:
-        viol.append(float(np.max(np.abs(c.a_eq @ x - c.b_eq))))
-    if g.shape[0]:
-        viol.append(float(np.max(np.maximum(g @ x - h, 0.0))))
-    finite_lo = np.isfinite(c.lo)
-    finite_hi = np.isfinite(c.hi)
-    if finite_lo.any():
-        viol.append(float(np.max(np.maximum(c.lo[finite_lo] - x[finite_lo], 0.0))))
-    if finite_hi.any():
-        viol.append(float(np.max(np.maximum(x[finite_hi] - c.hi[finite_hi], 0.0))))
-    primal = max(viol)
-
-    comp = [0.0]
-    if g.shape[0]:
-        comp.append(float(np.max(np.abs(duals.ineq * (h - g @ x)))))
-    if finite_lo.any():
-        comp.append(float(np.max(np.abs(duals.lower[finite_lo]
-                                        * (x[finite_lo] - c.lo[finite_lo])))))
-    if finite_hi.any():
-        comp.append(float(np.max(np.abs(duals.upper[finite_hi]
-                                        * (c.hi[finite_hi] - x[finite_hi])))))
+    stat = (problem.p * x + problem.q + c.a_eq.T @ duals.eq
+            + g.T @ duals.ineq - duals.lower + duals.upper)
+    # the leading 0.0 keeps max() of the parts as it always was under NaN
+    primal = max([0.0, top(np.abs(c.a_eq @ x - c.b_eq)), top(g @ x - h),
+                  top(c.lo[lo] - x[lo]), top(x[hi] - c.hi[hi])])
+    comp = max([0.0, top(np.abs(duals.ineq * (h - g @ x))),
+                top(np.abs(duals.lower[lo] * (x[lo] - c.lo[lo]))),
+                top(np.abs(duals.upper[hi] * (c.hi[hi] - x[hi])))])
     signed = np.concatenate([duals.ineq, duals.lower, duals.upper])
-    return KktResiduals(stationarity=stationarity, primal=primal,
-                        complementarity=max(comp),
+    return KktResiduals(stationarity=top(np.abs(stat)), primal=primal,
+                        complementarity=comp,
                         dual=max(0.0, -float(signed.min(initial=0.0))))
 
 
@@ -223,6 +210,10 @@ class _Reduced:
     fixed_vals: np.ndarray    # full-length; NaN where free
     eq_keep: np.ndarray       # surviving equality row indices
     in_keep: np.ndarray       # surviving inequality row indices
+    a_nz: Tuple[np.ndarray, ...]  # (row, col, value) of a's nonzeros
+    g_nz: Tuple[np.ndarray, ...]
+    # the last polish solver by its matrix, shared by this presolve's reuses
+    factor: dict = field(default_factory=dict)
 
 
 class _Contradiction(Exception):
@@ -280,43 +271,66 @@ def _presolve(problem: QpProblem, feas_tol: float,
         if gap > 1e-7 * (1.0 + float(np.max(np.abs(b_r), initial=0.0))):
             raise _Contradiction(
                 f"equality rows are mutually inconsistent (residual {gap:.3e})")
+    nz = [np.nonzero(a_r), np.nonzero(g_r)]
     return _Reduced(source=c, p=problem.p[free], q=problem.q[free], a=a_r,
                     b=b_r, g=g_r, h=h_r, lo=lo[free], hi=hi[free], free=free,
-                    fixed_vals=fixed_vals, eq_keep=eq_keep, in_keep=in_keep)
+                    fixed_vals=fixed_vals, eq_keep=eq_keep, in_keep=in_keep,
+                    a_nz=(*nz[0], a_r[nz[0]]), g_nz=(*nz[1], g_r[nz[1]]))
 
 
-def _kkt_solver(kmat: np.ndarray, n_primal: int, reg: float,
+def _saddle_pattern(hr: np.ndarray, hc: np.ndarray, r: np.ndarray,
+                    c: np.ndarray, n: int, m: int) -> tuple:
+    """CSC pattern of [[H, R'], [R, D]] (H at (hr, hc), m x n R at (r, c), D
+    diagonal) and each entry's slot for values in order [H, R', R, D]."""
+    dual, size = n + np.arange(m), n + m
+    keys, slot = np.unique(np.concatenate([hc, n + r, c, dual]) * size
+                           + np.concatenate([hr, c, n + r, dual]),
+                           return_inverse=True)
+    return slot, keys % size, np.searchsorted(keys, np.arange(size + 1) * size)
+
+
+def _kkt_solver(pattern: tuple, vals: np.ndarray,
+                mul: Callable[[np.ndarray], np.ndarray],
                 refine: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor a symmetric saddle matrix once; return its solve function.
-
-    The factor is of the quasi-definite regularisation: +reg on the first
-    ``n_primal`` diagonal entries, -reg on the rest.  Each solve takes
-    ``refine`` steps of iterative refinement against the unregularised
-    ``kmat``, which leave the components along its null space where the
-    first regularised solve put them.
-    """
-    m = kmat.shape[0]
-    shift = np.full(m, -reg)
-    shift[:n_primal] = reg
-    lu_piv = sla.lu_factor(kmat + np.diag(shift), check_finite=False)
+    """Factor the saddle matrix of ``pattern`` with entries summing ``vals``
+    (+reg on the primal diagonal, -reg on the rest) once; return its solve,
+    refined ``refine`` times against ``mul``, the unregularised product, so
+    null-space components stay where the first solve put them.  The fixed
+    ordering makes equal matrices equal factors; a singular one raises."""
+    slot, indices, indptr = pattern
+    size = indptr.size - 1
+    lu = spla.splu(sp.csc_matrix((np.bincount(slot, weights=vals,
+                                              minlength=indices.size),
+                                  indices, indptr), shape=(size, size)),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                   options=dict(SymmetricMode=True))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        sol = sla.lu_solve(lu_piv, rhs, check_finite=False)
+        sol = lu.solve(rhs)
         for _ in range(refine):
-            sol = sol + sla.lu_solve(lu_piv, rhs - kmat @ sol,
-                                     check_finite=False)
+            sol = sol + lu.solve(rhs - mul(sol))
         return sol
     return solve
 
 
-def _saddle(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The saddle matrix [[P, R'], [R, 0]]."""
-    n, m = p.shape[0], rows.shape[0]
-    kmat = np.zeros((n + m, n + m))
-    kmat[:n, :n] = p
-    kmat[:n, n:] = rows.T
-    kmat[n:, :n] = rows
-    return kmat
+def _saddle_solver(red: _Reduced, free: np.ndarray, act_g: np.ndarray,
+                   rows: np.ndarray, reg: float, refine: int
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """The solver of [[diag(p), R'], [R, 0]] on the ``free`` columns, R =
+    ``rows``: the equality rows over the ``act_g`` inequality rows."""
+    nf, m, me = free.size, rows.shape[0], red.a.shape[0]
+    col = np.full(red.p.size, -1)
+    col[free] = np.arange(nf)
+    (ar, ac, av), (gr, gc, gv) = red.a_nz, red.g_nz
+    in_a, in_g = col[ac] >= 0, act_g[gr] & (col[gc] >= 0)
+    r = np.concatenate([ar[in_a], me + np.cumsum(act_g)[gr[in_g]] - 1])
+    c = col[np.concatenate([ac[in_a], gc[in_g]])]
+    v = np.concatenate([av[in_a], gv[in_g]])
+    pf, rf, diag = red.p[free], rows[:, free], np.arange(nf)
+    return _kkt_solver(_saddle_pattern(diag, diag, r, c, nf, m),
+                       np.concatenate([pf + reg, v, v, np.full(m, -reg)]),
+                       lambda u: np.concatenate([pf * u[:nf] + rf.T @ u[nf:],
+                                                 rf @ u[:nf]]), refine)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -358,9 +372,16 @@ def _polish(red: _Reduced, x0: np.ndarray, y0: np.ndarray, zg0: np.ndarray,
         nu = np.concatenate([y0, zg0[act_g]])
         grad = red.p * x + red.q + rows.T @ nu
         gap = rows @ x - np.concatenate([red.b, red.h[act_g]])
-        kmat = _saddle(np.diag(red.p[free]), rows[:, free])
-        step = _kkt_solver(kmat, free.size, reg, refine=3)(
-            -np.concatenate([grad[free], gap]))
+        key = (act_g.tobytes(), act_l.tobytes(), act_u.tobytes(),
+               red.p[free].tobytes(), reg)
+        if key not in red.factor:
+            red.factor.clear()
+            try:
+                red.factor[key] = _saddle_solver(red, free, act_g, rows,
+                                                 reg, 3)
+            except RuntimeError:        # singular
+                return None
+        step = red.factor[key](-np.concatenate([grad[free], gap]))
         x[free] += step[:free.size]
         nu += step[free.size:]
 
@@ -402,12 +423,7 @@ def _expand(problem: QpProblem, red: _Reduced, x_r: np.ndarray, y_r: np.ndarray,
     # close the stationarity rows of fixed variables through their bound duals
     fixed = np.flatnonzero(~np.isnan(red.fixed_vals))
     if fixed.size:
-        resid = problem.p * x + problem.q
-        if c.a_eq.shape[0]:
-            resid += c.a_eq.T @ y
-        if c.a_in.shape[0]:
-            resid += c.a_in.T @ zg
-        r = resid[fixed]
+        r = (problem.p * x + problem.q + c.a_eq.T @ y + c.a_in.T @ zg)[fixed]
         zl[fixed] = np.maximum(r, 0.0)
         zu[fixed] = np.maximum(-r, 0.0)
     return x, Duals(eq=y, ineq=zg, lower=zl, upper=zu)
@@ -425,21 +441,18 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     and upper bounds; the bound rows stay implicit, so the condensed
     matrix is G'W_gG + diag(p + w).  One step length moves x, the slacks
     and both multiplier vectors, which keeps the dual residual shrinking
-    by the same factor as the primal one.  The polish then
-    solves one KKT system on the rows whose multiplier exceeds their slack
-    and returns that point when its residuals are within ``tol``.  When
-    they are not, it adds the rows and bounds the point violates, drops
-    the active ones with a negative multiplier and solves again, up to
-    ``_REPAIRS`` times; if none certifies, the interior-point point is
+    by the same factor as the primal one.  The polish then solves one KKT
+    system on the rows whose multiplier exceeds their slack, repairing
+    that guess while its point does not certify within ``tol``
+    (``_polish``); if none certifies, the interior-point point is
     returned.  ``warm_start`` takes a previous solution of a problem with
-    the same constraint geometry: the polish and its repairs on its
-    active set (rows with a positive multiplier) are tried first and, when
-    one certifies, answer without an interior-point iteration; otherwise
-    the interior point runs from cold.  A warm-started solve carries its
-    presolve in the solution; when the warm start carries one made on
-    this problem's ``constraints`` object itself, that presolve of the
-    rows and bounds is reused and only ``p`` and ``q`` are reduced afresh.
-    The constraint arrays must not have been changed in place since.
+    the same constraint geometry: the polish on its active set (rows with
+    a positive multiplier) is tried first and, when it certifies, answers
+    without an interior-point iteration.  A warm-started solve carries its
+    presolve, and with it the last polish factor, in the solution; a warm
+    start carrying one made on this problem's ``constraints`` object
+    reuses it and reduces only ``p`` and ``q`` afresh.  The constraint
+    arrays must not have been changed in place since.
     ``QpSolution.polish`` records which of these paths answered.
     """
     c = problem.constraints
@@ -450,8 +463,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
         red = _presolve(problem, feas_tol, None if warm_start is None
                         else warm_start._presolved)
     except _Contradiction:
-        zero = np.zeros(n)
-        x0 = np.clip(zero, np.where(np.isfinite(c.lo), c.lo, -np.inf),
+        x0 = np.clip(np.zeros(n), np.where(np.isfinite(c.lo), c.lo, -np.inf),
                      np.where(np.isfinite(c.hi), c.hi, np.inf))
         duals = Duals(eq=np.zeros(c.a_eq.shape[0]), ineq=np.zeros(c.a_in.shape[0]),
                       lower=np.zeros(n), upper=np.zeros(n))
@@ -497,8 +509,8 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
 
     if mc == 0:
         # equality-constrained (or unconstrained): one saddle solve
-        sol = _kkt_solver(_saddle(np.diag(red.p), red.a), nr, reg, refine=2)(
-            np.concatenate([-red.q, red.b]))
+        sol = _saddle_solver(red, np.arange(nr), np.zeros(0, dtype=bool),
+                             red.a, reg, 2)(np.concatenate([-red.q, red.b]))
         return finish(sol[:nr], sol[nr:], np.zeros(0), np.zeros(nr),
                       np.zeros(nr), QpStatus.OPTIMAL, 1, Polish.DIRECT)
 
@@ -535,6 +547,23 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
         upper = np.zeros(nr, dtype=v.dtype)
         upper[ju_idx] = v[mi + nl:]
         return v[:mi], lower, upper
+
+    # one pattern per solve for the Newton matrix [[G'W_gG + diag(p + w) +
+    # reg I, A'], [A, -reg I]]: each ordered pair of entries (e, f) in a row
+    # r of G adds g_e g_f w_r at (col e, col f); p, w and reg go on the
+    # diagonal one after the other, as their one sum would round differently
+    gr, gc, gv = red.g_nz
+    first = np.searchsorted(gr, gr)
+    k = np.searchsorted(gr, gr, side="right") - first
+    left = np.repeat(np.arange(gr.size), k)
+    right = np.repeat(first - np.cumsum(k) + k, k) + np.arange(left.size)
+    diag = np.tile(np.arange(nr), 3)
+    pattern = _saddle_pattern(np.concatenate([gc[left], diag]),
+                              np.concatenate([gc[right], diag]),
+                              *red.a_nz[:2], nr, me)
+    pair_row, pair_prod = gr[left], gv[left] * gv[right]
+    tail = np.concatenate([np.full(nr, reg), red.a_nz[2], red.a_nz[2],
+                           np.full(me, -reg)])
 
     x = np.zeros(nr)
     both = jl & ju
@@ -577,15 +606,14 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
             status = QpStatus.INFEASIBLE
             break
 
-        # condensed Newton matrix G'W_gG + diag(p + w); p and w go on one
-        # after the other, as the one vector p + w would round differently
         w_g, w_l, w_u = split(z / s)
-        hmat = (red.g * w_g[:, None]).T @ red.g
-        hmat[np.arange(nr), np.arange(nr)] += red.p
-        hmat[np.arange(nr), np.arange(nr)] += w_l + w_u
+        w_b = w_l + w_u
+        vals = np.concatenate([w_g[pair_row] * pair_prod, red.p, w_b, tail])
         try:
-            kkt_solve = _kkt_solver(_saddle(hmat, red.a), nr, reg, refine=1)
-        except (np.linalg.LinAlgError, ValueError):
+            kkt_solve = _kkt_solver(pattern, vals, lambda v: np.concatenate([
+                red.g.T @ (w_g * (red.g @ v[:nr])) + red.p * v[:nr]
+                + w_b * v[:nr] + red.a.T @ v[nr:], red.a @ v[:nr]]), refine=1)
+        except RuntimeError:
             break
 
         def newton(rc):

@@ -473,6 +473,16 @@ def _require(cfg: dict, key: str, where: str) -> object:
     return cfg[key]
 
 
+def _section(value: object, kind: type, what: str):
+    """A config section, which must be a JSON object (``kind`` dict) or
+    array (list); any other type raises, naming ``what``."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ScenarioError(f"{what}: section must be {shape}, "
+                            f"got {value!r}")
+    return value
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario from a config directory (or its config.json path).
 
@@ -490,21 +500,25 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{cfg_path}: invalid JSON ({e})") from e
 
     where = str(cfg_path)
+    _section(cfg, dict, where)
     n_users = _as_int(_require(cfg, "n_users", where), f"{where}: n_users")
     horizon = _as_int(_require(cfg, "horizon", where), f"{where}: horizon")
     rng_seed = _as_int(cfg.get("rng_seed", 0), f"{where}: rng_seed")
-    tariff_cfg = _require(cfg, "tariff", where)
+    tariff_cfg = _section(_require(cfg, "tariff", where), dict,
+                          f"{where}: tariff")
     tariff = GridTariff(**{
         key: _as_float(_require(tariff_cfg, key, f"{where}: tariff"),
                        f"{where}: tariff.{key}")
         for key in ("price_energy", "price_peak", "line_cap")})
-    windows = cfg.get("windows", {})
+    windows = _section(cfg.get("windows", {}), dict, f"{where}: windows")
     dr_window = _window_from_json(windows.get("dr", []), f"{where}: windows.dr")
 
-    defaults = {key: {**table, **cfg.get(key, {})}
+    defaults = {key: {**table, **_section(cfg.get(key, {}), dict,
+                                          f"{where}: {key}")}
                 for key, table in _HOME_DEFAULTS.items()}
 
-    user_cfgs = cfg.get("users", [{} for _ in range(n_users)])
+    user_cfgs = _section(cfg.get("users", [{} for _ in range(n_users)]),
+                         list, f"{where}: users")
     if len(user_cfgs) != n_users:
         raise ScenarioError(f"{where}: n_users={n_users} but "
                             f"{len(user_cfgs)} entries under 'users'")
@@ -565,10 +579,13 @@ def load_scenario(path: str | Path) -> Scenario:
     shift_windows: List[Tuple[int, ...]] = []
     ev_windows: List[Tuple[int, int]] = []
     for n, ucfg in enumerate(user_cfgs):
-        sections = {key: {**table, **ucfg.get(key, {})}
+        ucfg = _section(ucfg, dict, f"{where}: users[{n}]")
+        sections = {key: {**table, **_section(ucfg.get(key, {}), dict,
+                                              f"{where}: user {n} {key}")}
                     for key, table in defaults.items()}
         evc = sections["ev"]
-        uw = {**windows, **ucfg.get("windows", {})}
+        uw = {**windows, **_section(ucfg.get("windows", {}), dict,
+                                    f"{where}: user {n} windows")}
         if "shift" in uw:
             shift = _window_from_json(uw["shift"], f"{where}: user {n} shift window")
         else:

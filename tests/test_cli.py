@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from gridledger import cli
 from gridledger.cli import (
     EXIT_INFEASIBLE,
+    EXIT_LIVENESS,
     EXIT_OK,
     EXIT_USAGE,
     SCHEMA_CHAIN,
@@ -199,6 +201,25 @@ class TestRun:
         assert "scenario error" in err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("section", ["tariff", "user 0 hvac", "users"])
+    def test_wrong_typed_section_exits_1(self, tmp_path, capsys, section):
+        """A config section of the wrong JSON type is named instead of
+        escaping as a ``TypeError`` traceback."""
+        write_scenario(generate_synthetic(seed=1, n_users=2, horizon=4),
+                       tmp_path)
+        cfg = json.loads((tmp_path / "config.json").read_text())
+        if section == "tariff":
+            cfg["tariff"] = 5
+        elif section == "users":
+            cfg["users"] = 3
+        else:
+            cfg["users"][0]["hvac"] = 5
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["run", str(tmp_path), "--mode", "BS1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "scenario error" in err
+        assert f"{section}: section must be" in err
+
     def test_nan_price_exits_1(self, tmp_path, capsys):
         """The same NaN trade price for both homes is a non-finite value,
         not a mismatch between the homes' price columns."""
@@ -257,6 +278,24 @@ class TestCompare:
         assert table[0] == f"# schema: {SCHEMA_COMPARE}"
         assert table[1] == "mode,total_cost,savings_vs_BS1,iterations"
         assert len(table) == 6    # header x2 + four modes
+
+    def test_broken_ordering_fails(self, capsys, monkeypatch):
+        """A TEM cost above BS2's and BS3's is reported on stderr, with the
+        costs at fault, and exits with the convergence code."""
+        solve = cli.solve_centralized
+
+        def costly_tem(s, mode):
+            o = solve(s, mode)
+            return dataclasses.replace(o, total_cost=o.total_cost + 1.0) \
+                if mode.value == "TEM" else o
+        monkeypatch.setattr(cli, "solve_centralized", costly_tem)
+        assert main(["compare", "--synthetic", "2,4"]) == EXIT_LIVENESS
+        captured = capsys.readouterr()
+        assert "mode ordering (TEM <= BS2,BS3 <= BS1): VIOLATED" \
+            in captured.out
+        assert "mode ordering violated" in captured.err
+        assert "TEM " in captured.err and " > BS2 " in captured.err
+        assert " > BS3 " in captured.err and "BS1" not in captured.err
 
 
 class TestChain:

@@ -415,6 +415,26 @@ class TestOnModelProblems:
         assert copied._presolved.a is not first._presolved.a
         assert np.array_equal(copied.x, warm.x)
 
+    def test_warm_start_reuses_polish_factor_exactly(self, scen_2x4):
+        """A second warm start on the same problem reuses the polish factor
+        that the first left in the carried presolve, and its point and
+        multipliers are byte-equal to those of a warm start from the same
+        solution that presolves and factors afresh."""
+        prob = self._single_user_problem(scen_2x4, 0, Mode.TEM)
+        first = solve_qp(prob, warm_start=solve_qp(prob))
+        factor = dict(first._presolved.factor)
+        assert len(factor) == 1
+        again = solve_qp(prob, warm_start=first)
+        fresh = solve_qp(prob, warm_start=dataclasses.replace(
+            first, _presolved=None))
+        assert again.polish is Polish.WARM and fresh.polish is Polish.WARM
+        assert again._presolved.factor == factor      # the same solver
+        assert fresh._presolved.factor is not again._presolved.factor
+        for name in ("eq", "ineq", "lower", "upper"):
+            assert (getattr(again.duals, name).tobytes()
+                    == getattr(fresh.duals, name).tobytes()), name
+        assert again.x.tobytes() == fresh.x.tobytes()
+
     def test_scaling_invariance(self, scen_2x4):
         """Uniformly scaling the objective scales the value, not the point."""
         prob = self._single_user_problem(scen_2x4, 1, Mode.BS2)

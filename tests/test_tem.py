@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,3 +455,34 @@ class TestDistributed:
         out = run_distributed(scen_2x4, AdmmParams(eps=1e-12, max_iter=1))
         assert not out.converged
         assert out.iterations == 1
+
+
+# a joint and a distributed TEM run, printed as the sha256 of their outcomes
+_DIGEST_SCRIPT = """
+import hashlib, json
+from gridledger import tem
+from gridledger.energy_model import Mode
+from gridledger.scenario import generate_synthetic
+s = generate_synthetic(seed=3, n_users=3, horizon=24)
+h = hashlib.sha256()
+for out in (tem.solve_centralized(s, Mode.TEM),
+            tem.run_distributed(s, tem.AdmmParams())):
+    h.update(json.dumps(out.to_json_dict(), sort_keys=True).encode())
+print(h.hexdigest())
+"""
+
+
+def test_results_independent_of_blas_thread_count():
+    """The same runs at one and at two BLAS threads give the same bytes.
+    The thread count is fixed when the BLAS library loads, so each count
+    gets its own interpreter."""
+    src = str(Path(tem.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS":
+               threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
