@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .qp import LinearConstraintSet
 from .scenario import GridTariff, Scenario, TransactivePrices, UserScenario
@@ -102,10 +103,10 @@ class VariableLayout:
         return slice(base, base + length)
 
     def col(self, user: int, name: str, t: int = 0) -> int:
-        sp = self.span(user, name)
-        if not 0 <= t < sp.stop - sp.start:
+        cols = self.span(user, name)
+        if not 0 <= t < cols.stop - cols.start:
             raise IndexError(f"slot {t} outside segment {name}")
-        return sp.start + t
+        return cols.start + t
 
 
 def user_layout(scenario_users: int, horizon: int, mode: Mode,
@@ -124,15 +125,12 @@ def user_layout(scenario_users: int, horizon: int, mode: Mode,
         lengths.append(t)
     names.append("peak")
     lengths.append(1)
-    segments = []
-    pos = 0
-    for name, length in zip(names, lengths):
-        segments.append((name, pos, length))
-        pos += length
+    starts = np.cumsum([0] + lengths).tolist()
     covered = tuple(users) if users is not None else tuple(range(scenario_users))
     return VariableLayout(mode=mode, scenario_users=scenario_users,
                           horizon=t, users=covered,
-                          segments=tuple(segments), block_size=pos)
+                          segments=tuple(zip(names, starts, lengths)),
+                          block_size=starts[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +346,20 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
     ev = u.ev
     nv = layout.n_vars
 
-    def rows(**blocks) -> np.ndarray:
-        """Each block added onto zeros in its named segment's columns, so a
-        negated zero stays +0; the first block sets the row count."""
-        out = np.zeros((len(next(iter(blocks.values()))), nv))
-        for name, block in blocks.items():
-            out[:, layout.span(user, name)] += block
-        return out
+    def stack(families: list) -> sp.csr_array:
+        """CSR rows of the (blocks by segment, right-hand side) families, one
+        under the other, each block's nonzeros in its segment's columns."""
+        parts, start = [], 0
+        for blocks, rhs in families:
+            for name, block in blocks.items():
+                r, c = np.nonzero(block)
+                parts.append((block[r, c], r + start,
+                              c + layout.span(user, name).start))
+            start += len(rhs)
+        v, r, c = map(np.concatenate, zip(*parts))
+        order = np.lexsort((c, r))
+        return sp.csr_array((v[order], c[order], np.searchsorted(
+            r[order], np.arange(start + 1))), shape=(start, nv))
 
     shift_mask = s.grid.shift_mask(user)
     dr_mask = s.grid.dr_mask()
@@ -380,35 +385,34 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
     carry[arrive - 1] = 0.0
     battery_rhs = np.zeros(t)
     battery_rhs[arrive - 1] = ev.charge_init
-    # (rows, right-hand sides) per equation family, in row order
-    eq = [(rows(**balance), -u.inflexible),
+    # (blocks by segment, right-hand side) per equation family, in row order
+    eq = [(balance, -u.inflexible),
           # total shiftable energy is conserved inside the shift window
-          (rows(load_shift=shift_mask[None, :].astype(float)),
+          (dict(load_shift=shift_mask[None, :].astype(float)),
            [float(u.shift_pref[shift_mask].sum())]),
-          (rows(temp_in=eye - (1.0 - u.hvac_beta) * lag,
+          (dict(temp_in=eye - (1.0 - u.hvac_beta) * lag,
                 load_hvac=-u.hvac_alpha * eye), thermal_rhs),
-          (rows(ev_energy=eye - carry, ev_charge=-ev.eff_charge * eye,
-                ev_discharge=eye / ev.eff_discharge)[ev_mask],
+          (dict(ev_energy=(eye - carry)[ev_mask],
+                ev_charge=-ev.eff_charge * eye[ev_mask],
+                ev_discharge=eye[ev_mask] / ev.eff_discharge),
            battery_rhs[ev_mask]),
           # the car leaves full
-          (rows(ev_energy=eye[[depart - 1]]), [ev.capacity])]
+          (dict(ev_energy=eye[[depart - 1]]), [ev.capacity])]
     le = []
     if mode.has_vertical:
         # demand response inside its window claims at most the grid draw;
         # feed-in and own use share the renewable output
-        le += [(rows(dr_reduce=eye, supply_grid=-eye)[dr_mask],
+        le += [(dict(dr_reduce=eye[dr_mask], supply_grid=-eye[dr_mask]),
                 np.zeros(int(dr_mask.sum()))),
-               (rows(supply_renewable=eye, feed_in=eye), u.renewable_cap)]
+               (dict(supply_renewable=eye, feed_in=eye), u.renewable_cap)]
     # peak epigraph: the peak variable dominates every grid draw
-    le.append((rows(supply_grid=eye, peak=-1.0), np.zeros(t)))
+    le.append((dict(supply_grid=eye, peak=-np.ones((t, 1))), np.zeros(t)))
 
-    lo = np.full(nv, -np.inf)
-    hi = np.full(nv, np.inf)
+    lo, hi = np.full(nv, -np.inf), np.full(nv, np.inf)
 
     def set_bounds(name: str, lo_vals, hi_vals) -> None:
-        sp = layout.span(user, name)
-        lo[sp] = lo_vals
-        hi[sp] = hi_vals
+        cols = layout.span(user, name)
+        lo[cols], hi[cols] = lo_vals, hi_vals
 
     set_bounds("load_hvac", 0.0, np.inf)
     set_bounds("load_shift", 0.0, np.where(shift_mask, np.inf, 0.0))
@@ -427,10 +431,8 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
     set_bounds("peak", 0.0, np.inf)
 
     return LinearConstraintSet(
-        n_vars=nv, a_eq=np.vstack([a for a, _ in eq]),
-        b_eq=np.concatenate([b for _, b in eq]),
-        a_in=np.vstack([a for a, _ in le]),
-        b_in=np.concatenate([b for _, b in le]), lo=lo, hi=hi)
+        n_vars=nv, a_eq=stack(eq), b_eq=np.concatenate([b for _, b in eq]),
+        a_in=stack(le), b_in=np.concatenate([b for _, b in le]), lo=lo, hi=hi)
 
 
 def build_user_objective(s: Scenario, user: int,
@@ -448,9 +450,9 @@ def build_user_objective(s: Scenario, user: int,
 
     def quad(name: str, weight: float, target: np.ndarray | float) -> None:
         nonlocal offset
-        sp = layout.span(user, name)
-        p_diag[sp] += 2.0 * weight
-        q[sp] += -2.0 * weight * np.asarray(target, dtype=float)
+        cols = layout.span(user, name)
+        p_diag[cols] += 2.0 * weight
+        q[cols] += -2.0 * weight * np.asarray(target, dtype=float)
         offset += weight * float(np.sum(np.asarray(target, dtype=float) ** 2))
 
     quad("load_shift", u.w_shift, u.shift_pref)

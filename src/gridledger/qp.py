@@ -1,39 +1,33 @@
 """Convex QP solver with verifiable optimality residuals.
 
 Solves  min 0.5 x'Px + q'x  subject to equality rows, inequality rows and
-variable bounds (a ``LinearConstraintSet``: plain row matrices, right-hand
-sides and per-column bounds), for diagonal P >= 0 given as its diagonal.
-The solver is a primal-dual interior point method (Mehrotra
-predictor-corrector) on the condensed KKT system, preceded by a presolve
-that eliminates fixed variables and followed by a polish.  The interior
-point treats inequality rows and finite bounds as one family C x <= d,
-with one slack and one multiplier per row, and moves primal and dual
-variables by one step length (Nocedal & Wright, Numerical Optimization,
-2nd ed., Alg. 16.4).
-With P != 0, unequal lengths a_p != a_d leave (a_p - a_d) P dx in the dual
-residual, which can grow in the end-game and make the iteration count
-depend on rounding.  The polish is a regularised KKT solve on the
-active set the interior point points to (Stellato et al., "OSQP: an
-operator splitting solver for quadratic programs", Math. Prog. Comp.
-2020, section 5.2), kept only when its KKT residuals certify it.  A
-candidate that does not certify repairs the guess: the rows and bounds
-it violates join, the active ones with a negative multiplier leave, and
-the solve is repeated, at most three times.  A warm start runs the same
-polish on the previous solution's active set before any interior-point
-iteration.  A warm-started solution carries its presolve, which the next
-warm start on the same ``LinearConstraintSet`` object reuses, so a
-sequence of solves presolves its rows twice, not once per solve.
-Each regularised, quasi-definite saddle system (Vanderbei, SIAM J. Optim.
-1995) is factored sparse; the interior point fixes its pattern once per
-solve, and the carried presolve keeps the last polish factor for reuse on
-the same matrix (Stellato et al. 2020, section 3.1).
-``QpSolution.polish`` says which path produced the answer.  Everything is
-deterministic: same problem, same answer, bit for bit.
+variable bounds (a ``LinearConstraintSet``, whose rows stay sparse CSR up
+to the factorizations), for diagonal P >= 0 given as its diagonal.  A
+presolve eliminates fixed variables and rejects inconsistent equality
+rows.  A primal-dual interior point method (Mehrotra predictor-corrector)
+on the condensed KKT system treats inequality rows and finite bounds as
+one family C x <= d, with one slack and one multiplier per row, and moves
+primal and dual variables by one step length (Nocedal & Wright, Numerical
+Optimization, 2nd ed., Alg. 16.4), as with P != 0 unequal lengths leave
+(a_p - a_d) P dx in the dual residual.  The polish is a regularised KKT
+solve on the active set the interior point points to (Stellato et al.,
+"OSQP: an operator splitting solver for quadratic programs", Math. Prog.
+Comp. 2020, section 5.2), kept only when its KKT residuals certify it; a
+candidate that does not certify repairs the guess, at most three times.
+A warm start runs the same polish on the previous solution's active set
+first, and reuses the presolve a warm-started solution of the same
+``LinearConstraintSet`` object carries.  Each regularised, quasi-definite
+saddle system (Vanderbei, SIAM J. Optim. 1995) is factored sparse; the
+carried presolve keeps the last polish factor for reuse on the same
+matrix (Stellato et al. 2020, section 3.1).  ``QpSolution.polish`` says
+which path produced the answer.  Everything is deterministic: same
+problem, same answer, bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
@@ -72,9 +66,9 @@ class Polish(enum.Enum):
     the same solve and repairs from the warm start's active set, without
     an interior-point iteration (``iterations`` is 1); ``interior``: the
     interior-point point, because no polish candidate certified or the
-    problem is infeasible;
-    ``direct``: no iteration was needed (equality rows only, every
-    variable fixed, or bounds or rows that presolve found contradictory).
+    problem is infeasible; ``direct``: no iteration was needed (equality
+    rows only, every variable fixed, or bounds or rows that presolve found
+    contradictory).
     """
 
     POLISHED = "polished"
@@ -110,17 +104,36 @@ class Duals:
 
 @dataclass
 class LinearConstraintSet:
-    """Dense linear constraints: equality rows ``a_eq x = b_eq``, inequality
+    """Sparse linear constraints: equality rows ``a_eq x = b_eq``, inequality
     rows ``a_in x <= b_in`` and per-column closed bounds, +-inf for absent
-    sides."""
+    sides.  Rows in any form ``scipy.sparse.csr_array`` takes are held as
+    CSR; a field whose shape does not fit ``n_vars`` and the right-hand
+    sides raises ValueError naming it."""
 
     n_vars: int
-    a_eq: np.ndarray
+    a_eq: sp.csr_array
     b_eq: np.ndarray
-    a_in: np.ndarray
+    a_in: sp.csr_array
     b_in: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+
+    def __post_init__(self) -> None:
+        n, m_eq, m_in = self.n_vars, np.size(self.b_eq), np.size(self.b_in)
+        for name, shape in (("a_eq", (m_eq, n)), ("a_in", (m_in, n)),
+                            ("b_eq", (m_eq,)), ("b_in", (m_in,)),
+                            ("lo", (n,)), ("hi", (n,))):
+            value = (sp.csr_array if len(shape) == 2 else np.asarray)(
+                getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, not {shape}"
+                                 f" (n_vars {n}, one row per right-hand side)")
+            setattr(self, name, value)
+
+    @functools.cached_property
+    def transposes(self) -> Tuple[sp.csc_array, sp.csc_array]:
+        """(a_eq.T, a_in.T), made once for the products with multipliers."""
+        return self.a_eq.T, self.a_in.T
 
 
 @dataclass
@@ -169,19 +182,20 @@ class QpSolution:
 def kkt_residuals(problem: QpProblem, x: np.ndarray, duals: Duals) -> KktResiduals:
     """Stationarity, primal violation, complementarity and multiplier sign."""
     c = problem.constraints
-    g, h = c.a_in, c.b_in
     x = np.asarray(x, dtype=float)
+    slack = c.b_in - c.a_in @ x
     lo, hi = np.isfinite(c.lo), np.isfinite(c.hi)
 
     def top(v: np.ndarray) -> float:
         return float(np.max(v, initial=0.0))
 
-    stat = (problem.p * x + problem.q + c.a_eq.T @ duals.eq
-            + g.T @ duals.ineq - duals.lower + duals.upper)
+    a_eq_t, a_in_t = c.transposes
+    stat = (problem.p * x + problem.q + a_eq_t @ duals.eq
+            + a_in_t @ duals.ineq - duals.lower + duals.upper)
     # the leading 0.0 keeps max() of the parts as it always was under NaN
-    primal = max([0.0, top(np.abs(c.a_eq @ x - c.b_eq)), top(g @ x - h),
+    primal = max([0.0, top(np.abs(c.a_eq @ x - c.b_eq)), top(-slack),
                   top(c.lo[lo] - x[lo]), top(x[hi] - c.hi[hi])])
-    comp = max([0.0, top(np.abs(duals.ineq * (h - g @ x))),
+    comp = max([0.0, top(np.abs(duals.ineq * slack)),
                 top(np.abs(duals.lower[lo] * (x[lo] - c.lo[lo]))),
                 top(np.abs(duals.upper[hi] * (c.hi[hi] - x[hi])))])
     signed = np.concatenate([duals.ineq, duals.lower, duals.upper])
@@ -200,18 +214,18 @@ class _Reduced:
     source: LinearConstraintSet   # the rows and bounds this reduces
     p: np.ndarray             # diag(P) over the surviving variables
     q: np.ndarray
-    a: np.ndarray
+    a: sp.csr_array           # surviving rows over the surviving columns
     b: np.ndarray
-    g: np.ndarray
+    g: sp.csr_array
     h: np.ndarray
+    at: sp.csc_array          # a.T and g.T, held for the products
+    gt: sp.csc_array
     lo: np.ndarray
     hi: np.ndarray
     free: np.ndarray          # indices of surviving variables
     fixed_vals: np.ndarray    # full-length; NaN where free
     eq_keep: np.ndarray       # surviving equality row indices
     in_keep: np.ndarray       # surviving inequality row indices
-    a_nz: Tuple[np.ndarray, ...]  # (row, col, value) of a's nonzeros
-    g_nz: Tuple[np.ndarray, ...]
     # the last polish solver by its matrix, shared by this presolve's reuses
     factor: dict = field(default_factory=dict)
 
@@ -232,26 +246,26 @@ def _presolve(problem: QpProblem, feas_tol: float,
     if carried is not None and carried.source is c:
         return replace(carried, p=problem.p[carried.free],
                        q=problem.q[carried.free])
-    n = problem.q.size
-    lo = np.array(c.lo, dtype=float, copy=True)
-    hi = np.array(c.hi, dtype=float, copy=True)
+    lo, hi = c.lo, c.hi
     if np.any(lo > hi):
         i = int(np.argmax(lo > hi))
         raise _Contradiction(f"bounds contradict at column {i}: "
                              f"[{lo[i]}, {hi[i]}] is empty")
     fixed = np.isfinite(lo) & np.isfinite(hi) & (hi - lo <= 1e-12)
     free = np.flatnonzero(~fixed)
-    fixed_vals = np.full(n, np.nan)
+    fixed_vals = np.full(problem.q.size, np.nan)
     fixed_vals[fixed] = 0.5 * (lo[fixed] + hi[fixed])
     xf = np.nan_to_num(fixed_vals)          # 0 on the free columns
 
-    def reduce_rows(mat: np.ndarray, rhs: np.ndarray, is_eq: bool
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def reduce_rows(mat: sp.csr_array, rhs: np.ndarray, is_eq: bool
+                    ) -> Tuple[sp.csr_array, np.ndarray, np.ndarray]:
         """Substitute the fixed columns; drop the rows left empty, unless
         their right-hand side contradicts 0 = rhs (or 0 <= rhs)."""
         rhs_r = rhs - mat @ xf
         mat_r = mat[:, free]
-        empty = np.max(np.abs(mat_r), axis=1, initial=0.0) <= 1e-14
+        rows, _, vals = _triplets(mat_r)
+        empty = np.bincount(rows[np.abs(vals) > 1e-14],
+                            minlength=rhs.size) == 0
         bad = empty & (np.abs(rhs_r) > feas_tol if is_eq
                        else rhs_r < -feas_tol)
         if bad.any():
@@ -264,18 +278,29 @@ def _presolve(problem: QpProblem, feas_tol: float,
 
     a_r, b_r, eq_keep = reduce_rows(c.a_eq, c.b_eq, True)
     g_r, h_r, in_keep = reduce_rows(c.a_in, c.b_in, False)
-    if a_r.shape[0]:
-        # rank-inconsistent equality systems never reach the iteration
-        resid = a_r @ np.linalg.lstsq(a_r, b_r, rcond=None)[0] - b_r
-        gap = float(np.max(np.abs(resid), initial=0.0))
-        if gap > 1e-7 * (1.0 + float(np.max(np.abs(b_r), initial=0.0))):
+    red = _Reduced(source=c, p=problem.p[free], q=problem.q[free], a=a_r,
+                   b=b_r, g=g_r, h=h_r, at=a_r.T, gt=g_r.T, lo=lo[free],
+                   hi=hi[free], free=free, fixed_vals=fixed_vals,
+                   eq_keep=eq_keep, in_keep=in_keep)
+    if b_r.size:
+        # rank-inconsistent equality systems never reach the iteration: the
+        # regularised min-norm solve of [[I, A'], [A, -1e-10 I]] leaves a
+        # residual only where b has a part outside the range of A
+        nf = free.size
+        x = _saddle_solver(red, np.arange(nf), np.zeros(h_r.size, dtype=bool),
+                           np.ones(nf), 1e-10, 1)(
+            np.concatenate([np.zeros(nf), b_r]))[:nf]
+        gap = float(np.max(np.abs(a_r @ x - b_r)))
+        if gap > 1e-7 * (1.0 + float(np.max(np.abs(b_r)))):
             raise _Contradiction(
                 f"equality rows are mutually inconsistent (residual {gap:.3e})")
-    nz = [np.nonzero(a_r), np.nonzero(g_r)]
-    return _Reduced(source=c, p=problem.p[free], q=problem.q[free], a=a_r,
-                    b=b_r, g=g_r, h=h_r, lo=lo[free], hi=hi[free], free=free,
-                    fixed_vals=fixed_vals, eq_keep=eq_keep, in_keep=in_keep,
-                    a_nz=(*nz[0], a_r[nz[0]]), g_nz=(*nz[1], g_r[nz[1]]))
+    return red
+
+
+def _triplets(mat: sp.csr_array) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, value) of a CSR matrix's entries, row by row."""
+    return (np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)),
+            mat.indices, mat.data)
 
 
 def _saddle_pattern(hr: np.ndarray, hc: np.ndarray, r: np.ndarray,
@@ -299,10 +324,9 @@ def _kkt_solver(pattern: tuple, vals: np.ndarray,
     ordering makes equal matrices equal factors; a singular one raises."""
     slot, indices, indptr = pattern
     size = indptr.size - 1
-    lu = spla.splu(sp.csc_matrix((np.bincount(slot, weights=vals,
-                                              minlength=indices.size),
-                                  indices, indptr), shape=(size, size)),
-                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+    mat = sp.csc_matrix((np.bincount(slot, vals, indices.size), indices,
+                         indptr), shape=(size, size))
+    lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
                    options=dict(SymmetricMode=True))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
@@ -314,30 +338,30 @@ def _kkt_solver(pattern: tuple, vals: np.ndarray,
 
 
 def _saddle_solver(red: _Reduced, free: np.ndarray, act_g: np.ndarray,
-                   rows: np.ndarray, reg: float, refine: int
+                   pf: np.ndarray, reg: float, refine: int
                    ) -> Callable[[np.ndarray], np.ndarray]:
-    """The solver of [[diag(p), R'], [R, 0]] on the ``free`` columns, R =
-    ``rows``: the equality rows over the ``act_g`` inequality rows."""
-    nf, m, me = free.size, rows.shape[0], red.a.shape[0]
+    """The solver of [[diag(pf), R'], [R, 0]] on the ``free`` columns, R:
+    the equality rows over the ``act_g`` inequality rows, read from their
+    entries, so no stacked matrix is formed."""
+    nf, me, m = free.size, red.b.size, red.b.size + int(act_g.sum())
     col = np.full(red.p.size, -1)
     col[free] = np.arange(nf)
-    (ar, ac, av), (gr, gc, gv) = red.a_nz, red.g_nz
+    (ar, ac, av), (gr, gc, gv) = _triplets(red.a), _triplets(red.g)
     in_a, in_g = col[ac] >= 0, act_g[gr] & (col[gc] >= 0)
     r = np.concatenate([ar[in_a], me + np.cumsum(act_g)[gr[in_g]] - 1])
     c = col[np.concatenate([ac[in_a], gc[in_g]])]
     v = np.concatenate([av[in_a], gv[in_g]])
-    pf, rf, diag = red.p[free], rows[:, free], np.arange(nf)
+    diag = np.arange(nf)
     return _kkt_solver(_saddle_pattern(diag, diag, r, c, nf, m),
                        np.concatenate([pf + reg, v, v, np.full(m, -reg)]),
-                       lambda u: np.concatenate([pf * u[:nf] + rf.T @ u[nf:],
-                                                 rf @ u[:nf]]), refine)
+                       lambda u: np.concatenate([
+                           pf * u[:nf] + np.bincount(c, v * u[nf:][r], nf),
+                           np.bincount(r, v * u[c], m)]), refine)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return float(min(1.0, np.min(-v[neg] / dv[neg])))
+    return float(min(1.0, np.min(-v[neg] / dv[neg], initial=1.0)))
 
 
 def _polish(red: _Reduced, x0: np.ndarray, y0: np.ndarray, zg0: np.ndarray,
@@ -348,49 +372,44 @@ def _polish(red: _Reduced, x0: np.ndarray, y0: np.ndarray, zg0: np.ndarray,
     guess repaired from each candidate that does not certify.
 
     Columns with an active bound are fixed at it; the other columns, the
-    equality rows and the active inequality rows form one saddle system.
-    It is solved for the step from (x0, y0, zg0), not for the point
-    itself, so the regularisation keeps flat primal directions and
-    degenerate multipliers where the start put them.  The bound
-    multipliers follow from stationarity of the fixed columns, and every
-    inequality multiplier is clipped at 0.  ``certify`` maps the candidate
-    (x, y, zg, zl, zu) to a solution whose KKT residuals decide.  When
-    they do not certify, the guess gains the rows and bounds the candidate
-    violates and loses the active ones whose raw multiplier is negative,
-    and the solve is repeated from the same start, at most ``_REPAIRS``
-    times (Stellato et al. 2020, section 5.2).  None when no candidate
-    certifies.
+    equality rows and the active inequality rows form one saddle system,
+    solved for the step from (x0, y0, zg0), not for the point itself, so
+    the regularisation keeps flat primal directions and degenerate
+    multipliers where the start put them.  The bound multipliers follow
+    from stationarity of the fixed columns; inequality multipliers are
+    clipped at 0.  ``certify`` maps the candidate (x, y, zg, zl, zu) to a
+    solution whose KKT residuals decide.  A candidate that does not
+    certify adds the rows and bounds it violates to the guess and drops
+    the active ones whose raw multiplier is negative, and the solve is
+    repeated from the same start, at most ``_REPAIRS`` times (Stellato et
+    al. 2020, section 5.2).  None when no candidate certifies.
     """
     me = red.a.shape[0]
     act_u = act_u & ~act_l
     for _ in range(1 + _REPAIRS):
-        x = np.array(x0, dtype=float, copy=True)
-        x[act_l] = red.lo[act_l]
-        x[act_u] = red.hi[act_u]
+        x = np.where(act_l, red.lo, np.where(act_u, red.hi, x0))
         free = np.flatnonzero(~(act_l | act_u))
-        rows = np.vstack([red.a, red.g[act_g]])
-        nu = np.concatenate([y0, zg0[act_g]])
-        grad = red.p * x + red.q + rows.T @ nu
-        gap = rows @ x - np.concatenate([red.b, red.h[act_g]])
+        raw_g = np.where(act_g, zg0, 0.0)     # no active-row matrix formed
+        grad = red.p * x + red.q + red.at @ y0 + red.gt @ raw_g
+        gap = np.concatenate([red.a @ x - red.b, (red.g @ x - red.h)[act_g]])
         key = (act_g.tobytes(), act_l.tobytes(), act_u.tobytes(),
                red.p[free].tobytes(), reg)
         if key not in red.factor:
             red.factor.clear()
             try:
-                red.factor[key] = _saddle_solver(red, free, act_g, rows,
-                                                 reg, 3)
+                red.factor[key] = _saddle_solver(red, free, act_g,
+                                                 red.p[free], reg, 3)
             except RuntimeError:        # singular
                 return None
         step = red.factor[key](-np.concatenate([grad[free], gap]))
         x[free] += step[:free.size]
-        nu += step[free.size:]
+        y = y0 + step[free.size:free.size + me]
+        raw_g[act_g] += step[free.size + me:]
 
-        grad = red.p * x + red.q + rows.T @ nu
-        raw_g = np.zeros(red.g.shape[0])
-        raw_g[act_g] = nu[me:]
+        grad = red.p * x + red.q + red.at @ y + red.gt @ raw_g
         raw_l = np.where(act_l, grad, 0.0)
         raw_u = np.where(act_u, -grad, 0.0)
-        cand = certify(x, nu[:me], np.maximum(raw_g, 0.0),
+        cand = certify(x, y, np.maximum(raw_g, 0.0),
                        np.maximum(raw_l, 0.0), np.maximum(raw_u, 0.0))
         if cand.status is QpStatus.OPTIMAL:
             return cand
@@ -410,20 +429,15 @@ def _expand(problem: QpProblem, red: _Reduced, x_r: np.ndarray, y_r: np.ndarray,
     c = problem.constraints
     n = problem.q.size
     x = np.array(red.fixed_vals, copy=True)
-    x[red.free] = x_r
-    y = np.zeros(c.a_eq.shape[0])
-    y[red.eq_keep] = y_r
-    zg = np.zeros(c.a_in.shape[0])
-    zg[red.in_keep] = zg_r
-    zl = np.zeros(n)
-    zu = np.zeros(n)
-    zl[red.free] = zl_r
-    zu[red.free] = zu_r
+    y, zg, zl, zu = (np.zeros(k) for k in (c.b_eq.size, c.b_in.size, n, n))
+    x[red.free], zl[red.free], zu[red.free] = x_r, zl_r, zu_r
+    y[red.eq_keep], zg[red.in_keep] = y_r, zg_r
 
     # close the stationarity rows of fixed variables through their bound duals
     fixed = np.flatnonzero(~np.isnan(red.fixed_vals))
     if fixed.size:
-        r = (problem.p * x + problem.q + c.a_eq.T @ y + c.a_in.T @ zg)[fixed]
+        a_eq_t, a_in_t = c.transposes
+        r = (problem.p * x + problem.q + a_eq_t @ y + a_in_t @ zg)[fixed]
         zl[fixed] = np.maximum(r, 0.0)
         zu[fixed] = np.maximum(-r, 0.0)
     return x, Duals(eq=y, ineq=zg, lower=zl, upper=zu)
@@ -437,23 +451,18 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     """Solve the QP to ``tol`` on every KKT residual norm.
 
     The interior point runs to its own sharp target on C x <= d, where
-    C = [G; -I_lo; I_hi] stacks the inequality rows and the finite lower
-    and upper bounds; the bound rows stay implicit, so the condensed
-    matrix is G'W_gG + diag(p + w).  One step length moves x, the slacks
-    and both multiplier vectors, which keeps the dual residual shrinking
-    by the same factor as the primal one.  The polish then solves one KKT
-    system on the rows whose multiplier exceeds their slack, repairing
-    that guess while its point does not certify within ``tol``
-    (``_polish``); if none certifies, the interior-point point is
+    C = [G; -I_lo; I_hi] stacks the inequality rows and the finite bounds,
+    which stay implicit, so the condensed matrix is G'W_gG + diag(p + w).
+    The polish then solves one KKT system on the rows whose multiplier
+    exceeds their slack, repaired while its point does not certify within
+    ``tol`` (``_polish``); if none certifies, the interior-point point is
     returned.  ``warm_start`` takes a previous solution of a problem with
-    the same constraint geometry: the polish on its active set (rows with
-    a positive multiplier) is tried first and, when it certifies, answers
-    without an interior-point iteration.  A warm-started solve carries its
-    presolve, and with it the last polish factor, in the solution; a warm
-    start carrying one made on this problem's ``constraints`` object
-    reuses it and reduces only ``p`` and ``q`` afresh.  The constraint
-    arrays must not have been changed in place since.
-    ``QpSolution.polish`` records which of these paths answered.
+    the same constraint geometry, whose active set (rows with a positive
+    multiplier) is polished first.  A warm-started solve carries its
+    presolve and last polish factor in the solution; a warm start carrying
+    one made on this problem's ``constraints`` object, whose arrays must
+    not have changed in place since, reuses it and reduces only ``p`` and
+    ``q`` afresh.  ``QpSolution.polish`` records which path answered.
     """
     c = problem.constraints
     n = problem.q.size
@@ -474,10 +483,8 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     # only a warm-started solve, one of a sequence, carries its presolve
     # on; a one-off solve keeps no more than its point and multipliers
     carried = None if warm_start is None else red
-    scale = 1.0 + max(
-        float(np.max(np.abs(red.q), initial=0.0)),
-        float(np.max(np.abs(red.b), initial=0.0)),
-        float(np.max(np.abs(red.h), initial=0.0)))
+    scale = 1.0 + max(float(np.max(np.abs(v), initial=0.0))
+                      for v in (red.q, red.b, red.h))
     reg = 1e-10 * scale
 
     def finish(x_r, y_r, zg_r, zl_r, zu_r, status, iters,
@@ -500,17 +507,15 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
                       np.zeros(red.g.shape[0]), np.zeros(0), np.zeros(0),
                       QpStatus.OPTIMAL, 0, Polish.DIRECT)
 
-    jl = np.isfinite(red.lo)
-    ju = np.isfinite(red.hi)
+    jl, ju = np.isfinite(red.lo), np.isfinite(red.hi)
     jl_idx, ju_idx = np.flatnonzero(jl), np.flatnonzero(ju)
-    mi, nl = red.g.shape[0], jl_idx.size
-    me = red.a.shape[0]
+    mi, me, nl = red.g.shape[0], red.a.shape[0], jl_idx.size
     mc = mi + nl + ju_idx.size
 
     if mc == 0:
         # equality-constrained (or unconstrained): one saddle solve
         sol = _saddle_solver(red, np.arange(nr), np.zeros(0, dtype=bool),
-                             red.a, reg, 2)(np.concatenate([-red.q, red.b]))
+                             red.p, reg, 2)(np.concatenate([-red.q, red.b]))
         return finish(sol[:nr], sol[nr:], np.zeros(0), np.zeros(nr),
                       np.zeros(nr), QpStatus.OPTIMAL, 1, Polish.DIRECT)
 
@@ -534,7 +539,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
         return np.concatenate([red.g @ v, -v[jl_idx], v[ju_idx]])
 
     def ct_mul(w: np.ndarray) -> np.ndarray:
-        out = red.g.T @ w[:mi]
+        out = red.gt @ w[:mi]
         out[jl_idx] -= w[mi:mi + nl]
         out[ju_idx] += w[mi + nl:]
         return out
@@ -542,17 +547,15 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     def split(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows of C -> (G rows, lower bounds, upper bounds), each bound
         part scattered onto all columns."""
-        lower = np.zeros(nr, dtype=v.dtype)
-        lower[jl_idx] = v[mi:mi + nl]
-        upper = np.zeros(nr, dtype=v.dtype)
-        upper[ju_idx] = v[mi + nl:]
+        lower, upper = np.zeros((2, nr), dtype=v.dtype)
+        lower[jl_idx], upper[ju_idx] = v[mi:mi + nl], v[mi + nl:]
         return v[:mi], lower, upper
 
     # one pattern per solve for the Newton matrix [[G'W_gG + diag(p + w) +
     # reg I, A'], [A, -reg I]]: each ordered pair of entries (e, f) in a row
     # r of G adds g_e g_f w_r at (col e, col f); p, w and reg go on the
     # diagonal one after the other, as their one sum would round differently
-    gr, gc, gv = red.g_nz
+    gr, gc, gv = _triplets(red.g)
     first = np.searchsorted(gr, gr)
     k = np.searchsorted(gr, gr, side="right") - first
     left = np.repeat(np.arange(gr.size), k)
@@ -560,18 +563,15 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     diag = np.tile(np.arange(nr), 3)
     pattern = _saddle_pattern(np.concatenate([gc[left], diag]),
                               np.concatenate([gc[right], diag]),
-                              *red.a_nz[:2], nr, me)
+                              *_triplets(red.a)[:2], nr, me)
     pair_row, pair_prod = gr[left], gv[left] * gv[right]
-    tail = np.concatenate([np.full(nr, reg), red.a_nz[2], red.a_nz[2],
+    tail = np.concatenate([np.full(nr, reg), red.a.data, red.a.data,
                            np.full(me, -reg)])
 
-    x = np.zeros(nr)
-    both = jl & ju
-    x[both] = 0.5 * (red.lo[both] + red.hi[both])
-    only_lo = jl & ~ju
-    x[only_lo] = red.lo[only_lo] + 1.0
-    only_hi = ju & ~jl
-    x[only_hi] = red.hi[only_hi] - 1.0
+    # start mid-box, or one unit inside a one-sided bound
+    lo, hi = np.where(jl, red.lo, 0.0), np.where(ju, red.hi, 0.0)
+    x = np.where(jl & ju, 0.5 * (lo + hi),
+                 np.where(jl, lo + 1.0, np.where(ju, hi - 1.0, 0.0)))
 
     s = np.maximum(d - c_mul(x), 1.0)
     z = np.ones(mc)
@@ -582,7 +582,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     status = QpStatus.MAX_ITER
     it = 0
     for it in range(1, _IPM_CAP + 1):
-        rd = red.p * x + red.q + red.a.T @ y + ct_mul(z)
+        rd = red.p * x + red.q + red.at @ y + ct_mul(z)
         rp_e = red.a @ x - red.b
         rp = c_mul(x) + s - d
         mu = float(s @ z) / mc
@@ -611,8 +611,8 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
         vals = np.concatenate([w_g[pair_row] * pair_prod, red.p, w_b, tail])
         try:
             kkt_solve = _kkt_solver(pattern, vals, lambda v: np.concatenate([
-                red.g.T @ (w_g * (red.g @ v[:nr])) + red.p * v[:nr]
-                + w_b * v[:nr] + red.a.T @ v[nr:], red.a @ v[:nr]]), refine=1)
+                red.gt @ (w_g * (red.g @ v[:nr])) + red.p * v[:nr]
+                + w_b * v[:nr] + red.at @ v[nr:], red.a @ v[:nr]]), refine=1)
         except RuntimeError:
             break
 
@@ -633,12 +633,9 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
         # dual residual left by unequal lengths grows with (a_p - a_d) P dx
         dx, dy, ds, dz = newton(-s * z + sigma * mu - ds_a * dz_a)
         alpha = 0.995 * min(_max_step(s, ds), _max_step(z, dz))
-        if alpha < 1e-11:
-            stalls += 1
-            if stalls >= 3:
-                break
-        else:
-            stalls = 0
+        stalls = stalls + 1 if alpha < 1e-11 else 0
+        if stalls >= 3:
+            break
         x += alpha * dx
         y += alpha * dy
         s += alpha * ds

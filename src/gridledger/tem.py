@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .energy_model import (SCHEDULE_SERIES, CostBreakdown, Mode, Schedule,
                            build_user_constraints, build_user_objective,
@@ -253,18 +253,18 @@ def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
     t = s.grid.horizon
     homes = [home_problem(s, n, mode) for n in range(s.n_users)]
     cons = [h.constraints for h in homes]
-    a_eq = sla.block_diag(*(cs.a_eq for cs in cons))
+    a_eq = sp.block_diag([cs.a_eq for cs in cons])
     b_eq = np.concatenate([cs.b_eq for cs in cons])
     if mode.has_horizontal and s.n_users > 1:
         # each clearing row puts a 1 on its slot in every home's export
         # span; home 0's block starts at column 0, so its span is local
-        unit = np.zeros((t, layout.block_size))
-        unit[:, layout.span(0, "export")] = np.eye(t)
-        a_eq = np.vstack([a_eq, np.tile(unit, s.n_users)])
+        unit = sp.eye_array(t, layout.block_size,
+                            k=layout.span(0, "export").start)
+        a_eq = sp.vstack([a_eq, sp.kron(np.ones((1, s.n_users)), unit)])
         b_eq = np.concatenate([b_eq, np.zeros(t)])
     constraints = LinearConstraintSet(
         n_vars=layout.n_vars, a_eq=a_eq, b_eq=b_eq,
-        a_in=sla.block_diag(*(cs.a_in for cs in cons)),
+        a_in=sp.block_diag([cs.a_in for cs in cons]),
         b_in=np.concatenate([cs.b_in for cs in cons]),
         lo=np.concatenate([cs.lo for cs in cons]),
         hi=np.concatenate([cs.hi for cs in cons]))
@@ -397,11 +397,11 @@ def assemble_ult(home: QpProblem, user: int, d: DualState) -> QpProblem:
     n_users, _, horizon = d.trades.shape
     p_diag, q = home.p.copy(), home.q.copy()
     if n_users > 1:
-        sp = user_layout(n_users, horizon, Mode.TEM,
-                         users=[user]).span(user, "export")
+        cols = user_layout(n_users, horizon, Mode.TEM,
+                           users=[user]).span(user, "export")
         w = d.rho / (n_users - 1)
-        p_diag[sp] += w
-        q[sp] -= w * _penalty_centres(d, user).sum(axis=0)
+        p_diag[cols] += w
+        q[cols] -= w * _penalty_centres(d, user).sum(axis=0)
     return QpProblem(p=p_diag, q=q, constraints=home.constraints,
                      layout_tag=home.layout_tag)
 

@@ -300,8 +300,9 @@ class TestConstraints:
         lay_tem = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[0])
         cs_tem = build_user_constraints(s, 0, Mode.TEM)
         assert np.all(cs_tem.hi[lay_tem.span(0, "supply_renewable")] == np.inf)
-        split = (cs_tem.a_in[:, lay_tem.span(0, "supply_renewable")] == 1.0) \
-            & (cs_tem.a_in[:, lay_tem.span(0, "feed_in")] == 1.0)
+        a_in = cs_tem.a_in.toarray()
+        split = (a_in[:, lay_tem.span(0, "supply_renewable")] == 1.0) \
+            & (a_in[:, lay_tem.span(0, "feed_in")] == 1.0)
         rows, slots = np.nonzero(split)
         assert np.array_equal(slots, np.arange(s.grid.horizon))
         assert np.array_equal(cs_tem.b_in[rows], s.users[0].renewable_cap)
@@ -312,14 +313,15 @@ class TestConstraints:
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[0])
         t = s.grid.horizon
         # a balance row serves its slot's HVAC load from its grid draw
-        balance = (cs.a_eq[:, lay.span(0, "load_hvac")] == 1.0) \
-            & (cs.a_eq[:, lay.span(0, "supply_grid")] == -1.0)
+        a_eq, a_in = cs.a_eq.toarray(), cs.a_in.toarray()
+        balance = (a_eq[:, lay.span(0, "load_hvac")] == 1.0) \
+            & (a_eq[:, lay.span(0, "supply_grid")] == -1.0)
         rows, slots = np.nonzero(balance)
         assert np.array_equal(slots, np.arange(t))
         assert np.unique(rows).size == t
         # an epigraph row holds its slot's grid draw under the peak column
-        peak = cs.a_in[:, lay.span(0, "peak")] == -1.0
-        epigraph = peak & (cs.a_in[:, lay.span(0, "supply_grid")] == 1.0)
+        peak = a_in[:, lay.span(0, "peak")] == -1.0
+        epigraph = peak & (a_in[:, lay.span(0, "supply_grid")] == 1.0)
         rows, slots = np.nonzero(epigraph)
         assert np.array_equal(slots, np.arange(t))
         assert np.unique(rows).size == t
@@ -364,7 +366,8 @@ class TestConstraints:
         x[lay.span(0, "ev_discharge")][window] = dis[window]
 
         cs = build_user_constraints(s, 0, mode)
-        touches = {name: np.any(cs.a_eq[:, lay.span(0, name)] != 0.0, axis=1)
+        a_eq = cs.a_eq.toarray()
+        touches = {name: np.any(a_eq[:, lay.span(0, name)] != 0.0, axis=1)
                    for name in ("temp_in", "ev_energy", "ev_charge")}
         thermal = touches["temp_in"]
         battery = touches["ev_energy"] & touches["ev_charge"]

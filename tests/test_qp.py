@@ -120,6 +120,22 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             QpProblem(p=np.full(2, 1.0), q=np.zeros(2), constraints=make_cs(3))
 
+    @pytest.mark.parametrize("field, rows", [
+        ("a_eq", dict(a_eq=np.eye(2), b_eq=[1.0])),
+        ("a_eq", dict(a_eq=np.ones((1, 3)), b_eq=[1.0])),
+        ("a_in", dict(a_in=np.eye(2), b_in=[1.0, 2.0, 3.0])),
+        ("b_eq", dict(a_eq=np.eye(2), b_eq=np.ones((2, 1)))),
+        ("lo", dict(lo=np.zeros(3))),
+        ("hi", dict(hi=np.zeros(1))),
+    ], ids=["rhs-too-short", "too-many-columns", "rhs-too-long",
+            "rhs-not-a-vector", "lo-length", "hi-length"])
+    def test_rejects_mismatched_rows(self, field, rows):
+        """A row matrix must be (len(rhs), n_vars) and the bounds n_vars
+        long; a 2x2 a_eq with one right-hand side would otherwise solve by
+        broadcasting it."""
+        with pytest.raises(ValueError, match=f"^{field} has shape"):
+            make_cs(2, **rows)
+
     def test_objective_value(self):
         prob = QpProblem(p=np.full(1, 2.0), q=np.array([-4.0]),
                          constraints=make_cs(1))
@@ -258,7 +274,7 @@ def test_presolve_rows_match_row_loop():
         rows = [i for i in range(mat.shape[0])
                 if np.max(np.abs(mat[i, free])) > 1e-14]
         assert np.array_equal(keep, rows)
-        assert np.array_equal(got_mat, mat[rows][:, free])
+        assert np.array_equal(got_mat.toarray(), mat[rows][:, free])
         assert np.array_equal(got_rhs, (rhs - mat @ xf)[rows])
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -325,20 +326,23 @@ class TestCentralized:
         s = scen_3x8
         prob = assemble_problem(s, mode)
         c = prob.constraints
+        a_eq, a_in = c.a_eq.toarray(), c.a_in.toarray()
         lay = user_layout(s.n_users, s.grid.horizon, mode)
         t = s.grid.horizon
-        eq_home = np.zeros(c.a_eq.shape, dtype=bool)
-        in_home = np.zeros(c.a_in.shape, dtype=bool)
+        eq_home = np.zeros(a_eq.shape, dtype=bool)
+        in_home = np.zeros(a_in.shape, dtype=bool)
         r_eq = r_in = 0
+        home_nnz = 0
         for n in range(s.n_users):
             cs = build_user_constraints(s, n, mode)
+            home_nnz += cs.a_eq.nnz
             p_diag, q, _ = build_user_objective(s, n, mode)
             cols = slice(n * lay.block_size, (n + 1) * lay.block_size)
             rows_eq = slice(r_eq, r_eq + cs.b_eq.size)
             rows_in = slice(r_in, r_in + cs.b_in.size)
-            assert np.array_equal(c.a_eq[rows_eq, cols], cs.a_eq)
+            assert np.array_equal(a_eq[rows_eq, cols], cs.a_eq.toarray())
             assert np.array_equal(c.b_eq[rows_eq], cs.b_eq)
-            assert np.array_equal(c.a_in[rows_in, cols], cs.a_in)
+            assert np.array_equal(a_in[rows_in, cols], cs.a_in.toarray())
             assert np.array_equal(c.b_in[rows_in], cs.b_in)
             assert np.array_equal(c.lo[cols], cs.lo)
             assert np.array_equal(c.hi[cols], cs.hi)
@@ -348,10 +352,14 @@ class TestCentralized:
             in_home[rows_in, cols] = True
             r_eq, r_in = rows_eq.stop, rows_in.stop
         assert r_in == c.b_in.size
-        assert np.all(c.a_in[~in_home] == 0.0)
-        assert np.all(c.a_eq[:r_eq][~eq_home[:r_eq]] == 0.0)
+        assert np.all(a_in[~in_home] == 0.0)
+        assert np.all(a_eq[:r_eq][~eq_home[:r_eq]] == 0.0)
+        # the joint rows store the homes' entries and one per home and
+        # slot of the clearing rows, nothing more
+        trading = mode.has_horizontal and s.n_users > 1
+        assert c.a_eq.nnz == home_nnz + trading * s.n_users * t
         # the rows after the home blocks clear the exports, one per slot
-        clearing, rhs = c.a_eq[r_eq:], c.b_eq[r_eq:]
+        clearing, rhs = a_eq[r_eq:], c.b_eq[r_eq:]
         if not mode.has_horizontal:
             assert clearing.shape[0] == 0
             return
@@ -362,6 +370,21 @@ class TestCentralized:
             for tt in range(t):
                 want[tt, lay.col(n, "export", tt)] = 1.0
         assert np.array_equal(clearing, want)
+
+    def test_joint_rows_stay_sparse_at_scale(self):
+        """Assembling and solving joint TEM at N=10 never holds as many bytes
+        as one dense copy of the joint equality rows would take."""
+        s = generate_synthetic(seed=0, n_users=10, horizon=24)
+        tracemalloc.start()
+        try:
+            prob = assemble_problem(s, Mode.TEM)
+            sol = solve_qp(prob, tol=1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.status is QpStatus.OPTIMAL
+        rows, cols = prob.constraints.a_eq.shape
+        assert peak < rows * cols * 8
 
     def test_mode_ordering_small(self, scen_2x4):
         costs = {m: solve_centralized(scen_2x4, m).total_cost for m in Mode}
