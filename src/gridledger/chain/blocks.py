@@ -5,12 +5,20 @@ with SHA-256 over those bytes; a signed structure encodes as its signing
 bytes followed by its remaining fields.  Signatures come from the mock
 scheme (``MockSigner``), which is deterministic, 64 bytes, and binds the
 signing key id into the digest so distinct validators never collide.
+
+Every frozen value encodes once: a transaction's signing bytes, encoding
+and digest, a header's digest and a vote's signing bytes are built on
+first use and kept on the object.  Changing a field through
+``object.__setattr__`` after that point is not supported; a changed
+value is a new object.  Only bytes are kept, never a verification
+result, so every ``verify_*`` call still checks its signature.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple, Union
 
 from .codec import CodecError, Reader, Writer, digest
@@ -121,6 +129,18 @@ class SignedTx:
     payload: TxPayload
     signature: bytes
 
+    @cached_property
+    def signing_bytes(self) -> bytes:
+        return _tx_signing_bytes(self.sender, self.nonce, self.payload)
+
+    @cached_property
+    def encoded(self) -> bytes:
+        return Writer().raw(self.signing_bytes).blob(self.signature).take()
+
+    @cached_property
+    def digest(self) -> bytes:
+        return digest(self.encoded)
+
 
 def _encode_payload(w: Writer, payload: TxPayload) -> None:
     if isinstance(payload, HorizontalTrade):
@@ -170,16 +190,11 @@ def sign_tx(signer: MockSigner, sender: int, nonce: int,
 
 
 def verify_tx(tx: SignedTx) -> bool:
-    return MockSigner.verify(
-        tx.sender, _tx_signing_bytes(tx.sender, tx.nonce, tx.payload),
-        tx.signature)
+    return MockSigner.verify(tx.sender, tx.signing_bytes, tx.signature)
 
 
 def encode_tx(tx: SignedTx) -> bytes:
-    w = Writer()
-    w.raw(_tx_signing_bytes(tx.sender, tx.nonce, tx.payload))
-    w.blob(tx.signature)
-    return w.take()
+    return tx.encoded
 
 
 def decode_tx(data: bytes) -> SignedTx:
@@ -197,7 +212,7 @@ def decode_tx(data: bytes) -> SignedTx:
 
 
 def tx_digest(tx: SignedTx) -> bytes:
-    return digest(encode_tx(tx))
+    return tx.digest
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +226,10 @@ class BlockHeader:
     tx_root: bytes
     proposer: int
     round: int
+
+    @cached_property
+    def digest(self) -> bytes:
+        return digest(encode_header(self))
 
 
 @dataclass(frozen=True)
@@ -237,7 +256,7 @@ def encode_header(header: BlockHeader) -> bytes:
 def block_digest(block_or_header: Union[Block, BlockHeader]) -> bytes:
     header = block_or_header.header if isinstance(block_or_header, Block) \
         else block_or_header
-    return digest(encode_header(header))
+    return header.digest
 
 
 def make_block(height: int, parent: bytes, timestamp_ms: int, proposer: int,
@@ -270,6 +289,11 @@ class Vote:
     voter: int
     signature: bytes
 
+    @cached_property
+    def signing_bytes(self) -> bytes:
+        return vote_payload(self.phase, self.height, self.round,
+                            self.block_digest)
+
 
 def vote_payload(phase: int, height: int, round: int,
                  block_dig: bytes) -> bytes:
@@ -289,16 +313,12 @@ def make_vote(signer: MockSigner, phase: int, height: int, round: int,
 
 
 def verify_vote(vote: Vote) -> bool:
-    return MockSigner.verify(
-        vote.voter,
-        vote_payload(vote.phase, vote.height, vote.round, vote.block_digest),
-        vote.signature)
+    return MockSigner.verify(vote.voter, vote.signing_bytes, vote.signature)
 
 
 def encode_vote(vote: Vote) -> bytes:
     w = Writer()
-    w.raw(vote_payload(vote.phase, vote.height, vote.round,
-                       vote.block_digest))
+    w.raw(vote.signing_bytes)
     w.u32(vote.voter)
     w.blob(vote.signature)
     return w.take()

@@ -17,7 +17,7 @@ can be compared per iteration.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -93,12 +93,22 @@ class ChainTransport:
         for v in self.validators:
             self.network.client_send(v, SubmitTx(tx), at_ms=self.network.now)
 
-    def _run_until(self, predicate, what: str) -> None:
-        assert self.network is not None
-        self.network.run(
-            until=lambda net: predicate(),
-            max_events=self.network.events + _EVENTS_PER_STEP)
-        if not predicate():
+    def _run_until(self, reached: Callable[[NodeState], bool],
+                   what: str) -> None:
+        """Run the network until every live validator has ``reached``.
+
+        The stop test runs after every event, so it holds the validators'
+        states once and asks the network about liveness inline.
+        """
+        net = self.network
+        assert net is not None
+        nodes = [(v, self._node(v)) for v in self.validators]
+
+        def done(net: Network) -> bool:
+            return all(reached(st) for v, st in nodes if net.alive(v))
+
+        net.run(until=done, max_events=net.events + _EVENTS_PER_STEP)
+        if not done(net):
             raise RuntimeError(f"validators never reached: {what}")
 
     def _check_agreement(self) -> None:
@@ -143,10 +153,8 @@ class ChainTransport:
         step = SctCompute(iteration=k, submitter=COORDINATOR)
         self._submit(sign_tx(MockSigner(COORDINATOR), COORDINATOR,
                              self._next_nonce(COORDINATOR), step))
-        self._run_until(
-            lambda: all(self._node(v).contract.dual.iteration >= k
-                        for v in self._live()),
-            f"coordination step {k}")
+        self._run_until(lambda st: st.contract.dual.iteration >= k,
+                        f"coordination step {k}")
         self._check_agreement()
         self._iteration = k
         return self._ref().contract.dual.copy()
@@ -165,12 +173,11 @@ class ChainTransport:
             tx = sign_tx(MockSigner(user), user, self._next_nonce(user),
                          payload)
             self._submit(tx)
-        want = dict(self._nonces)
+        want = {u: nn for u, nn in self._nonces.items() if u != COORDINATOR}
 
-        def applied() -> bool:
-            return all(self._node(v).contract.nonces.get(u, 0) >= nn
-                       for v in self._live()
-                       for u, nn in want.items() if u != COORDINATOR)
+        def applied(st: NodeState) -> bool:
+            return all(st.contract.nonces.get(u, 0) >= nn
+                       for u, nn in want.items())
 
         self._run_until(applied, "vertical settlement")
         self._check_agreement()

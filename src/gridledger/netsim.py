@@ -36,6 +36,8 @@ CLIENT = -1
 _KIND_EMIT = 0
 _KIND_DELIVER = 1
 _KIND_TIMER = 2
+# crash time of a node that has not crashed
+_NEVER = float("inf")
 
 
 @dataclass(frozen=True)
@@ -121,12 +123,12 @@ class Network:
 
     def alive(self, node_id: int, at_ms: Optional[float] = None) -> bool:
         t = self.now if at_ms is None else at_ms
-        return self._crash_time.get(node_id, float("inf")) > t
+        return self._crash_time.get(node_id, _NEVER) > t
 
     def crash(self, node_id: int, at_ms: float) -> None:
         if node_id not in self.states:
             raise ValueError(f"unknown node {node_id}")
-        prev = self._crash_time.get(node_id, float("inf"))
+        prev = self._crash_time.get(node_id, _NEVER)
         self._crash_time[node_id] = min(prev, at_ms)
 
     def partition(self, groups: Sequence[Sequence[int]], start_ms: float,

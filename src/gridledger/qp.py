@@ -256,15 +256,20 @@ def _presolve(problem: QpProblem, feas_tol: float,
     fixed_vals = np.full(problem.q.size, np.nan)
     fixed_vals[fixed] = 0.5 * (lo[fixed] + hi[fixed])
     xf = np.nan_to_num(fixed_vals)          # 0 on the free columns
+    new_col = np.full(lo.size, -1)          # reduced column; -1 if fixed
+    new_col[free] = np.arange(free.size)
 
     def reduce_rows(mat: sp.csr_array, rhs: np.ndarray, is_eq: bool
                     ) -> Tuple[sp.csr_array, np.ndarray, np.ndarray]:
         """Substitute the fixed columns; drop the rows left empty, unless
-        their right-hand side contradicts 0 = rhs (or 0 <= rhs)."""
+        their right-hand side contradicts 0 = rhs (or 0 <= rhs).  The
+        reduced rows come straight from the matrix's own index arrays,
+        entries in their stored order."""
         rhs_r = rhs - mat @ xf
-        mat_r = mat[:, free]
-        rows, _, vals = _triplets(mat_r)
-        empty = np.bincount(rows[np.abs(vals) > 1e-14],
+        rows, cols, vals = _triplets(mat)
+        col = new_col[cols]
+        on_free = col >= 0
+        empty = np.bincount(rows[on_free & (np.abs(vals) > 1e-14)],
                             minlength=rhs.size) == 0
         bad = empty & (np.abs(rhs_r) > feas_tol if is_eq
                        else rhs_r < -feas_tol)
@@ -274,7 +279,12 @@ def _presolve(problem: QpProblem, feas_tol: float,
             raise _Contradiction(f"{kind} row {i} became 0 {rel} {rhs_r[i]:.3e}"
                                  f" after substituting fixed variables")
         keep = np.flatnonzero(~empty)
-        return mat_r[keep], rhs_r[keep], keep
+        take = on_free & ~empty[rows]
+        counts = np.bincount(rows[take], minlength=rhs.size)[keep]
+        mat_r = sp.csr_array((vals[take], col[take],
+                              np.concatenate(([0], np.cumsum(counts)))),
+                             shape=(keep.size, free.size))
+        return mat_r, rhs_r[keep], keep
 
     a_r, b_r, eq_keep = reduce_rows(c.a_eq, c.b_eq, True)
     g_r, h_r, in_keep = reduce_rows(c.a_in, c.b_in, False)

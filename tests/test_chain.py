@@ -1,6 +1,7 @@
 """Chain stack tests: codec, transactions, blocks, contract, agreement."""
 
 import dataclasses
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -28,6 +29,7 @@ from gridledger.chain import (
     SetTimer,
     SignedTx,
     Start,
+    SubmitTx,
     VerticalTrade,
     Writer,
     block_digest,
@@ -50,9 +52,11 @@ from gridledger.chain import (
     verify_tx,
     verify_vote,
 )
+from gridledger.chain.blocks import encode_block, encode_header, encode_vote
 from gridledger.chain.cluster import (message_bytes, message_height,
                                      run_to_height, start_cluster, tally)
-from gridledger.netsim import NetConfig, Network
+from gridledger.chain.node import _validate_proposal
+from gridledger.netsim import CLIENT, NetConfig, Network
 from gridledger.tem import (RhoSchedule, advance_iteration, dual_state_digest,
                             sct_step, split_export)
 
@@ -218,6 +222,110 @@ class TestTransactions:
             decode_tx(data[:-3])
         with pytest.raises(CodecError):
             decode_tx(data + b"\x01")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenBytes:
+    """Canonical bytes pinned to fixed values, so a cached encoding can
+    never drift from the one built field by field."""
+
+    TXS = (
+        (HorizontalTrade(user=1, iteration=2, trades=(1.5, -0.25, 0.0, -0.0)),
+         1, 3, "9c7bfa7538f8c1c10a741c2f52af8ffd"
+               "9e0c77b6990d8d486999a831c472f9a8"),
+        (SctCompute(iteration=2, submitter=COORDINATOR), COORDINATOR, 7,
+         "dd13c65728ec0f87c8c6d12a880d0503"
+         "3bf77ef51988d0a59179f57d45d1eccd"),
+        (VerticalTrade(user=2, feed_in=(0.5, 2.0), dr_reduce=(0.0, 1.25)),
+         2, 4, "35f4fdbcf95b1fda2879e1b7e3aebfa7"
+               "fa04f419eb06af30aee62a916f39725b"),
+    )
+    HEADER = ("009a498cceb6804be4440ca95784c424"
+              "789e76eb163db1a3f4b17e8c44781d5c")
+    VOTE = "ebcf2b14ff3f632c359db0028e271fbfcf600ef4f1f906d62c8abbf64f0767d6"
+    BLOCK = "7a658e310bf27251bfa0a32cca66e74d17e485522a70016187e9705e839bed08"
+
+    def _txs(self):
+        return [_tx(sender, nonce, payload)
+                for payload, sender, nonce, _ in self.TXS]
+
+    def test_transactions(self):
+        for tx, (_, _, _, want) in zip(self._txs(), self.TXS):
+            data = encode_tx(tx)
+            assert _sha(data) == want
+            assert tx_digest(tx).hex() == want
+            assert encode_tx(tx) == data and tx_digest(tx).hex() == want
+            back = decode_tx(data)
+            assert back is not tx
+            assert encode_tx(back) == data and tx_digest(back).hex() == want
+
+    def test_header_vote_and_block(self):
+        block = make_block(height=3, parent=bytes(range(32)),
+                           timestamp_ms=1234, proposer=1, round=0,
+                           txs=self._txs())
+        assert _sha(encode_header(block.header)) == self.HEADER
+        assert block_digest(block).hex() == self.HEADER
+        assert block_digest(block.header).hex() == self.HEADER
+        vote = make_vote(MockSigner(2), PHASE_COMMIT, 3, 0,
+                         block_digest(block))
+        assert _sha(encode_vote(vote)) == self.VOTE
+        assert verify_vote(vote)
+        assert _sha(encode_vote(vote)) == self.VOTE
+        assert _sha(encode_block(block)) == self.BLOCK
+        assert _sha(encode_block(block)) == self.BLOCK
+
+
+class TestForgedTwin:
+    """A transaction equal to a verified one in sender, nonce and payload
+    but carrying a wrong signature is a new object: nothing known about
+    the genuine one lets it through."""
+
+    def _pair(self):
+        genuine = _tx(0, 1, HorizontalTrade(user=0, iteration=1,
+                                            trades=(1.0, -1.0)))
+        # the genuine transaction is encoded and verified first
+        assert tx_digest(genuine).hex() == _sha(encode_tx(genuine))
+        assert verify_tx(genuine)
+        twin = SignedTx(sender=genuine.sender, nonce=genuine.nonce,
+                        payload=genuine.payload,
+                        signature=MockSigner(3).sign(genuine.signing_bytes))
+        assert tx_digest(twin) != tx_digest(genuine)
+        return genuine, twin
+
+    def _node(self):
+        return new_node(NodeConfig(node_id=0, validators=(0, 1, 2, 3)),
+                        genesis(_config()))
+
+    def test_submit_drops_it(self):
+        genuine, twin = self._pair()
+        st = self._node()
+        assert handle(st, CLIENT, SubmitTx(twin), 0.0) == []
+        assert st.mempool == {}
+        handle(st, CLIENT, SubmitTx(genuine), 0.0)
+        assert list(st.mempool.values()) == [genuine]
+
+    def test_proposal_holding_it_is_refused(self):
+        genuine, twin = self._pair()
+        st = self._node()
+
+        def proposal(txs):
+            # height 1, view 0 belongs to validator 1
+            return make_block(height=1, parent=GENESIS_PARENT,
+                              timestamp_ms=0, proposer=1, round=0, txs=txs)
+
+        assert _validate_proposal(st, 1, proposal([genuine]))
+        assert not _validate_proposal(st, 1, proposal([twin]))
+        assert not _validate_proposal(st, 1, proposal([genuine, twin]))
+
+    def test_contract_rejects_it(self):
+        genuine, twin = self._pair()
+        out, recs = execute_transactions(genesis(_config()), [twin, genuine])
+        assert [r.status for r in recs] == ["bad-signature", "applied"]
+        assert recs[0].tx == tx_digest(twin).hex()
+        assert out.nonces[0] == 1
 
 
 class TestBlocks:
@@ -670,7 +778,6 @@ class TestAgreement:
         cluster = SyncCluster(4, ConsensusMode.MODIFIED)
         tx = _tx(0, 1, VerticalTrade(user=0, feed_in=(1.0, 2.0),
                                      dr_reduce=(0.0, 3.0)))
-        from gridledger.chain import SubmitTx
         for v in cluster.validators:
             cluster._dispatch(v, -1, SubmitTx(tx))
         cluster.run_to_height(2)

@@ -5,6 +5,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gridledger.energy_model import (
     Mode,
@@ -276,6 +277,36 @@ def test_presolve_rows_match_row_loop():
         assert np.array_equal(keep, rows)
         assert np.array_equal(got_mat.toarray(), mat[rows][:, free])
         assert np.array_equal(got_rhs, (rhs - mat @ xf)[rows])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_presolve_rows_match_fancy_indexing(seed):
+    """The reduced rows built from the CSR index arrays hold the same
+    indptr, indices and data as scipy's column-then-row fancy indexing,
+    explicit zeros and rows left empty by the fixed columns included."""
+    rng = np.random.default_rng(seed)
+    m, n = 9, 12
+    lo, hi = np.full(n, -1.0), np.full(n, 1.0)
+    fixed = rng.permutation(n)[:4]
+    lo[fixed] = hi[fixed] = 0.0
+    free = np.setdiff1d(np.arange(n), fixed)
+    dense = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.4)
+    dense[:3][:, free] = 0.0                # rows 0-2 see fixed columns only
+    mat = sp.csr_array(dense)
+    mat.data[rng.random(mat.nnz) < 0.2] = 0.0      # explicit zeros, stored
+    cs = LinearConstraintSet(n_vars=n, a_eq=sp.csr_array((0, n)),
+                             b_eq=np.zeros(0), a_in=mat, b_in=np.ones(m),
+                             lo=lo, hi=hi)
+    red = _presolve(QpProblem(p=np.ones(n), q=np.zeros(n), constraints=cs),
+                    1e-9)
+    keep = np.flatnonzero(np.abs(mat.toarray()[:, free]).max(axis=1)
+                          > 1e-14)
+    assert keep.min() >= 3 and np.array_equal(red.in_keep, keep)
+    want = mat[:, free][keep]
+    assert red.g.shape == want.shape
+    for field_name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(red.g, field_name),
+                              getattr(want, field_name)), field_name
 
 
 def isotonic_rows(n):
