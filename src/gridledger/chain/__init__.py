@@ -13,9 +13,9 @@ from .contract import (COORDINATOR, ContractConfig, ContractState,
 from .node import (Action, AggregatedCommit, AggregatedPrepare,
                    CatchUpRequest, CommitVote, CommittedBlockMsg,
                    ConsensusMode, GENESIS_PARENT, NodeConfig, NodeState,
-                   PrePrepare, PrepareVote, Send, SetTimer, Start, SubmitTx,
-                   ViewChange, ViewTimeout, fault_tolerance, handle,
-                   leader_for, new_node, quorum_size)
+                   PrePrepare, PrepareVote, ProposalDue, Send, SetTimer,
+                   Start, SubmitTx, ViewChange, ViewTimeout, fault_tolerance,
+                   handle, leader_for, new_node, quorum_size)
 
 __all__ = [
     "Action", "AggregatedCommit", "AggregatedPrepare", "Block", "BlockHeader",
@@ -24,7 +24,8 @@ __all__ = [
     "ContractConfig",
     "ContractState", "GENESIS_PARENT", "GRID_ACCOUNT", "HorizontalTrade",
     "MockSigner", "NodeConfig", "NodeState", "PHASE_COMMIT", "PHASE_PREPARE",
-    "PrePrepare", "PrepareVote", "Reader", "Receipt", "SctCompute", "Send",
+    "PrePrepare", "PrepareVote", "ProposalDue", "Reader", "Receipt",
+    "SctCompute", "Send",
     "SetTimer", "SignedTx", "Start", "SubmitTx", "VerticalTrade",
     "ViewChange", "ViewTimeout", "Vote", "Writer",
     "block_digest", "compute_tx_root", "contract_digest", "decode_tx",

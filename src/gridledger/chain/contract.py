@@ -19,7 +19,7 @@ iteration, so it never settles a stale row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Container, Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
@@ -205,19 +205,24 @@ def _apply_vertical(state: ContractState, sender: int,
 
 
 def execute_transactions(state: ContractState,
-                         txs: List[SignedTx]
+                         txs: List[SignedTx],
+                         verified: Container[bytes] = ()
                          ) -> Tuple[ContractState, List[Receipt]]:
     """Apply a block's transactions in order; pure, returns a new state.
 
     A transaction with the correct next nonce consumes it whatever the
     payload outcome, so replays can never apply twice.  Signature and
-    nonce failures consume nothing.
+    nonce failures consume nothing.  ``verified`` holds the digests of
+    transactions whose signatures the caller has already checked; a
+    digest covers the signature, so a forged twin is never among them,
+    and every other transaction is checked here.
     """
     out = state.copy()
     receipts: List[Receipt] = []
     for tx in txs:
-        txid = tx_digest(tx).hex()
-        if not verify_tx(tx):
+        tx_dig = tx_digest(tx)
+        txid = tx_dig.hex()
+        if tx_dig not in verified and not verify_tx(tx):
             receipts.append(Receipt(txid, "bad-signature"))
             continue
         expected = out.nonces.get(tx.sender, 0) + 1

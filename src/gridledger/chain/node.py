@@ -18,6 +18,21 @@ node that discovers it is behind asks the sender for committed blocks
 and replays them through proof verification; that request is the only
 message answered with history, and stale phase messages are ignored.
 
+A leader proposes as it enters a round holding transactions (at
+``Start``, after a commit, after a view change), or, when a transaction
+reaches it idle, from a zero-delay ``ProposalDue`` timer.  That timer
+fires after every message already queued for the same instant, so all
+the transactions submitted together commit in one block; an empty-block
+cluster never waits on it.  A view timer is armed on progress (a
+proposal, a prepare certificate, a commit, a view change) and once per
+(height, view) when work arrives with no timer live.  A submission is
+not progress: further ones leave the timer alone, so a stalled round
+still times out while transactions keep coming.
+
+The mempool holds only transactions whose signatures this node has
+checked, keyed by digest, which covers the signature; proposal checks
+and execution skip the check for exactly those digests.
+
 Handlers mutate the node state in place and return the network actions
 to perform; all nondeterminism lives in the surrounding scheduler.
 """
@@ -47,6 +62,7 @@ __all__ = [
     "NodeState",
     "PrePrepare",
     "PrepareVote",
+    "ProposalDue",
     "Send",
     "SetTimer",
     "Start",
@@ -139,9 +155,15 @@ class ViewTimeout:
     epoch: int
 
 
+@dataclass(frozen=True)
+class ProposalDue:
+    height: int
+    view: int
+
+
 Message = Union[Start, SubmitTx, PrePrepare, PrepareVote, AggregatedPrepare,
                 CommitVote, AggregatedCommit, ViewChange, CatchUpRequest,
-                CommittedBlockMsg, ViewTimeout]
+                CommittedBlockMsg, ViewTimeout, ProposalDue]
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +226,8 @@ class NodeState:
     stash: Dict[Tuple[int, int], Tuple[int, Block]] = field(default_factory=dict)
     future: Dict[int, List[Tuple[int, "Message"]]] = field(default_factory=dict)
     timer_epoch: int = 0
+    # (height, view) the live view timer was armed for; None when cancelled
+    timer_round: Optional[Tuple[int, int]] = None
     next_catchup_ok: float = 0.0
 
     @property
@@ -238,6 +262,7 @@ def _broadcast(st: NodeState, msg: Message) -> List[Action]:
 
 def _arm_timer(st: NodeState, acts: List[Action]) -> None:
     st.timer_epoch += 1
+    st.timer_round = (st.height, st.view)
     acts.append(SetTimer(VIEW_TIMEOUT_MS,
                          ViewTimeout(st.height, st.view, st.timer_epoch)))
 
@@ -312,7 +337,8 @@ def _validate_proposal(st: NodeState, sender: int, block: Block) -> bool:
         return False
     if h.tx_root != compute_tx_root(block.txs):
         return False
-    return all(verify_tx(tx) for tx in block.txs)
+    return all(tx_digest(tx) in st.mempool or verify_tx(tx)
+               for tx in block.txs)
 
 
 def _check_aggregate(st: NodeState, votes: Tuple[Vote, ...], phase: int,
@@ -334,7 +360,8 @@ def _check_aggregate(st: NodeState, votes: Tuple[Vote, ...], phase: int,
 def _commit(st: NodeState, committed: CommittedBlock, now: float,
             acts: List[Action]) -> None:
     block = committed.block
-    st.contract, receipts = execute_transactions(st.contract, block.txs)
+    st.contract, receipts = execute_transactions(st.contract, block.txs,
+                                                 verified=st.mempool)
     st.ledger.append(committed)
     st.receipts.append(receipts)
     st.head = block_digest(block)
@@ -348,6 +375,7 @@ def _commit(st: NodeState, committed: CommittedBlock, now: float,
         _arm_timer(st, acts)
     else:
         st.timer_epoch += 1
+        st.timer_round = None
     _maybe_propose(st, now, acts)
     _replay_stash(st, now, acts)
 
@@ -614,14 +642,20 @@ def _on_committed_block(st: NodeState, sender: int, msg: CommittedBlockMsg,
 
 def _on_submit(st: NodeState, tx: SignedTx, now: float,
                acts: List[Action]) -> None:
-    if not verify_tx(tx):
+    digest = tx_digest(tx)
+    if digest in st.mempool:
         return
-    if tx.nonce <= st.contract.nonces.get(tx.sender, 0):
+    if tx.nonce <= st.contract.nonces.get(tx.sender, 0) or not verify_tx(tx):
         return
-    st.mempool[tx_digest(tx)] = tx
-    if st.candidate is None:
-        _maybe_propose(st, now, acts)
+    st.mempool[digest] = tx
+    if st.candidate is not None:
+        return
+    if st.timer_round != (st.height, st.view):
         _arm_timer(st, acts)
+    # an idle leader holding transactions already has a proposal due, so
+    # only the first one schedules it
+    if len(st.mempool) == 1 and leader_for(st, st.height) == st.me:
+        acts.append(SetTimer(0.0, ProposalDue(st.height, st.view)))
 
 
 def handle(st: NodeState, sender: int, msg: Message, now: float
@@ -663,6 +697,9 @@ def handle(st: NodeState, sender: int, msg: Message, now: float
         _on_committed_block(st, sender, msg, now, acts)
     elif isinstance(msg, ViewTimeout):
         _on_view_timeout(st, msg, now, acts)
+    elif isinstance(msg, ProposalDue):
+        if (msg.height, msg.view) == (st.height, st.view):
+            _maybe_propose(st, now, acts)
     else:
         raise TypeError(f"unknown message {type(msg).__name__}")
     return acts

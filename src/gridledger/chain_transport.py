@@ -4,10 +4,12 @@ Implements the transport interface of ``tem.run_distributed``: every
 publish becomes a signed transaction carrying one home's net export per
 slot, submitted at once; the coordination step is a transaction executed
 by the contract on all validators, and reads come back from a reference
-validator's committed state.  Within one iteration the trade submissions
-reach each validator before the step request does, and blocks order
-transactions by sender, so the step can never run ahead of the trades it
-settles.
+validator's committed state.  An iteration's submissions all reach the
+validators in one instant, and the leader proposes only after that
+instant, so each coordination step commits as one block: the homes'
+trades, then the step, since blocks order transactions by sender and
+``COORDINATOR`` sorts after every home.  The step can never run ahead of
+the trades it settles.  The settlement commits as one more block.
 
 The contract derives each home's per-peer row with the same
 ``split_export`` and runs the same coordination-step code as the local

@@ -327,6 +327,13 @@ class TestForgedTwin:
         assert recs[0].tx == tx_digest(twin).hex()
         assert out.nonces[0] == 1
 
+    def test_verified_digest_does_not_cover_it(self):
+        genuine, twin = self._pair()
+        out, recs = execute_transactions(genesis(_config()), [twin, genuine],
+                                         verified={tx_digest(genuine)})
+        assert [r.status for r in recs] == ["bad-signature", "applied"]
+        assert out.nonces[0] == 1
+
 
 class TestBlocks:
     def _block(self, txs=(), height=1, round=0):
@@ -785,6 +792,96 @@ class TestAgreement:
         packed = [t for cb in node.ledger for t in cb.block.txs]
         assert tx in packed
         assert node.contract.balances[0] == pytest.approx(1000.9)
+
+
+def _settle(nonce):
+    return _tx(0, nonce, VerticalTrade(user=0, feed_in=(1.0, 2.0),
+                                       dr_reduce=(0.0, 3.0)))
+
+
+class TestTransactionRounds:
+    """Validators that produce blocks only for submitted transactions."""
+
+    validators = (0, 1, 2, 3)
+
+    def _network(self, latency_ms=(1.0, 10.0), crashed=()):
+        net = Network(NetConfig(latency_ms=latency_ms), seed=0)
+        g = genesis(_config())
+        for v in self.validators:
+            net.add_node(v, new_node(NodeConfig(v, self.validators), g),
+                         handle)
+            net.client_send(v, Start(), at_ms=0.0)
+        for v in crashed:
+            net.crash(v, 0.0)
+        return net
+
+    def _submit(self, net, tx, at_ms):
+        for v in self.validators:
+            net.client_send(v, SubmitTx(tx), at_ms=at_ms)
+
+    def _live(self, net):
+        return [net.states[v] for v in self.validators if net.alive(v)]
+
+    def test_one_instant_commits_one_block_in_sender_order(self):
+        net = self._network()
+        trades = [_tx(u, 1, HorizontalTrade(user=u, iteration=1,
+                                            trades=(1.0, -1.0)))
+                  for u in (0, 1)]
+        # the step is submitted first and still runs after both trades
+        for tx in [_step(1)] + trades[::-1]:
+            self._submit(net, tx, at_ms=5.0)
+        net.run()
+        for st in self._live(net):
+            assert len(st.ledger) == 1
+            assert st.ledger[0].block.txs == (trades[0], trades[1], _step(1))
+            assert [r.status for r in st.receipts[0]] == ["applied"] * 3
+            assert st.contract.dual.iteration == 1
+            assert st.mempool == {}
+
+    def test_each_signature_checked_once_per_validator(self, monkeypatch):
+        import gridledger.chain.contract as contract_mod
+        import gridledger.chain.node as node_mod
+        checked = []
+
+        def counting(tx):
+            checked.append(tx_digest(tx))
+            return verify_tx(tx)
+
+        monkeypatch.setattr(node_mod, "verify_tx", counting)
+        monkeypatch.setattr(contract_mod, "verify_tx", counting)
+        net = self._network()
+        txs = [_settle(1), _settle(2), _step(1)]
+        for tx in txs:
+            self._submit(net, tx, at_ms=5.0)
+        net.run()
+        assert all(st.height == 2 for st in self._live(net))
+        assert sorted(checked) == sorted([tx_digest(tx) for tx in txs] * 4)
+
+    def test_transaction_during_a_round_commits_in_the_next_block(self):
+        net = self._network(latency_ms=1.0)
+        first, second = _settle(1), _settle(2)
+        self._submit(net, first, at_ms=5.0)
+        # one hop after the proposal left; the leader commits at 9 ms
+        self._submit(net, second, at_ms=6.5)
+        net.run(until_ms=6.5)
+        leader = net.states[leader_for(net.states[0], 1)]
+        assert leader.candidate is not None
+        net.run()
+        for st in self._live(net):
+            assert [cb.block.txs for cb in st.ledger] == [(first,), (second,)]
+
+    def test_submissions_do_not_postpone_a_view_change(self):
+        # validator 1 leads height 1 at view 0 and is down from the start;
+        # a fresh transaction reaches every validator every 50 ms
+        net = self._network(crashed=(1,))
+        for k in range(10):
+            self._submit(net, _settle(k + 1), at_ms=10.0 + 50.0 * k)
+        net.run(until_ms=500.0)
+        live = self._live(net)
+        assert all(st.height > 1 for st in live)
+        assert live[0].ledger[0].block.header.round >= 1
+        heads = {block_digest(st.ledger[0].block) for st in live}
+        assert len(heads) == 1
 
 
 class TestCluster:

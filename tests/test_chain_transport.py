@@ -79,6 +79,19 @@ class TestLockstep:
             assert min(tx.payload.feed_in) >= 0.0
             assert min(tx.payload.dr_reduce) >= 0.0
 
+    def test_one_block_per_step(self, small_run):
+        s, chain, via_chain, _ = small_run
+        ledger = chain._ref().ledger
+        assert len(ledger) == via_chain.iterations + 1
+        homes = list(range(s.n_users))
+        for k, committed in enumerate(ledger[:-1], start=1):
+            txs = committed.block.txs
+            assert [tx.sender for tx in txs] == homes + [COORDINATOR]
+            assert all(tx.payload.iteration == k for tx in txs)
+        settlement = ledger[-1].block.txs
+        assert [tx.sender for tx in settlement] == homes
+        assert all(isinstance(tx.payload, VerticalTrade) for tx in settlement)
+
     def test_coordinator_identity(self, small_run):
         _, chain, _, _ = small_run
         txs = [decode_tx(b) for b in committed_tx_bytes(chain._ref())]
