@@ -31,7 +31,11 @@ still times out while transactions keep coming.
 
 The mempool holds only transactions whose signatures this node has
 checked, keyed by digest, which covers the signature; proposal checks
-and execution skip the check for exactly those digests.
+and execution skip the check for exactly those digests.  Only each
+sender's run of consecutive nonces from the contract's next one is
+proposed or arms a view timer.  A transaction whose nonce is ahead
+waits in the mempool for the ones before it: proposed early, it would
+only commit as ``bad-nonce``, again after every commit.
 
 Handlers mutate the node state in place and return the network actions
 to perform; all nondeterminism lives in the surrounding scheduler.
@@ -287,9 +291,29 @@ def _implied_leader_vote(st: NodeState, block: Block) -> Vote:
 
 
 def _pending_txs(st: NodeState) -> List[SignedTx]:
-    txs = list(st.mempool.values())
-    txs.sort(key=lambda tx: (tx.sender, tx.nonce, tx_digest(tx)))
-    return txs
+    """The mempool's transactions that can execute next, in block order:
+    each sender's run of consecutive nonces from the contract's next one.
+    A transaction whose nonce is ahead of that run waits in the mempool."""
+    txs = sorted(st.mempool.values(),
+                 key=lambda tx: (tx.sender, tx.nonce, tx_digest(tx)))
+    run: List[SignedTx] = []
+    sender, nxt = None, 0
+    for tx in txs:
+        if tx.sender != sender:
+            sender, nxt = tx.sender, st.contract.nonces.get(tx.sender, 0) + 1
+        if tx.nonce <= nxt:
+            run.append(tx)
+            nxt = max(nxt, tx.nonce + 1)
+    return run
+
+
+def _heads(st: NodeState) -> List[SignedTx]:
+    """The mempool's transactions that carry their sender's next nonce;
+    as every nonce there is past the contract's, ``_pending_txs`` is
+    empty exactly when these are."""
+    nonces = st.contract.nonces
+    return [tx for tx in st.mempool.values()
+            if tx.nonce == nonces.get(tx.sender, 0) + 1]
 
 
 def _sorted_quorum(votes: Dict[int, Vote], quorum: int) -> Tuple[Vote, ...]:
@@ -310,10 +334,10 @@ def _maybe_propose(st: NodeState, now: float, acts: List[Action],
     if st.candidate is not None or leader_for(st, st.height) != st.me:
         return
     if forced is None:
-        if not st.mempool and not st.config.produce_empty:
+        txs = _pending_txs(st)
+        if not txs and not st.config.produce_empty:
             return
-        block = make_block(st.height, st.head, int(now), st.me, st.view,
-                           _pending_txs(st))
+        block = make_block(st.height, st.head, int(now), st.me, st.view, txs)
     else:
         block = forced
     st.candidate = block
@@ -371,7 +395,7 @@ def _commit(st: NodeState, committed: CommittedBlock, now: float,
             del st.mempool[d]
     _reset_round(st)
     st.view_changes = {}
-    if st.mempool or st.config.produce_empty:
+    if st.config.produce_empty or _heads(st):
         _arm_timer(st, acts)
     else:
         st.timer_epoch += 1
@@ -648,13 +672,15 @@ def _on_submit(st: NodeState, tx: SignedTx, now: float,
     if tx.nonce <= st.contract.nonces.get(tx.sender, 0) or not verify_tx(tx):
         return
     st.mempool[digest] = tx
-    if st.candidate is not None:
+    # only a transaction with its sender's next nonce makes work executable
+    if (st.candidate is not None
+            or tx.nonce != st.contract.nonces.get(tx.sender, 0) + 1):
         return
     if st.timer_round != (st.height, st.view):
         _arm_timer(st, acts)
-    # an idle leader holding transactions already has a proposal due, so
-    # only the first one schedules it
-    if len(st.mempool) == 1 and leader_for(st, st.height) == st.me:
+    # an idle leader holding executable transactions already has a
+    # proposal due, so only the one that made them executable schedules it
+    if leader_for(st, st.height) == st.me and _heads(st) == [tx]:
         acts.append(SetTimer(0.0, ProposalDue(st.height, st.view)))
 
 

@@ -44,10 +44,6 @@ SCHEMA_SCHEDULE = "gridledger.schedule.v1"
 SCHEMA_COMPARE = "gridledger.compare.v1"
 SCHEMA_CHAIN = "gridledger.chainmetrics.v1"
 
-# reductions reported for comparable deployments; annotation only,
-# never asserted against
-_REFERENCE_SAVINGS = {"TEM": 0.25, "BS2": 0.16, "BS3": 0.11}
-
 
 class _UsageError(Exception):
     pass
@@ -212,9 +208,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
               if not cost[lo] <= cost[hi] + tol]
     print(f"mode ordering (TEM <= BS2,BS3 <= BS1): "
           f"{'VIOLATED' if broken else 'ok'}")
-    ann = ", ".join(f"{m} {int(v * 100)}%"
-                    for m, v in _REFERENCE_SAVINGS.items())
-    print(f"reference reductions (annotation only, not asserted): {ann}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -240,6 +240,21 @@ def home_problem(s: Scenario, user: int, mode: Mode) -> QpProblem:
                                 f"T={s.grid.horizon}")
 
 
+def _stack_rows(parts: List[Tuple[sp.csr_array, int]],
+                n_vars: int) -> sp.csr_array:
+    """The rows of ``parts``, (rows, first column) pairs, one under the
+    other in one CSR array ``n_vars`` wide: their arrays end to end, each
+    one's columns shifted by its first column and its row pointers by the
+    entries before it."""
+    offsets = np.cumsum([0] + [m.nnz for m, _ in parts])
+    return sp.csr_array((
+        np.concatenate([m.data for m, _ in parts]),
+        np.concatenate([m.indices + first for m, first in parts]),
+        np.concatenate([[0]] + [m.indptr[1:] + k
+                                for (m, _), k in zip(parts, offsets)])),
+        shape=(sum(m.shape[0] for m, _ in parts), n_vars))
+
+
 def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
     """Joint QP over all homes: the block-diagonal stack of the home QPs.
 
@@ -250,21 +265,25 @@ def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
     recomputed from the schedules.
     """
     layout = user_layout(s.n_users, s.grid.horizon, mode)
-    t = s.grid.horizon
+    t, nv = s.grid.horizon, layout.n_vars
     homes = [home_problem(s, n, mode) for n in range(s.n_users)]
     cons = [h.constraints for h in homes]
-    a_eq = sp.block_diag([cs.a_eq for cs in cons])
-    b_eq = np.concatenate([cs.b_eq for cs in cons])
+    starts = [n * layout.block_size for n in range(s.n_users)]
+    a_eq = [(cs.a_eq, first) for cs, first in zip(cons, starts)]
+    b_eq = [cs.b_eq for cs in cons]
     if mode.has_horizontal and s.n_users > 1:
         # each clearing row puts a 1 on its slot in every home's export
         # span; home 0's block starts at column 0, so its span is local
-        unit = sp.eye_array(t, layout.block_size,
-                            k=layout.span(0, "export").start)
-        a_eq = sp.vstack([a_eq, sp.kron(np.ones((1, s.n_users)), unit)])
-        b_eq = np.concatenate([b_eq, np.zeros(t)])
+        cols = (layout.span(0, "export").start + np.arange(t)[:, None]
+                + np.array(starts)).ravel()
+        a_eq.append((sp.csr_array((np.ones(cols.size), cols,
+                                   s.n_users * np.arange(t + 1)),
+                                  shape=(t, nv)), 0))
+        b_eq.append(np.zeros(t))
     constraints = LinearConstraintSet(
-        n_vars=layout.n_vars, a_eq=a_eq, b_eq=b_eq,
-        a_in=sp.block_diag([cs.a_in for cs in cons]),
+        n_vars=nv, a_eq=_stack_rows(a_eq, nv), b_eq=np.concatenate(b_eq),
+        a_in=_stack_rows([(cs.a_in, first)
+                          for cs, first in zip(cons, starts)], nv),
         b_in=np.concatenate([cs.b_in for cs in cons]),
         lo=np.concatenate([cs.lo for cs in cons]),
         hi=np.concatenate([cs.hi for cs in cons]))

@@ -870,6 +870,26 @@ class TestTransactionRounds:
         for st in self._live(net):
             assert [cb.block.txs for cb in st.ledger] == [(first,), (second,)]
 
+    def test_nonce_ahead_waits_for_the_nonces_before_it(self):
+        """A transaction two nonces ahead neither commits nor arms a timer:
+        the cluster stays idle until nonces 1 and 2 arrive, and then all
+        three commit in one block, none as ``bad-nonce``."""
+        net = self._network()
+        third = _settle(3)
+        self._submit(net, third, at_ms=5.0)
+        net.run(until_ms=1000.0)
+        assert net.counters["timers"] == 0
+        for st in self._live(net):
+            assert st.ledger == [] and list(st.mempool.values()) == [third]
+        self._submit(net, _settle(1), at_ms=1000.0)
+        self._submit(net, _settle(2), at_ms=1000.0)
+        net.run()
+        for st in self._live(net):
+            assert [cb.block.txs for cb in st.ledger] == [
+                (_settle(1), _settle(2), third)]
+            assert [r.status for r in st.receipts[0]] == ["applied"] * 3
+            assert st.contract.nonces[0] == 3 and st.mempool == {}
+
     def test_submissions_do_not_postpone_a_view_change(self):
         # validator 1 leads height 1 at view 0 and is down from the start;
         # a fresh transaction reaches every validator every 50 ms

@@ -273,7 +273,7 @@ class TestCompare:
         text = capsys.readouterr().out
         assert f"# schema: {SCHEMA_COMPARE}" in text
         assert "mode ordering (TEM <= BS2,BS3 <= BS1): ok" in text
-        assert "annotation only, not asserted" in text
+        assert "reference reductions" not in text
         table = (out / "compare.csv").read_text().splitlines()
         assert table[0] == f"# schema: {SCHEMA_COMPARE}"
         assert table[1] == "mode,total_cost,savings_vs_BS1,iterations"
