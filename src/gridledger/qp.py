@@ -14,18 +14,25 @@ solve on the active set the interior point points to (Stellato et al.,
 "OSQP: an operator splitting solver for quadratic programs", Math. Prog.
 Comp. 2020, section 5.2), kept only when its KKT residuals certify it; a
 candidate that does not certify repairs the guess, at most three times.
-A warm start runs the same polish on the previous solution's active set
-first, and reuses the presolve a warm-started solution of the same
-``LinearConstraintSet`` object carries.  Each regularised, quasi-definite
-saddle system (Vanderbei, SIAM J. Optim. 1995) is factored sparse.  Such
-a matrix has an LDL' factor in every symmetric order, so each solve
-orders its Newton pattern once and factors every Newton matrix in that
-order on the diagonal (``_NewtonOrder``); the polish and presolve
-saddles, with only the regularisation on some diagonal entries, keep
-threshold pivots (``_kkt_solver``).  The carried presolve keeps the last
-polish factor for reuse on the same matrix (Stellato et al. 2020, section
-3.1).  ``QpSolution.polish`` says which path produced the answer.
-Everything is deterministic: same problem, same answer, bit for bit.
+The active set settles long before the interior point's sharp target
+(El-Bakry, Tapia & Zhang, "A study of indicators for identifying zero
+variables in interior-point methods", SIAM Review 1994), so a guess that
+the predictor's affine point keeps is polished at once, and a certified
+candidate ends the solve.  A warm start runs the same polish on the
+previous solution's active set first.  A ``LinearConstraintSet`` presolves
+once, at its first solve, and holds that presolve, so every later solve on
+the same object reduces only ``p`` and ``q``.  Each regularised,
+quasi-definite saddle system (Vanderbei, SIAM J. Optim. 1995) is factored
+sparse by SuperLU with unrelaxed supernodes, which suit these very sparse
+factors (``_factor``).  Such a matrix has an LDL' factor in every
+symmetric order, so each solve orders its Newton pattern once and factors
+every Newton matrix in that order on the diagonal (``_NewtonOrder``); the
+polish and presolve saddles, with only the regularisation on some
+diagonal entries, keep threshold pivots (``_kkt_solver``).  The held
+presolve keeps the last polish factor for reuse on the same matrix
+(Stellato et al. 2020, section 3.1).  ``QpSolution.polish`` says which
+path produced the answer.  Everything is deterministic: same problem,
+same answer, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ __all__ = [
 ]
 
 _IPM_CAP = 200
+# primal feasibility tolerance of presolve and of the infeasibility test
+_FEAS_TOL = 1e-9
 # polish retries after the first active-set guess
 _REPAIRS = 3
 
@@ -65,10 +74,11 @@ class QpStatus(enum.Enum):
 class Polish(enum.Enum):
     """Which path produced a solution.
 
-    ``polished``: the KKT solve on the interior point's active set, or on
-    that set as repaired from candidates that did not certify; ``warm``:
-    the same solve and repairs from the warm start's active set, without
-    an interior-point iteration (``iterations`` is 1); ``interior``: the
+    ``polished``: the KKT solve on the interior point's active set, once
+    its affine point keeps that set or at the end, or on that set as
+    repaired from candidates that did not certify; ``warm``: the same
+    solve and repairs from the warm start's active set, without an
+    interior-point iteration (``iterations`` is 1); ``interior``: the
     interior-point point, because no polish candidate certified or the
     problem is infeasible; ``direct``: no iteration was needed (equality
     rows only, every variable fixed, or bounds or rows that presolve found
@@ -139,6 +149,14 @@ class LinearConstraintSet:
         """(a_eq.T, a_in.T), made once for the products with multipliers."""
         return self.a_eq.T, self.a_in.T
 
+    @functools.cached_property
+    def _presolved(self) -> _Reduced:
+        """The presolve of these rows and bounds, with its polish-factor
+        cache, made by the first solve that reaches it and reused by every
+        later solve on this object, cold or warm; raises _Contradiction,
+        which is not kept, when they contradict."""
+        return _presolve(self)
+
 
 @dataclass
 class QpProblem:
@@ -167,6 +185,10 @@ class QpProblem:
 
 @dataclass
 class QpSolution:
+    """``iterations`` counts the interior point's Newton factors; an answer
+    without one counts its single KKT solve, 1 for ``warm`` and for the
+    equality-only ``direct`` solve, and 0 when nothing was solved."""
+
     x: np.ndarray
     duals: Duals
     status: QpStatus
@@ -174,10 +196,6 @@ class QpSolution:
     iterations: int
     polish: Polish
     value: float = 0.0
-    # the presolve of a warm-started solve, which the next warm start on
-    # the same constraint-set object reuses; None for a cold solve
-    _presolved: Optional[_Reduced] = field(default=None, repr=False,
-                                           compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +231,10 @@ def kkt_residuals(problem: QpProblem, x: np.ndarray, duals: Duals) -> KktResidua
 
 @dataclass
 class _Reduced:
-    """Problem after presolve: fixed variables substituted out."""
+    """Problem after presolve: fixed variables substituted out.  A
+    constraint set's presolve holds p and q empty; each solve reduces its
+    own onto a copy."""
 
-    source: LinearConstraintSet   # the rows and bounds this reduces
     p: np.ndarray             # diag(P) over the surviving variables
     q: np.ndarray
     a: sp.csr_array           # surviving rows over the surviving columns
@@ -230,7 +249,8 @@ class _Reduced:
     fixed_vals: np.ndarray    # full-length; NaN where free
     eq_keep: np.ndarray       # surviving equality row indices
     in_keep: np.ndarray       # surviving inequality row indices
-    # the last polish solver by its matrix, shared by this presolve's reuses
+    # the last polish solver by its matrix, shared by every solve on the
+    # constraint set that holds this presolve
     factor: dict = field(default_factory=dict)
 
 
@@ -238,18 +258,10 @@ class _Contradiction(Exception):
     pass
 
 
-def _presolve(problem: QpProblem, feas_tol: float,
-              carried: Optional[_Reduced] = None) -> _Reduced:
-    """Substitute out fixed variables and check the rows left.
-
-    Everything but ``p`` and ``q`` depends on the constraints alone, so a
-    ``carried`` presolve of the same constraint-set object is reused with
-    only the objective reduced afresh.
-    """
-    c = problem.constraints
-    if carried is not None and carried.source is c:
-        return replace(carried, p=problem.p[carried.free],
-                       q=problem.q[carried.free])
+def _presolve(c: LinearConstraintSet) -> _Reduced:
+    """Substitute out fixed variables and check the rows left.  Nothing
+    here depends on the objective, so a constraint set presolves once
+    (``LinearConstraintSet._presolved``)."""
     lo, hi = c.lo, c.hi
     if np.any(lo > hi):
         i = int(np.argmax(lo > hi))
@@ -257,7 +269,7 @@ def _presolve(problem: QpProblem, feas_tol: float,
                              f"[{lo[i]}, {hi[i]}] is empty")
     fixed = np.isfinite(lo) & np.isfinite(hi) & (hi - lo <= 1e-12)
     free = np.flatnonzero(~fixed)
-    fixed_vals = np.full(problem.q.size, np.nan)
+    fixed_vals = np.full(c.n_vars, np.nan)
     fixed_vals[fixed] = 0.5 * (lo[fixed] + hi[fixed])
     xf = np.nan_to_num(fixed_vals)          # 0 on the free columns
     new_col = np.full(lo.size, -1)          # reduced column; -1 if fixed
@@ -275,8 +287,8 @@ def _presolve(problem: QpProblem, feas_tol: float,
         on_free = col >= 0
         empty = np.bincount(rows[on_free & (np.abs(vals) > 1e-14)],
                             minlength=rhs.size) == 0
-        bad = empty & (np.abs(rhs_r) > feas_tol if is_eq
-                       else rhs_r < -feas_tol)
+        bad = empty & (np.abs(rhs_r) > _FEAS_TOL if is_eq
+                       else rhs_r < -_FEAS_TOL)
         if bad.any():
             i = int(np.argmax(bad))
             kind, rel = ("equality", "=") if is_eq else ("inequality", "<=")
@@ -292,10 +304,10 @@ def _presolve(problem: QpProblem, feas_tol: float,
 
     a_r, b_r, eq_keep = reduce_rows(c.a_eq, c.b_eq, True)
     g_r, h_r, in_keep = reduce_rows(c.a_in, c.b_in, False)
-    red = _Reduced(source=c, p=problem.p[free], q=problem.q[free], a=a_r,
-                   b=b_r, g=g_r, h=h_r, at=a_r.T, gt=g_r.T, lo=lo[free],
-                   hi=hi[free], free=free, fixed_vals=fixed_vals,
-                   eq_keep=eq_keep, in_keep=in_keep)
+    red = _Reduced(p=np.zeros(0), q=np.zeros(0), a=a_r, b=b_r, g=g_r,
+                   h=h_r, at=a_r.T, gt=g_r.T, lo=lo[free], hi=hi[free],
+                   free=free, fixed_vals=fixed_vals, eq_keep=eq_keep,
+                   in_keep=in_keep)
     if b_r.size:
         # rank-inconsistent equality systems never reach the iteration: the
         # regularised min-norm solve of [[I, A'], [A, -1e-10 I]] leaves a
@@ -333,12 +345,22 @@ def _factor(pattern: tuple, vals: np.ndarray, permc_spec: str,
     """SuperLU factor of the matrix of ``pattern`` with entries summing
     ``vals``, eliminated in the order ``permc_spec`` names and pivoted off
     the diagonal where a pivot falls below ``pivot`` times its column's
-    largest entry; a singular matrix raises RuntimeError."""
+    largest entry; a singular matrix raises RuntimeError.
+
+    Supernodes are not relaxed and panels are one column wide.  SuperLU's
+    defaults (relaxed supernodes of about 8-12 columns, wider panels) are
+    tuned for factors whose supernodes are large (Demmel et al., "A
+    supernodal approach to sparse partial pivoting", SIAM J. Matrix Anal.
+    Appl. 1999); these saddles are very sparse, and relaxed supernodes
+    store and update explicit zeros.  Unrelaxed, one joint-modes pass's
+    Newton factors took half the time, and the polish factor of joint TEM
+    at N=200, T=24 fell from 975k to 479k entries in L+U."""
     slot, indices, indptr = pattern
     size = indptr.size - 1
     mat = sp.csc_matrix((np.bincount(slot, vals, indices.size), indices,
                          indptr), shape=(size, size))
     return spla.splu(mat, permc_spec=permc_spec, diag_pivot_thresh=pivot,
+                     relax=1, panel_size=1,
                      options=dict(SymmetricMode=True))
 
 
@@ -371,8 +393,11 @@ def _kkt_solver(pattern: tuple, vals: np.ndarray,
     presolve saddles, served here, hold only reg (about 1e-10) on the
     diagonal of columns with p = 0, and keep threshold pivots: factored on
     the diagonal, the saddles of one benchmark distributed run (N=5, T=8,
-    48 iterations) took 81 factorizations instead of 63, and one more warm
-    start fell back to the interior point."""
+    48 iterations) took 54 factorizations instead of 52, and 109 instead
+    of 101 on the held-out scenario.  Like every factor here, they leave
+    supernodes unrelaxed (``_factor``): at N=200, T=24 that halves the
+    joint TEM polish factor's fill, to about 1.1 times a Newton
+    factor's."""
     return _refined(_factor(pattern, vals, "MMD_AT_PLUS_A", 0.01).solve,
                     mul, refine)
 
@@ -433,7 +458,7 @@ def _saddle_solver(red: _Reduced, free: np.ndarray, act_g: np.ndarray,
     the equality rows over the ``act_g`` inequality rows, read from their
     entries, so no stacked matrix is formed."""
     nf, me, m = free.size, red.b.size, red.b.size + int(act_g.sum())
-    col = np.full(red.p.size, -1)
+    col = np.full(red.lo.size, -1)
     col[free] = np.arange(nf)
     (ar, ac, av), (gr, gc, gv) = _triplets(red.a), _triplets(red.g)
     in_a, in_g = col[ac] >= 0, act_g[gr] & (col[gc] >= 0)
@@ -542,24 +567,25 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     The interior point runs to its own sharp target on C x <= d, where
     C = [G; -I_lo; I_hi] stacks the inequality rows and the finite bounds,
     which stay implicit, so the condensed matrix is G'W_gG + diag(p + w).
-    The polish then solves one KKT system on the rows whose multiplier
-    exceeds their slack, repaired while its point does not certify within
-    ``tol`` (``_polish``); if none certifies, the interior-point point is
-    returned.  ``warm_start`` takes a previous solution of a problem with
-    the same constraint geometry, whose active set (rows with a positive
-    multiplier) is polished first.  A warm-started solve carries its
-    presolve and last polish factor in the solution; a warm start carrying
-    one made on this problem's ``constraints`` object, whose arrays must
-    not have changed in place since, reuses it and reduces only ``p`` and
-    ``q`` afresh.  ``QpSolution.polish`` records which path answered.
+    The polish solves one KKT system on the rows whose multiplier exceeds
+    their slack, repaired while its point does not certify within ``tol``
+    (``_polish``).  It runs inside the loop, after a predictor whose
+    affine point keeps that guess, and a certified candidate ends the
+    solve; a guess whose polish failed there is not polished again before
+    the end.  At the end the final point's guess is polished; if none
+    certifies, the interior-point point is returned.  ``warm_start`` takes
+    a previous solution of a problem with the same constraint geometry,
+    whose active set (rows with a positive multiplier) is polished first.
+    The presolve and last polish factor are held by the ``constraints``
+    object, whose arrays must not change in place once it has been solved;
+    every later solve on it reduces only ``p`` and ``q`` afresh.
+    ``QpSolution.polish`` records which path answered.
     """
     c = problem.constraints
     n = problem.q.size
-    feas_tol = 1e-9
 
     try:
-        red = _presolve(problem, feas_tol, None if warm_start is None
-                        else warm_start._presolved)
+        red = c._presolved
     except _Contradiction:
         x0 = np.clip(np.zeros(n), np.where(np.isfinite(c.lo), c.lo, -np.inf),
                      np.where(np.isfinite(c.hi), c.hi, np.inf))
@@ -569,9 +595,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
                           kkt=kkt_residuals(problem, x0, duals), iterations=0,
                           value=problem.objective(x0), polish=Polish.DIRECT)
 
-    # only a warm-started solve, one of a sequence, carries its presolve
-    # on; a one-off solve keeps no more than its point and multipliers
-    carried = None if warm_start is None else red
+    red = replace(red, p=problem.p[red.free], q=problem.q[red.free])
     scale = 1.0 + max(float(np.max(np.abs(v), initial=0.0))
                       for v in (red.q, red.b, red.h))
     reg = 1e-10 * scale
@@ -588,7 +612,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
             status = QpStatus.OPTIMAL
         return QpSolution(x=x, duals=duals, status=status, kkt=kkt,
                           iterations=iters, value=problem.objective(x),
-                          polish=polish, _presolved=carried)
+                          polish=polish)
 
     nr = red.q.size
     if nr == 0:
@@ -669,8 +693,13 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     best = None
     stalls = 0
     status = QpStatus.MAX_ITER
-    it = 0
-    for it in range(1, _IPM_CAP + 1):
+    factors = 0         # Newton matrices factored: the reported iterations
+    failed = set()      # active-set guesses whose polish did not certify
+
+    def polished(*pt) -> QpSolution:
+        return finish(*pt, QpStatus.OPTIMAL, factors, Polish.POLISHED)
+
+    for _ in range(_IPM_CAP):
         rd = red.p * x + red.q + red.at @ y + ct_mul(z)
         rp_e = red.a @ x - red.b
         rp = c_mul(x) + s - d
@@ -691,7 +720,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
             break
 
         dual_norm = max(float(np.max(np.abs(y), initial=0.0)), float(z.max()))
-        if dual_norm > 1e9 * scale and res_p > 100.0 * feas_tol:
+        if dual_norm > 1e9 * scale and res_p > 100.0 * _FEAS_TOL:
             status = QpStatus.INFEASIBLE
             break
 
@@ -704,6 +733,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
                 + w_b * v[:nr] + red.at @ v[nr:], red.a @ v[:nr]]))
         except RuntimeError:
             break
+        factors += 1
 
         def newton(rc):
             sol = kkt_solve(np.concatenate(
@@ -714,9 +744,20 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
 
         # predictor; its separate lengths only set the centring sigma
         _, _, ds_a, dz_a = newton(-s * z)
-        mu_aff = float((s + _max_step(s, ds_a) * ds_a)
-                       @ (z + _max_step(z, dz_a) * dz_a)) / mc
+        s_aff = s + _max_step(s, ds_a) * ds_a
+        z_aff = z + _max_step(z, dz_a) * dz_a
+        mu_aff = float(s_aff @ z_aff) / mc
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
+
+        # a guess that the affine point keeps has settled: polish it now,
+        # once, rather than iterate to the sharp target first
+        guess = z > s
+        key = guess.tobytes()
+        if key not in failed and np.array_equal(z_aff > s_aff, guess):
+            cand = _polish(red, x, y, z[:mi], *split(guess), reg, polished)
+            if cand is not None:
+                return cand
+            failed.add(key)
 
         # corrector; one length for primal and dual, since with P != 0 a
         # dual residual left by unequal lengths grows with (a_p - a_d) P dx
@@ -731,16 +772,14 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
         z += alpha * dz
 
     if status == QpStatus.INFEASIBLE:
-        return finish(x, y, *split(z), QpStatus.INFEASIBLE, it,
+        return finish(x, y, *split(z), QpStatus.INFEASIBLE, factors,
                       Polish.INTERIOR)
 
     if best is not None and status != QpStatus.OPTIMAL:
         _, (x, y, s, z) = best
 
     # polish: a row is active when its multiplier exceeds its slack
-    cand = _polish(red, x, y, z[:mi], *split(z > s), reg,
-                   lambda *pt: finish(*pt, QpStatus.OPTIMAL, it,
-                                      Polish.POLISHED))
+    cand = _polish(red, x, y, z[:mi], *split(z > s), reg, polished)
     if cand is not None:
         return cand
-    return finish(x, y, *split(z), status, it, Polish.INTERIOR)
+    return finish(x, y, *split(z), status, factors, Polish.INTERIOR)

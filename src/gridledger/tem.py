@@ -409,9 +409,9 @@ def assemble_ult(home: QpProblem, user: int, d: DualState) -> QpProblem:
     over the split of its net export s (``split_export``).  Up to a
     constant that leaves rho / (2 (N-1)) * (s - sum_m c[m])^2 per slot with
     c[m] = aux[m] + lam[m] / rho, added to copies of ``home.p`` and
-    ``home.q``.  The constraint set is ``home``'s own object, so a warm
-    start can reuse its presolve; the clearing rows are replaced by the
-    penalty.
+    ``home.q``.  The constraint set is ``home``'s own object, so every
+    solve of the run reuses its presolve; the clearing rows are replaced
+    by the penalty.
     """
     n_users, _, horizon = d.trades.shape
     p_diag, q = home.p.copy(), home.q.copy()

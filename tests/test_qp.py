@@ -270,7 +270,7 @@ def test_presolve_rows_match_row_loop():
     prob = QpProblem(p=np.ones(5), q=np.zeros(5), constraints=make_cs(
         5, a_eq=a[:3], b_eq=b[:3], a_in=a[3:], b_in=b[3:] + 1.0,
         lo=lo, hi=hi))
-    red = _presolve(prob, 1e-9)
+    red = _presolve(prob.constraints)
     for mat, rhs, keep, got_mat, got_rhs in (
             (a[:3], b[:3], red.eq_keep, red.a, red.b),
             (a[3:], b[3:] + 1.0, red.in_keep, red.g, red.h)):
@@ -299,8 +299,7 @@ def test_presolve_rows_match_fancy_indexing(seed):
     cs = LinearConstraintSet(n_vars=n, a_eq=sp.csr_array((0, n)),
                              b_eq=np.zeros(0), a_in=mat, b_in=np.ones(m),
                              lo=lo, hi=hi)
-    red = _presolve(QpProblem(p=np.ones(n), q=np.zeros(n), constraints=cs),
-                    1e-9)
+    red = _presolve(cs)
     keep = np.flatnonzero(np.abs(mat.toarray()[:, free]).max(axis=1)
                           > 1e-14)
     assert keep.min() >= 3 and np.array_equal(red.in_keep, keep)
@@ -439,46 +438,53 @@ class TestOnModelProblems:
         assert np.array_equal(np.flatnonzero(sol.duals.ineq > 0), [0, 1])
         assert np.allclose(sol.x, [-2 / 3] * 3 + [2.0, 2.0, 3.0], atol=1e-12)
 
-    def test_warm_start_reuses_presolve_of_same_constraints(self, scen_2x4):
-        """A warm-started solve carries its presolve into the next warm
-        start on the same constraint-set object, which answers exactly as a
-        fresh presolve does.  A cold solve carries none, and an equal but
-        distinct constraint object is presolved anew."""
+    def test_warm_start_reuses_presolve_of_same_constraints(self, scen_2x4,
+                                                            monkeypatch):
+        """The constraint set holds its presolve: the first solve on it,
+        cold, presolves, and every later solve on the same object, warm or
+        cold, reuses that presolve and answers exactly as a fresh presolve
+        does.  An equal but distinct constraint object is presolved anew."""
         prob = self._single_user_problem(scen_2x4, 0, Mode.TEM)
+        cs = prob.constraints
+        calls = []
+        monkeypatch.setattr(qp, "_presolve",
+                            lambda *a: calls.append(a[0]) or _presolve(*a))
 
-        def nudged(dq, constraints=prob.constraints):
+        def nudged(dq, constraints=cs):
             return QpProblem(p=prob.p, q=prob.q + dq, constraints=constraints)
         cold = solve_qp(prob)
-        assert cold._presolved is None
+        held = cs._presolved
+        assert len(calls) == 1 and calls[0] is cs
         first = solve_qp(nudged(1e-3), warm_start=cold)
-        assert first._presolved is not None
         warm = solve_qp(nudged(2e-3), warm_start=first)
-        fresh = solve_qp(nudged(2e-3), warm_start=dataclasses.replace(
-            first, _presolved=None))
+        again = solve_qp(nudged(2e-3))
         assert warm.polish is Polish.WARM
-        assert warm._presolved.a is first._presolved.a
-        assert fresh._presolved.a is not first._presolved.a
-        assert np.array_equal(warm.x, fresh.x)
-        copied = solve_qp(nudged(2e-3, dataclasses.replace(prob.constraints)),
-                          warm_start=first)
-        assert copied._presolved.a is not first._presolved.a
-        assert np.array_equal(copied.x, warm.x)
+        assert cs._presolved is held and len(calls) == 1
+        copied = dataclasses.replace(cs)
+        fresh = solve_qp(nudged(2e-3, copied), warm_start=first)
+        assert len(calls) == 2 and calls[1] is copied
+        assert copied._presolved.a is not held.a
+        assert np.array_equal(fresh.x, warm.x)
+        assert np.array_equal(again.x, solve_qp(nudged(2e-3, copied)).x)
 
     def test_warm_start_reuses_polish_factor_exactly(self, scen_2x4):
         """A second warm start on the same problem reuses the polish factor
-        that the first left in the carried presolve, and its point and
-        multipliers are byte-equal to those of a warm start from the same
-        solution that presolves and factors afresh."""
+        that the first left in the constraint set's presolve, and its point
+        and multipliers are byte-equal to those of a warm start from the
+        same solution on a copy of the constraint set, which presolves and
+        factors afresh."""
         prob = self._single_user_problem(scen_2x4, 0, Mode.TEM)
         first = solve_qp(prob, warm_start=solve_qp(prob))
-        factor = dict(first._presolved.factor)
+        held = prob.constraints._presolved
+        factor = dict(held.factor)
         assert len(factor) == 1
         again = solve_qp(prob, warm_start=first)
-        fresh = solve_qp(prob, warm_start=dataclasses.replace(
-            first, _presolved=None))
+        copy = dataclasses.replace(
+            prob, constraints=dataclasses.replace(prob.constraints))
+        fresh = solve_qp(copy, warm_start=first)
         assert again.polish is Polish.WARM and fresh.polish is Polish.WARM
-        assert again._presolved.factor == factor      # the same solver
-        assert fresh._presolved.factor is not again._presolved.factor
+        assert held.factor == factor                  # the same solver
+        assert copy.constraints._presolved.factor is not held.factor
         for name in ("eq", "ineq", "lower", "upper"):
             assert (getattr(again.duals, name).tobytes()
                     == getattr(fresh.duals, name).tobytes()), name
@@ -561,23 +567,40 @@ class TestOnModelProblems:
         assert len(iterations) == 1, iterations
 
 
+BENCHMARK_SCENARIO = dict(seed=3, n_users=5, horizon=8, solar_range=(0, 10),
+                          ev_arrival_soc=0.85)
+
+
+def recording_splu(monkeypatch):
+    """Patch ``splu`` to record (permc_spec, diag_pivot_thresh, factor) of
+    every call, each of which must leave supernodes unrelaxed."""
+    factors, splu = [], spla.splu
+
+    def record(mat, **kw):
+        assert (kw["relax"], kw["panel_size"]) == (1, 1), kw
+        lu = splu(mat, **kw)
+        factors.append((kw["permc_spec"], kw["diag_pivot_thresh"], lu))
+        return lu
+    monkeypatch.setattr(spla, "splu", record)
+    return factors
+
+
 def test_newton_pattern_ordered_once_and_factored_on_the_diagonal(
         monkeypatch):
     """In one joint TEM solve at N=5, T=8 the interior point orders its
     Newton pattern by MMD once, with no threshold pivots; every later
     Newton factor keeps that order (``NATURAL``) and pivots on the
     diagonal only, so its fill does not grow.  The polish and presolve
-    saddles keep the pivoted MMD factor.  Each Newton solve, refined
-    once, leaves ||rhs - mul(sol)|| / ||rhs|| below 1e-10 (1.3e-15
-    measured here; 1.1e-9 at worst over the battery's and both benchmark
-    scenarios' joint and home solves)."""
-    factors, residuals = [], []
-    splu, refined = spla.splu, qp._refined
-
-    def recording_splu(mat, **kw):
-        lu = splu(mat, **kw)
-        factors.append((kw["permc_spec"], kw["diag_pivot_thresh"], lu))
-        return lu
+    saddles keep the pivoted MMD factor, and no factor relaxes its
+    supernodes.  The solve ends with the polish after a predictor, so it
+    factors ``iterations`` Newton matrices and refines one solve fewer
+    than two per factor.  Each Newton solve, refined once, leaves
+    ||rhs - mul(sol)|| / ||rhs|| below 1e-10 (1.3e-15 measured here; 1.1e-9
+    at worst over the battery's and both benchmark scenarios' joint and
+    home solves)."""
+    residuals = []
+    refined = qp._refined
+    factors = recording_splu(monkeypatch)
 
     def checked(solve, mul, refine):
         inner, newton = refined(solve, mul, refine), factors[-1][1] == 0.0
@@ -590,14 +613,12 @@ def test_newton_pattern_ordered_once_and_factored_on_the_diagonal(
             return sol
         return run
 
-    monkeypatch.setattr(spla, "splu", recording_splu)
     monkeypatch.setattr(qp, "_refined", checked)
-    s = generate_synthetic(3, 5, 8, solar_range=(0, 10), ev_arrival_soc=0.85)
+    s = generate_synthetic(**BENCHMARK_SCENARIO)
     sol = solve_qp(assemble_problem(s, Mode.TEM), tol=1e-6)
     assert sol.polish is Polish.POLISHED
     newton = [f for f in factors if f[1] == 0.0]
-    # every iteration but the converged last one factors once
-    assert len(newton) == sol.iterations - 1 > 2
+    assert len(newton) == sol.iterations > 2
     assert newton[0][0] == "MMD_AT_PLUS_A"
     size = newton[0][2].shape[0]
     fill = {f[2].L.nnz + f[2].U.nnz for f in newton}
@@ -608,5 +629,57 @@ def test_newton_pattern_ordered_once_and_factored_on_the_diagonal(
         assert np.array_equal(lu.perm_r, np.arange(size))
     assert {f[:2] for f in factors if f[1] != 0.0} == {
         ("MMD_AT_PLUS_A", 0.01)}
-    assert len(residuals) == 2 * len(newton)       # predictor, corrector
+    # predictor and corrector per factor, but no corrector after the last
+    assert len(residuals) == 2 * sol.iterations - 1
     assert max(residuals) < 1e-10, max(residuals)
+
+
+def test_joint_solve_polished_once_its_active_set_settles():
+    """Joint TEM on the benchmark scenario: the affine point keeps the
+    interior point's active-set guess long before the 1e-8 target, and the
+    polish of that guess certifies, so the solve ends there (12 iterations
+    when only the point at the target was polished)."""
+    s = generate_synthetic(**BENCHMARK_SCENARIO)
+    sol = solve_qp(assemble_problem(s, Mode.TEM), tol=1e-6)
+    assert sol.polish is Polish.POLISHED
+    assert sol.iterations <= 10, sol.iterations
+    assert sol.kkt.worst() <= 1e-12, sol.kkt
+
+
+def test_failed_polish_guess_is_not_polished_again(monkeypatch):
+    """With every polish failing, the interior point runs to its target.
+    Inside the loop each distinct active-set guess is polished at most
+    once; the polish after the loop tries the final guess as before, and
+    the interior-point point answers."""
+    guesses = []
+
+    def failing(red, x0, y0, zg0, act_g, act_l, act_u, reg, certify):
+        guesses.append((act_g.tobytes(), act_l.tobytes(), act_u.tobytes()))
+        return None
+    monkeypatch.setattr(qp, "_polish", failing)
+    s = generate_synthetic(**BENCHMARK_SCENARIO)
+    for mode in Mode:
+        guesses.clear()
+        sol = solve_qp(assemble_problem(s, mode), tol=1e-6)
+        assert sol.polish is Polish.INTERIOR, mode
+        assert sol.status is QpStatus.OPTIMAL, mode
+        inside = guesses[:-1]
+        assert inside, mode
+        assert len(set(inside)) == len(inside), (mode, len(inside))
+
+
+def test_polish_factor_fill_at_scale(monkeypatch):
+    """Joint TEM at N=54, T=24 is the smallest size at which the polish
+    saddle, factored with SuperLU's relaxed supernodes, held more than 1.5
+    times the entries of a Newton factor in L+U (1.50 here, 2.28 at
+    N=200).  With unrelaxed supernodes it stays within 1.5 times."""
+    factors = recording_splu(monkeypatch)
+    s = generate_synthetic(seed=0, n_users=54, horizon=24)
+    sol = solve_qp(assemble_problem(s, Mode.TEM), tol=1e-6)
+    assert sol.polish is Polish.POLISHED
+    first = next(i for i, f in enumerate(factors) if f[1] == 0.0)
+    newton = max(f[2].L.nnz + f[2].U.nnz for f in factors if f[1] == 0.0)
+    polish = [f[2].L.nnz + f[2].U.nnz for f in factors[first:]
+              if f[1] != 0.0]
+    assert polish
+    assert max(polish) <= 1.5 * newton, (max(polish), newton)
