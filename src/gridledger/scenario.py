@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,9 +35,6 @@ __all__ = [
     "write_scenario",
 ]
 
-SERIES_COLUMNS = ["user", "slot", "L_S", "L_C", "l_I", "S_R", "Tout", "Tref",
-                  "p_FIT", "p_DR", "p_T"]
-
 
 class ScenarioError(Exception):
     """Raised when a scenario file is malformed or violates an invariant."""
@@ -45,6 +44,13 @@ def _freeze(a: Sequence[float] | np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(a, dtype=float))
     out.setflags(write=False)
     return out
+
+
+def _freeze_series(obj: object) -> None:
+    """Replace each ``_SERIES`` array that ``obj`` owns by a read-only copy."""
+    for c in _SERIES:
+        if isinstance(obj, c.owner):
+            object.__setattr__(obj, c.attr, _freeze(getattr(obj, c.attr)))
 
 
 def slots_to_mask(slots: Sequence[int], horizon: int) -> np.ndarray:
@@ -116,9 +122,7 @@ class UserScenario:
     ev: EvParams
 
     def __post_init__(self) -> None:
-        for name in ("shift_pref", "curtail_pref", "inflexible",
-                     "renewable_cap", "temp_out", "temp_ref"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        _freeze_series(self)
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,7 @@ class TransactivePrices:
     trade: np.ndarray        # uniform peer-to-peer trade price
 
     def __post_init__(self) -> None:
-        for name in ("feed_in", "dr", "trade"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        _freeze_series(self)
 
 
 @dataclass(frozen=True)
@@ -161,21 +164,170 @@ class Violation:
 
 
 # ---------------------------------------------------------------------------
+# file format: how each value is spelled, and the two field tables
+
+def _as_int(value: object, what: str) -> int:
+    """An integer config value; NaN (which ``json.loads`` accepts),
+    infinities, fractions and non-numeric strings raise, naming ``what``."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ScenarioError(f"{what}: must be an integer, "
+                            f"got {value!r}") from e
+    if isinstance(value, float) and value != out:
+        raise ScenarioError(f"{what}: must be an integer, got {value!r}")
+    return out
+
+
+def _as_float(value: object, what: str) -> float:
+    """A numeric config value; null, lists and non-numeric strings raise,
+    naming ``what``.  Non-finite values are left to ``validate_scenario``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ScenarioError(f"{what}: must be a number, got {value!r}") from e
+
+
+def _window_to_json(slots: Sequence[int]) -> object:
+    """A slot set in its stored order; an ascending contiguous run is
+    written as a range, so that any tuple reads back as itself."""
+    slots = list(slots)
+    if slots and slots == list(range(slots[0], slots[-1] + 1)):
+        return {"from": slots[0], "to": slots[-1]}
+    return slots
+
+
+def _window_from_json(obj: object, what: str) -> Tuple[int, ...]:
+    if isinstance(obj, dict):
+        if "from" not in obj or "to" not in obj:
+            raise ScenarioError(f"{what}: range window needs 'from' and 'to'")
+        lo = _as_int(obj["from"], f"{what}.from")
+        hi = _as_int(obj["to"], f"{what}.to")
+        if lo > hi:
+            raise ScenarioError(f"{what}: empty window [{lo}, {hi}]")
+        return tuple(range(lo, hi + 1))
+    if isinstance(obj, list):
+        return tuple(_as_int(x, f"{what}[{i}]") for i, x in enumerate(obj))
+    raise ScenarioError(f"{what}: window must be a range object or slot list")
+
+
+def _ev_window_from_json(obj: object, what: str) -> Tuple[int, int]:
+    if not isinstance(obj, dict) or "arrive" not in obj or "depart" not in obj:
+        raise ScenarioError(f"{what} needs 'arrive' and 'depart'")
+    return _as_int(obj["arrive"], f"{what}.arrive"), \
+        _as_int(obj["depart"], f"{what}.depart")
+
+
+# how a window is written; every other value is written as it is held
+_TO_JSON = {_window_from_json: _window_to_json,
+            _ev_window_from_json: lambda w: {"arrive": w[0], "depart": w[1]}}
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """One config.json value.  ``attr`` is the attribute path that holds
+    it, from the Scenario or, in ``_HOME_KEYS``, from the home ("" if the
+    scenario does not keep it); it is also the field that
+    ``validate_scenario`` names.  ``default`` is a value, ``_REQUIRED``, or
+    a function of the values read before it and the horizon."""
+
+    section: str                 # "" at the top level of the file
+    key: str
+    attr: str
+    default: object = _REQUIRED
+    read: Callable[[object, str], object] = _as_float
+
+    @property
+    def name(self) -> str:
+        return f"{self.section}.{self.key}" if self.section else self.key
+
+
+# the top level of config.json, in file order
+_SCENARIO_KEYS = (
+    _Key("", "n_users", "n_users", read=_as_int),
+    _Key("", "horizon", "grid.horizon", read=_as_int),
+    _Key("", "rng_seed", "rng_seed", 0, _as_int),
+    _Key("", "series_file", "", "series.csv",
+         lambda value, what: str(value)),
+    *(_Key("tariff", f.name, f"tariff.{f.name}") for f in fields(GridTariff)),
+    _Key("windows", "dr", "grid.dr_window", [], _window_from_json),
+)
+
+# one entry of config.json's "users" list, in file order; a top-level
+# section of the same name supplies each key that an entry leaves out
+_HOME_KEYS = (
+    _Key("windows", "shift", "shift_window",
+         lambda got, horizon: list(range(1, horizon + 1)), _window_from_json),
+    _Key("windows", "ev", "ev_window", read=_ev_window_from_json),
+    _Key("hvac", "alpha", "hvac_alpha", 0.75),
+    _Key("hvac", "beta", "hvac_beta", 0.2),
+    _Key("hvac", "temp_lo", "temp_lo", 15.0),
+    _Key("hvac", "temp_hi", "temp_hi", 32.0),
+    _Key("hvac", "temp_init", "temp_init", 24.0),
+    _Key("sensitivities", "shift", "w_shift", 1.0),
+    _Key("sensitivities", "curtail", "w_curtail", 1.0),
+    _Key("sensitivities", "comfort", "w_comfort", 1.0),
+    _Key("ev", "capacity", "ev.capacity"),
+    _Key("ev", "charge_init", "ev.charge_init",
+         lambda got, horizon: 0.5 * got["ev"]["capacity"]),
+    _Key("ev", "charge_max", "ev.charge_max", 50.0),
+    _Key("ev", "discharge_max", "ev.discharge_max", 10.0),
+    _Key("ev", "eff_charge", "ev.eff_charge", 0.9),
+    _Key("ev", "eff_discharge", "ev.eff_discharge", 0.9),
+    _Key("ev", "w_degrade", "ev.w_degrade", 0.1),
+)
+
+
+class _Series(NamedTuple):
+    """One series.csv column and the per-slot array that holds it."""
+
+    column: str
+    owner: type                  # UserScenario or TransactivePrices
+    attr: str
+    nonnegative: bool = True
+
+
+_SERIES = (
+    _Series("L_S", UserScenario, "shift_pref"),
+    _Series("L_C", UserScenario, "curtail_pref"),
+    _Series("l_I", UserScenario, "inflexible"),
+    _Series("S_R", UserScenario, "renewable_cap"),
+    _Series("Tout", UserScenario, "temp_out", nonnegative=False),
+    _Series("Tref", UserScenario, "temp_ref", nonnegative=False),
+    _Series("p_FIT", TransactivePrices, "feed_in"),
+    _Series("p_DR", TransactivePrices, "dr"),
+    _Series("p_T", TransactivePrices, "trade"),
+)
+
+SERIES_COLUMNS = ["user", "slot", *(c.column for c in _SERIES)]
+
+
+def _put(d: dict, path: str, value: object) -> None:
+    """Store ``value`` at dotted ``path``, one level of nesting at most."""
+    head, _, tail = path.rpartition(".")
+    (d.setdefault(head, {}) if head else d)[tail] = value
+
+
+# ---------------------------------------------------------------------------
 # validation
+
+def _size_violations(n_users: int, horizon: int) -> List[Violation]:
+    return [Violation(None, fld, msg) for fld, wrong, msg in (
+        ("horizon", horizon < 1, f"horizon must be >= 1, got {horizon}"),
+        ("n_users", n_users < 1, f"need at least one user, got {n_users}"))
+        if wrong]
+
 
 def validate_scenario(s: Scenario) -> List[Violation]:
     """Check every scenario invariant; returns findings instead of raising."""
-    out: List[Violation] = []
     t = s.grid.horizon
+    out = _size_violations(s.n_users, t)
 
     def bad(user: Optional[int], fld: str, msg: str) -> None:
         out.append(Violation(user, fld, msg))
 
     if t < 1:
-        bad(None, "horizon", f"horizon must be >= 1, got {t}")
         return out
-    if s.n_users < 1:
-        bad(None, "n_users", f"need at least one user, got {s.n_users}")
     if len(s.users) != s.n_users:
         bad(None, "users", f"n_users={s.n_users} but {len(s.users)} user entries")
     if len(s.grid.shift_windows) != len(s.users) or len(s.grid.ev_windows) != len(s.users):
@@ -183,41 +335,38 @@ def validate_scenario(s: Scenario) -> List[Violation]:
         return out
 
     # every comparison with NaN is false, so the range tests below miss it
-    values = [(None, f"{group}.{k}", v) for group in ("tariff", "prices")
-              for k, v in vars(getattr(s, group)).items()]
-    for n, u in enumerate(s.users):
-        values += [(n, k, v) for k, v in vars(u).items() if k != "ev"]
-        values += [(n, f"ev.{k}", v) for k, v in vars(u.ev).items()]
+    values = [(None, k.attr, attrgetter(k.attr)(s))
+              for k in _SCENARIO_KEYS if k.read is _as_float]
+    values += [(n, k.attr, attrgetter(k.attr)(u)) for n, u in enumerate(s.users)
+               for k in _HOME_KEYS if k.read is _as_float]
     for user, fld, v in values:
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v):
             bad(user, fld, "values must be finite")
 
-    for name, slots in [("dr_window", s.grid.dr_window)]:
-        for sl in slots:
-            if not 1 <= sl <= t:
-                bad(None, name, f"slot {sl} outside [1, {t}]")
+    for c in _SERIES:
+        owners = ([(None, f"prices.{c.attr}", s.prices)]
+                  if c.owner is TransactivePrices
+                  else [(n, c.attr, u) for n, u in enumerate(s.users)])
+        for user, fld, obj in owners:
+            arr = getattr(obj, c.attr)
+            if arr.shape != (t,):
+                bad(user, fld, f"expected length {t}, got {arr.shape}")
+            elif not np.all(np.isfinite(arr)):
+                bad(user, fld, "values must be finite")
+            elif c.nonnegative and np.any(arr < 0):
+                bad(user, fld, "series must be nonnegative" if user is not None
+                    else "price signals must be nonnegative")
+
+    for sl in s.grid.dr_window:
+        if not 1 <= sl <= t:
+            bad(None, "dr_window", f"slot {sl} outside [1, {t}]")
 
     if s.tariff.price_energy < 0 or s.tariff.price_peak < 0:
         bad(None, "tariff", "grid prices must be nonnegative")
     if s.tariff.line_cap <= 0:
         bad(None, "tariff.line_cap", "grid line capacity must be positive")
 
-    for name in ("feed_in", "dr", "trade"):
-        arr = getattr(s.prices, name)
-        if arr.shape != (t,):
-            bad(None, f"prices.{name}", f"expected length {t}, got {arr.shape}")
-        elif np.any(arr < 0):
-            bad(None, f"prices.{name}", "price signals must be nonnegative")
-
     for n, u in enumerate(s.users):
-        for fld in ("shift_pref", "curtail_pref", "inflexible", "renewable_cap",
-                    "temp_out", "temp_ref"):
-            arr = getattr(u, fld)
-            if arr.shape != (t,):
-                bad(n, fld, f"expected length {t}, got {arr.shape}")
-        for fld in ("shift_pref", "curtail_pref", "inflexible", "renewable_cap"):
-            if np.any(getattr(u, fld) < 0):
-                bad(n, fld, "series must be nonnegative")
         if not u.temp_lo < u.temp_hi:
             bad(n, "temp_lo", f"need temp_lo < temp_hi, got [{u.temp_lo}, {u.temp_hi}]")
         elif not u.temp_lo <= u.temp_init <= u.temp_hi:
@@ -254,37 +403,6 @@ def validate_scenario(s: Scenario) -> List[Violation]:
 
 # ---------------------------------------------------------------------------
 # synthetic generation
-
-# Home parameters that every synthetic home shares and that a config file
-# may leave out, by config.json section; users override per key.
-_HOME_DEFAULTS = {
-    "hvac": {"alpha": 0.75, "beta": 0.2, "temp_lo": 15.0, "temp_hi": 32.0,
-             "temp_init": 24.0},
-    "sensitivities": {"shift": 1.0, "curtail": 1.0, "comfort": 1.0},
-    "ev": {"charge_max": 50.0, "discharge_max": 10.0, "eff_charge": 0.9,
-           "eff_discharge": 0.9, "w_degrade": 0.1},
-}
-
-
-def _home_params(sections: dict, where: str) -> Tuple[dict, dict]:
-    """UserScenario and EvParams keywords from sections shaped like
-    ``_HOME_DEFAULTS``; a bad value raises ScenarioError naming
-    ``where`` and its key."""
-
-    def num(section: str, key: str) -> float:
-        return _as_float(sections[section][key], f"{where} {section}.{key}")
-
-    home = dict(temp_init=num("hvac", "temp_init"),
-                temp_lo=num("hvac", "temp_lo"),
-                temp_hi=num("hvac", "temp_hi"),
-                hvac_alpha=num("hvac", "alpha"),
-                hvac_beta=num("hvac", "beta"),
-                w_shift=num("sensitivities", "shift"),
-                w_curtail=num("sensitivities", "curtail"),
-                w_comfort=num("sensitivities", "comfort"))
-    ev_limits = {key: num("ev", key) for key in _HOME_DEFAULTS["ev"]}
-    return home, ev_limits
-
 
 def generate_synthetic(seed: int, n_users: int, horizon: int, *,
                        solar_range: Tuple[float, float] = (2.0, 6.0),
@@ -325,10 +443,14 @@ def generate_synthetic(seed: int, n_users: int, horizon: int, *,
     trade = np.round(rng.uniform(0.10, 0.16, size=t), 6)
     prices = TransactivePrices(feed_in=feed_in, dr=dr_price, trade=trade)
 
-    home, ev_limits = _home_params(_HOME_DEFAULTS, "defaults")
+    # every synthetic home has the home parameters that a config file may
+    # leave out at their defaults
+    home: dict = {}
+    for k in _HOME_KEYS:
+        if isinstance(k.default, float):
+            _put(home, k.attr, k.default)
+    ev_limits = home.pop("ev")
     users = []
-    shift_windows = []
-    ev_windows = []
     for _ in range(n_users):
         evening = np.exp(-0.5 * ((hours - 19.0) / 2.5) ** 2)
         morning = np.exp(-0.5 * ((hours - 7.5) / 1.8) ** 2)
@@ -356,11 +478,9 @@ def generate_synthetic(seed: int, n_users: int, horizon: int, *,
             shift_pref=shift_pref, curtail_pref=curtail_pref,
             inflexible=inflexible, renewable_cap=renewable_cap,
             temp_out=temp_out, temp_ref=temp_ref, ev=ev, **home))
-        shift_windows.append(tuple(range(1, t + 1)))
-        ev_windows.append((ev_arrive, ev_depart))
 
-    grid = TimeGrid(horizon=t, shift_windows=tuple(shift_windows),
-                    dr_window=dr_window, ev_windows=tuple(ev_windows))
+    grid = TimeGrid(horizon=t, shift_windows=(tuple(range(1, t + 1)),) * n_users,
+                    dr_window=dr_window, ev_windows=((ev_arrive, ev_depart),) * n_users)
     scen = Scenario(n_users=n_users, grid=grid, users=tuple(users),
                     tariff=tariff, prices=prices, rng_seed=seed)
     problems = validate_scenario(scen)
@@ -373,98 +493,33 @@ def generate_synthetic(seed: int, n_users: int, horizon: int, *,
 # ---------------------------------------------------------------------------
 # file round trip
 
-def _window_to_json(slots: Sequence[int]) -> object:
-    slots = sorted(slots)
-    if slots and slots == list(range(slots[0], slots[-1] + 1)):
-        return {"from": slots[0], "to": slots[-1]}
-    return list(slots)
-
-
-def _as_int(value: object, what: str) -> int:
-    """An integer config value; NaN (which ``json.loads`` accepts),
-    infinities, fractions and non-numeric strings raise, naming ``what``."""
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ScenarioError(f"{what}: must be an integer, "
-                            f"got {value!r}") from e
-    if isinstance(value, float) and value != out:
-        raise ScenarioError(f"{what}: must be an integer, got {value!r}")
-    return out
-
-
-def _as_float(value: object, what: str) -> float:
-    """A numeric config value; null, lists and non-numeric strings raise,
-    naming ``what``.  Non-finite values are left to ``validate_scenario``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ScenarioError(f"{what}: must be a number, got {value!r}") from e
-
-
-def _window_from_json(obj: object, what: str) -> Tuple[int, ...]:
-    if isinstance(obj, dict):
-        if "from" not in obj or "to" not in obj:
-            raise ScenarioError(f"{what}: range window needs 'from' and 'to'")
-        lo = _as_int(obj["from"], f"{what}.from")
-        hi = _as_int(obj["to"], f"{what}.to")
-        if lo > hi:
-            raise ScenarioError(f"{what}: empty window [{lo}, {hi}]")
-        return tuple(range(lo, hi + 1))
-    if isinstance(obj, list):
-        return tuple(_as_int(x, f"{what}[{i}]") for i, x in enumerate(obj))
-    raise ScenarioError(f"{what}: window must be a range object or slot list")
+def _dump(keys: Sequence[_Key], root: object) -> dict:
+    """The config object holding ``keys``, each value read from ``root``."""
+    cfg: dict = {}
+    for k in keys:
+        value = attrgetter(k.attr)(root) if k.attr else k.default
+        _put(cfg, k.name, _TO_JSON.get(k.read, lambda v: v)(value))
+    return cfg
 
 
 def write_scenario(s: Scenario, path: str | Path) -> None:
     """Write ``config.json`` plus the series CSV into directory ``path``."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    cfg = {
-        "n_users": s.n_users,
-        "horizon": s.grid.horizon,
-        "rng_seed": s.rng_seed,
-        "series_file": "series.csv",
-        "tariff": {"price_energy": s.tariff.price_energy,
-                   "price_peak": s.tariff.price_peak,
-                   "line_cap": s.tariff.line_cap},
-        "windows": {"dr": _window_to_json(s.grid.dr_window)},
-        "users": [],
-    }
-    for n, u in enumerate(s.users):
-        arrive, depart = s.grid.ev_windows[n]
-        cfg["users"].append({
-            "windows": {"shift": _window_to_json(s.grid.shift_windows[n]),
-                        "ev": {"arrive": arrive, "depart": depart}},
-            "hvac": {"alpha": u.hvac_alpha, "beta": u.hvac_beta,
-                     "temp_lo": u.temp_lo, "temp_hi": u.temp_hi,
-                     "temp_init": u.temp_init},
-            "sensitivities": {"shift": u.w_shift, "curtail": u.w_curtail,
-                              "comfort": u.w_comfort},
-            "ev": {"capacity": u.ev.capacity, "charge_init": u.ev.charge_init,
-                   "charge_max": u.ev.charge_max,
-                   "discharge_max": u.ev.discharge_max,
-                   "eff_charge": u.ev.eff_charge,
-                   "eff_discharge": u.ev.eff_discharge,
-                   "w_degrade": u.ev.w_degrade},
-        })
+    cfg = _dump(_SCENARIO_KEYS, s)
+    cfg["users"] = [_dump(_HOME_KEYS, SimpleNamespace(
+        **vars(u), shift_window=s.grid.shift_windows[n],
+        ev_window=s.grid.ev_windows[n])) for n, u in enumerate(s.users)]
     (root / "config.json").write_text(json.dumps(cfg, indent=2) + "\n")
 
-    with open(root / "series.csv", "w", newline="") as fh:
+    with open(root / cfg["series_file"], "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(SERIES_COLUMNS)
         for n, u in enumerate(s.users):
+            arrays = [getattr(u if c.owner is UserScenario else s.prices, c.attr)
+                      for c in _SERIES]
             for t0 in range(s.grid.horizon):
-                w.writerow([n, t0 + 1,
-                            repr(float(u.shift_pref[t0])),
-                            repr(float(u.curtail_pref[t0])),
-                            repr(float(u.inflexible[t0])),
-                            repr(float(u.renewable_cap[t0])),
-                            repr(float(u.temp_out[t0])),
-                            repr(float(u.temp_ref[t0])),
-                            repr(float(s.prices.feed_in[t0])),
-                            repr(float(s.prices.dr[t0])),
-                            repr(float(s.prices.trade[t0]))])
+                w.writerow([n, t0 + 1, *(repr(float(a[t0])) for a in arrays)])
 
 
 def _require(cfg: dict, key: str, where: str) -> object:
@@ -481,6 +536,23 @@ def _section(value: object, kind: type, what: str):
         raise ScenarioError(f"{what}: section must be {shape}, "
                             f"got {value!r}")
     return value
+
+
+def _read(keys: Sequence[_Key], cfg: dict, where: str, who: str = "",
+          horizon: int = 0) -> dict:
+    """The values of ``keys`` in ``cfg`` as keyword dicts nested by
+    attribute path; errors name ``where``, then ``who`` and the key."""
+    got: dict = {}
+    for k in keys:
+        sec = (_section(cfg.get(k.section, {}), dict,
+                        f"{where}: {who}{k.section}") if k.section else cfg)
+        if k.key in sec or k.default is _REQUIRED:
+            value = _require(sec, k.key, f"{where}: {who}{k.section}"
+                             if k.section else where)
+        else:
+            value = k.default(got, horizon) if callable(k.default) else k.default
+        _put(got, k.attr or k.key, k.read(value, f"{where}: {who}{k.name}"))
+    return got
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -501,21 +573,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
     where = str(cfg_path)
     _section(cfg, dict, where)
-    n_users = _as_int(_require(cfg, "n_users", where), f"{where}: n_users")
-    horizon = _as_int(_require(cfg, "horizon", where), f"{where}: horizon")
-    rng_seed = _as_int(cfg.get("rng_seed", 0), f"{where}: rng_seed")
-    tariff_cfg = _section(_require(cfg, "tariff", where), dict,
-                          f"{where}: tariff")
-    tariff = GridTariff(**{
-        key: _as_float(_require(tariff_cfg, key, f"{where}: tariff"),
-                       f"{where}: tariff.{key}")
-        for key in ("price_energy", "price_peak", "line_cap")})
-    windows = _section(cfg.get("windows", {}), dict, f"{where}: windows")
-    dr_window = _window_from_json(windows.get("dr", []), f"{where}: windows.dr")
-
-    defaults = {key: {**table, **_section(cfg.get(key, {}), dict,
-                                          f"{where}: {key}")}
-                for key, table in _HOME_DEFAULTS.items()}
+    top = _read(_SCENARIO_KEYS, cfg, where)
+    n_users, horizon = top["n_users"], top["grid"]["horizon"]
+    sizes = _size_violations(n_users, horizon)
+    if sizes:
+        raise ScenarioError(f"{where}: {sizes[0].field}: {sizes[0].message}")
 
     user_cfgs = _section(cfg.get("users", [{} for _ in range(n_users)]),
                          list, f"{where}: users")
@@ -523,22 +585,28 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{where}: n_users={n_users} but "
                             f"{len(user_cfgs)} entries under 'users'")
 
-    series_file = root / str(cfg.get("series_file", "series.csv"))
+    series_file = root / top["series_file"]
     if not series_file.exists():
         raise ScenarioError(f"{series_file}: no such series file")
+    price_cols = [j for j, c in enumerate(_SERIES)
+                  if c.owner is TransactivePrices]
     series = {n: {} for n in range(n_users)}
     price_rows = {}
     with open(series_file, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SERIES_COLUMNS:
+        reader = csv.reader(fh)
+        if next(reader, None) != SERIES_COLUMNS:
             raise ScenarioError(f"{series_file}: header must be exactly "
                                 f"{','.join(SERIES_COLUMNS)}")
-        for i, row in enumerate(reader, start=2):
+        for i, cells in enumerate(reader, start=2):
+            if not cells:
+                continue                # a blank line
+            if len(cells) != len(SERIES_COLUMNS):
+                raise ScenarioError(f"{series_file}:{i}: {len(cells)} cells, "
+                                    f"but the header has {len(SERIES_COLUMNS)}")
             try:
-                n = int(row["user"])
-                slot = int(row["slot"])
-                vals = {k: float(row[k]) for k in SERIES_COLUMNS[2:]}
-            except (TypeError, ValueError) as e:
+                n, slot = int(cells[0]), int(cells[1])
+                vals = [float(x) for x in cells[2:]]
+            except ValueError as e:
                 raise ScenarioError(f"{series_file}:{i}: bad value ({e})") from e
             if not 0 <= n < n_users:
                 raise ScenarioError(f"{series_file}:{i}: user {n} outside "
@@ -550,18 +618,17 @@ def load_scenario(path: str | Path) -> Scenario:
                 raise ScenarioError(f"{series_file}:{i}: duplicate row for "
                                     f"user {n} slot {slot}")
             series[n][slot] = vals
-            pkey = (slot,)
-            ptriple = (vals["p_FIT"], vals["p_DR"], vals["p_T"])
             # NaN != NaN, so a NaN price would otherwise read as a mismatch
-            for k in ("p_FIT", "p_DR", "p_T"):
-                if not np.isfinite(vals[k]):
-                    raise ScenarioError(f"{series_file}:{i}: field {k}: "
-                                        f"values must be finite, got {vals[k]}")
-            if pkey in price_rows and price_rows[pkey] != ptriple:
+            for j in price_cols:
+                if not np.isfinite(vals[j]):
+                    raise ScenarioError(f"{series_file}:{i}: field "
+                                        f"{_SERIES[j].column}: values must "
+                                        f"be finite, got {vals[j]}")
+            prices = [vals[j] for j in price_cols]
+            if price_rows.setdefault(slot, prices) != prices:
                 raise ScenarioError(f"{series_file}:{i}: price columns differ "
                                     f"between users at slot {slot}; the price "
                                     f"signals must be identical for everyone")
-            price_rows[pkey] = ptriple
 
     for n in range(n_users):
         missing = [t for t in range(1, horizon + 1) if t not in series[n]]
@@ -569,51 +636,32 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"{series_file}: user {n} missing slots "
                                 f"{missing[:5]}")
 
-    def col(n: int, key: str) -> np.ndarray:
-        return np.array([series[n][t][key] for t in range(1, horizon + 1)])
+    def columns(n: int, owner: type) -> dict:
+        """Home ``n``'s arrays of ``owner``, by attribute."""
+        table = np.array([series[n][t] for t in range(1, horizon + 1)])
+        return {c.attr: table[:, j] for j, c in enumerate(_SERIES)
+                if c.owner is owner}
 
-    prices = TransactivePrices(feed_in=col(0, "p_FIT"), dr=col(0, "p_DR"),
-                               trade=col(0, "p_T"))
-
-    users: List[UserScenario] = []
-    shift_windows: List[Tuple[int, ...]] = []
-    ev_windows: List[Tuple[int, int]] = []
+    shared = {sec: _section(cfg.get(sec, {}), dict, f"{where}: {sec}")
+              for sec in dict.fromkeys(k.section for k in _HOME_KEYS)}
+    homes = []
     for n, ucfg in enumerate(user_cfgs):
         ucfg = _section(ucfg, dict, f"{where}: users[{n}]")
-        sections = {key: {**table, **_section(ucfg.get(key, {}), dict,
-                                              f"{where}: user {n} {key}")}
-                    for key, table in defaults.items()}
-        evc = sections["ev"]
-        uw = {**windows, **_section(ucfg.get("windows", {}), dict,
-                                    f"{where}: user {n} windows")}
-        if "shift" in uw:
-            shift = _window_from_json(uw["shift"], f"{where}: user {n} shift window")
-        else:
-            shift = tuple(range(1, horizon + 1))
-        evw = uw.get("ev")
-        if not isinstance(evw, dict) or "arrive" not in evw or "depart" not in evw:
-            raise ScenarioError(f"{where}: user {n}: windows.ev needs "
-                                f"'arrive' and 'depart'")
-        arrive, depart = (_as_int(evw[k], f"{where}: user {n} windows.ev.{k}")
-                          for k in ("arrive", "depart"))
-        if "capacity" not in evc:
-            raise ScenarioError(f"{where}: user {n}: ev.capacity is required")
-        capacity = _as_float(evc["capacity"], f"{where}: user {n} ev.capacity")
-        charge_init = _as_float(evc.get("charge_init", 0.5 * capacity),
-                                f"{where}: user {n} ev.charge_init")
-        home, ev_limits = _home_params(sections, f"{where}: user {n}")
-        ev = EvParams(capacity=capacity, charge_init=charge_init, **ev_limits)
-        users.append(UserScenario(
-            shift_pref=col(n, "L_S"), curtail_pref=col(n, "L_C"),
-            inflexible=col(n, "l_I"), renewable_cap=col(n, "S_R"),
-            temp_out=col(n, "Tout"), temp_ref=col(n, "Tref"), ev=ev, **home))
-        shift_windows.append(shift)
-        ev_windows.append((arrive, depart))
+        # a top-level section applies to every home, overridden key by key
+        homes.append(_read(_HOME_KEYS, {sec: {**table, **_section(
+            ucfg.get(sec, {}), dict, f"{where}: user {n} {sec}")}
+            for sec, table in shared.items()}, where, f"user {n} ", horizon))
 
-    grid = TimeGrid(horizon=horizon, shift_windows=tuple(shift_windows),
-                    dr_window=dr_window, ev_windows=tuple(ev_windows))
-    scen = Scenario(n_users=n_users, grid=grid, users=tuple(users),
-                    tariff=tariff, prices=prices, rng_seed=rng_seed)
+    grid = TimeGrid(**top["grid"],
+                    shift_windows=tuple(h.pop("shift_window") for h in homes),
+                    ev_windows=tuple(h.pop("ev_window") for h in homes))
+    users = tuple(UserScenario(**columns(n, UserScenario),
+                               ev=EvParams(**h.pop("ev")), **h)
+                  for n, h in enumerate(homes))
+    scen = Scenario(n_users=n_users, grid=grid, users=users,
+                    tariff=GridTariff(**top["tariff"]),
+                    prices=TransactivePrices(**columns(0, TransactivePrices)),
+                    rng_seed=top["rng_seed"])
     problems = validate_scenario(scen)
     if problems:
         v = problems[0]

@@ -160,9 +160,11 @@ class TestRun:
     @pytest.mark.parametrize("field,value", [
         ("n_users", float("nan")), ("horizon", "four"),
         ("rng_seed", float("nan")), ("windows.ev.arrive", float("nan")),
-        ("windows.dr.from", "x")])
+        ("windows.dr.from", "x"), ("n_users", 0), ("horizon", 0)])
     def test_bad_integer_in_config_exits_1(self, tmp_path, capsys, field,
                                            value):
+        """A count below one is named with validate_scenario's wording
+        before any series row is read."""
         write_scenario(generate_synthetic(seed=1, n_users=2, horizon=4),
                        tmp_path)
         cfg = json.loads((tmp_path / "config.json").read_text())
@@ -176,7 +178,13 @@ class TestRun:
         assert main(["run", str(tmp_path), "--mode", "BS1"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "scenario error" in err
-        assert f"{field}: must be an integer" in err
+        if value == 0:
+            reason = {"n_users": "need at least one user, got 0",
+                      "horizon": "horizon must be >= 1, got 0"}[field]
+            assert f"config.json: {field}: {reason}" in err
+            assert "series.csv" not in err
+        else:
+            assert f"{field}: must be an integer" in err
 
     @pytest.mark.parametrize("field,value", [
         ("tariff.line_cap", "abc"), ("tariff.price_peak", ...),

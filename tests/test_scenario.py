@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridledger.scenario import (
     EvParams,
@@ -169,6 +173,80 @@ class TestValidate:
         assert any(v.field == "ev.charge_init" for v in found)
 
 
+def _assert_bitwise_equal(a, b):
+    """Dataclass trees equal field by field, floats and arrays bit for bit."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            _assert_bitwise_equal(x, y)
+        elif f.name == "users":
+            assert len(x) == len(y)
+            for ux, uy in zip(x, y):
+                _assert_bitwise_equal(ux, uy)
+        elif isinstance(x, (float, np.ndarray)):
+            x, y = np.asarray(x), np.asarray(y)
+            assert (x.dtype, x.shape, x.tobytes()) == \
+                (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert x == y, f.name
+
+
+_HOME_WEIGHTS = ("hvac_alpha", "hvac_beta", "w_shift", "w_curtail", "w_comfort")
+_EV_LIMITS = ("charge_max", "discharge_max", "eff_charge", "eff_discharge",
+              "w_degrade")
+
+
+def _windows(horizon):
+    """Slot lists in any order, with repeats, gaps, or none at all."""
+    return st.lists(st.integers(1, horizon), max_size=horizon + 2).map(tuple)
+
+
+@st.composite
+def _scenarios(draw):
+    """Synthetic scenarios with drawn windows, batteries and home weights;
+    each drawn value is shared by every home or drawn per home."""
+    t = draw(st.integers(1, 6))
+    s = generate_synthetic(seed=draw(st.integers(0, 3)),
+                           n_users=draw(st.integers(1, 3)), horizon=t)
+    shared = draw(st.booleans())
+    weight = st.floats(0.01, 1.0)
+    shift, ev_windows, users = [], [], []
+    for u in s.users:
+        if not (shared and users):
+            full = tuple(range(1, t + 1))
+            window = draw(st.one_of(st.just(full), _windows(t)))
+            arrive = draw(st.integers(1, t))
+            ev_window = (arrive, draw(st.integers(arrive, t)))
+            capacity = draw(st.floats(1.0, 60.0))
+            charge_init = draw(st.one_of(st.just(0.5 * capacity),
+                                         st.floats(0.0, capacity)))
+            home = {k: draw(weight)
+                    for k in draw(st.sets(st.sampled_from(_HOME_WEIGHTS)))}
+            ev = {k: draw(weight)
+                  for k in draw(st.sets(st.sampled_from(_EV_LIMITS)))}
+        shift.append(window)
+        ev_windows.append(ev_window)
+        users.append(dataclasses.replace(u, **home, ev=dataclasses.replace(
+            u.ev, capacity=capacity, charge_init=charge_init, **ev)))
+    grid = dataclasses.replace(s.grid, shift_windows=tuple(shift),
+                               dr_window=draw(_windows(t)),
+                               ev_windows=tuple(ev_windows))
+    return dataclasses.replace(s, grid=grid, users=tuple(users))
+
+
+def _is_default(section, key, value, entry, defaults, horizon):
+    """Whether a config value is what the loader supplies when it is left
+    out: a synthetic home's value, half the battery size for the arrival
+    charge, and every slot for the shift window."""
+    if (section, key) == ("windows", "shift"):
+        return value == {"from": 1, "to": horizon}
+    if (section, key) == ("ev", "charge_init"):
+        return value == 0.5 * entry["ev"]["capacity"]
+    return section != "windows" and key != "capacity" \
+        and value == defaults[section][key]
+
+
 class TestRoundTrip:
     def test_write_load_exact(self, tmp_path, scen_3x8):
         write_scenario(scen_3x8, tmp_path)
@@ -183,6 +261,47 @@ class TestRoundTrip:
             assert ua.ev == ub.ev
             assert (ua.w_shift, ua.w_curtail, ua.w_comfort) == \
                    (ub.w_shift, ub.w_curtail, ub.w_comfort)
+
+    def test_unsorted_windows_round_trip(self, tmp_path, scen_3x8):
+        grid = dataclasses.replace(
+            scen_3x8.grid, dr_window=(5, 4),
+            shift_windows=((3, 1, 2),) + scen_3x8.grid.shift_windows[1:])
+        write_scenario(dataclasses.replace(scen_3x8, grid=grid), tmp_path)
+        assert load_scenario(tmp_path).grid == grid
+
+    @settings(deadline=None, max_examples=60)
+    @given(s=_scenarios(), data=st.data())
+    def test_round_trip_property(self, s, data):
+        """Writing then loading gives the scenario back bit for bit, also
+        when the config leaves defaults out or gives a value once in a
+        top-level section for every home."""
+        t = s.grid.horizon
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_scenario(generate_synthetic(seed=0, n_users=1, horizon=t),
+                           root)
+            defaults = json.loads((root / "config.json").read_text())["users"][0]
+            write_scenario(s, root)
+            cfg = json.loads((root / "config.json").read_text())
+            entries = cfg["users"]
+            for e in entries:
+                for section, table in e.items():
+                    for key, value in list(table.items()):
+                        if _is_default(section, key, value, e, defaults, t) \
+                                and data.draw(st.booleans(), label=f"omit {key}"):
+                            del table[key]
+            for section, table in entries[0].items():
+                for key, value in list(table.items()):
+                    if all(e[section].get(key, ...) == value for e in entries) \
+                            and data.draw(st.booleans(), label=f"shared {key}"):
+                        cfg.setdefault(section, {})[key] = value
+                        for e in entries:
+                            del e[section][key]
+            for key, default in (("rng_seed", 0), ("series_file", "series.csv")):
+                if cfg[key] == default and data.draw(st.booleans(), label=key):
+                    del cfg[key]
+            (root / "config.json").write_text(json.dumps(cfg))
+            _assert_bitwise_equal(load_scenario(root), s)
 
     def test_load_ignores_retired_slot_hours(self, tmp_path, scen_2x4):
         # config files written before the slot width was dropped carry it
@@ -255,6 +374,17 @@ class TestRoundTrip:
         lines[3] = ",".join(parts)
         (tmp_path / "series.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(ScenarioError, match=r"series\.csv:4"):
+            load_scenario(tmp_path)
+
+    @pytest.mark.parametrize("cells", [12, 10])
+    def test_row_with_wrong_cell_count_names_row(self, tmp_path, scen_2x4,
+                                                  cells):
+        write_scenario(scen_2x4, tmp_path)
+        lines = (tmp_path / "series.csv").read_text().splitlines()
+        lines[3] = ",".join((lines[3].split(",") + ["0.5"])[:cells])
+        (tmp_path / "series.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ScenarioError, match=rf"series\.csv:4: {cells} "
+                                                rf"cells, but the header has 11"):
             load_scenario(tmp_path)
 
     def test_missing_slot_detected(self, tmp_path, scen_2x4):
