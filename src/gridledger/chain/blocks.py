@@ -326,7 +326,9 @@ def encode_vote(vote: Vote) -> bytes:
 
 @dataclass(frozen=True)
 class ConsensusProof:
-    """Commit certificate: a quorum of commit votes on one block digest."""
+    """Quorum certificate: a quorum of votes of one phase on one block
+    digest, height and round.  A committed block carries its commit votes;
+    a prepare certificate is checked in the same form."""
 
     height: int
     round: int
@@ -335,11 +337,14 @@ class ConsensusProof:
 
 
 def verify_proof(proof: ConsensusProof, validators: Sequence[int],
-                 quorum: int) -> bool:
+                 quorum: int, phase: int = PHASE_COMMIT) -> bool:
+    """True when ``proof`` holds validly signed ``phase`` votes on its
+    digest, height and round from at least ``quorum`` distinct
+    ``validators``, and no other vote."""
     voters = set()
     vset = set(validators)
     for vote in proof.votes:
-        if vote.phase != PHASE_COMMIT:
+        if vote.phase != phase:
             return False
         if (vote.height, vote.round) != (proof.height, proof.round):
             return False

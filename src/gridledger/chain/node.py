@@ -365,22 +365,6 @@ def _validate_proposal(st: NodeState, sender: int, block: Block) -> bool:
                for tx in block.txs)
 
 
-def _check_aggregate(st: NodeState, votes: Tuple[Vote, ...], phase: int,
-                     digest: bytes) -> bool:
-    if len(votes) < st.quorum:
-        return False
-    voters = {v.voter for v in votes}
-    if len(voters) != len(votes):
-        return False
-    if not voters <= set(st.config.validators):
-        return False
-    for v in votes:
-        if (v.phase != phase or v.height != st.height
-                or v.block_digest != digest or not verify_vote(v)):
-            return False
-    return True
-
-
 def _commit(st: NodeState, committed: CommittedBlock, now: float,
             acts: List[Action]) -> None:
     block = committed.block
@@ -534,7 +518,9 @@ def _on_aggregated_prepare(st: NodeState, sender: int, msg: AggregatedPrepare,
     digest = block_digest(st.candidate)
     if msg.block_digest != digest:
         return
-    if not _check_aggregate(st, msg.votes, PHASE_PREPARE, digest):
+    if not verify_proof(ConsensusProof(msg.height, msg.round, digest,
+                                       msg.votes),
+                        st.config.validators, st.quorum, PHASE_PREPARE):
         return
     st.prepared = True
     st.prepared_votes = msg.votes
@@ -626,12 +612,15 @@ def _check_view_quorum(st: NodeState, nv: int, now: float,
     certified: Optional[Block] = None
     best = (-1, "")
     for vc in group.values():
-        if vc.prepared_block is None:
+        if vc.prepared_block is None or not vc.prepared_votes:
             continue
         digest = block_digest(vc.prepared_block)
-        if not _check_aggregate(st, vc.prepared_votes, PHASE_PREPARE, digest):
+        cert = ConsensusProof(st.height, vc.prepared_votes[0].round, digest,
+                              vc.prepared_votes)
+        if not verify_proof(cert, st.config.validators, st.quorum,
+                            PHASE_PREPARE):
             continue
-        rank = (vc.prepared_votes[0].round, digest.hex())
+        rank = (cert.round, digest.hex())
         if rank > best:
             best = rank
             certified = vc.prepared_block

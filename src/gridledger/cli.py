@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .chain.cluster import run_to_height, start_cluster, tally
 from .chain.node import ConsensusMode
 from .chain_transport import ChainTransport
-from .energy_model import SCHEDULE_SERIES, Mode
+from .energy_model import Mode
 from .netsim import LivenessTimeout, NetConfig, Network
 from .qp import QpStatus
 from .scenario import (Scenario, ScenarioError, generate_synthetic,
@@ -40,7 +40,6 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_LIVENESS = 3
 
-SCHEMA_SCHEDULE = "gridledger.schedule.v1"
 SCHEMA_COMPARE = "gridledger.compare.v1"
 SCHEMA_CHAIN = "gridledger.chainmetrics.v1"
 
@@ -108,23 +107,6 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
                       "--synthetic N,T")
 
 
-def _write_schedule_csv(path: Path, s: Scenario, outcome: Outcome) -> None:
-    cols = ["user", "slot", *SCHEDULE_SERIES]
-    cols += [f"trade_to_{m}" for m in range(s.n_users)]
-    cols.append("peak")
-    lines = [f"# schema: {SCHEMA_SCHEDULE}", ",".join(cols)]
-    for n, sch in enumerate(outcome.schedules):
-        for t in range(s.grid.horizon):
-            row = [str(n), str(t)]
-            for field in SCHEDULE_SERIES:
-                row.append(repr(float(getattr(sch, field)[t])))
-            for m in range(s.n_users):
-                row.append(repr(float(sch.trades[m, t])))
-            row.append(repr(float(sch.peak)))
-            lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _print_outcome(outcome: Outcome) -> None:
     print(f"mode {outcome.mode}: total cost "
           f"{outcome.total_cost:.6f}, {outcome.iterations} iteration(s), "
@@ -176,7 +158,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         jpath = out / f"outcome_{mode.value}.json"
         outcome.write_json(jpath)
         cpath = out / f"schedule_{mode.value}.csv"
-        _write_schedule_csv(cpath, s, outcome)
+        outcome.write_csv(cpath)
         print(f"wrote {jpath} and {cpath}")
     return code
 

@@ -2,7 +2,7 @@
 
 Each home schedules HVAC, shiftable and curtailable loads, grid and
 renewable supply, an EV battery, feed-in and demand-response exports and
-(in trading modes) signed peer-to-peer energy trades.  The model is a
+(in trading modes) a signed net export to its peers.  The model is a
 convex QP: quadratic discomfort terms plus linear grid/reward prices, with
 the single peak-draw charge linearised through an epigraph variable.
 
@@ -65,7 +65,31 @@ class Mode(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# variable layout
+# schedules and their variable layout
+
+@dataclass
+class Schedule:
+    """One home's decisions over the horizon."""
+
+    load_hvac: np.ndarray
+    load_shift: np.ndarray
+    load_curtail: np.ndarray
+    supply_grid: np.ndarray
+    supply_renewable: np.ndarray
+    ev_charge: np.ndarray
+    ev_discharge: np.ndarray
+    ev_energy: np.ndarray
+    temp_in: np.ndarray
+    feed_in: np.ndarray
+    dr_reduce: np.ndarray
+    export: np.ndarray           # net sale to peers (negative: purchase)
+    peak: float                  # epigraph value for the highest grid draw
+
+
+# the per-slot series of a Schedule in field order: all but peak
+SCHEDULE_SERIES: Tuple[str, ...] = tuple(
+    f.name for f in fields(Schedule) if f.name != "peak")
+
 
 @dataclass(frozen=True)
 class VariableLayout:
@@ -78,7 +102,6 @@ class VariableLayout:
     """
 
     mode: Mode
-    scenario_users: int
     horizon: int
     users: Tuple[int, ...]
     segments: Tuple[Tuple[str, int, int], ...]
@@ -88,19 +111,12 @@ class VariableLayout:
     def n_vars(self) -> int:
         return self.block_size * len(self.users)
 
-    def _block_start(self, user: int) -> int:
-        return self.users.index(user) * self.block_size
-
-    def _segment(self, name: str) -> Tuple[str, int, int]:
-        for seg in self.segments:
-            if seg[0] == name:
-                return seg
-        raise KeyError(f"no segment {name!r} in mode {self.mode.value}")
-
     def span(self, user: int, name: str) -> slice:
-        _, start, length = self._segment(name)
-        base = self._block_start(user) + start
-        return slice(base, base + length)
+        for seg, start, length in self.segments:
+            if seg == name:
+                base = self.users.index(user) * self.block_size + start
+                return slice(base, base + length)
+        raise KeyError(f"no segment {name!r} in mode {self.mode.value}")
 
     def col(self, user: int, name: str, t: int = 0) -> int:
         cols = self.span(user, name)
@@ -111,24 +127,18 @@ class VariableLayout:
 
 def user_layout(scenario_users: int, horizon: int, mode: Mode,
                 users: Optional[Sequence[int]] = None) -> VariableLayout:
-    """Layout covering ``users`` (default: all users jointly)."""
-    t = horizon
-    names = ["load_hvac", "load_shift", "load_curtail", "supply_grid",
-             "supply_renewable", "ev_charge", "ev_discharge", "ev_energy",
-             "temp_in"]
-    lengths = [t] * len(names)
-    if mode.has_vertical:
-        names += ["feed_in", "dr_reduce"]
-        lengths += [t, t]
-    if mode.has_horizontal and scenario_users > 1:
-        names.append("export")
-        lengths.append(t)
+    """Layout covering ``users`` (default: all users jointly): one
+    ``horizon``-long segment per schedule series the mode has, in
+    ``SCHEDULE_SERIES`` order, then the one-column peak."""
+    absent = set() if mode.has_vertical else {"feed_in", "dr_reduce"}
+    if not (mode.has_horizontal and scenario_users > 1):
+        absent.add("export")
+    names = [name for name in SCHEDULE_SERIES if name not in absent]
+    lengths = [horizon] * len(names) + [1]
     names.append("peak")
-    lengths.append(1)
     starts = np.cumsum([0] + lengths).tolist()
     covered = tuple(users) if users is not None else tuple(range(scenario_users))
-    return VariableLayout(mode=mode, scenario_users=scenario_users,
-                          horizon=t, users=covered,
+    return VariableLayout(mode=mode, horizon=horizon, users=covered,
                           segments=tuple(zip(names, starts, lengths)),
                           block_size=starts[-1])
 
@@ -175,31 +185,7 @@ def ev_trajectory(charge: np.ndarray, discharge: np.ndarray, charge_init: float,
 
 
 # ---------------------------------------------------------------------------
-# schedules and costs
-
-@dataclass
-class Schedule:
-    """One home's decisions over the horizon (signed trades: + sells)."""
-
-    load_hvac: np.ndarray
-    load_shift: np.ndarray
-    load_curtail: np.ndarray
-    supply_grid: np.ndarray
-    supply_renewable: np.ndarray
-    ev_charge: np.ndarray
-    ev_discharge: np.ndarray
-    ev_energy: np.ndarray
-    temp_in: np.ndarray
-    feed_in: np.ndarray
-    dr_reduce: np.ndarray
-    trades: np.ndarray           # (n_users, horizon); own row all zero
-    peak: float                  # epigraph value for the highest grid draw
-
-
-# the per-slot series of a Schedule in field order: all but trades and peak
-SCHEDULE_SERIES: Tuple[str, ...] = tuple(
-    f.name for f in fields(Schedule) if f.name not in ("trades", "peak"))
-
+# costs
 
 @dataclass
 class CostBreakdown:
@@ -240,7 +226,7 @@ def reward_terms(sch: Schedule, prices: TransactivePrices) -> CostBreakdown:
     """
     fit = float(np.dot(prices.feed_in, sch.feed_in))
     dr = float(np.dot(prices.dr, sch.dr_reduce))
-    trade = float(np.dot(prices.trade, sch.trades.sum(axis=0)))
+    trade = float(np.dot(prices.trade, sch.export))
     return CostBreakdown(feed_in_reward=fit, dr_reward=dr,
                          vertical_reward=fit + dr, trade_reward=trade,
                          net_cost=-(fit + dr + trade))
@@ -257,34 +243,15 @@ def combine_costs(cost: CostBreakdown, reward: CostBreakdown) -> CostBreakdown:
         net_cost=cost.home_cost - reward.vertical_reward - reward.trade_reward)
 
 
-def schedule_from_x(x: np.ndarray, layout: VariableLayout, user: int,
-                    trades: Optional[np.ndarray] = None) -> Schedule:
-    """Extract one home's schedule from a flat solution vector.
-
-    In trading modes ``x`` holds only net exports.  On a layout covering
-    every home the pairwise trades are the minimum-norm antisymmetric split
-    of the cleared exports, trades[m] = (s[user] - s[m]) / N.  A one-home
-    layout cannot know its peers' exports, so its caller passes the
-    (N, T) ``trades`` row; omitting it there raises ValueError.
-    """
-    t = layout.horizon
-    n = layout.scenario_users
+def schedule_from_x(x: np.ndarray, layout: VariableLayout,
+                    user: int) -> Schedule:
+    """Extract one home's schedule from a flat solution vector."""
     names = {name for name, _, _ in layout.segments}
-    # a channel the mode lacks (feed-in, demand response) stays at zero
+    # a channel the mode lacks (feed-in, demand response, export) stays zero
     series = {name: np.array(x[layout.span(user, name)], dtype=float)
-              if name in names else np.zeros(t) for name in SCHEDULE_SERIES}
-    if trades is not None:
-        trades = np.array(trades, dtype=float)
-    elif not (layout.mode.has_horizontal and n > 1):
-        trades = np.zeros((n, t))
-    elif len(layout.users) == n:
-        exports = np.array([x[layout.span(m, "export")] for m in range(n)])
-        trades = (exports[user] - exports) / n
-    else:
-        raise ValueError(f"a one-home {layout.mode.value} layout holds only "
-                         f"the net export of home {user}; pass its trades")
-    return Schedule(**series, trades=trades,
-                    peak=float(x[layout.span(user, "peak")][0]))
+              if name in names else np.zeros(layout.horizon)
+              for name in SCHEDULE_SERIES}
+    return Schedule(**series, peak=float(x[layout.span(user, "peak")][0]))
 
 
 def check_schedule(sch: Schedule, s: Scenario, user: int,
@@ -299,9 +266,11 @@ def check_schedule(sch: Schedule, s: Scenario, user: int,
         if not ok:
             out.append(msg)
 
-    # every series but the indoor temperature is an amount of energy
+    # every series but the indoor temperature and the signed export is an
+    # amount of energy
     for name in SCHEDULE_SERIES:
-        expect(name == "temp_in" or bool(np.all(getattr(sch, name) >= -tol)),
+        expect(name in ("temp_in", "export")
+               or bool(np.all(getattr(sch, name) >= -tol)),
                f"{name} has negative entries")
     expect(bool(np.all(sch.supply_grid <= s.tariff.line_cap + tol)),
            "grid draw exceeds the line capacity")
@@ -319,8 +288,6 @@ def check_schedule(sch: Schedule, s: Scenario, user: int,
                f"{name} nonzero outside the plug-in window")
     expect(bool(np.all(sch.ev_energy <= ev.capacity + tol)),
            "battery energy exceeds capacity")
-    expect(abs(sch.trades[user]).max(initial=0.0) <= tol,
-           "self-trade entries must be zero")
 
     span = s.grid.ev_slice(user)
     etraj = ev_trajectory(sch.ev_charge[span], sch.ev_discharge[span],

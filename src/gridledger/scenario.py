@@ -278,6 +278,28 @@ _HOME_KEYS = (
 )
 
 
+# top-level keys that older files carry; the loader accepts and ignores them
+_RETIRED_KEYS = ("slot_hours",)
+
+
+def _reject_unknown(cfg: dict, keys: Sequence[_Key], names: Sequence[str],
+                    where: str, who: str = "") -> None:
+    """Raise on a key of ``cfg``, or of one of its sections, that neither
+    ``keys`` nor ``names`` name; errors name ``where``, ``who`` and the
+    key."""
+    known: dict = {}
+    for k in keys:
+        known.setdefault(k.section, set()).add(k.key)
+    allowed = known.pop("", set()) | set(known) | set(names)
+    for key, value in cfg.items():
+        if key not in allowed:
+            raise ScenarioError(f"{where}: {who}{key}: unknown key")
+        # a section that is not an object is left for _section to name
+        for sub in value if key in known and isinstance(value, dict) else ():
+            if sub not in known[key]:
+                raise ScenarioError(f"{where}: {who}{key}.{sub}: unknown key")
+
+
 class _Series(NamedTuple):
     """One series.csv column and the per-slot array that holds it."""
 
@@ -573,6 +595,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
     where = str(cfg_path)
     _section(cfg, dict, where)
+    _reject_unknown(cfg, _SCENARIO_KEYS + _HOME_KEYS,
+                    ("users", *_RETIRED_KEYS), where)
     top = _read(_SCENARIO_KEYS, cfg, where)
     n_users, horizon = top["n_users"], top["grid"]["horizon"]
     sizes = _size_violations(n_users, horizon)
@@ -647,6 +671,7 @@ def load_scenario(path: str | Path) -> Scenario:
     homes = []
     for n, ucfg in enumerate(user_cfgs):
         ucfg = _section(ucfg, dict, f"{where}: users[{n}]")
+        _reject_unknown(ucfg, _HOME_KEYS, (), where, f"user {n} ")
         # a top-level section applies to every home, overridden key by key
         homes.append(_read(_HOME_KEYS, {sec: {**table, **_section(
             ucfg.get(sec, {}), dict, f"{where}: user {n} {sec}")}

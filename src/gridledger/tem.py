@@ -14,6 +14,12 @@ via ADMM, 2011, section 7.3), so the local mirror and the contract derive
 it with the same code.  All homes solve against the same snapshot in
 every sweep, so one iteration is a Jacobi round followed by one
 coordination step.
+
+An outcome is written here, as JSON (``Outcome.write_json``) and as a
+per-slot schedule CSV (``Outcome.write_csv``).  Each home's schedule holds
+its net export per slot.  The per-peer trades are written only for a
+distributed run, whose cleared trades are coordination state; a joint
+solve fixes each home's net export but not who trades with whom.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Tuple
 
@@ -37,6 +43,8 @@ from .qp import (LinearConstraintSet, QpProblem, QpSolution, QpStatus,
 from .scenario import Scenario
 
 __all__ = [
+    "SCHEMA_OUTCOME",
+    "SCHEMA_SCHEDULE",
     "AdmmParams",
     "DualState",
     "IterationRecord",
@@ -62,6 +70,9 @@ __all__ = [
 # KKT tolerance of the joint solve and of each home's subproblem
 _JOINT_TOL = 1e-6
 _HOME_TOL = 1e-8
+
+SCHEMA_OUTCOME = "gridledger.outcome.v2"
+SCHEMA_SCHEDULE = "gridledger.schedule.v2"
 
 
 class SolveFailed(RuntimeError):
@@ -308,6 +319,9 @@ class IterationRecord:
 
 @dataclass
 class Outcome:
+    """A solved scenario.  ``trades[n][m][t]`` is the cleared sale of home
+    n to home m in a distributed run; a joint solve leaves it ``None``."""
+
     mode: str
     schedules: List[Schedule]
     costs: List[CostBreakdown]
@@ -315,12 +329,11 @@ class Outcome:
     iterations: int
     converged: bool
     history: List[IterationRecord] = field(default_factory=list)
+    trades: Optional[np.ndarray] = None
 
     def to_json_dict(self) -> dict:
-        def arr(a: np.ndarray):
-            return np.asarray(a).tolist()
-        return {
-            "schema": "gridledger.outcome.v1",
+        out = {
+            "schema": SCHEMA_OUTCOME,
             "mode": self.mode,
             "total_cost": self.total_cost,
             "iterations": self.iterations,
@@ -329,9 +342,8 @@ class Outcome:
                 {
                     "costs": vars(c).copy(),
                     "schedule": {
-                        **{name: arr(getattr(sch, name))
+                        **{name: getattr(sch, name).tolist()
                            for name in SCHEDULE_SERIES},
-                        "trades": arr(sch.trades),
                         "peak": sch.peak,
                     },
                 }
@@ -339,15 +351,29 @@ class Outcome:
             ],
             "history": [vars(r).copy() for r in self.history],
         }
+        if self.trades is not None:
+            out["trades"] = self.trades.tolist()
+        return out
 
     def write_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
+    def write_csv(self, path: str | Path) -> None:
+        """One row per home and slot: the schedule series, then the peak."""
+        lines = [f"# schema: {SCHEMA_SCHEDULE}",
+                 ",".join(["user", "slot", *SCHEDULE_SERIES, "peak"])]
+        for n, sch in enumerate(self.schedules):
+            peak = repr(float(sch.peak))
+            columns = [getattr(sch, name).tolist() for name in SCHEDULE_SERIES]
+            lines.extend(",".join([str(n), str(t), *map(repr, row), peak])
+                         for t, row in enumerate(zip(*columns)))
+        Path(path).write_text("\n".join(lines) + "\n")
+
 
 def _outcome_from_schedules(s: Scenario, mode: Mode, schedules: List[Schedule],
                             iterations: int, converged: bool,
-                            history: Optional[List[IterationRecord]] = None
-                            ) -> Outcome:
+                            history: Optional[List[IterationRecord]] = None,
+                            trades: Optional[np.ndarray] = None) -> Outcome:
     costs = []
     for n, sch in enumerate(schedules):
         costs.append(combine_costs(home_cost_terms(sch, s.users[n], s.tariff),
@@ -355,7 +381,7 @@ def _outcome_from_schedules(s: Scenario, mode: Mode, schedules: List[Schedule],
     total = float(sum(c.net_cost for c in costs))
     return Outcome(mode=mode.value, schedules=schedules, costs=costs,
                    total_cost=total, iterations=iterations,
-                   converged=converged, history=history or [])
+                   converged=converged, history=history or [], trades=trades)
 
 
 def solve_centralized(s: Scenario, mode: Mode) -> Outcome:
@@ -462,9 +488,9 @@ def run_distributed(s: Scenario, params: AdmmParams,
     coordination step must reproduce the mirror's: a differing digest
     raises ``RuntimeError``.  Without one, the mirror is the only state
     and is recorded as its own transport digest.  A single home has no
-    peers and publishes nothing.  The returned schedules carry the final
-    cleared trades, which are antisymmetric exactly; each home's own
-    proposal history stays in the dual state.
+    peers and publishes nothing.  The outcome's ``trades`` are the final
+    cleared trades, which are antisymmetric exactly, and each schedule's
+    export is its home's cleared row summed over peers.
     """
     if transport is not None:
         transport.begin(s, params)
@@ -516,12 +542,12 @@ def run_distributed(s: Scenario, params: AdmmParams,
             converged = True
             break
 
-    # final schedules carry the cleared trades
-    schedules = [schedule_from_x(warm[n].x, layouts[n], n,
-                                 mirror.trades_aux[n])
+    trades = mirror.trades_aux
+    schedules = [replace(schedule_from_x(warm[n].x, layouts[n], n),
+                         export=trades[n].sum(axis=0))
                  for n in range(s.n_users)]
     outcome = _outcome_from_schedules(s, Mode.TEM, schedules, iterations,
-                                      converged, history)
+                                      converged, history, trades)
     if transport is not None:
         transport.settle(s, outcome)
     return outcome

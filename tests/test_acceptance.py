@@ -350,13 +350,17 @@ def test_c09_transport_equivalence(chain_run):
     worst = 0.0
     fields = ("load_hvac", "load_shift", "load_curtail", "supply_grid",
               "supply_renewable", "ev_charge", "ev_discharge", "ev_energy",
-              "temp_in", "feed_in", "dr_reduce", "trades")
+              "temp_in", "feed_in", "dr_reduce", "export")
     for a, b in zip(via_chain.schedules, via_local.schedules):
         for name in fields:
             diff = float(np.max(np.abs(getattr(a, name) - getattr(b, name)),
                                 initial=0.0))
             assert diff <= 1e-9, name
             worst = max(worst, diff)
+    # the per-peer trades belong to the outcome, not to a schedule
+    diff = float(np.max(np.abs(via_chain.trades - via_local.trades)))
+    assert diff <= 1e-9, "trades"
+    worst = max(worst, diff)
     for rec_c, rec_l in zip(via_chain.history, via_local.history):
         assert rec_c.digest_local == rec_c.digest_transport
         assert rec_c.digest_transport == rec_l.digest_transport

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from gridledger.chain import (
     COORDINATOR,
+    AggregatedPrepare,
     CatchUpRequest,
     CodecError,
+    CommitVote,
     ConsensusMode,
     ConsensusProof,
     ContractConfig,
@@ -23,6 +25,7 @@ from gridledger.chain import (
     NodeConfig,
     PHASE_COMMIT,
     PHASE_PREPARE,
+    PrePrepare,
     Reader,
     SctCompute,
     Send,
@@ -409,6 +412,25 @@ class TestVotesAndProofs:
         proof = ConsensusProof(height=2, round=0, block_digest=d,
                                votes=self._commit_votes(d, [0, 1, 2], height=1))
         assert not verify_proof(proof, [0, 1, 2, 3], 3)
+
+    @pytest.mark.parametrize("rounds,accepted", [((0, 0, 0), True),
+                                                 ((0, 1, 0), False)],
+                             ids=["one-round", "mixed-rounds"])
+    def test_prepare_certificate_needs_one_round(self, rounds, accepted):
+        # height 1, view 0 belongs to validator 1, which proposes to node 0
+        st = new_node(NodeConfig(node_id=0, validators=(0, 1, 2, 3)),
+                      genesis(_config()))
+        block = make_block(height=1, parent=GENESIS_PARENT, timestamp_ms=0,
+                           proposer=1, round=0, txs=[])
+        handle(st, 1, PrePrepare(block), 0.0)
+        assert st.candidate == block
+        d = block_digest(block)
+        votes = tuple(make_vote(MockSigner(v), PHASE_PREPARE, 1, r, d)
+                      for v, r in zip((1, 2, 3), rounds))
+        acts = handle(st, 1, AggregatedPrepare(1, 0, d, votes), 0.0)
+        assert st.prepared is accepted
+        assert any(isinstance(a, Send) and isinstance(a.msg, CommitVote)
+                   for a in acts) is accepted
 
 
 class TestContract:

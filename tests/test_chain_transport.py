@@ -10,6 +10,7 @@ from gridledger.chain import (
     decode_tx,
 )
 from gridledger.chain_transport import COORDINATOR, ChainTransport, committed_tx_bytes
+from gridledger.netsim import LivenessTimeout
 from gridledger.scenario import generate_synthetic
 from gridledger.tem import (
     AdmmParams,
@@ -35,8 +36,9 @@ class TestLockstep:
         _, _, via_chain, via_local = small_run
         assert via_chain.converged and via_local.converged
         assert via_chain.iterations == via_local.iterations
+        assert np.array_equal(via_chain.trades, via_local.trades)
         for a, b in zip(via_chain.schedules, via_local.schedules):
-            assert np.array_equal(a.trades, b.trades)
+            assert np.array_equal(a.export, b.export)
             assert np.array_equal(a.supply_grid, b.supply_grid)
         assert via_chain.total_cost == via_local.total_cost
 
@@ -115,3 +117,17 @@ class TestGuards:
         tr.publish(0, 1, export)
         with pytest.raises(ValueError):
             tr.publish(1, 2, export)
+
+    def test_lost_quorum_times_out(self):
+        # two of four validators crash as soon as the cluster starts, so
+        # the first coordination step can never commit
+        class LosesQuorum(ChainTransport):
+            def begin(self, s, params):
+                super().begin(s, params)
+                for v in (2, 3):
+                    self.network.crash(v, at_ms=0.0)
+
+        s = generate_synthetic(seed=3, n_users=2, horizon=4)
+        with pytest.raises(LivenessTimeout):
+            run_distributed(s, AdmmParams(max_iter=5),
+                            LosesQuorum(n_validators=4, seed=0))

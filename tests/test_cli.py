@@ -13,15 +13,15 @@ from gridledger.cli import (
     EXIT_USAGE,
     SCHEMA_CHAIN,
     SCHEMA_COMPARE,
-    SCHEMA_SCHEDULE,
     _parse_faults,
     _parse_rho,
     _parse_synthetic,
     _UsageError,
     main,
 )
+from gridledger.energy_model import SCHEDULE_SERIES
 from gridledger.scenario import generate_synthetic, write_scenario
-from gridledger.tem import RhoKind
+from gridledger.tem import SCHEMA_SCHEDULE, RhoKind
 
 
 @pytest.fixture(autouse=True)
@@ -108,8 +108,10 @@ class TestRun:
         cpath = out / "schedule_TEM.csv"
         assert jpath.exists() and cpath.exists()
         assert json.loads(jpath.read_text())["mode"] == "TEM"
-        first = cpath.read_text().splitlines()[0]
-        assert first == f"# schema: {SCHEMA_SCHEDULE}"
+        lines = cpath.read_text().splitlines()
+        assert lines[0] == f"# schema: {SCHEMA_SCHEDULE}"
+        assert lines[1] == ",".join(["user", "slot", *SCHEDULE_SERIES, "peak"])
+        assert len(lines) == 2 + 2 * 4
 
     def test_chain_transport_writes_identical_outputs(self, tmp_path, capsys):
         # the replicated contract runs the same coordination step as the

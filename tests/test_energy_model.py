@@ -46,12 +46,12 @@ def _mini_user(horizon=3):
         w_shift=0.5, w_curtail=1.0, w_comfort=2.0, ev=ev)
 
 
-def _schedule(horizon=3, n_users=2, **overrides):
+def _schedule(horizon=3, **overrides):
     z = np.zeros(horizon)
     fields = dict(load_hvac=z, load_shift=z, load_curtail=z, supply_grid=z,
                   supply_renewable=z, ev_charge=z, ev_discharge=z,
-                  ev_energy=z, temp_in=z, feed_in=z, dr_reduce=z,
-                  trades=np.zeros((n_users, horizon)), peak=0.0)
+                  ev_energy=z, temp_in=z, feed_in=z, dr_reduce=z, export=z,
+                  peak=0.0)
     fields.update({k: np.asarray(v, dtype=float) if k != "peak" else v
                    for k, v in overrides.items()})
     return Schedule(**fields)
@@ -140,9 +140,8 @@ class TestCosts:
         prices = TransactivePrices(feed_in=np.array([0.1, 0.2, 0.1]),
                                    dr=np.array([0.2, 0.2, 0.2]),
                                    trade=np.array([0.5, 0.5, 0.5]))
-        trades = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.0]])
         sch = _schedule(feed_in=[1.0, 2.0, 0.0], dr_reduce=[0.0, 1.0, 0.0],
-                        trades=trades)
+                        export=[1.0, -2.0, 0.0])
         bd = reward_terms(sch, prices)
         assert bd.feed_in_reward == pytest.approx(0.5, abs=1e-12)
         assert bd.dr_reward == pytest.approx(0.2, abs=1e-12)
@@ -157,7 +156,7 @@ class TestCosts:
         sch = _schedule(load_shift=[1.0, 3.0, 0.0], temp_in=[24.0, 25.0, 24.0],
                         supply_grid=[3.0, 5.0, 2.0], ev_discharge=[0.0, 2.0, 0.0],
                         feed_in=[1.0, 2.0, 0.0], dr_reduce=[0.0, 1.0, 0.0],
-                        trades=np.array([[0.0] * 3, [1.0, -2.0, 0.0]]))
+                        export=[1.0, -2.0, 0.0])
         bd = combine_costs(home_cost_terms(sch, user, self.tariff),
                            reward_terms(sch, prices))
         assert bd.net_cost == pytest.approx(10.4 - 0.7 + 0.5, abs=1e-12)
@@ -240,18 +239,14 @@ class TestLayout:
             assert np.array_equal(sch.supply_grid, x[lay.span(u, "supply_grid")])
             assert np.array_equal(sch.feed_in, x[lay.span(u, "feed_in")])
             assert sch.peak == x[lay.span(u, "peak")][0]
-            # minimum-norm split of the cleared exports
-            assert np.array_equal(sch.trades, (exports[u] - exports) / 3.0)
-            assert np.all(sch.trades[u] == 0.0)
-            assert np.allclose(sch.trades.sum(axis=0), exports[u], atol=1e-15)
+            assert np.array_equal(sch.export, exports[u])
 
-    def test_one_home_trading_layout_needs_trades(self):
+    def test_one_home_layout_reads_its_export(self):
         lay = user_layout(3, 4, Mode.TEM, users=[1])
-        x = np.zeros(lay.n_vars)
-        with pytest.raises(ValueError, match="pass its trades"):
-            schedule_from_x(x, lay, 1)
-        row = np.arange(12, dtype=float).reshape(3, 4)
-        assert np.array_equal(schedule_from_x(x, lay, 1, row).trades, row)
+        x = np.arange(lay.n_vars, dtype=float)
+        sch = schedule_from_x(x, lay, 1)
+        assert np.array_equal(sch.export, x[lay.span(1, "export")])
+        assert sch.peak == x[lay.span(1, "peak")][0]
 
     def test_schedule_from_x_fills_absent_channels(self):
         lay = user_layout(2, 4, Mode.BS1)
@@ -259,7 +254,7 @@ class TestLayout:
         sch = schedule_from_x(x, lay, 0)
         assert np.all(sch.feed_in == 0.0)
         assert np.all(sch.dr_reduce == 0.0)
-        assert np.all(sch.trades == 0.0)
+        assert np.all(sch.export == 0.0)
 
 
 class TestConstraints:
@@ -389,10 +384,7 @@ class TestConstraints:
         dr = x[lay.span(0, "dr_reduce")]
         dr[~s.grid.dr_mask()] = 0.0               # reward identity needs the window
         value = 0.5 * float(x @ (p_diag * x)) + float(q @ x) + offset
-        # with two homes the whole net export goes to the one peer
-        trades = np.zeros((2, s.grid.horizon))
-        trades[1] = x[lay.span(0, "export")]
-        sch = schedule_from_x(x, lay, 0, trades)
+        sch = schedule_from_x(x, lay, 0)
         bd = combine_costs(home_cost_terms(sch, s.users[0], s.tariff),
                            reward_terms(sch, s.prices))
         assert value == pytest.approx(bd.net_cost, abs=1e-9)
@@ -406,7 +398,7 @@ class TestCheckSchedule:
                                u.hvac_alpha, u.hvac_beta)
         energy = np.zeros(t)
         energy[s.grid.ev_mask(user)] = u.ev.charge_init
-        return _schedule(horizon=t, n_users=s.n_users, temp_in=temp,
+        return _schedule(horizon=t, temp_in=temp,
                          ev_energy=energy, supply_grid=np.ones(t), peak=1.0)
 
     def test_clean_schedule_passes(self, scen_2x4):
@@ -457,12 +449,10 @@ class TestCheckSchedule:
         found = check_schedule(sch, scen_2x4, 0)
         assert any("capacity" in m for m in found)
 
-    def test_self_trade_flagged(self, scen_2x4):
+    def test_signed_export_passes(self, scen_2x4):
         sch = self._consistent(scen_2x4, 0)
-        sch.trades = sch.trades.copy()
-        sch.trades[0, 0] = 1.0
-        found = check_schedule(sch, scen_2x4, 0)
-        assert any("self-trade" in m for m in found)
+        sch.export = np.linspace(-2.0, 2.0, scen_2x4.grid.horizon)
+        assert check_schedule(sch, scen_2x4, 0) == []
 
     def test_inconsistent_temperature_flagged(self, scen_2x4):
         sch = self._consistent(scen_2x4, 0)

@@ -311,6 +311,23 @@ class TestRoundTrip:
         (tmp_path / "config.json").write_text(json.dumps(cfg))
         assert load_scenario(tmp_path).grid == scen_2x4.grid
 
+    @pytest.mark.parametrize("edit,name", [
+        (lambda cfg: cfg.update(hvca={"alpha": 9.0}), ": hvca"),
+        (lambda cfg: cfg["users"][1].update(hvca={"alpha": 9.0}),
+         ": user 1 hvca"),
+        (lambda cfg: cfg["users"][0]["ev"].update(w_degrad=7.0),
+         ": user 0 ev.w_degrad"),
+        (lambda cfg: cfg["tariff"].update(line_capp=9.0), ": tariff.line_capp"),
+    ], ids=["top-section", "user-section", "user-key", "top-key"])
+    def test_unknown_key_named(self, tmp_path, scen_2x4, edit, name):
+        # a misspelt name would otherwise load silently with the default
+        write_scenario(scen_2x4, tmp_path)
+        cfg = json.loads((tmp_path / "config.json").read_text())
+        edit(cfg)
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        with pytest.raises(ScenarioError, match=f"{name}: unknown key$"):
+            load_scenario(tmp_path)
+
     def test_load_defaults_match_synthetic(self, tmp_path, scen_2x4):
         # users that give only a battery size and the EV window get the
         # home parameters every synthetic home has

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gridledger import tem
-from gridledger.energy_model import (Mode, check_schedule, schedule_from_x,
-                                     user_layout)
+from gridledger.energy_model import (Mode, check_schedule, reward_terms,
+                                     schedule_from_x, user_layout)
 from gridledger.qp import Polish, QpStatus, solve_qp
 from gridledger.scenario import generate_synthetic
 from gridledger.tem import (
@@ -396,21 +396,32 @@ class TestCentralized:
 
     def test_trades_clear_exactly(self, scen_2x4):
         out = solve_centralized(scen_2x4, Mode.TEM)
-        total = np.zeros(scen_2x4.grid.horizon)
-        for sch in out.schedules:
-            total += sch.trades.sum(axis=0)
+        total = sum(sch.export for sch in out.schedules)
         assert float(np.max(np.abs(total))) <= 1e-6
 
-    def test_joint_trades_split_exports(self):
+    def test_joint_outcome_holds_exports_only(self):
+        # the joint optimum fixes each home's net export, not its peers
         s = generate_synthetic(seed=11, n_users=3, horizon=4)
+        out = solve_centralized(s, Mode.TEM)
         sol = solve_qp(assemble_problem(s, Mode.TEM), tol=1e-6)
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
-        trades = np.array([schedule_from_x(sol.x, lay, n).trades
-                           for n in range(s.n_users)])
-        assert np.array_equal(trades, -trades.transpose(1, 0, 2))
-        for n in range(s.n_users):
-            assert np.allclose(trades[n].sum(axis=0),
-                               sol.x[lay.span(n, "export")], atol=1e-12)
+        assert out.trades is None
+        assert "trades" not in out.to_json_dict()
+        for n, sch in enumerate(out.schedules):
+            assert np.array_equal(sch.export, sol.x[lay.span(n, "export")])
+
+    def test_trade_rewards_see_the_clearing(self, scen_2x4):
+        # home 0 sells one unit per slot and no home buys it: the rewards
+        # price each home's own export, so they do not cancel
+        s = scen_2x4
+        lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
+        x = np.zeros(lay.n_vars)
+        x[lay.span(0, "export")] = 1.0
+        total = sum(reward_terms(schedule_from_x(x, lay, n), s.prices)
+                    .trade_reward for n in range(s.n_users))
+        assert float(np.sum(s.prices.trade)) > 0.0
+        assert total == pytest.approx(float(np.sum(s.prices.trade)),
+                                      abs=1e-12)
 
     def test_infeasible_raises(self, scen_2x4):
         tariff = dataclasses.replace(scen_2x4.tariff, line_cap=0.001)
@@ -424,7 +435,8 @@ class TestCentralized:
         path = tmp_path / "outcome.json"
         out.write_json(path)
         loaded = json.loads(path.read_text())
-        assert loaded["schema"] == "gridledger.outcome.v1"
+        assert loaded["schema"] == "gridledger.outcome.v2"
+        assert "trades" not in loaded
         assert loaded["mode"] == "BS2"
         assert loaded["total_cost"] == pytest.approx(out.total_cost)
         assert len(loaded["users"]) == scen_2x4.n_users
@@ -438,10 +450,11 @@ class TestDistributed:
         assert out.iterations == len(out.history)
         for rec in out.history:
             assert rec.digest_local == rec.digest_transport
-        # cleared trades are exactly antisymmetric across homes
-        t01 = out.schedules[0].trades[1]
-        t10 = out.schedules[1].trades[0]
-        assert np.array_equal(t01, -t10)
+        # cleared trades are exactly antisymmetric across homes, and each
+        # home's export is its cleared row
+        assert np.array_equal(out.trades[0, 1], -out.trades[1, 0])
+        for n, sch in enumerate(out.schedules):
+            assert np.array_equal(sch.export, out.trades[n].sum(axis=0))
 
     def test_tracks_centralized(self, scen_2x4):
         central = solve_centralized(scen_2x4, Mode.TEM)
