@@ -487,12 +487,11 @@ def _check_committed(st: NodeState, now: float, acts: List[Action]) -> None:
     _commit(st, committed, now, acts)
 
 
-def _on_prepare_vote(st: NodeState, vote: Vote, now: float,
-                     acts: List[Action]) -> None:
-    if vote.height > st.height:
-        return
+def _on_vote(st: NodeState, vote: Vote, phase: int, now: float,
+             acts: List[Action]) -> None:
+    """A prepare or commit vote, by ``phase``, on the current candidate."""
     if (st.candidate is None or vote.height != st.height
-            or vote.round != st.view or vote.phase != PHASE_PREPARE):
+            or vote.round != st.view or vote.phase != phase):
         return
     if vote.block_digest != block_digest(st.candidate):
         return
@@ -501,8 +500,13 @@ def _on_prepare_vote(st: NodeState, vote: Vote, now: float,
     if st.config.mode is ConsensusMode.MODIFIED \
             and leader_for(st, st.height) != st.me:
         return
-    st.prepare_votes.setdefault(vote.voter, vote)
-    _check_prepared(st, now, acts)
+    if phase == PHASE_PREPARE:
+        st.prepare_votes.setdefault(vote.voter, vote)
+        _check_prepared(st, now, acts)
+    else:
+        st.commit_votes.setdefault(vote.voter, vote)
+        if st.prepared:
+            _check_committed(st, now, acts)
 
 
 def _on_aggregated_prepare(st: NodeState, sender: int, msg: AggregatedPrepare,
@@ -530,25 +534,6 @@ def _on_aggregated_prepare(st: NodeState, sender: int, msg: AggregatedPrepare,
     _arm_timer(st, acts)
     for vsender, vmsg in st.future.pop(st.height, []):
         acts.extend(handle(st, vsender, vmsg, now))
-
-
-def _on_commit_vote(st: NodeState, vote: Vote, now: float,
-                    acts: List[Action]) -> None:
-    if vote.height > st.height:
-        return
-    if (st.candidate is None or vote.height != st.height
-            or vote.round != st.view or vote.phase != PHASE_COMMIT):
-        return
-    if vote.block_digest != block_digest(st.candidate):
-        return
-    if vote.voter not in st.config.validators or not verify_vote(vote):
-        return
-    if st.config.mode is ConsensusMode.MODIFIED \
-            and leader_for(st, st.height) != st.me:
-        return
-    st.commit_votes.setdefault(vote.voter, vote)
-    if st.prepared:
-        _check_committed(st, now, acts)
 
 
 def _on_aggregated_commit(st: NodeState, sender: int, msg: AggregatedCommit,
@@ -697,11 +682,11 @@ def handle(st: NodeState, sender: int, msg: Message, now: float
     elif isinstance(msg, PrePrepare):
         _on_preprepare(st, sender, msg.block, now, acts)
     elif isinstance(msg, PrepareVote):
-        _on_prepare_vote(st, msg.vote, now, acts)
+        _on_vote(st, msg.vote, PHASE_PREPARE, now, acts)
     elif isinstance(msg, AggregatedPrepare):
         _on_aggregated_prepare(st, sender, msg, now, acts)
     elif isinstance(msg, CommitVote):
-        _on_commit_vote(st, msg.vote, now, acts)
+        _on_vote(st, msg.vote, PHASE_COMMIT, now, acts)
     elif isinstance(msg, AggregatedCommit):
         _on_aggregated_commit(st, sender, msg, now, acts)
     elif isinstance(msg, ViewChange):

@@ -2,15 +2,13 @@
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 the
 problem is infeasible, 3 convergence or liveness timed out, or the mode
-costs of ``compare`` break the ordering TEM <= BS2,BS3 <= BS1.  The
-``GRIDLEDGER_SEED`` environment variable overrides ``--seed`` wherever
-a seed is accepted, and every CSV starts with a schema header row.
+costs of ``compare`` break the ordering TEM <= BS2,BS3 <= BS1.  Every
+CSV starts with a schema header row.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from pathlib import Path
@@ -55,14 +53,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _effective_seed(seed: int) -> int:
-    env = os.environ.get("GRIDLEDGER_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise _UsageError(f"GRIDLEDGER_SEED must be an integer, "
-                              f"got {env!r}")
+def _checked_seed(seed: int) -> int:
     if seed < 0:
         raise _UsageError(f"seed must be nonnegative, got {seed}")
     return seed
@@ -101,7 +92,7 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
         return load_scenario(Path(args.config))
     if args.synthetic:
         n, t = _parse_synthetic(args.synthetic)
-        return generate_synthetic(seed=_effective_seed(args.seed), n_users=n,
+        return generate_synthetic(seed=_checked_seed(args.seed), n_users=n,
                                   horizon=t)
     raise _UsageError("a scenario is required: config path or "
                       "--synthetic N,T")
@@ -139,7 +130,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.transport == "chain":
             try:
                 transport = ChainTransport(n_validators=args.validators,
-                                           seed=_effective_seed(args.seed))
+                                           seed=_checked_seed(args.seed))
             except ValueError as e:
                 raise _UsageError(str(e))
         outcome = run_distributed(s, params, transport)
@@ -238,7 +229,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
         protocols = [ConsensusMode.MODIFIED, ConsensusMode.CLASSIC]
     else:
         protocols = [ConsensusMode(args.mode)]
-    seed = _effective_seed(args.seed)
+    seed = _checked_seed(args.seed)
     lines = [f"# schema: {SCHEMA_CHAIN}",
              "protocol,height,msgs,bytes,latency_ms"]
     per_block: Dict[str, float] = {}

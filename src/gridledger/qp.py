@@ -180,7 +180,7 @@ class QpProblem:
             raise ValueError("constraint set sized for a different variable count")
 
     def objective(self, x: np.ndarray) -> float:
-        return float(0.5 * x * self.p @ x + self.q @ x)
+        return float(np.sum((0.5 * self.p * x + self.q) * x))
 
 
 @dataclass
@@ -703,7 +703,9 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
         rd = red.p * x + red.q + red.at @ y + ct_mul(z)
         rp_e = red.a @ x - red.b
         rp = c_mul(x) + s - d
-        mu = float(s @ z) / mc
+        # np.sum, not a BLAS dot product, whose split across threads
+        # would make the iterates depend on the thread count
+        mu = float(np.sum(s * z)) / mc
         res_p = max(float(np.max(np.abs(rp_e), initial=0.0)),
                     float(np.max(np.abs(rp))))
         res_d = float(np.max(np.abs(rd), initial=0.0))
@@ -746,7 +748,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
         _, _, ds_a, dz_a = newton(-s * z)
         s_aff = s + _max_step(s, ds_a) * ds_a
         z_aff = z + _max_step(z, dz_a) * dz_a
-        mu_aff = float(s_aff @ z_aff) / mc
+        mu_aff = float(np.sum(s_aff * z_aff)) / mc
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
 
         # a guess that the affine point keeps has settled: polish it now,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -224,18 +224,27 @@ _TO_JSON = {_window_from_json: _window_to_json,
 _REQUIRED = object()
 
 
+def _admits(interval: str, v: float) -> bool:
+    """Whether ``v`` lies in ``interval``, written as "[0, 1]" or "(0, inf)"."""
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    return (lo < v if interval[0] == "(" else lo <= v) \
+        and (v < hi if interval[-1] == ")" else v <= hi)
+
+
 class _Key(NamedTuple):
     """One config.json value.  ``attr`` is the attribute path that holds
     it, from the Scenario or, in ``_HOME_KEYS``, from the home ("" if the
     scenario does not keep it); it is also the field that
     ``validate_scenario`` names.  ``default`` is a value, ``_REQUIRED``, or
-    a function of the values read before it and the horizon."""
+    a function of the values read before it and the horizon.  A number
+    must be finite and inside the interval ``valid``, if one is given."""
 
     section: str                 # "" at the top level of the file
     key: str
     attr: str
     default: object = _REQUIRED
     read: Callable[[object, str], object] = _as_float
+    valid: str = ""
 
     @property
     def name(self) -> str:
@@ -249,7 +258,9 @@ _SCENARIO_KEYS = (
     _Key("", "rng_seed", "rng_seed", 0, _as_int),
     _Key("", "series_file", "", "series.csv",
          lambda value, what: str(value)),
-    *(_Key("tariff", f.name, f"tariff.{f.name}") for f in fields(GridTariff)),
+    _Key("tariff", "price_energy", "tariff.price_energy", valid="[0, inf)"),
+    _Key("tariff", "price_peak", "tariff.price_peak", valid="[0, inf)"),
+    _Key("tariff", "line_cap", "tariff.line_cap", valid="(0, inf)"),
     _Key("windows", "dr", "grid.dr_window", [], _window_from_json),
 )
 
@@ -259,22 +270,22 @@ _HOME_KEYS = (
     _Key("windows", "shift", "shift_window",
          lambda got, horizon: list(range(1, horizon + 1)), _window_from_json),
     _Key("windows", "ev", "ev_window", read=_ev_window_from_json),
-    _Key("hvac", "alpha", "hvac_alpha", 0.75),
-    _Key("hvac", "beta", "hvac_beta", 0.2),
+    _Key("hvac", "alpha", "hvac_alpha", 0.75, valid="[0, inf)"),
+    _Key("hvac", "beta", "hvac_beta", 0.2, valid="[0, 1]"),
     _Key("hvac", "temp_lo", "temp_lo", 15.0),
     _Key("hvac", "temp_hi", "temp_hi", 32.0),
     _Key("hvac", "temp_init", "temp_init", 24.0),
-    _Key("sensitivities", "shift", "w_shift", 1.0),
-    _Key("sensitivities", "curtail", "w_curtail", 1.0),
-    _Key("sensitivities", "comfort", "w_comfort", 1.0),
-    _Key("ev", "capacity", "ev.capacity"),
+    _Key("sensitivities", "shift", "w_shift", 1.0, valid="[0, inf)"),
+    _Key("sensitivities", "curtail", "w_curtail", 1.0, valid="[0, inf)"),
+    _Key("sensitivities", "comfort", "w_comfort", 1.0, valid="[0, inf)"),
+    _Key("ev", "capacity", "ev.capacity", valid="(0, inf)"),
     _Key("ev", "charge_init", "ev.charge_init",
          lambda got, horizon: 0.5 * got["ev"]["capacity"]),
-    _Key("ev", "charge_max", "ev.charge_max", 50.0),
-    _Key("ev", "discharge_max", "ev.discharge_max", 10.0),
-    _Key("ev", "eff_charge", "ev.eff_charge", 0.9),
-    _Key("ev", "eff_discharge", "ev.eff_discharge", 0.9),
-    _Key("ev", "w_degrade", "ev.w_degrade", 0.1),
+    _Key("ev", "charge_max", "ev.charge_max", 50.0, valid="[0, inf)"),
+    _Key("ev", "discharge_max", "ev.discharge_max", 10.0, valid="[0, inf)"),
+    _Key("ev", "eff_charge", "ev.eff_charge", 0.9, valid="(0, 1]"),
+    _Key("ev", "eff_discharge", "ev.eff_discharge", 0.9, valid="(0, 1]"),
+    _Key("ev", "w_degrade", "ev.w_degrade", 0.1, valid="[0, inf)"),
 )
 
 
@@ -356,14 +367,17 @@ def validate_scenario(s: Scenario) -> List[Violation]:
         bad(None, "grid", "per-user window count does not match user count")
         return out
 
-    # every comparison with NaN is false, so the range tests below miss it
-    values = [(None, k.attr, attrgetter(k.attr)(s))
+    # every comparison with NaN is false, so finiteness is tested first
+    values = [(None, k, attrgetter(k.attr)(s))
               for k in _SCENARIO_KEYS if k.read is _as_float]
-    values += [(n, k.attr, attrgetter(k.attr)(u)) for n, u in enumerate(s.users)
+    values += [(n, k, attrgetter(k.attr)(u)) for n, u in enumerate(s.users)
                for k in _HOME_KEYS if k.read is _as_float]
-    for user, fld, v in values:
+    for user, k, v in values:
         if not np.isfinite(v):
-            bad(user, fld, "values must be finite")
+            bad(user, k.attr, "values must be finite")
+        elif k.valid and not _admits(k.valid, v):
+            bad(user, k.attr, f"must be in {k.valid}, got {v}")
+    flagged = {(v.user, v.field) for v in out}
 
     for c in _SERIES:
         owners = ([(None, f"prices.{c.attr}", s.prices)]
@@ -383,20 +397,12 @@ def validate_scenario(s: Scenario) -> List[Violation]:
         if not 1 <= sl <= t:
             bad(None, "dr_window", f"slot {sl} outside [1, {t}]")
 
-    if s.tariff.price_energy < 0 or s.tariff.price_peak < 0:
-        bad(None, "tariff", "grid prices must be nonnegative")
-    if s.tariff.line_cap <= 0:
-        bad(None, "tariff.line_cap", "grid line capacity must be positive")
-
     for n, u in enumerate(s.users):
         if not u.temp_lo < u.temp_hi:
             bad(n, "temp_lo", f"need temp_lo < temp_hi, got [{u.temp_lo}, {u.temp_hi}]")
         elif not u.temp_lo <= u.temp_init <= u.temp_hi:
             bad(n, "temp_init", f"initial temperature {u.temp_init} outside "
                                 f"[{u.temp_lo}, {u.temp_hi}]")
-        for fld in ("w_shift", "w_curtail", "w_comfort"):
-            if getattr(u, fld) < 0:
-                bad(n, fld, "sensitivity weights must be nonnegative")
 
         for sl in s.grid.shift_windows[n]:
             if not 1 <= sl <= t:
@@ -406,19 +412,10 @@ def validate_scenario(s: Scenario) -> List[Violation]:
         arrive, depart = s.grid.ev_windows[n]
         if not (1 <= arrive <= depart <= t):
             bad(n, "ev_window", f"window [{arrive}, {depart}] invalid for horizon {t}")
-        if ev.capacity <= 0:
-            bad(n, "ev.capacity", "battery capacity must be positive")
-        elif not 0 <= ev.charge_init <= ev.capacity:
+        if (n, "ev.capacity") not in flagged \
+                and not 0 <= ev.charge_init <= ev.capacity:
             bad(n, "ev.charge_init", f"initial charge {ev.charge_init} outside "
                                      f"[0, {ev.capacity}]")
-        if ev.charge_max < 0 or ev.discharge_max < 0:
-            bad(n, "ev.charge_max", "charge/discharge limits must be nonnegative")
-        for fld in ("eff_charge", "eff_discharge"):
-            v = getattr(ev, fld)
-            if not 0 < v <= 1:
-                bad(n, f"ev.{fld}", f"efficiency must be in (0, 1], got {v}")
-        if ev.w_degrade < 0:
-            bad(n, "ev.w_degrade", "degradation weight must be nonnegative")
 
     return out
 

@@ -217,14 +217,15 @@ def residuals(d: DualState, prev: DualState) -> Tuple[float, float]:
 
     Primal: the sum over homes of the Euclidean gap between proposed and
     cleared trades.  Dual: the Euclidean change of the multipliers since
-    the previous iteration.
+    the previous iteration.  The squares are summed by numpy, not by a
+    BLAS dot product, whose split across threads changes the last bits.
     """
-    n = d.trades.shape[0]
-    primal = sum(
-        float(np.linalg.norm((d.trades_aux[i] - d.trades[i]).ravel()))
-        for i in range(n))
-    dual = float(np.linalg.norm((d.duals - prev.duals).ravel()))
-    return primal, dual
+    def norm(v: np.ndarray) -> float:
+        return float(np.sqrt(np.sum(v * v)))
+
+    primal = sum(norm(d.trades_aux[i] - d.trades[i])
+                 for i in range(d.trades.shape[0]))
+    return primal, norm(d.duals - prev.duals)
 
 
 def has_converged(d: DualState, prev: DualState, eps: float) -> bool:
@@ -466,8 +467,6 @@ class Transport(Protocol):
         per-peer row with ``split_export`` against its own state."""
 
     def run_sct(self) -> DualState: ...
-
-    def digest(self) -> str: ...
 
     def settle(self, s: Scenario, outcome: Outcome) -> None: ...
 

@@ -24,11 +24,6 @@ from gridledger.scenario import generate_synthetic, write_scenario
 from gridledger.tem import SCHEMA_SCHEDULE, RhoKind
 
 
-@pytest.fixture(autouse=True)
-def clear_seed_env(monkeypatch):
-    monkeypatch.delenv("GRIDLEDGER_SEED", raising=False)
-
-
 class TestParsers:
     def test_synthetic(self):
         assert _parse_synthetic("3,8") == (3, 8)
@@ -257,24 +252,6 @@ class TestRun:
         assert first == second
 
 
-class TestSeedEnv:
-    def test_env_overrides_flag(self, capsys, monkeypatch):
-        main(["run", "--synthetic", "2,4", "--seed", "1", "--mode", "BS1"])
-        base = capsys.readouterr().out
-        monkeypatch.setenv("GRIDLEDGER_SEED", "99")
-        main(["run", "--synthetic", "2,4", "--seed", "1", "--mode", "BS1"])
-        overridden = capsys.readouterr().out
-        assert base != overridden
-        monkeypatch.setenv("GRIDLEDGER_SEED", "1")
-        main(["run", "--synthetic", "2,4", "--seed", "7", "--mode", "BS1"])
-        pinned = capsys.readouterr().out
-        assert pinned == base
-
-    def test_bad_env_value_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("GRIDLEDGER_SEED", "not-a-number")
-        assert main(["run", "--synthetic", "2,4"]) == EXIT_USAGE
-
-
 class TestCompare:
     def test_table_and_ordering(self, tmp_path, capsys):
         out = tmp_path / "cmp"
@@ -346,16 +323,13 @@ class TestChain:
         assert "3 commits, 13.0 msgs/block" in text
 
 
-@pytest.mark.parametrize("argv,env", [
-    (["chain", "--blocks", "0"], None),
-    (["chain", "--blocks", "-2"], None),
-    (["run", "--synthetic", "2,4", "--seed", "-1"], None),
-    (["compare", "--synthetic", "2,4", "--seed", "-1"], None),
-    (["run", "--synthetic", "2,4"], "-1"),
-], ids=["blocks-0", "blocks-negative", "run-seed", "compare-seed", "env-seed"])
-def test_negative_blocks_or_seed_is_usage_error(capsys, monkeypatch, argv, env):
-    if env is not None:
-        monkeypatch.setenv("GRIDLEDGER_SEED", env)
+@pytest.mark.parametrize("argv", [
+    ["chain", "--blocks", "0"],
+    ["chain", "--blocks", "-2"],
+    ["run", "--synthetic", "2,4", "--seed", "-1"],
+    ["compare", "--synthetic", "2,4", "--seed", "-1"],
+], ids=["blocks-0", "blocks-negative", "run-seed", "compare-seed"])
+def test_negative_blocks_or_seed_is_usage_error(capsys, argv):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_USAGE

@@ -173,6 +173,66 @@ class TestValidate:
         assert any(v.field == "ev.charge_init" for v in found)
 
 
+# each value that validate_scenario ranges, with one finite bound of its
+# interval and a value just past that bound; an open bound is itself past
+_BELOW_ZERO = float(np.nextafter(0.0, -1.0))
+_ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+_PAST_BOUNDS = [
+    ("tariff.price_energy", "[0, inf)", _BELOW_ZERO),
+    ("tariff.price_peak", "[0, inf)", _BELOW_ZERO),
+    ("tariff.line_cap", "(0, inf)", 0.0),
+    ("hvac_alpha", "[0, inf)", _BELOW_ZERO),
+    ("hvac_beta", "[0, 1]", _BELOW_ZERO),
+    ("hvac_beta", "[0, 1]", _ABOVE_ONE),
+    ("w_shift", "[0, inf)", _BELOW_ZERO),
+    ("w_curtail", "[0, inf)", _BELOW_ZERO),
+    ("w_comfort", "[0, inf)", _BELOW_ZERO),
+    ("ev.capacity", "(0, inf)", 0.0),
+    ("ev.charge_max", "[0, inf)", _BELOW_ZERO),
+    ("ev.discharge_max", "[0, inf)", _BELOW_ZERO),
+    ("ev.eff_charge", "(0, 1]", 0.0),
+    ("ev.eff_charge", "(0, 1]", _ABOVE_ONE),
+    ("ev.eff_discharge", "(0, 1]", 0.0),
+    ("ev.eff_discharge", "(0, 1]", _ABOVE_ONE),
+    ("ev.w_degrade", "[0, inf)", _BELOW_ZERO),
+]
+
+
+def _with_value(s, field, value):
+    """``s`` with the tariff value or home 0's value ``field`` replaced."""
+    section, _, name = field.rpartition(".")
+    if section == "tariff":
+        return dataclasses.replace(s, tariff=dataclasses.replace(
+            s.tariff, **{name: value}))
+    u0 = s.users[0]
+    if section == "ev":
+        u0 = dataclasses.replace(u0, ev=dataclasses.replace(
+            u0.ev, **{name: value}))
+    else:
+        u0 = dataclasses.replace(u0, **{name: value})
+    return dataclasses.replace(s, users=(u0,) + s.users[1:])
+
+
+@pytest.mark.parametrize("field,interval,value", _PAST_BOUNDS,
+                         ids=[f"{f}={v!r}" for f, _, v in _PAST_BOUNDS])
+def test_value_past_its_bound_named(scen_2x4, field, interval, value):
+    """A value just outside its range gives one finding, which names that
+    value's own field and states the range and the value."""
+    found = validate_scenario(_with_value(scen_2x4, field, value))
+    user = None if field.startswith("tariff.") else 0
+    assert [(v.user, v.field, v.message) for v in found] == \
+        [(user, field, f"must be in {interval}, got {value}")]
+
+
+def test_closed_bounds_admitted(scen_2x4):
+    for field, interval, _ in _PAST_BOUNDS:
+        lo, hi = interval[1:-1].split(", ")
+        for bracket, bound in ((interval[0], lo), (interval[-1], hi)):
+            if bracket in "[]":
+                s = _with_value(scen_2x4, field, float(bound))
+                assert validate_scenario(s) == [], (field, bound)
+
+
 def _assert_bitwise_equal(a, b):
     """Dataclass trees equal field by field, floats and arrays bit for bit."""
     assert type(a) is type(b)

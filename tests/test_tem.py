@@ -493,17 +493,29 @@ class TestDistributed:
         assert out.iterations == 1
 
 
-# a joint and a distributed TEM run, printed as the sha256 of their outcomes
+# a joint and a distributed TEM run, a joint TEM run at 40 homes (whose
+# long vectors a threaded BLAS splits) with its objective value, and the
+# residuals of ten 40-home dual states, printed as one sha256
 _DIGEST_SCRIPT = """
 import hashlib, json
+import numpy as np
 from gridledger import tem
 from gridledger.energy_model import Mode
+from gridledger.qp import solve_qp
 from gridledger.scenario import generate_synthetic
 s = generate_synthetic(seed=3, n_users=3, horizon=24)
 h = hashlib.sha256()
+s40 = generate_synthetic(seed=0, n_users=40, horizon=24)
 for out in (tem.solve_centralized(s, Mode.TEM),
-            tem.run_distributed(s, tem.AdmmParams())):
+            tem.run_distributed(s, tem.AdmmParams()),
+            tem.solve_centralized(s40, Mode.TEM)):
     h.update(json.dumps(out.to_json_dict(), sort_keys=True).encode())
+h.update(solve_qp(tem.assemble_problem(s40, Mode.TEM)).value.hex().encode())
+rng = np.random.default_rng(0)
+for _ in range(10):
+    d, prev = (tem.DualState(*rng.standard_normal((3, 40, 40, 24)), 1.0, 1)
+               for _ in range(2))
+    h.update(np.array(tem.residuals(d, prev)).tobytes())
 print(h.hexdigest())
 """
 
