@@ -82,7 +82,11 @@ class HeightTally:
 
 
 def tally(net: Network) -> Dict[int, HeightTally]:
-    """Per-height totals over the messages in ``net.trace`` with a height."""
+    """Per-height totals over the messages in ``net.trace`` with a height;
+    raises ValueError on a network that keeps no trace."""
+    if not net.keep_trace:
+        raise ValueError("tally reads the network trace, and this network "
+                         "keeps none (made with keep_trace=False)")
     out: Dict[int, HeightTally] = {}
     for ev in net.trace:
         h = message_height(ev.payload)

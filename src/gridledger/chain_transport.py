@@ -131,7 +131,9 @@ class ChainTransport:
             price_feed_in=tuple(float(p) for p in s.prices.feed_in),
             price_dr=tuple(float(p) for p in s.prices.dr))
         g = genesis(config)
-        self.network = Network(NetConfig(latency_ms=1.0), seed=self.seed)
+        # nothing here reads the trace; the counters are kept
+        self.network = Network(NetConfig(latency_ms=1.0), seed=self.seed,
+                               keep_trace=False)
         for v in self.validators:
             node = new_node(NodeConfig(v, self.validators), g)
             self.network.add_node(v, node, handle)

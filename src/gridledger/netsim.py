@@ -4,7 +4,10 @@ Nodes are plain state objects plus a handler callable; the simulator
 owns every source of nondeterminism (latency draws, event order)
 behind one seeded ``random.Random``.  Events are totally ordered by
 ``(time, seq)`` with ``seq`` assigned at scheduling time, so two runs
-with the same seed produce byte-identical traces.
+with the same seed produce byte-identical traces.  The trace, one
+``TraceEvent`` per emit, drop, delivery and timer, is kept unless the
+network is made with ``keep_trace=False``; the counters are kept either
+way.
 
 Sends from one handler invocation are emitted ``serialize_gap_ms``
 apart.  A crash that lands inside that window cuts the broadcast short,
@@ -95,11 +98,13 @@ class _Partition:
 
 
 class Network:
-    def __init__(self, config: NetConfig = NetConfig(), seed: int = 0):
+    def __init__(self, config: NetConfig = NetConfig(), seed: int = 0,
+                 keep_trace: bool = True):
         self.config = config
         self.rng = random.Random(seed)
         self.states: Dict[int, object] = {}
         self.handlers: Dict[int, Handler] = {}
+        self.keep_trace = keep_trace
         self.trace: List[TraceEvent] = []
         self.counters: Dict[str, int] = {
             "sends": 0, "delivers": 0, "drops": 0, "timers": 0,
@@ -160,8 +165,9 @@ class Network:
     def _record(self, kind: str, src: int, dst: int, msg: object,
                 note: str = "") -> None:
         self._seq += 1
-        self.trace.append(TraceEvent(self._seq, self.now, kind, src, dst,
-                                     type(msg).__name__, note, msg))
+        if self.keep_trace:
+            self.trace.append(TraceEvent(self._seq, self.now, kind, src, dst,
+                                         type(msg).__name__, note, msg))
 
     def client_send(self, dest: int, msg: object, at_ms: float = 0.0) -> None:
         """Inject a message on an ideal link from outside the validator set."""

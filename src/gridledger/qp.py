@@ -21,7 +21,8 @@ the predictor's affine point keeps is polished at once, and a certified
 candidate ends the solve.  A warm start runs the same polish on the
 previous solution's active set first.  A ``LinearConstraintSet`` presolves
 once, at its first solve, and holds that presolve, so every later solve on
-the same object reduces only ``p`` and ``q``.  Each regularised,
+the same object reduces only ``p`` and ``q``; it holds its finite bounds
+for the residuals the same way.  Each regularised,
 quasi-definite saddle system (Vanderbei, SIAM J. Optim. 1995) is factored
 sparse by SuperLU with unrelaxed supernodes, which suit these very sparse
 factors (``_factor``).  Such a matrix has an LDL' factor in every
@@ -150,6 +151,15 @@ class LinearConstraintSet:
         return self.a_eq.T, self.a_in.T
 
     @functools.cached_property
+    def finite_bounds(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     np.ndarray]:
+        """Columns and values of the finite lower bounds, then of the
+        finite upper ones, made once for the residuals."""
+        jl, ju = np.flatnonzero(np.isfinite(self.lo)), \
+            np.flatnonzero(np.isfinite(self.hi))
+        return jl, self.lo[jl], ju, self.hi[ju]
+
+    @functools.cached_property
     def _presolved(self) -> _Reduced:
         """The presolve of these rows and bounds, with its polish-factor
         cache, made by the first solve that reaches it and reused by every
@@ -206,7 +216,8 @@ def kkt_residuals(problem: QpProblem, x: np.ndarray, duals: Duals) -> KktResidua
     c = problem.constraints
     x = np.asarray(x, dtype=float)
     slack = c.b_in - c.a_in @ x
-    lo, hi = np.isfinite(c.lo), np.isfinite(c.hi)
+    jl, lo, ju, hi = c.finite_bounds
+    x_lo, x_hi = x[jl], x[ju]
 
     def top(v: np.ndarray) -> float:
         return float(np.max(v, initial=0.0))
@@ -216,10 +227,10 @@ def kkt_residuals(problem: QpProblem, x: np.ndarray, duals: Duals) -> KktResidua
             + a_in_t @ duals.ineq - duals.lower + duals.upper)
     # the leading 0.0 keeps max() of the parts as it always was under NaN
     primal = max([0.0, top(np.abs(c.a_eq @ x - c.b_eq)), top(-slack),
-                  top(c.lo[lo] - x[lo]), top(x[hi] - c.hi[hi])])
+                  top(lo - x_lo), top(x_hi - hi)])
     comp = max([0.0, top(np.abs(duals.ineq * slack)),
-                top(np.abs(duals.lower[lo] * (x[lo] - c.lo[lo]))),
-                top(np.abs(duals.upper[hi] * (c.hi[hi] - x[hi])))])
+                top(np.abs(duals.lower[jl] * (x_lo - lo))),
+                top(np.abs(duals.upper[ju] * (hi - x_hi)))])
     signed = np.concatenate([duals.ineq, duals.lower, duals.upper])
     return KktResiduals(stationarity=top(np.abs(stat)), primal=primal,
                         complementarity=comp,
@@ -246,9 +257,14 @@ class _Reduced:
     lo: np.ndarray
     hi: np.ndarray
     free: np.ndarray          # indices of surviving variables
+    fixed: np.ndarray         # indices of the substituted ones
     fixed_vals: np.ndarray    # full-length; NaN where free
     eq_keep: np.ndarray       # surviving equality row indices
     in_keep: np.ndarray       # surviving inequality row indices
+    jl: np.ndarray            # surviving columns with a finite lower bound
+    ju: np.ndarray            # ... and with a finite upper bound
+    b_max: float              # max |b| and max |h|, for the solve's scale
+    h_max: float
     # the last polish solver by its matrix, shared by every solve on the
     # constraint set that holds this presolve
     factor: dict = field(default_factory=dict)
@@ -304,10 +320,15 @@ def _presolve(c: LinearConstraintSet) -> _Reduced:
 
     a_r, b_r, eq_keep = reduce_rows(c.a_eq, c.b_eq, True)
     g_r, h_r, in_keep = reduce_rows(c.a_in, c.b_in, False)
+    lo_r, hi_r = lo[free], hi[free]
     red = _Reduced(p=np.zeros(0), q=np.zeros(0), a=a_r, b=b_r, g=g_r,
-                   h=h_r, at=a_r.T, gt=g_r.T, lo=lo[free], hi=hi[free],
-                   free=free, fixed_vals=fixed_vals, eq_keep=eq_keep,
-                   in_keep=in_keep)
+                   h=h_r, at=a_r.T, gt=g_r.T, lo=lo_r, hi=hi_r, free=free,
+                   fixed=np.flatnonzero(fixed), fixed_vals=fixed_vals,
+                   eq_keep=eq_keep, in_keep=in_keep,
+                   jl=np.flatnonzero(np.isfinite(lo_r)),
+                   ju=np.flatnonzero(np.isfinite(hi_r)),
+                   b_max=float(np.max(np.abs(b_r), initial=0.0)),
+                   h_max=float(np.max(np.abs(h_r), initial=0.0)))
     if b_r.size:
         # rank-inconsistent equality systems never reach the iteration: the
         # regularised min-norm solve of [[I, A'], [A, -1e-10 I]] leaves a
@@ -548,12 +569,11 @@ def _expand(problem: QpProblem, red: _Reduced, x_r: np.ndarray, y_r: np.ndarray,
     y[red.eq_keep], zg[red.in_keep] = y_r, zg_r
 
     # close the stationarity rows of fixed variables through their bound duals
-    fixed = np.flatnonzero(~np.isnan(red.fixed_vals))
-    if fixed.size:
+    if red.fixed.size:
         a_eq_t, a_in_t = c.transposes
-        r = (problem.p * x + problem.q + a_eq_t @ y + a_in_t @ zg)[fixed]
-        zl[fixed] = np.maximum(r, 0.0)
-        zu[fixed] = np.maximum(-r, 0.0)
+        r = (problem.p * x + problem.q + a_eq_t @ y + a_in_t @ zg)[red.fixed]
+        zl[red.fixed] = np.maximum(r, 0.0)
+        zu[red.fixed] = np.maximum(-r, 0.0)
     return x, Duals(eq=y, ineq=zg, lower=zl, upper=zu)
 
 
@@ -596,8 +616,8 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
                           value=problem.objective(x0), polish=Polish.DIRECT)
 
     red = replace(red, p=problem.p[red.free], q=problem.q[red.free])
-    scale = 1.0 + max(float(np.max(np.abs(v), initial=0.0))
-                      for v in (red.q, red.b, red.h))
+    scale = 1.0 + max(float(np.max(np.abs(red.q), initial=0.0)), red.b_max,
+                      red.h_max)
     reg = 1e-10 * scale
 
     def finish(x_r, y_r, zg_r, zl_r, zu_r, status, iters,
@@ -620,8 +640,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
                       np.zeros(red.g.shape[0]), np.zeros(0), np.zeros(0),
                       QpStatus.OPTIMAL, 0, Polish.DIRECT)
 
-    jl, ju = np.isfinite(red.lo), np.isfinite(red.hi)
-    jl_idx, ju_idx = np.flatnonzero(jl), np.flatnonzero(ju)
+    jl_idx, ju_idx = red.jl, red.ju
     mi, me, nl = red.g.shape[0], red.a.shape[0], jl_idx.size
     mc = mi + nl + ju_idx.size
 
@@ -682,6 +701,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
                            np.full(me, -reg)])
 
     # start mid-box, or one unit inside a one-sided bound
+    jl, ju = np.isfinite(red.lo), np.isfinite(red.hi)
     lo, hi = np.where(jl, red.lo, 0.0), np.where(ju, red.hi, 0.0)
     x = np.where(jl & ju, 0.5 * (lo + hi),
                  np.where(jl, lo + 1.0, np.where(ju, hi - 1.0, 0.0)))

@@ -398,9 +398,13 @@ def validate_scenario(s: Scenario) -> List[Violation]:
             bad(None, "dr_window", f"slot {sl} outside [1, {t}]")
 
     for n, u in enumerate(s.users):
-        if not u.temp_lo < u.temp_hi:
+        # a band rule reads no value that already has its own finding
+        if {(n, "temp_lo"), (n, "temp_hi")} & flagged:
+            pass
+        elif not u.temp_lo < u.temp_hi:
             bad(n, "temp_lo", f"need temp_lo < temp_hi, got [{u.temp_lo}, {u.temp_hi}]")
-        elif not u.temp_lo <= u.temp_init <= u.temp_hi:
+        elif (n, "temp_init") not in flagged \
+                and not u.temp_lo <= u.temp_init <= u.temp_hi:
             bad(n, "temp_init", f"initial temperature {u.temp_init} outside "
                                 f"[{u.temp_lo}, {u.temp_hi}]")
 

@@ -25,6 +25,7 @@ solve fixes each home's net export but not who trades with whom.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -173,6 +174,17 @@ class AdmmParams:
 # ---------------------------------------------------------------------------
 # coordination step
 
+@functools.lru_cache(maxsize=None)
+def _pair_indices(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of the upper triangle of an n x n pair table, and
+    its diagonal, made once per n; read-only, since every caller shares
+    them."""
+    out = (*np.triu_indices(n, k=1), np.arange(n))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def sct_step(d: DualState) -> DualState:
     """Closed-form coordination update.
 
@@ -194,10 +206,8 @@ def sct_step(d: DualState) -> DualState:
     diff_e = e - e.transpose(1, 0, 2)
     diff_l = lam - lam.transpose(1, 0, 2)
     aux = (rho * diff_e - diff_l) / (2.0 * rho)
-    n = e.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju, idx = _pair_indices(e.shape[0])
     aux[ju, iu, :] = -aux[iu, ju, :]
-    idx = np.arange(n)
     aux[idx, idx, :] = 0.0
     lam_new = lam + rho * (aux - e)
     lam_new[idx, idx, :] = 0.0
@@ -412,6 +422,13 @@ def _penalty_centres(d: DualState, user: int) -> np.ndarray:
     return c
 
 
+@functools.lru_cache(maxsize=None)
+def _export_cols(n_users: int, horizon: int) -> slice:
+    """The net-export columns of a one-home TEM problem, which are the same
+    for every home of a neighbourhood of ``n_users`` (more than one)."""
+    return user_layout(n_users, horizon, Mode.TEM, users=[0]).span(0, "export")
+
+
 def split_export(d: DualState, user: int, export: np.ndarray) -> np.ndarray:
     """Per-peer trades minimizing the home's penalty for a net export.
 
@@ -443,8 +460,7 @@ def assemble_ult(home: QpProblem, user: int, d: DualState) -> QpProblem:
     n_users, _, horizon = d.trades.shape
     p_diag, q = home.p.copy(), home.q.copy()
     if n_users > 1:
-        cols = user_layout(n_users, horizon, Mode.TEM,
-                           users=[user]).span(user, "export")
+        cols = _export_cols(n_users, horizon)
         w = d.rho / (n_users - 1)
         p_diag[cols] += w
         q[cols] -= w * _penalty_centres(d, user).sum(axis=0)
@@ -519,7 +535,7 @@ def run_distributed(s: Scenario, params: AdmmParams,
                     f"{sol.status.value}", sol.status)
             warm[n] = sol
             if s.n_users > 1:
-                export = sol.x[layouts[n].span(n, "export")]
+                export = sol.x[_export_cols(s.n_users, s.grid.horizon)]
                 if transport is not None:
                     transport.publish(n, k, export)
                 mirror.trades[n] = split_export(mirror, n, export)

@@ -9,6 +9,7 @@ from gridledger.chain import (
     VerticalTrade,
     decode_tx,
 )
+from gridledger.chain.cluster import tally
 from gridledger.chain_transport import COORDINATOR, ChainTransport, committed_tx_bytes
 from gridledger.netsim import LivenessTimeout
 from gridledger.scenario import generate_synthetic
@@ -102,6 +103,19 @@ class TestLockstep:
                 assert tx.sender == COORDINATOR
             else:
                 assert 0 <= tx.sender < 2
+
+
+class TestNoTrace:
+    def test_chain_network_keeps_no_trace(self, small_run):
+        net = small_run[1].network
+        assert net.trace == []
+        # every event still runs and counts: 129 for this run, as when
+        # the trace was kept
+        assert net.events == 129
+
+    def test_tally_names_the_missing_trace(self, small_run):
+        with pytest.raises(ValueError, match="network trace.*keeps none"):
+            tally(small_run[1].network)
 
 
 class TestGuards:

@@ -18,8 +18,9 @@ def flood_handler(state, src, msg, now):
     return []
 
 
-def build_flood(n=3, config=None, seed=0):
-    net = Network(config or NetConfig(latency_ms=(1.0, 10.0)), seed=seed)
+def build_flood(n=3, config=None, seed=0, **kwargs):
+    net = Network(config or NetConfig(latency_ms=(1.0, 10.0)), seed=seed,
+                  **kwargs)
     for i in range(n):
         peers = [j for j in range(n) if j != i]
         net.add_node(i, {"peers": peers, "got": []}, flood_handler)
@@ -50,6 +51,20 @@ class TestDeterminism:
             net.run()
             traces.append(trace_tuples(net))
         assert traces[0] != traces[1]
+
+    def test_trace_kept_by_default_and_optional(self):
+        kept, bare = build_flood(seed=42), build_flood(seed=42,
+                                                       keep_trace=False)
+        for net in (kept, bare):
+            net.client_send(0, 3)
+            net.run()
+        # no timer and no crash: every event leaves one trace event
+        assert len(kept.trace) == kept.events > 10
+        assert bare.trace == []
+        assert (bare.events, bare.counters, bare.now) == \
+            (kept.events, kept.counters, kept.now)
+        assert [st["got"] for st in bare.states.values()] == \
+            [st["got"] for st in kept.states.values()]
 
     def test_fixed_latency_is_exact(self):
         net = build_flood(config=NetConfig(latency_ms=2.5))

@@ -210,6 +210,65 @@ class TestAnalyticCases:
         assert kkt.dual == 1.0
         assert kkt.worst() == 1.0
 
+    @staticmethod
+    def _every_family():
+        """min x0^2 + x1^2 - 2 x0 with x0 - x1 = 1, x0 + x1 <= 1, x0 in
+        [0, 2]: optimal at (1, 0) with every multiplier zero."""
+        prob = QpProblem(p=np.full(2, 2.0), q=np.array([-2.0, 0.0]),
+                         constraints=make_cs(2, a_eq=[[1.0, -1.0]],
+                                             b_eq=[1.0], a_in=[[1.0, 1.0]],
+                                             b_in=[1.0], lo=[0.0, -np.inf],
+                                             hi=[2.0, np.inf]))
+        duals = Duals(eq=np.zeros(1), ineq=np.zeros(1), lower=np.zeros(2),
+                      upper=np.zeros(2))
+        return prob, np.array([1.0, 0.0]), duals
+
+    @pytest.mark.parametrize("where", ["x", "eq", "ineq", "lower", "upper"])
+    def test_kkt_residuals_nan_is_not_certified(self, where):
+        prob, x, duals = self._every_family()
+        assert kkt_residuals(prob, x, duals).worst() == 0.0
+        if where == "x":
+            x[1] = np.nan
+        else:
+            getattr(duals, where)[0] = np.nan
+        assert np.isnan(kkt_residuals(prob, x, duals).worst())
+
+    def test_nan_residual_never_certifies_a_solve(self, monkeypatch):
+        prob, _, _ = self._every_family()
+        assert solve_qp(prob).status is QpStatus.OPTIMAL
+        real = qp.kkt_residuals
+        monkeypatch.setattr(qp, "kkt_residuals", lambda *a: dataclasses.replace(
+            real(*a), stationarity=np.nan))
+        sol = solve_qp(prob)
+        assert sol.status is QpStatus.MAX_ITER
+        assert np.isnan(sol.kkt.worst())
+
+    def test_kkt_residuals_without_rows_or_bounds_are_zero(self):
+        # unconstrained: x = -q / p exactly, and every residual is 0.0
+        prob = QpProblem(p=np.array([2.0, 4.0]), q=np.array([-4.0, 2.0]),
+                         constraints=make_cs(2))
+        duals = Duals(eq=np.zeros(0), ineq=np.zeros(0), lower=np.zeros(2),
+                      upper=np.zeros(2))
+        kkt = kkt_residuals(prob, np.array([2.0, -0.5]), duals)
+        assert (kkt.stationarity, kkt.primal, kkt.complementarity,
+                kkt.dual) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_kkt_residuals_ignore_infinite_bounds(self):
+        # column 0 unbounded both ways, column 1 bounded below only: points
+        # far out along an infinite side violate nothing, and a multiplier
+        # on an infinite bound adds no complementarity
+        prob = QpProblem(p=np.zeros(2), q=np.array([0.5, 0.0]),
+                         constraints=make_cs(2, lo=[-np.inf, 0.0],
+                                             hi=[np.inf, np.inf]))
+        duals = Duals(eq=np.zeros(0), ineq=np.zeros(0),
+                      lower=np.array([0.5, 0.0]), upper=np.zeros(2))
+        for x in ([-1e300, 1.0], [1e300, 1e300]):
+            kkt = kkt_residuals(prob, np.array(x), duals)
+            assert (kkt.primal, kkt.complementarity) == (0.0, 0.0)
+        # the finite side still counts
+        kkt = kkt_residuals(prob, np.array([0.0, -3.0]), duals)
+        assert kkt.primal == 3.0
+
 
 class TestInfeasible:
     def test_crossed_bounds(self):

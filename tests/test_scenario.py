@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gridledger.scenario import (
     EvParams,
     ScenarioError,
+    Violation,
     generate_synthetic,
     load_scenario,
     slots_to_mask,
@@ -164,6 +165,15 @@ class TestValidate:
                  if v.message == "values must be finite"}
         assert found == {(0, "ev.capacity"), (0, "w_comfort"), (0, "temp_out"),
                          (None, "prices.dr"), (None, "tariff.price_peak")}
+
+    @pytest.mark.parametrize("field, value", [
+        ("temp_lo", np.nan), ("temp_hi", np.nan), ("temp_init", np.inf)])
+    def test_non_finite_temperature_found_once(self, scen_2x4, field, value):
+        """The band rules read a non-finite value only through its own
+        finding; NaN fails every comparison and would add a second one."""
+        found = validate_scenario(self._corrupt_user(scen_2x4,
+                                                     **{field: value}))
+        assert found == [Violation(0, field, "values must be finite")]
 
     def test_charge_init_above_capacity(self, scen_2x4):
         ev0 = scen_2x4.users[0].ev
