@@ -89,8 +89,8 @@ class HorizontalTrade:
     """One home's decision for one iteration.
 
     ``trades`` holds the home's net sale per slot (``horizon`` values;
-    negative: net purchase).  The contract derives the per-peer row from
-    it with ``tem.split_export``.
+    negative: net purchase), which the contract stores as its pending
+    export.
     """
 
     user: int

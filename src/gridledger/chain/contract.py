@@ -1,19 +1,19 @@
 """Deterministic coordination contract executed on every validator.
 
-The contract holds the shared trading state: proposed trades per home,
-the cleared antisymmetric copy, the pair price multipliers, token
-balances and per-sender nonces.  Applying the same transactions in the
-same order to the same state always yields the same state; validators
-compare state digests to prove it.
+The contract holds the shared trading state: each home's pending net
+export, the cleared levels and price shares of the coordination step
+(``tem.DualState``, three (N, T) arrays), token balances and per-sender
+nonces.  Applying the same transactions in the same order to the same
+state always yields the same state; validators compare state digests to
+prove it.
 
-A home publishes its net export per slot; the contract stores the
-per-peer row that ``tem.split_export`` derives from it against the
-contract's own coordination state, exactly as the local mirror does.  A
-home may only publish its own trades and settle its own grid quantities
-(the transaction's sender must be the payload's user), and only
-``COORDINATOR`` may request the coordination step.  With two or more
-homes the step runs only once every home has published for its
-iteration, so it never settles a stale row.
+A home publishes its net export per slot, which the contract stores as
+the home's pending export; the coordination step is ``tem.sct_step``,
+the code the local mirror runs.  A home may only publish its own export
+and settle its own grid quantities (the transaction's sender must be the
+payload's user), and only ``COORDINATOR`` may request the coordination
+step.  With two or more homes the step runs only once every home has
+published for its iteration, so it never settles a stale export.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Container, Dict, FrozenSet, List, Tuple
 import numpy as np
 
 from ..tem import (DualState, RhoSchedule, advance_iteration,
-                   dual_state_digest, new_dual_state, sct_step, split_export)
+                   dual_state_digest, new_dual_state, sct_step)
 from .codec import Writer, hexdigest
 from .blocks import (HorizontalTrade, SctCompute, SignedTx, VerticalTrade,
                      tx_digest, verify_tx)
@@ -142,7 +142,7 @@ def _apply_horizontal(state: ContractState, sender: int,
     export = np.asarray(p.trades, dtype=float)
     if not np.all(np.isfinite(export)):
         return Receipt("", "bad-shape", "non-finite trade value")
-    state.dual.trades[p.user] = split_export(state.dual, p.user, export)
+    state.dual.exports[p.user] = export
     state.published |= {p.user}
     return Receipt("", "applied")
 

@@ -11,10 +11,11 @@ trades, then the step, since blocks order transactions by sender and
 ``COORDINATOR`` sorts after every home.  The step can never run ahead of
 the trades it settles.  The settlement commits as one more block.
 
-The contract derives each home's per-peer row with the same
-``split_export`` and runs the same coordination-step code as the local
-mirror, so the two dual states stay bitwise identical and their digests
-can be compared per iteration.
+The contract stores each home's export as its pending export and runs
+the same coordination-step code as the local mirror, so the two states,
+three (N, T) arrays each, stay bitwise identical and their digests can
+be compared per iteration.  Reads copy those arrays from the reference
+validator.
 """
 
 from __future__ import annotations

@@ -80,9 +80,10 @@ def _parse_rho(text: str) -> RhoSchedule:
     except ValueError:
         raise _UsageError(f"--rho expects a number, fixed:VALUE or "
                           f"reciprocal (got {text!r})")
-    if value <= 0:
-        raise _UsageError("--rho must be positive")
-    return RhoSchedule.fixed(value)
+    try:
+        return RhoSchedule.fixed(value)
+    except ValueError as e:
+        raise _UsageError(f"--rho: {e}")
 
 
 def _resolve_scenario(args: argparse.Namespace) -> Scenario:

@@ -3,23 +3,24 @@
 The joint problem minimizes the sum of all home costs minus all rewards;
 in trading modes one clearing row per slot makes the homes' net exports
 sum to zero.  The decomposition alternates per-home subproblems (each home
-optimizes its own schedule and net export against the latest auxiliary
-trades and prices) with a closed-form coordination step that projects the
-proposed trades onto the cleared, antisymmetric subspace and adjusts the
-per-pair price multipliers.  A home decides and publishes only its net
-export per slot; its per-peer proposal follows from that export and the
-public coordination state in closed form (``split_export``; the exchange
-problem of Boyd et al., Distributed Optimization and Statistical Learning
-via ADMM, 2011, section 7.3), so the local mirror and the contract derive
-it with the same code.  All homes solve against the same snapshot in
-every sweep, so one iteration is a Jacobi round followed by one
+optimizes its own schedule and net export against the latest coordination
+state) with a closed-form coordination step.  The paper's step works on pair
+tables of proposed trades, cleared trades and multipliers
+(``sct_step_pairwise``; Sorin, Bobo and Pinson, IEEE Trans. Power Syst.
+2019), but from the zero start its cleared trades stay u[n] - u[m] and
+its multipliers a[n] + a[m].  So the state is three (N, T) arrays, the
+pending net exports, u and a, and ``sct_step`` updates them in O(N T)
+(the exchange form of Boyd et al., Distributed Optimization and
+Statistical Learning via ADMM, 2011, section 7.3).  A home publishes
+only its net export per slot.  All homes solve against the same snapshot
+in every sweep, so one iteration is a Jacobi round followed by one
 coordination step.
 
 An outcome is written here, as JSON (``Outcome.write_json``) and as a
 per-slot schedule CSV (``Outcome.write_csv``).  Each home's schedule holds
-its net export per slot.  The per-peer trades are written only for a
-distributed run, whose cleared trades are coordination state; a joint
-solve fixes each home's net export but not who trades with whom.
+its net export per slot, in a joint and in a distributed run alike.  A
+distributed run's cleared sale of home n to home m is
+(export[n] - export[m]) / N, so it is not written.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import enum
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Protocol, Tuple
@@ -63,8 +65,8 @@ __all__ = [
     "residuals",
     "run_distributed",
     "sct_step",
+    "sct_step_pairwise",
     "solve_centralized",
-    "split_export",
 ]
 
 
@@ -72,7 +74,7 @@ __all__ = [
 _JOINT_TOL = 1e-6
 _HOME_TOL = 1e-8
 
-SCHEMA_OUTCOME = "gridledger.outcome.v2"
+SCHEMA_OUTCOME = "gridledger.outcome.v3"
 SCHEMA_SCHEDULE = "gridledger.schedule.v2"
 
 
@@ -89,43 +91,43 @@ class SolveFailed(RuntimeError):
 
 @dataclass
 class DualState:
-    """Coordination state shared between homes.
+    """Coordination state shared between homes, three (N, T) arrays.
 
-    ``trades[n][m][t]`` is home n's proposed sale to m (negative: purchase),
-    ``trades_aux`` the cleared antisymmetric copy, ``duals`` the per-pair
-    price multipliers.  ``iteration`` counts completed coordination steps;
-    ``rho`` is the penalty weight the next sweep will use.  Diagonals stay
-    zero.
+    ``exports`` holds each home's pending net export, which the next step
+    clears.  In the paper's pair tables the cleared sale of n to m is
+    ``levels[n] - levels[m]`` and the multiplier ``shares[n] + shares[m]``.
+    ``iteration`` counts completed coordination steps; ``rho`` is the
+    penalty weight the next sweep will use.
     """
 
-    trades: np.ndarray
-    trades_aux: np.ndarray
-    duals: np.ndarray
+    exports: np.ndarray
+    levels: np.ndarray
+    shares: np.ndarray
     rho: float
     iteration: int
 
     def copy(self) -> "DualState":
-        return DualState(trades=self.trades.copy(),
-                         trades_aux=self.trades_aux.copy(),
-                         duals=self.duals.copy(),
+        return DualState(exports=self.exports.copy(),
+                         levels=self.levels.copy(),
+                         shares=self.shares.copy(),
                          rho=self.rho, iteration=self.iteration)
 
 
 def new_dual_state(n_users: int, horizon: int, rho: float) -> DualState:
-    shape = (n_users, n_users, horizon)
-    return DualState(trades=np.zeros(shape), trades_aux=np.zeros(shape),
-                     duals=np.zeros(shape), rho=rho, iteration=0)
+    shape = (n_users, horizon)
+    return DualState(exports=np.zeros(shape), levels=np.zeros(shape),
+                     shares=np.zeros(shape), rho=rho, iteration=0)
 
 
 def dual_state_digest(d: DualState) -> str:
     """Canonical SHA-256 over the full coordination state."""
-    n, _, t = d.trades.shape
+    n, t = d.exports.shape
     h = hashlib.sha256()
     h.update(n.to_bytes(4, "little"))
     h.update(t.to_bytes(4, "little"))
     h.update(int(d.iteration).to_bytes(8, "little"))
     h.update(np.float64(d.rho).tobytes())
-    for arr in (d.trades, d.trades_aux, d.duals):
+    for arr in (d.exports, d.levels, d.shares):
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return h.hexdigest()
 
@@ -142,8 +144,9 @@ class RhoSchedule:
 
     @staticmethod
     def fixed(value: float = 1.0) -> "RhoSchedule":
-        if value <= 0:
-            raise ValueError("penalty weight must be positive")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"penalty weight must be a finite positive "
+                             f"number (got {value})")
         return RhoSchedule(RhoKind.FIXED, value)
 
     @staticmethod
@@ -165,8 +168,9 @@ class AdmmParams:
     rho_schedule: RhoSchedule = field(default_factory=RhoSchedule.fixed)
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError("convergence threshold must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"convergence threshold must be a finite "
+                             f"positive number (got {self.eps})")
         if self.max_iter < 1:
             raise ValueError("need at least one iteration")
 
@@ -174,68 +178,89 @@ class AdmmParams:
 # ---------------------------------------------------------------------------
 # coordination step
 
-@functools.lru_cache(maxsize=None)
-def _pair_indices(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows and columns of the upper triangle of an n x n pair table, and
-    its diagonal, made once per n; read-only, since every caller shares
-    them."""
-    out = (*np.triu_indices(n, k=1), np.arange(n))
-    for a in out:
-        a.flags.writeable = False
-    return out
+def sct_step_pairwise(trades: np.ndarray, duals: np.ndarray,
+                      rho: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The paper's closed-form coordination step on (N, N, T) pair tables.
 
-
-def sct_step(d: DualState) -> DualState:
-    """Closed-form coordination update.
-
-    For every ordered pair (n, m):
+    For every ordered pair (n, m), with e the proposed trades and lam the
+    multipliers:
 
         aux[n][m] = (rho * (e[n][m] - e[m][n]) - (lam[n][m] - lam[m][n]))
                     / (2 * rho)
         lam[n][m] += rho * (aux[n][m] - e[n][m])
 
-    The auxiliary trades are antisymmetric exactly: the lower triangle is
-    written as the negated upper triangle.  The iteration counter is left
-    unchanged; callers advance it once the step is applied everywhere.
+    Returns the cleared trades and the new multipliers.  The cleared
+    trades are antisymmetric exactly, since rounding is symmetric in sign
+    and so every operation on (m, n) is the negation of the one on (n, m);
+    zero diagonals stay zero.  ``sct_step`` runs the same step on the
+    (N, T) state; this form is the reference it is tested against.
     """
-    e = d.trades
-    lam = d.duals
+    if rho <= 0:
+        raise ValueError("penalty weight must be positive")
+    aux = (rho * (trades - trades.transpose(1, 0, 2))
+           - (duals - duals.transpose(1, 0, 2))) / (2.0 * rho)
+    return aux, duals + rho * (aux - trades)
+
+
+def _centres(d: DualState, homes: int | slice = slice(None)) -> np.ndarray:
+    """C[n] = N u[n] - sum(u) + ((N - 2) a[n] + sum(a)) / rho for ``homes``,
+    the sum over peers m of home n's penalty centres aux[n][m] +
+    lam[n][m] / rho."""
+    n = d.levels.shape[0]
+    return (n * d.levels[homes] - d.levels.sum(axis=0)
+            + ((n - 2) * d.shares[homes] + d.shares.sum(axis=0)) / d.rho)
+
+
+def sct_step(d: DualState) -> DualState:
+    """Closed-form coordination update on the (N, T) state.
+
+    Home n's penalty-optimal split of its pending export x[n] proposes to
+    each peer its centre plus step[n] = (x[n] - C[n]) / (N - 1)
+    (``_centres``); ``sct_step_pairwise`` then moves the cleared trades by
+    (step[n] - step[m]) / 2 and sets the multipliers to
+    -rho (step[n] + step[m]) / 2.  A lone home's state does not change.
+    The iteration counter is left unchanged; callers advance it once the
+    step is applied everywhere.
+    """
     rho = d.rho
     if rho <= 0:
         raise ValueError("penalty weight must be positive")
-    diff_e = e - e.transpose(1, 0, 2)
-    diff_l = lam - lam.transpose(1, 0, 2)
-    aux = (rho * diff_e - diff_l) / (2.0 * rho)
-    iu, ju, idx = _pair_indices(e.shape[0])
-    aux[ju, iu, :] = -aux[iu, ju, :]
-    aux[idx, idx, :] = 0.0
-    lam_new = lam + rho * (aux - e)
-    lam_new[idx, idx, :] = 0.0
-    return DualState(trades=e.copy(), trades_aux=aux, duals=lam_new,
-                     rho=rho, iteration=d.iteration)
+    n = d.exports.shape[0]
+    if n < 2:
+        return d.copy()
+    step = (d.exports - _centres(d)) / (n - 1)
+    return DualState(exports=d.exports.copy(), levels=d.levels + step / 2.0,
+                     shares=-rho * step / 2.0, rho=rho, iteration=d.iteration)
 
 
 def advance_iteration(d: DualState, schedule: RhoSchedule) -> DualState:
     """Roll the state to the next iteration after a coordination step."""
     k = d.iteration + 1
-    return DualState(trades=d.trades, trades_aux=d.trades_aux, duals=d.duals,
-                     rho=schedule.rho_at(k + 1), iteration=k)
+    return replace(d, rho=schedule.rho_at(k + 1), iteration=k)
 
 
 def residuals(d: DualState, prev: DualState) -> Tuple[float, float]:
     """Primal and dual residual of the step from ``prev`` to ``d``.
 
-    Primal: the sum over homes of the Euclidean gap between proposed and
-    cleared trades.  Dual: the Euclidean change of the multipliers since
-    the previous iteration.  The squares are summed by numpy, not by a
-    BLAS dot product, whose split across threads changes the last bits.
+    Each pair multiplier moves by g[n][m] = da[n] + da[m], da the change
+    of ``shares``, which is rho times the gap between the cleared and the
+    proposed trade.  Primal: the sum over homes n of the norm of g[n] over
+    peers and slots, over the step's rho.  Dual: the norm of g.  Per slot,
+    sum over peers of g[n][m]^2 = (N - 4) da[n]^2 + 2 da[n] sum(da) +
+    sum(da^2), and over all pairs 2 (N - 2) sum(da^2) + 2 sum(da)^2, so
+    both take O(N T).  numpy sums them, not a BLAS dot product, whose
+    split across threads changes the last bits.
     """
-    def norm(v: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(v * v)))
-
-    primal = sum(norm(d.trades_aux[i] - d.trades[i])
-                 for i in range(d.trades.shape[0]))
-    return primal, norm(d.duals - prev.duals)
+    n = d.shares.shape[0]
+    if n < 2:    # a lone home has no pairs
+        return 0.0, 0.0
+    da = d.shares - prev.shares
+    s1, s2 = da.sum(axis=0), (da * da).sum(axis=0)
+    # rounding can take a row whose exact value is zero just below it
+    rows = np.maximum(((n - 4) * da * da + 2.0 * da * s1 + s2).sum(axis=1),
+                      0.0)
+    primal = float(np.sqrt(rows).sum()) / prev.rho
+    return primal, float(np.sqrt(np.sum(2.0 * (n - 2) * s2 + 2.0 * s1 * s1)))
 
 
 def has_converged(d: DualState, prev: DualState, eps: float) -> bool:
@@ -330,8 +355,7 @@ class IterationRecord:
 
 @dataclass
 class Outcome:
-    """A solved scenario.  ``trades[n][m][t]`` is the cleared sale of home
-    n to home m in a distributed run; a joint solve leaves it ``None``."""
+    """A solved scenario, joint or distributed."""
 
     mode: str
     schedules: List[Schedule]
@@ -340,10 +364,9 @@ class Outcome:
     iterations: int
     converged: bool
     history: List[IterationRecord] = field(default_factory=list)
-    trades: Optional[np.ndarray] = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "schema": SCHEMA_OUTCOME,
             "mode": self.mode,
             "total_cost": self.total_cost,
@@ -362,9 +385,6 @@ class Outcome:
             ],
             "history": [vars(r).copy() for r in self.history],
         }
-        if self.trades is not None:
-            out["trades"] = self.trades.tolist()
-        return out
 
     def write_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
@@ -383,8 +403,8 @@ class Outcome:
 
 def _outcome_from_schedules(s: Scenario, mode: Mode, schedules: List[Schedule],
                             iterations: int, converged: bool,
-                            history: Optional[List[IterationRecord]] = None,
-                            trades: Optional[np.ndarray] = None) -> Outcome:
+                            history: Optional[List[IterationRecord]] = None
+                            ) -> Outcome:
     costs = []
     for n, sch in enumerate(schedules):
         costs.append(combine_costs(home_cost_terms(sch, s.users[n], s.tariff),
@@ -392,7 +412,7 @@ def _outcome_from_schedules(s: Scenario, mode: Mode, schedules: List[Schedule],
     total = float(sum(c.net_cost for c in costs))
     return Outcome(mode=mode.value, schedules=schedules, costs=costs,
                    total_cost=total, iterations=iterations,
-                   converged=converged, history=history or [], trades=trades)
+                   converged=converged, history=history or [])
 
 
 def solve_centralized(s: Scenario, mode: Mode) -> Outcome:
@@ -415,33 +435,11 @@ def solve_centralized(s: Scenario, mode: Mode) -> Outcome:
 # ---------------------------------------------------------------------------
 # per-home subproblem
 
-def _penalty_centres(d: DualState, user: int) -> np.ndarray:
-    """c[m] = aux[user][m] + lam[user][m] / rho; the own row stays zero."""
-    c = d.trades_aux[user] + d.duals[user] / d.rho
-    c[user] = 0.0
-    return c
-
-
 @functools.lru_cache(maxsize=None)
 def _export_cols(n_users: int, horizon: int) -> slice:
     """The net-export columns of a one-home TEM problem, which are the same
     for every home of a neighbourhood of ``n_users`` (more than one)."""
     return user_layout(n_users, horizon, Mode.TEM, users=[0]).span(0, "export")
-
-
-def split_export(d: DualState, user: int, export: np.ndarray) -> np.ndarray:
-    """Per-peer trades minimizing the home's penalty for a net export.
-
-    Minimizing sum_m rho/2 * (e[m] - c[m])^2 subject to sum_m e[m] = s
-    gives e[m] = c[m] + (s - sum_m c[m]) / (N - 1) for every peer m, so
-    rho * (e[m] - c[m]) is the same for all peers.  Returns the (N, T) row
-    with a zero own entry.
-    """
-    c = _penalty_centres(d, user)
-    row = c + (np.asarray(export, dtype=float) - c.sum(axis=0)) \
-        / (c.shape[0] - 1)
-    row[user] = 0.0
-    return row
 
 
 def assemble_ult(home: QpProblem, user: int, d: DualState) -> QpProblem:
@@ -450,20 +448,19 @@ def assemble_ult(home: QpProblem, user: int, d: DualState) -> QpProblem:
     ``home`` is the home's own TEM problem (``home_problem``), built once
     per run.  Objective: its net cost plus, for every peer and slot, the
     penalty rho/2 * (aux - e)^2 - lam * e on its proposed trades, minimized
-    over the split of its net export s (``split_export``).  Up to a
-    constant that leaves rho / (2 (N-1)) * (s - sum_m c[m])^2 per slot with
-    c[m] = aux[m] + lam[m] / rho, added to copies of ``home.p`` and
-    ``home.q``.  The constraint set is ``home``'s own object, so every
-    solve of the run reuses its presolve; the clearing rows are replaced
-    by the penalty.
+    over the split of its net export s.  Up to a constant that leaves
+    rho / (2 (N-1)) * (s - C)^2 per slot, with C the home's summed penalty
+    centre (``_centres``), added to copies of ``home.p`` and ``home.q``.
+    The constraint set is ``home``'s own object, so every solve of the run
+    reuses its presolve; the clearing rows are replaced by the penalty.
     """
-    n_users, _, horizon = d.trades.shape
+    n_users, horizon = d.exports.shape
     p_diag, q = home.p.copy(), home.q.copy()
     if n_users > 1:
         cols = _export_cols(n_users, horizon)
         w = d.rho / (n_users - 1)
         p_diag[cols] += w
-        q[cols] -= w * _penalty_centres(d, user).sum(axis=0)
+        q[cols] -= w * _centres(d, user)
     return QpProblem(p=p_diag, q=q, constraints=home.constraints,
                      layout_tag=home.layout_tag)
 
@@ -479,8 +476,8 @@ class Transport(Protocol):
     def read_state(self) -> DualState: ...
 
     def publish(self, user: int, iteration: int, export: np.ndarray) -> None:
-        """Post a home's net export per slot; the receiver derives its
-        per-peer row with ``split_export`` against its own state."""
+        """Post a home's net export per slot; the receiver stores it as
+        the home's pending export, which the next step clears."""
 
     def run_sct(self) -> DualState: ...
 
@@ -497,15 +494,14 @@ def run_distributed(s: Scenario, params: AdmmParams,
     Each home's rows, bounds and own cost are built once per run
     (``home_problem``); every sweep adds only the export penalty
     (``assemble_ult``), solves all homes against the same snapshot and
-    runs the coordination step on the local state (the mirror).  Each home's net
-    export becomes its proposed row through ``split_export``.  With a
-    ``transport``, the export is also published through it and its
-    coordination step must reproduce the mirror's: a differing digest
-    raises ``RuntimeError``.  Without one, the mirror is the only state
-    and is recorded as its own transport digest.  A single home has no
-    peers and publishes nothing.  The outcome's ``trades`` are the final
-    cleared trades, which are antisymmetric exactly, and each schedule's
-    export is its home's cleared row summed over peers.
+    runs the coordination step on the local state (the mirror), whose
+    pending exports are the homes' net exports.  With a ``transport``,
+    each export is also published through it and its coordination step
+    must reproduce the mirror's: a differing digest raises
+    ``RuntimeError``.  Without one, the mirror is the only state and is
+    recorded as its own transport digest.  A single home has no peers and
+    publishes nothing.  Each schedule's export is its home's cleared sales
+    summed over peers, N u[n] - sum(u), so the exports clear to rounding.
     """
     if transport is not None:
         transport.begin(s, params)
@@ -525,7 +521,7 @@ def run_distributed(s: Scenario, params: AdmmParams,
             if snap.iteration != mirror.iteration or snap.rho != mirror.rho:
                 raise RuntimeError(f"transport state diverged from the "
                                    f"local mirror before iteration {k}")
-        # the sweep writes only mirror.trades, which no home reads
+        # the sweep writes only mirror.exports, which no home reads
         for n in range(s.n_users):
             problem = assemble_ult(homes[n], n, mirror)
             sol = solve_qp(problem, tol=_HOME_TOL, warm_start=warm.get(n))
@@ -538,7 +534,7 @@ def run_distributed(s: Scenario, params: AdmmParams,
                 export = sol.x[_export_cols(s.n_users, s.grid.horizon)]
                 if transport is not None:
                     transport.publish(n, k, export)
-                mirror.trades[n] = split_export(mirror, n, export)
+                mirror.exports[n] = export
         prev = mirror
         mirror = advance_iteration(sct_step(mirror), params.rho_schedule)
         dl = dr = dual_state_digest(mirror)
@@ -557,12 +553,12 @@ def run_distributed(s: Scenario, params: AdmmParams,
             converged = True
             break
 
-    trades = mirror.trades_aux
+    cleared = s.n_users * mirror.levels - mirror.levels.sum(axis=0)
     schedules = [replace(schedule_from_x(warm[n].x, layouts[n], n),
-                         export=trades[n].sum(axis=0))
+                         export=cleared[n])
                  for n in range(s.n_users)]
     outcome = _outcome_from_schedules(s, Mode.TEM, schedules, iterations,
-                                      converged, history, trades)
+                                      converged, history)
     if transport is not None:
         transport.settle(s, outcome)
     return outcome

@@ -61,7 +61,7 @@ from gridledger.chain.cluster import (message_bytes, message_height,
 from gridledger.chain.node import _validate_proposal
 from gridledger.netsim import CLIENT, NetConfig, Network
 from gridledger.tem import (RhoSchedule, advance_iteration, dual_state_digest,
-                            sct_step, split_export)
+                            sct_step)
 
 floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -446,27 +446,27 @@ class TestContract:
                                        trades=(1.0, -2.0)))
         out, recs = execute_transactions(state, [tx])
         assert recs[0].status == "applied"
-        assert out.dual.trades[0, 1].tolist() == [1.0, -2.0]
+        assert out.dual.exports[0].tolist() == [1.0, -2.0]
         assert out.nonces[0] == 1
 
-    def test_horizontal_splits_export_against_state(self):
+    def test_horizontal_stores_export_against_state(self):
         state = genesis(ContractConfig(
             n_users=3, horizon=2, rho_schedule=RhoSchedule.fixed(0.5),
             price_feed_in=(0.1, 0.1), price_dr=(0.2, 0.2)))
         rng = np.random.default_rng(5)
-        state.dual.trades_aux[:] = rng.normal(size=(3, 3, 2))
-        state.dual.duals[:] = rng.normal(size=(3, 3, 2))
+        state.dual.levels[:] = rng.normal(size=(3, 2))
+        state.dual.shares[:] = rng.normal(size=(3, 2))
         export = (1.25, -0.5)
         out, recs = execute_transactions(
             state, [_tx(1, 1, HorizontalTrade(user=1, iteration=1,
                                               trades=export))])
         assert recs[0].status == "applied"
-        row = out.dual.trades[1]
-        assert np.array_equal(row, split_export(state.dual, 1,
-                                                np.array(export)))
-        assert np.allclose(row.sum(axis=0), export, atol=1e-12)
-        assert np.all(row[1] == 0.0)
-        assert not out.dual.trades[[0, 2]].any()
+        # the export is stored as published; the step state waits for the
+        # coordination step
+        assert out.dual.exports[1].tolist() == list(export)
+        assert not out.dual.exports[[0, 2]].any()
+        assert np.array_equal(out.dual.levels, state.dual.levels)
+        assert np.array_equal(out.dual.shares, state.dual.shares)
 
     def test_horizontal_needs_peers(self):
         state = genesis(_config(n_users=1))
@@ -516,8 +516,8 @@ class TestContract:
         out, recs = execute_transactions(state, txs)
         assert all(r.status == "applied" for r in recs)
         ref = state.dual.copy()
-        ref.trades[0, 1] = [2.0, 0.0]
-        ref.trades[1, 0] = [-1.0, 0.0]
+        ref.exports[0] = [2.0, 0.0]
+        ref.exports[1] = [-1.0, 0.0]
         ref = advance_iteration(sct_step(ref), state.config.rho_schedule)
         assert dual_state_digest(out.dual) == dual_state_digest(ref)
 
@@ -567,7 +567,7 @@ class TestContract:
         assert "belongs to 0" in recs[0].detail
         assert str(COORDINATOR) in recs[2].detail
         assert out.dual.iteration == 0
-        assert not out.dual.trades.any()
+        assert not out.dual.exports.any()
         assert out.balances[0] == 1000.0 and not out.feed_in.any()
         assert out.nonces == {0: 1, 1: 2}    # consumed: no replay later
 

@@ -36,7 +36,7 @@ class TestParsers:
         assert _parse_rho("reciprocal").kind is RhoKind.RECIPROCAL
         assert _parse_rho("fixed:2.5").value == 2.5
         assert _parse_rho("0.7").value == 0.7
-        for bad in ("fixed:x", "-1", "0", "soon"):
+        for bad in ("fixed:x", "-1", "0", "soon", "nan", "fixed:inf"):
             with pytest.raises(_UsageError):
                 _parse_rho(bad)
 
@@ -80,7 +80,10 @@ class TestRun:
         ["--transport", "chain", "--validators", "3"],
         ["--max-iter", "0"],
         ["--eps", "-1"],
-    ], ids=["validators", "max-iter", "eps"])
+        ["--eps", "nan"],
+        ["--rho", "nan"],
+        ["--rho", "inf"],
+    ], ids=["validators", "max-iter", "eps", "eps-nan", "rho-nan", "rho-inf"])
     def test_bad_run_argument_is_usage_error(self, capsys, flag):
         code = main(["run", "--synthetic", "2,4", "--distributed", *flag])
         err = capsys.readouterr().err

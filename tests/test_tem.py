@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,11 @@ from gridledger.tem import (
     has_converged,
     home_problem,
     new_dual_state,
+    residuals,
     run_distributed,
     sct_step,
+    sct_step_pairwise,
     solve_centralized,
-    split_export,
 )
 from gridledger.energy_model import (build_user_constraints,
                                      build_user_objective)
@@ -46,80 +48,177 @@ def _state(n=2, t=1, rho=1.0):
     return new_dual_state(n, t, rho)
 
 
+def _random_state(rng, n, t, rho):
+    return DualState(*rng.uniform(-3.0, 3.0, size=(3, n, t)), rho=rho,
+                     iteration=0)
+
+
+def _pairs(d):
+    """The paper's (N, N, T) tables of an (N, T) state: the proposed trades
+    (each pending export split over the peers as the home's penalty
+    prefers: each peer's centre aux + lam / rho plus one shared amount),
+    the cleared trades and the multipliers, all with zero diagonals."""
+    n = d.exports.shape[0]
+    off = ~np.eye(n, dtype=bool)[:, :, None]
+    aux = (d.levels[:, None] - d.levels[None, :]) * off
+    lam = (d.shares[:, None] + d.shares[None, :]) * off
+    centres = aux + lam / d.rho
+    e = (centres + ((d.exports - centres.sum(axis=1))
+                    / (n - 1))[:, None]) * off
+    return e, aux, lam
+
+
+def _pairwise_residuals(d, prev):
+    """The residuals' definitions evaluated pair by pair: each multiplier
+    moves by g[n][m] = da[n] + da[m], rho times the gap between the cleared
+    and the proposed trade; primal is the sum over homes of the norm of
+    their gaps, dual the norm of g."""
+    da = d.shares - prev.shares
+    n = da.shape[0]
+    g = (da[:, None] + da[None, :]) * ~np.eye(n, dtype=bool)[:, :, None]
+    primal = sum(float(np.sqrt(np.sum(g[i] * g[i])))
+                 for i in range(n)) / prev.rho
+    return primal, float(np.sqrt(np.sum(g * g)))
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
 class TestSctStep:
     def test_hand_oracle(self):
-        # aux = (rho*(e01 - e10) - (l01 - l10)) / (2 rho)
-        #     = (1*(2 - (-1)) - (0.5 - (-0.5))) / 2 = 1.0
-        # l01' = 0.5 + 1*(1 - 2)    = -0.5
-        # l10' = -0.5 + 1*(-1 + 1)  = -0.5
+        # N=2, rho=1: C[0] = 2*0.5 - 0 + (0 + 0.5) = 1.5, C[1] = -1 + 0.5
+        # = -0.5; step = x - C = (0.5, -0.5); levels += step / 2 and
+        # shares = -step / 2.  In pairs: aux[0][1] = 0.5 - (-0.5) + 0.5 =
+        # 1.5 and lam[0][1] = -0.25 + 0.25 = 0
         d = _state()
-        d.trades[0, 1, 0] = 2.0
-        d.trades[1, 0, 0] = -1.0
-        d.duals[0, 1, 0] = 0.5
-        d.duals[1, 0, 0] = -0.5
+        d.exports[:, 0] = [2.0, -1.0]
+        d.levels[:, 0] = [0.5, -0.5]
+        d.shares[:, 0] = [0.5, 0.0]
         out = sct_step(d)
-        assert out.trades_aux[0, 1, 0] == pytest.approx(1.0, abs=1e-15)
-        assert out.trades_aux[1, 0, 0] == pytest.approx(-1.0, abs=1e-15)
-        assert out.duals[0, 1, 0] == pytest.approx(-0.5, abs=1e-15)
-        assert out.duals[1, 0, 0] == pytest.approx(-0.5, abs=1e-15)
+        assert out.levels[:, 0].tolist() == [0.75, -0.75]
+        assert out.shares[:, 0].tolist() == [-0.25, 0.25]
+        assert out.exports[:, 0].tolist() == [2.0, -1.0]
+        e, _, lam = _pairs(d)
+        aux_ref, lam_ref = sct_step_pairwise(e, lam, 1.0)
+        assert aux_ref[0, 1, 0] == pytest.approx(1.5, abs=1e-15)
+        assert lam_ref[0, 1, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_leaves_inputs_and_counter_alone(self):
-        d = _state(3, 2)
-        d.trades += 1.0
-        np.fill_diagonal(d.trades[:, :, 0], 0.0)
-        np.fill_diagonal(d.trades[:, :, 1], 0.0)
-        before = d.trades.copy()
+        d = _random_state(np.random.default_rng(1), 3, 2, 1.0)
+        before = d.copy()
         out = sct_step(d)
-        assert np.array_equal(d.trades, before)
+        assert dual_state_digest(d) == dual_state_digest(before)
         assert out.iteration == d.iteration
-        assert np.array_equal(out.trades, before)
+        assert np.array_equal(out.exports, before.exports)
+        assert out.exports is not d.exports
 
     def test_rejects_nonpositive_rho(self):
         d = _state()
         d.rho = 0.0
         with pytest.raises(ValueError):
             sct_step(d)
+        with pytest.raises(ValueError):
+            sct_step_pairwise(np.zeros((2, 2, 1)), np.zeros((2, 2, 1)), 0.0)
+
+    def test_lone_home_is_unchanged(self):
+        d = _random_state(np.random.default_rng(2), 1, 3, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = sct_step(d)
+        assert dual_state_digest(out) == dual_state_digest(d)
 
     @given(e=hnp.arrays(float, (3, 3, 2), elements=small),
            lam=hnp.arrays(float, (3, 3, 2), elements=small),
            rho=st.floats(min_value=0.05, max_value=20.0))
     @settings(deadline=None, max_examples=60)
     def test_antisymmetry_exact(self, e, lam, rho):
-        d = DualState(trades=e, trades_aux=np.zeros_like(e), duals=lam,
-                      rho=rho, iteration=0)
-        out = sct_step(d)
-        aux = out.trades_aux
-        # bitwise: the lower triangle is written as the negated upper one
+        aux, _ = sct_step_pairwise(e, lam, rho)
+        # bitwise: rounding is symmetric in sign, so (j, i) negates (i, j)
         for i in range(3):
             assert np.all(aux[i, i] == 0.0)
             for j in range(i + 1, 3):
                 assert np.array_equal(aux[j, i], -aux[i, j])
 
-    @given(e=hnp.arrays(float, (2, 2, 1), elements=small),
-           lam=hnp.arrays(float, (2, 2, 1), elements=small))
+    @given(x=hnp.arrays(float, (2, 1), elements=small),
+           u=hnp.arrays(float, (2, 1), elements=small),
+           a=hnp.arrays(float, (2, 1), elements=small))
     @settings(deadline=None, max_examples=60)
-    def test_matches_pairwise_formula(self, e, lam):
+    def test_matches_pairwise_formula(self, x, u, a):
         rho = 2.0
-        d = DualState(trades=e, trades_aux=np.zeros_like(e), duals=lam,
-                      rho=rho, iteration=0)
-        out = sct_step(d)
+        d = DualState(exports=x, levels=u, shares=a, rho=rho, iteration=0)
+        e, _, lam = _pairs(d)
+        _, aux, lam_new = _pairs(sct_step(d))
         want = (rho * (e[0, 1, 0] - e[1, 0, 0]) - (lam[0, 1, 0] - lam[1, 0, 0])) \
             / (2.0 * rho)
-        assert out.trades_aux[0, 1, 0] == pytest.approx(want, abs=1e-12)
-        assert out.duals[0, 1, 0] == pytest.approx(
+        assert aux[0, 1, 0] == pytest.approx(want, abs=1e-12)
+        assert lam_new[0, 1, 0] == pytest.approx(
             lam[0, 1, 0] + rho * (want - e[0, 1, 0]), abs=1e-12)
+
+
+class TestPairwiseEquivalence:
+    """The (N, T) step and residuals against the paper's pair tables."""
+
+    def test_step_on_random_states(self):
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            n, t = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            d = _random_state(rng, n, t, float(rng.uniform(0.2, 5.0)))
+            e, _, lam = _pairs(d)
+            aux_ref, lam_ref = sct_step_pairwise(e, lam, d.rho)
+            _, aux, lam_new = _pairs(sct_step(d))
+            assert _rel(aux, aux_ref) <= 1e-14
+            assert _rel(lam_new, lam_ref) <= 1e-14
+
+    def test_residuals_on_random_states(self):
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            n, t = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            prev = _random_state(rng, n, t, float(rng.uniform(0.2, 5.0)))
+            d = _random_state(rng, n, t, prev.rho)
+            got, want = residuals(d, prev), _pairwise_residuals(d, prev)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            if n > 1:
+                # a real step: the gaps between the cleared and the
+                # proposed trades of sct_step_pairwise
+                nxt = sct_step(prev)
+                e, _, lam = _pairs(prev)
+                aux, lam_new = sct_step_pairwise(e, lam, prev.rho)
+                primal = sum(float(np.sqrt(np.sum((aux[i] - e[i]) ** 2)))
+                             for i in range(n))
+                dual = float(np.sqrt(np.sum((lam_new - lam) ** 2)))
+                assert residuals(nxt, prev) == pytest.approx(
+                    (primal, dual), rel=1e-12, abs=0.0)
+
+    def test_along_a_run(self, scen_3x8):
+        """Every pre-step state of a run to convergence, the last of them
+        near the fixed point."""
+        transport = _ReplayTransport()
+        out = run_distributed(scen_3x8, AdmmParams(eps=1e-8, max_iter=500),
+                              transport)
+        assert out.converged and len(transport.states) == out.iterations
+        for prev in transport.states:
+            nxt = sct_step(prev)
+            e, _, lam = _pairs(prev)
+            aux_ref, lam_ref = sct_step_pairwise(e, lam, prev.rho)
+            _, aux, lam_new = _pairs(nxt)
+            assert _rel(aux, aux_ref) <= 1e-14
+            assert _rel(lam_new, lam_ref) <= 1e-14
+            assert residuals(nxt, prev) == pytest.approx(
+                _pairwise_residuals(nxt, prev), rel=1e-12, abs=0.0)
+        assert out.history[-1].primal_residual <= 1e-8
 
 
 class TestDigest:
     def test_copy_has_same_digest(self):
         d = _state(3, 4)
-        d.trades[0, 1, 2] = 1.25
+        d.exports[0, 2] = 1.25
         assert dual_state_digest(d) == dual_state_digest(d.copy())
 
     @pytest.mark.parametrize("mutate", [
-        lambda d: d.trades.__setitem__((0, 1, 0), 9.0),
-        lambda d: d.trades_aux.__setitem__((1, 0, 0), 9.0),
-        lambda d: d.duals.__setitem__((0, 1, 0), 9.0),
+        lambda d: d.exports.__setitem__((0, 0), 9.0),
+        lambda d: d.levels.__setitem__((1, 0), 9.0),
+        lambda d: d.shares.__setitem__((0, 0), 9.0),
         lambda d: setattr(d, "rho", 7.0),
         lambda d: setattr(d, "iteration", 5),
     ])
@@ -137,7 +236,7 @@ class TestDigest:
     def test_negative_zero_distinct(self):
         d = _state()
         base = dual_state_digest(d)
-        d.trades[0, 1, 0] = -0.0
+        d.exports[0, 0] = -0.0
         assert dual_state_digest(d) != base    # bitwise, not numeric, equality
 
 
@@ -153,8 +252,9 @@ class TestSchedules:
         assert sched.rho_at(4) == 0.25
 
     def test_guards(self):
-        with pytest.raises(ValueError):
-            RhoSchedule.fixed(0.0)
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite positive"):
+                RhoSchedule.fixed(value)
         with pytest.raises(ValueError):
             RhoSchedule.reciprocal().rho_at(0)
 
@@ -168,40 +268,50 @@ class TestSchedules:
         assert again.rho == pytest.approx(1.0 / 3.0)
 
     def test_admm_params_guards(self):
-        with pytest.raises(ValueError):
-            AdmmParams(eps=0.0)
+        for eps in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite positive"):
+                AdmmParams(eps=eps)
         with pytest.raises(ValueError):
             AdmmParams(max_iter=0)
 
 
 class TestConvergence:
+    # N=2, rho=1: a change da of the shares moves the one pair's multipliers
+    # by g = da[0] + da[1]; primal = 2 |g|, dual = sqrt(2) |g|
+
     def test_boundary_is_inclusive(self):
         eps = 0.5
         prev = _state()
         d = prev.copy()
-        d.trades_aux[0, 1, 0] = eps    # primal residual exactly eps
+        d.shares[0, 0] = eps / 2    # primal residual exactly eps
+        assert residuals(d, prev)[0] == eps
         assert has_converged(d, prev, eps)
 
     def test_just_above_fails(self):
         eps = 0.5
         prev = _state()
         d = prev.copy()
-        d.trades_aux[0, 1, 0] = eps + 2.0 ** -20
+        d.shares[0, 0] = eps / 2 + 2.0 ** -20
         assert not has_converged(d, prev, eps)
 
     def test_dual_movement_blocks(self):
+        # a large rho makes the primal tiny; the dual still blocks
         eps = 1e-6
-        prev = _state()
+        prev = _state(rho=1e9)
         d = prev.copy()
-        d.duals[0, 1, 0] = 1.0
+        d.shares[0, 0] = 1.0
+        primal, dual = residuals(d, prev)
+        assert primal <= eps < dual
         assert not has_converged(d, prev, eps)
 
 
-class _PerturbingTransport:
-    """Runs the coordination step itself; nudges one dual at iteration ``at``."""
+class _ReplayTransport:
+    """Runs the coordination step itself and keeps every pre-step state;
+    nudges one price share at iteration ``at``."""
 
-    def __init__(self, at: int):
+    def __init__(self, at=None):
         self.at = at
+        self.states = []
 
     def begin(self, s, params):
         self.schedule = params.rho_schedule
@@ -212,16 +322,14 @@ class _PerturbingTransport:
         return self.state.copy()
 
     def publish(self, user, iteration, export):
-        self.state.trades[user] = split_export(self.state, user, export)
+        self.state.exports[user] = export
 
     def run_sct(self):
+        self.states.append(self.state.copy())
         self.state = advance_iteration(sct_step(self.state), self.schedule)
         if self.state.iteration == self.at:
-            self.state.duals[0, 1, 0] += 2.0 ** -40
+            self.state.shares[0, 0] += 2.0 ** -40
         return self.state.copy()
-
-    def digest(self):
-        return dual_state_digest(self.state)
 
     def settle(self, s, outcome):
         return None
@@ -240,15 +348,16 @@ class TestMirror:
         # iteration 1 must pass the digest check, iteration 2 must not
         with pytest.raises(RuntimeError, match="iteration 2"):
             run_distributed(scen_2x4, AdmmParams(eps=1e-12, max_iter=3),
-                            _PerturbingTransport(at=2))
+                            _ReplayTransport(at=2))
 
 
 class TestUltAssembly:
     def test_penalty_terms(self, scen_2x4):
         s = scen_2x4
         d = new_dual_state(s.n_users, s.grid.horizon, rho=2.0)
-        d.trades_aux[0, 1] = 1.5
-        d.duals[0, 1] = 0.25
+        # pairs: aux[0][1] = 0.75 + 0.75 = 1.5, lam[0][1] = 0.25
+        d.levels[0], d.levels[1] = 0.75, -0.75
+        d.shares[:] = 0.125
         prob = assemble_ult(home_problem(s, 0, Mode.TEM), 0, d)
         base_p, base_q, _ = build_user_objective(s, 0, Mode.TEM)
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[0])
@@ -261,21 +370,31 @@ class TestUltAssembly:
         assert np.allclose(prob.p[outside], base_p[outside])
         assert np.allclose(prob.q[outside], base_q[outside])
 
-    def test_split_export_is_penalty_optimal(self):
+    def test_penalty_is_the_best_split(self, scen_3x8):
+        """The export penalty equals, up to a constant, the least per-peer
+        penalty over the splits of the export: its linear term is the
+        summed centre of the home's pair tables."""
+        s = scen_3x8
         rng = np.random.default_rng(3)
-        n, t, rho = 4, 5, 0.7
-        d = new_dual_state(n, t, rho)
-        d.trades_aux[:] = rng.normal(size=(n, n, t))
-        d.duals[:] = rng.normal(size=(n, n, t))
-        export = rng.normal(size=t)
-        row = split_export(d, 1, export)
-        assert np.all(row[1] == 0.0)
-        assert np.allclose(row.sum(axis=0), export, atol=1e-12)
-        # stationarity of the per-peer penalty under the sum constraint
-        peers = [0, 2, 3]
-        centres = d.trades_aux[1, peers] + d.duals[1, peers] / rho
-        grad = rho * (row[peers] - centres)
-        assert np.allclose(grad, grad[0], atol=1e-12)
+        d = _random_state(rng, s.n_users, s.grid.horizon, 0.7)
+        home = home_problem(s, 1, Mode.TEM)
+        prob = assemble_ult(home, 1, d)
+        _, aux, lam = _pairs(d)
+        centre = (aux[1] + lam[1] / d.rho).sum(axis=0)
+        sp = user_layout(s.n_users, s.grid.horizon, Mode.TEM,
+                         users=[1]).span(1, "export")
+        w = d.rho / (s.n_users - 1)
+        assert np.allclose(prob.p[sp], home.p[sp] + w, rtol=0, atol=1e-12)
+        assert np.allclose(prob.q[sp], home.q[sp] - w * centre, rtol=0,
+                           atol=1e-12)
+        # the pairwise penalty of the best split, against w/2 (s - C)^2
+        export = rng.normal(size=s.grid.horizon)
+        peers = [0, 2]
+        c = aux[1, peers] + lam[1, peers] / d.rho
+        split = c + (export - c.sum(axis=0)) / 2
+        assert np.allclose(split.sum(axis=0), export, atol=1e-12)
+        best = 0.5 * d.rho * np.sum((split - c) ** 2, axis=0)
+        assert np.allclose(best, 0.5 * w * (export - centre) ** 2, atol=1e-12)
 
     @pytest.mark.parametrize("n_users", [3, 40])
     def test_home_columns_independent_of_peers(self, n_users):
@@ -290,7 +409,7 @@ class TestUltAssembly:
         home = home_problem(scen_2x4, 1, Mode.TEM)
         p0, q0 = home.p.copy(), home.q.copy()
         d = new_dual_state(2, scen_2x4.grid.horizon, 3.0)
-        d.trades_aux[1, 0] = 0.5
+        d.levels[1] = 0.5
         prob = assemble_ult(home, 1, d)
         assert prob.constraints is home.constraints
         assert not np.array_equal(prob.q, q0)
@@ -405,7 +524,6 @@ class TestCentralized:
         out = solve_centralized(s, Mode.TEM)
         sol = solve_qp(assemble_problem(s, Mode.TEM), tol=1e-6)
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
-        assert out.trades is None
         assert "trades" not in out.to_json_dict()
         for n, sch in enumerate(out.schedules):
             assert np.array_equal(sch.export, sol.x[lay.span(n, "export")])
@@ -435,7 +553,7 @@ class TestCentralized:
         path = tmp_path / "outcome.json"
         out.write_json(path)
         loaded = json.loads(path.read_text())
-        assert loaded["schema"] == "gridledger.outcome.v2"
+        assert loaded["schema"] == "gridledger.outcome.v3"
         assert "trades" not in loaded
         assert loaded["mode"] == "BS2"
         assert loaded["total_cost"] == pytest.approx(out.total_cost)
@@ -450,11 +568,11 @@ class TestDistributed:
         assert out.iterations == len(out.history)
         for rec in out.history:
             assert rec.digest_local == rec.digest_transport
-        # cleared trades are exactly antisymmetric across homes, and each
-        # home's export is its cleared row
-        assert np.array_equal(out.trades[0, 1], -out.trades[1, 0])
-        for n, sch in enumerate(out.schedules):
-            assert np.array_equal(sch.export, out.trades[n].sum(axis=0))
+        # each home's export is its cleared sales, so the exports clear;
+        # a distributed outcome has the joint outcome's shape
+        total = sum(sch.export for sch in out.schedules)
+        assert float(np.max(np.abs(total))) <= 1e-12
+        assert "trades" not in out.to_json_dict()
 
     def test_tracks_centralized(self, scen_2x4):
         central = solve_centralized(scen_2x4, Mode.TEM)
@@ -487,6 +605,14 @@ class TestDistributed:
         assert out.iterations == 4
         assert calls == {"constraints": 3, "objective": 3}
 
+    def test_one_home_converges_at_once(self):
+        s = generate_synthetic(seed=3, n_users=1, horizon=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = run_distributed(s, AdmmParams())
+        assert out.converged and out.iterations == 1
+        assert not out.schedules[0].export.any()
+
     def test_unconverged_reports_honestly(self, scen_2x4):
         out = run_distributed(scen_2x4, AdmmParams(eps=1e-12, max_iter=1))
         assert not out.converged
@@ -495,7 +621,7 @@ class TestDistributed:
 
 # a joint and a distributed TEM run, a joint TEM run at 40 homes (whose
 # long vectors a threaded BLAS splits) with its objective value, and the
-# residuals of ten 40-home dual states, printed as one sha256
+# residuals of ten 40-home coordination states, printed as one sha256
 _DIGEST_SCRIPT = """
 import hashlib, json
 import numpy as np
@@ -513,7 +639,7 @@ for out in (tem.solve_centralized(s, Mode.TEM),
 h.update(solve_qp(tem.assemble_problem(s40, Mode.TEM)).value.hex().encode())
 rng = np.random.default_rng(0)
 for _ in range(10):
-    d, prev = (tem.DualState(*rng.standard_normal((3, 40, 40, 24)), 1.0, 1)
+    d, prev = (tem.DualState(*rng.standard_normal((3, 40, 24)), 1.0, 1)
                for _ in range(2))
     h.update(np.array(tem.residuals(d, prev)).tobytes())
 print(h.hexdigest())
