@@ -88,22 +88,22 @@ class MockSigner:
 class HorizontalTrade:
     """One home's decision for one iteration.
 
-    ``trades`` holds the home's net sale per slot (``horizon`` values;
+    ``export`` holds the home's net sale per slot (``horizon`` values;
     negative: net purchase), which the contract stores as its pending
     export.
     """
 
     user: int
     iteration: int
-    trades: Tuple[float, ...]
+    export: Tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class SctCompute:
-    """Request to run the coordination step for one iteration."""
+    """Request to run the coordination step for one iteration; the
+    contract takes it only from ``COORDINATOR``, the transaction's sender."""
 
     iteration: int
-    submitter: int
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,10 @@ def _encode_payload(w: Writer, payload: TxPayload) -> None:
         w.u8(_TAG_HORIZONTAL)
         w.u32(payload.user)
         w.u64(payload.iteration)
-        w.f64_list(payload.trades)
+        w.f64_list(payload.export)
     elif isinstance(payload, SctCompute):
         w.u8(_TAG_SCT)
         w.u64(payload.iteration)
-        w.u32(payload.submitter)
     elif isinstance(payload, VerticalTrade):
         w.u8(_TAG_VERTICAL)
         w.u32(payload.user)
@@ -165,9 +164,9 @@ def _decode_payload(r: Reader) -> TxPayload:
     tag = r.u8()
     if tag == _TAG_HORIZONTAL:
         return HorizontalTrade(user=r.u32(), iteration=r.u64(),
-                               trades=tuple(r.f64_list()))
+                               export=tuple(r.f64_list()))
     if tag == _TAG_SCT:
-        return SctCompute(iteration=r.u64(), submitter=r.u32())
+        return SctCompute(iteration=r.u64())
     if tag == _TAG_VERTICAL:
         return VerticalTrade(user=r.u32(), feed_in=tuple(r.f64_list()),
                              dr_reduce=tuple(r.f64_list()))

@@ -131,17 +131,17 @@ def _apply_horizontal(state: ContractState, sender: int,
         return _wrong_sender(sender, p.user)
     if n < 2:
         return Receipt("", "no-peers", "a one-home contract has no trades")
-    if len(p.trades) != t:
+    if len(p.export) != t:
         return Receipt("", "bad-shape",
-                       f"expected {t} export values, got {len(p.trades)}")
+                       f"expected {t} export values, got {len(p.export)}")
     if p.iteration != state.dual.iteration + 1:
         state.stale_rejections += 1
         return Receipt("", "stale-iteration",
                        f"iteration {p.iteration}, contract accepts "
                        f"{state.dual.iteration + 1}")
-    export = np.asarray(p.trades, dtype=float)
+    export = np.asarray(p.export, dtype=float)
     if not np.all(np.isfinite(export)):
-        return Receipt("", "bad-shape", "non-finite trade value")
+        return Receipt("", "bad-shape", "non-finite export value")
     state.dual.exports[p.user] = export
     state.published |= {p.user}
     return Receipt("", "applied")

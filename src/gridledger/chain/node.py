@@ -17,6 +17,11 @@ the certified block byte for byte, which keeps its digest stable.  A
 node that discovers it is behind asks the sender for committed blocks
 and replays them through proof verification; that request is the only
 message answered with history, and stale phase messages are ignored.
+Early messages (anything for the next height, a proposal for a later
+round, phase traffic that beats its proposal) wait in one look-ahead
+buffer, keyed by height, and go back through ``handle`` in arrival order
+whenever the node's height, view or candidate moves, so each is judged
+as a fresh arrival would be at that point.
 
 A leader proposes as it enters a round holding transactions (at
 ``Start``, after a commit, after a view change), or, when a transaction
@@ -222,12 +227,10 @@ class NodeState:
     receipts: List[List[Receipt]] = field(default_factory=list)
     mempool: Dict[bytes, SignedTx] = field(default_factory=dict)
     candidate: Optional[Block] = None
-    prepared: bool = False
     prepared_votes: Tuple[Vote, ...] = ()
     prepare_votes: Dict[int, Vote] = field(default_factory=dict)
     commit_votes: Dict[int, Vote] = field(default_factory=dict)
     view_changes: Dict[int, Dict[int, ViewChange]] = field(default_factory=dict)
-    stash: Dict[Tuple[int, int], Tuple[int, Block]] = field(default_factory=dict)
     future: Dict[int, List[Tuple[int, "Message"]]] = field(default_factory=dict)
     timer_epoch: int = 0
     # (height, view) the live view timer was armed for; None when cancelled
@@ -241,6 +244,11 @@ class NodeState:
     @property
     def quorum(self) -> int:
         return quorum_size(len(self.config.validators))
+
+    @property
+    def prepared(self) -> bool:
+        """The candidate holds a prepare certificate."""
+        return bool(self.prepared_votes)
 
 
 def leader_for(state: NodeState, height: int) -> int:
@@ -307,15 +315,6 @@ def _pending_txs(st: NodeState) -> List[SignedTx]:
     return run
 
 
-def _heads(st: NodeState) -> List[SignedTx]:
-    """The mempool's transactions that carry their sender's next nonce;
-    as every nonce there is past the contract's, ``_pending_txs`` is
-    empty exactly when these are."""
-    nonces = st.contract.nonces
-    return [tx for tx in st.mempool.values()
-            if tx.nonce == nonces.get(tx.sender, 0) + 1]
-
-
 def _sorted_quorum(votes: Dict[int, Vote], quorum: int) -> Tuple[Vote, ...]:
     picked = sorted(votes.values(), key=lambda v: v.voter)[:quorum]
     return tuple(picked)
@@ -323,7 +322,6 @@ def _sorted_quorum(votes: Dict[int, Vote], quorum: int) -> Tuple[Vote, ...]:
 
 def _reset_round(st: NodeState) -> None:
     st.candidate = None
-    st.prepared = False
     st.prepared_votes = ()
     st.prepare_votes = {}
     st.commit_votes = {}
@@ -379,23 +377,19 @@ def _commit(st: NodeState, committed: CommittedBlock, now: float,
             del st.mempool[d]
     _reset_round(st)
     st.view_changes = {}
-    if st.config.produce_empty or _heads(st):
+    if st.config.produce_empty or _pending_txs(st):
         _arm_timer(st, acts)
     else:
         st.timer_epoch += 1
         st.timer_round = None
     _maybe_propose(st, now, acts)
-    _replay_stash(st, now, acts)
+    _replay(st, now, acts)
 
 
-def _replay_stash(st: NodeState, now: float, acts: List[Action]) -> None:
-    key = (st.height, st.view)
-    stashed = st.stash.pop(key, None)
-    for k in [k for k in st.stash if k[0] < st.height]:
-        del st.stash[k]
-    if stashed is not None:
-        sender, block = stashed
-        acts.extend(handle(st, sender, PrePrepare(block), now))
+def _replay(st: NodeState, now: float, acts: List[Action]) -> None:
+    """Hand the messages held for the current height back to ``handle``
+    in arrival order; the ones still early go back into the buffer.
+    Heights already passed are dropped."""
     for h in [h for h in st.future if h < st.height]:
         del st.future[h]
     for sender, msg in st.future.pop(st.height, []):
@@ -431,12 +425,8 @@ def _on_preprepare(st: NodeState, sender: int, block: Block, now: float,
     h = block.header
     if h.height < st.height:
         return
-    if h.height > st.height + 1:
+    if h.height > st.height:
         _request_catchup(st, sender, now, acts)
-        return
-    if h.height == st.height + 1 or h.round > st.view:
-        # one block or one view ahead of us; hold it until we get there
-        st.stash[(h.height, h.round)] = (sender, block)
         return
     if st.candidate is not None or not _validate_proposal(st, sender, block):
         return
@@ -452,8 +442,7 @@ def _on_preprepare(st: NodeState, sender: int, block: Block, now: float,
         acts.extend(_broadcast(st, PrepareVote(mine)))
     _arm_timer(st, acts)
     _check_prepared(st, now, acts)
-    for vsender, vmsg in st.future.pop(block.header.height, []):
-        acts.extend(handle(st, vsender, vmsg, now))
+    _replay(st, now, acts)
 
 
 def _check_prepared(st: NodeState, now: float, acts: List[Action]) -> None:
@@ -461,7 +450,6 @@ def _check_prepared(st: NodeState, now: float, acts: List[Action]) -> None:
         return
     if len(st.prepare_votes) < st.quorum:
         return
-    st.prepared = True
     st.prepared_votes = _sorted_quorum(st.prepare_votes, st.quorum)
     digest = block_digest(st.candidate)
     mine = _own_vote(st, PHASE_COMMIT, digest)
@@ -526,14 +514,12 @@ def _on_aggregated_prepare(st: NodeState, sender: int, msg: AggregatedPrepare,
                                        msg.votes),
                         st.config.validators, st.quorum, PHASE_PREPARE):
         return
-    st.prepared = True
     st.prepared_votes = msg.votes
     mine = _own_vote(st, PHASE_COMMIT, digest)
     st.commit_votes[st.me] = mine
     acts.append(Send(sender, CommitVote(mine)))
     _arm_timer(st, acts)
-    for vsender, vmsg in st.future.pop(st.height, []):
-        acts.extend(handle(st, vsender, vmsg, now))
+    _replay(st, now, acts)
 
 
 def _on_aggregated_commit(st: NodeState, sender: int, msg: AggregatedCommit,
@@ -612,7 +598,7 @@ def _check_view_quorum(st: NodeState, nv: int, now: float,
     _arm_timer(st, acts)
     if leader_for(st, st.height) == st.me:
         _maybe_propose(st, now, acts, forced=certified)
-    _replay_stash(st, now, acts)
+    _replay(st, now, acts)
 
 
 def _on_catchup_request(st: NodeState, sender: int, msg: CatchUpRequest,
@@ -643,18 +629,20 @@ def _on_submit(st: NodeState, tx: SignedTx, now: float,
     digest = tx_digest(tx)
     if digest in st.mempool:
         return
-    if tx.nonce <= st.contract.nonces.get(tx.sender, 0) or not verify_tx(tx):
+    nxt = st.contract.nonces.get(tx.sender, 0) + 1
+    if tx.nonce < nxt or not verify_tx(tx):
         return
-    st.mempool[digest] = tx
     # only a transaction with its sender's next nonce makes work executable
-    if (st.candidate is not None
-            or tx.nonce != st.contract.nonces.get(tx.sender, 0) + 1):
+    head = st.candidate is None and tx.nonce == nxt
+    # an idle leader holding executable transactions already has a
+    # proposal due, so only the one that makes them executable schedules it
+    due = head and leader_for(st, st.height) == st.me and not _pending_txs(st)
+    st.mempool[digest] = tx
+    if not head:
         return
     if st.timer_round != (st.height, st.view):
         _arm_timer(st, acts)
-    # an idle leader holding executable transactions already has a
-    # proposal due, so only the one that made them executable schedules it
-    if leader_for(st, st.height) == st.me and _heads(st) == [tx]:
+    if due:
         acts.append(SetTimer(0.0, ProposalDue(st.height, st.view)))
 
 
@@ -663,16 +651,15 @@ def handle(st: NodeState, sender: int, msg: Message, now: float
     """Advance the node with one delivered message; returns sends/timers."""
     acts: List[Action] = []
     bh = message_height(msg)
-    if bh is not None and not isinstance(msg, PrePrepare):
-        # nodes commit at slightly different times, so phase traffic for
-        # the next height (or for a proposal still in flight) is held and
+    if bh is not None and (bh == st.height + 1 or bh == st.height and (
+            msg.block.header.round > st.view if isinstance(msg, PrePrepare)
+            else st.candidate is None)):
+        # nodes commit and change views at slightly different times, so a
+        # message for the next height, a proposal for a later round and
+        # phase traffic for a proposal still in flight are held and
         # replayed instead of lost
-        if bh == st.height + 1:
-            st.future.setdefault(bh, []).append((sender, msg))
-            return acts
-        if bh == st.height and st.candidate is None:
-            st.future.setdefault(bh, []).append((sender, msg))
-            return acts
+        st.future.setdefault(bh, []).append((sender, msg))
+        return acts
     if isinstance(msg, Start):
         if st.config.produce_empty:
             _arm_timer(st, acts)

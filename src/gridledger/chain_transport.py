@@ -148,14 +148,14 @@ class ChainTransport:
             raise ValueError(f"decision for iteration {iteration} but the "
                              f"contract accepts {self._iteration + 1}")
         payload = HorizontalTrade(user=user, iteration=iteration,
-                                  trades=tuple(float(v) for v in export))
+                                  export=tuple(float(v) for v in export))
         self._submit(sign_tx(MockSigner(user), user, self._next_nonce(user),
                              payload))
 
     def run_sct(self) -> DualState:
         assert self.network is not None
         k = self._iteration + 1
-        step = SctCompute(iteration=k, submitter=COORDINATOR)
+        step = SctCompute(iteration=k)
         self._submit(sign_tx(MockSigner(COORDINATOR), COORDINATOR,
                              self._next_nonce(COORDINATOR), step))
         self._run_until(lambda st: st.contract.dual.iteration >= k)

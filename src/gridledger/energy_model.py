@@ -118,12 +118,6 @@ class VariableLayout:
                 return slice(base, base + length)
         raise KeyError(f"no segment {name!r} in mode {self.mode.value}")
 
-    def col(self, user: int, name: str, t: int = 0) -> int:
-        cols = self.span(user, name)
-        if not 0 <= t < cols.stop - cols.start:
-            raise IndexError(f"slot {t} outside segment {name}")
-        return cols.start + t
-
 
 def user_layout(scenario_users: int, horizon: int, mode: Mode,
                 users: Optional[Sequence[int]] = None) -> VariableLayout:

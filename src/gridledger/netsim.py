@@ -14,7 +14,8 @@ apart.  A crash that lands inside that window cuts the broadcast short,
 which is how the partial-commit scenarios are produced.  Every send
 attempt ends up in exactly one bucket: delivered, dropped (by a crash
 or a partition; links lose nothing on their own), or still in flight,
-and ``check_conservation`` asserts it.
+and ``check_conservation`` asserts it.  Client injections share the
+delivery path, on an ideal link, and keep their own ``client*`` counters.
 """
 
 from __future__ import annotations
@@ -206,9 +207,12 @@ class Network:
         if not self.alive(dst):
             self._drop(src, dst, msg, "crashed-dest")
             return
-        self.counters["delivers"] += 1
-        self.counters[f"recv:{type(msg).__name__}"] = \
-            self.counters.get(f"recv:{type(msg).__name__}", 0) + 1
+        if src == CLIENT:
+            self.counters["client_delivers"] += 1
+        else:
+            self.counters["delivers"] += 1
+            self.counters[f"recv:{type(msg).__name__}"] = \
+                self.counters.get(f"recv:{type(msg).__name__}", 0) + 1
         self._record("deliver", src, dst, msg)
         actions = self.handlers[dst](self.states[dst], src, msg, self.now)
         self._apply_actions(dst, actions)
@@ -239,34 +243,32 @@ class Network:
 
     # -- execution ----------------------------------------------------------
 
+    def _on_wire(self, client: bool) -> int:
+        return sum(1 for e in self._heap
+                   if e[2] == _KIND_DELIVER and (e[3] == CLIENT) == client)
+
     def in_flight(self) -> int:
         """Validator messages on the wire: sent but not yet delivered."""
-        return sum(1 for e in self._heap
-                   if e[2] == _KIND_DELIVER and e[3] != CLIENT)
-
-    def client_in_flight(self) -> int:
-        return sum(1 for e in self._heap
-                   if e[2] == _KIND_DELIVER and e[3] == CLIENT)
+        return self._on_wire(False)
 
     def check_conservation(self) -> None:
-        """Every send attempt is delivered, dropped, or still on the wire.
+        """Every send attempt is delivered, dropped, or still on the wire,
+        and so is every client injection.
 
         Queued outbox entries are not send attempts yet, so they sit
         outside the identity.
         """
-        c = self.counters
-        if c["sends"] != c["delivers"] + c["drops"] + self.in_flight():
-            raise AssertionError(
-                f"conservation violated: sends={c['sends']} "
-                f"delivers={c['delivers']} drops={c['drops']} "
-                f"in_flight={self.in_flight()}")
-        if c["client"] != c["client_delivers"] + c["client_drops"] \
-                + self.client_in_flight():
-            raise AssertionError(
-                f"client conservation violated: injected={c['client']} "
-                f"delivered={c['client_delivers']} "
-                f"dropped={c['client_drops']} "
-                f"in_flight={self.client_in_flight()}")
+        for client, keys, text in (
+                (False, ("sends", "delivers", "drops"), "conservation "
+                 "violated: sends={} delivers={} drops={} in_flight={}"),
+                (True, ("client", "client_delivers", "client_drops"),
+                 "client conservation violated: injected={} delivered={} "
+                 "dropped={} in_flight={}")):
+            sent, delivered, dropped = (self.counters[k] for k in keys)
+            wire = self._on_wire(client)
+            if sent != delivered + dropped + wire:
+                raise AssertionError(text.format(sent, delivered, dropped,
+                                                 wire))
 
     def run(self, *, until: Optional[Callable[["Network"], bool]] = None,
             until_ms: Optional[float] = None,
@@ -298,21 +300,9 @@ class Network:
             if kind == _KIND_EMIT:
                 self._emit(a, b, msg)
             elif kind == _KIND_DELIVER:
-                if a == CLIENT:
-                    self._deliver_client(b, msg)
-                else:
-                    self._deliver(a, b, msg)
+                self._deliver(a, b, msg)
             else:
                 self._fire_timer(a, msg)
         if until is not None and not until(self):
             raise LivenessTimeout("event queue drained without progress",
                                   self.now, self.events, self.counters)
-
-    def _deliver_client(self, dst: int, msg: object) -> None:
-        if not self.alive(dst):
-            self._drop(CLIENT, dst, msg, "crashed-dest")
-            return
-        self.counters["client_delivers"] += 1
-        self._record("deliver", CLIENT, dst, msg)
-        actions = self.handlers[dst](self.states[dst], CLIENT, msg, self.now)
-        self._apply_actions(dst, actions)

@@ -59,7 +59,6 @@ __all__ = [
     "assemble_problem",
     "assemble_ult",
     "dual_state_digest",
-    "has_converged",
     "home_problem",
     "new_dual_state",
     "residuals",
@@ -174,6 +173,10 @@ class AdmmParams:
         if self.max_iter < 1:
             raise ValueError("need at least one iteration")
 
+    def converged(self, primal: float, dual: float) -> bool:
+        """The stop rule: both ``residuals`` at most eps (inclusive)."""
+        return primal <= self.eps and dual <= self.eps
+
 
 # ---------------------------------------------------------------------------
 # coordination step
@@ -202,13 +205,12 @@ def sct_step_pairwise(trades: np.ndarray, duals: np.ndarray,
     return aux, duals + rho * (aux - trades)
 
 
-def _centres(d: DualState, homes: int | slice = slice(None)) -> np.ndarray:
-    """C[n] = N u[n] - sum(u) + ((N - 2) a[n] + sum(a)) / rho for ``homes``,
-    the sum over peers m of home n's penalty centres aux[n][m] +
-    lam[n][m] / rho."""
+def _centres(d: DualState) -> np.ndarray:
+    """C[n] = N u[n] - sum(u) + ((N - 2) a[n] + sum(a)) / rho, the sum over
+    peers m of home n's penalty centres aux[n][m] + lam[n][m] / rho."""
     n = d.levels.shape[0]
-    return (n * d.levels[homes] - d.levels.sum(axis=0)
-            + ((n - 2) * d.shares[homes] + d.shares.sum(axis=0)) / d.rho)
+    return (n * d.levels - d.levels.sum(axis=0)
+            + ((n - 2) * d.shares + d.shares.sum(axis=0)) / d.rho)
 
 
 def sct_step(d: DualState) -> DualState:
@@ -261,16 +263,6 @@ def residuals(d: DualState, prev: DualState) -> Tuple[float, float]:
                       0.0)
     primal = float(np.sqrt(rows).sum()) / prev.rho
     return primal, float(np.sqrt(np.sum(2.0 * (n - 2) * s2 + 2.0 * s1 * s1)))
-
-
-def has_converged(d: DualState, prev: DualState, eps: float) -> bool:
-    """True when proposals match the cleared trades and prices have settled.
-
-    Both ``residuals`` must be <= eps (inclusive); ``run_distributed``
-    stops on the same test.
-    """
-    primal, dual = residuals(d, prev)
-    return primal <= eps and dual <= eps
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +434,17 @@ def _export_cols(n_users: int, horizon: int) -> slice:
     return user_layout(n_users, horizon, Mode.TEM, users=[0]).span(0, "export")
 
 
-def assemble_ult(home: QpProblem, user: int, d: DualState) -> QpProblem:
-    """Home ``user``'s subproblem given the latest coordination state.
+def assemble_ult(home: QpProblem, centre: np.ndarray,
+                 d: DualState) -> QpProblem:
+    """A home's subproblem given the latest coordination state ``d``.
 
     ``home`` is the home's own TEM problem (``home_problem``), built once
-    per run.  Objective: its net cost plus, for every peer and slot, the
-    penalty rho/2 * (aux - e)^2 - lam * e on its proposed trades, minimized
-    over the split of its net export s.  Up to a constant that leaves
-    rho / (2 (N-1)) * (s - C)^2 per slot, with C the home's summed penalty
-    centre (``_centres``), added to copies of ``home.p`` and ``home.q``.
+    per run, and ``centre`` its row of ``_centres(d)``.  Objective: its net
+    cost plus, for every peer and slot, the penalty rho/2 * (aux - e)^2 -
+    lam * e on its proposed trades, minimized over the split of its net
+    export s.  Up to a constant that leaves rho / (2 (N-1)) * (s - C)^2
+    per slot, with C = ``centre`` the home's summed penalty centre, added
+    to copies of ``home.p`` and ``home.q``.
     The constraint set is ``home``'s own object, so every solve of the run
     reuses its presolve; the clearing rows are replaced by the penalty.
     """
@@ -460,7 +454,7 @@ def assemble_ult(home: QpProblem, user: int, d: DualState) -> QpProblem:
         cols = _export_cols(n_users, horizon)
         w = d.rho / (n_users - 1)
         p_diag[cols] += w
-        q[cols] -= w * _centres(d, user)
+        q[cols] -= w * centre
     return QpProblem(p=p_diag, q=q, constraints=home.constraints,
                      layout_tag=home.layout_tag)
 
@@ -492,16 +486,17 @@ def run_distributed(s: Scenario, params: AdmmParams,
     """Jacobi sweeps of per-home solves plus coordination steps.
 
     Each home's rows, bounds and own cost are built once per run
-    (``home_problem``); every sweep adds only the export penalty
-    (``assemble_ult``), solves all homes against the same snapshot and
-    runs the coordination step on the local state (the mirror), whose
-    pending exports are the homes' net exports.  With a ``transport``,
-    each export is also published through it and its coordination step
-    must reproduce the mirror's: a differing digest raises
-    ``RuntimeError``.  Without one, the mirror is the only state and is
-    recorded as its own transport digest.  A single home has no peers and
-    publishes nothing.  Each schedule's export is its home's cleared sales
-    summed over peers, N u[n] - sum(u), so the exports clear to rounding.
+    (``home_problem``); every sweep computes the snapshot's penalty
+    centres once, adds only the export penalty (``assemble_ult``), solves
+    all homes against that snapshot and runs the coordination step on the
+    local state (the mirror), whose pending exports are the homes' net
+    exports.  With a ``transport``, each export is also published through
+    it and its coordination step must reproduce the mirror's: a differing
+    digest raises ``RuntimeError``.  Without one, the mirror is the only
+    state and is recorded as its own transport digest.  A single home has
+    no peers and publishes nothing.  Each schedule's export is its home's
+    cleared sales summed over peers, N u[n] - sum(u), so the exports clear
+    to rounding.
     """
     if transport is not None:
         transport.begin(s, params)
@@ -522,8 +517,9 @@ def run_distributed(s: Scenario, params: AdmmParams,
                 raise RuntimeError(f"transport state diverged from the "
                                    f"local mirror before iteration {k}")
         # the sweep writes only mirror.exports, which no home reads
+        centres = _centres(mirror)
         for n in range(s.n_users):
-            problem = assemble_ult(homes[n], n, mirror)
+            problem = assemble_ult(homes[n], centres[n], mirror)
             sol = solve_qp(problem, tol=_HOME_TOL, warm_start=warm.get(n))
             if sol.status is not QpStatus.OPTIMAL:
                 raise SolveFailed(
@@ -549,7 +545,7 @@ def run_distributed(s: Scenario, params: AdmmParams,
             iteration=k, rho=prev.rho, primal_residual=primal,
             dual_residual=dual, digest_local=dl, digest_transport=dr))
         iterations = k
-        if primal <= params.eps and dual <= params.eps:
+        if params.converged(primal, dual):
             converged = True
             break
 

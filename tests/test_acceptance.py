@@ -381,8 +381,8 @@ def test_c10_privacy_boundary(chain_run):
     raw = committed_tx_bytes(chain._ref())
     assert raw
     allowed = {
-        HorizontalTrade: {"user", "iteration", "trades"},
-        SctCompute: {"iteration", "submitter"},
+        HorizontalTrade: {"user", "iteration", "export"},
+        SctCompute: {"iteration"},
         VerticalTrade: {"user", "feed_in", "dr_reduce"},
     }
     for blob in raw:

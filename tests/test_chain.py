@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gridledger.chain import (
     COORDINATOR,
+    AggregatedCommit,
     AggregatedPrepare,
     CatchUpRequest,
     CodecError,
@@ -26,6 +27,8 @@ from gridledger.chain import (
     PHASE_COMMIT,
     PHASE_PREPARE,
     PrePrepare,
+    PrepareVote,
+    ProposalDue,
     Reader,
     SctCompute,
     Send,
@@ -34,6 +37,7 @@ from gridledger.chain import (
     Start,
     SubmitTx,
     VerticalTrade,
+    ViewChange,
     Writer,
     block_digest,
     compute_tx_root,
@@ -78,8 +82,7 @@ def _tx(sender, nonce, payload):
 
 
 def _step(nonce, iteration=1):
-    return _tx(COORDINATOR, nonce,
-               SctCompute(iteration=iteration, submitter=COORDINATOR))
+    return _tx(COORDINATOR, nonce, SctCompute(iteration=iteration))
 
 
 # multiples of 1/4 against dyadic prices keep every settlement exact
@@ -99,11 +102,11 @@ def _random_txs(data, n):
         iteration = data.draw(st.integers(1, 2))
         if kind == "publish":
             owner = user
-            payload = HorizontalTrade(user=user, iteration=iteration, trades=(
+            payload = HorizontalTrade(user=user, iteration=iteration, export=(
                 data.draw(quarters), data.draw(quarters)))
         elif kind == "step":
             owner = COORDINATOR
-            payload = SctCompute(iteration=iteration, submitter=COORDINATOR)
+            payload = SctCompute(iteration=iteration)
         else:
             owner = user
             amounts = st.tuples(quarters, quarters).map(
@@ -115,8 +118,7 @@ def _random_txs(data, n):
         nonce = expected + 2 if fault == "nonce" else expected
         tx = _tx(sender, nonce, payload)
         if fault == "forged":
-            tx = dataclasses.replace(tx, payload=SctCompute(
-                iteration=99, submitter=COORDINATOR))
+            tx = dataclasses.replace(tx, payload=SctCompute(iteration=99))
         else:
             nonces[sender] = nonce if fault is None else nonces.get(sender, 0)
         txs.append(tx)
@@ -185,9 +187,8 @@ class TestSigner:
 payloads = st.one_of(
     st.builds(HorizontalTrade, user=st.integers(0, 10),
               iteration=st.integers(0, 1000),
-              trades=st.lists(floats, max_size=12).map(tuple)),
-    st.builds(SctCompute, iteration=st.integers(0, 1000),
-              submitter=st.integers(0, 2 ** 32 - 1)),
+              export=st.lists(floats, max_size=12).map(tuple)),
+    st.builds(SctCompute, iteration=st.integers(0, 1000)),
     st.builds(VerticalTrade, user=st.integers(0, 10),
               feed_in=st.lists(floats, max_size=8).map(tuple),
               dr_reduce=st.lists(floats, max_size=8).map(tuple)),
@@ -220,7 +221,7 @@ class TestTransactions:
         assert not verify_tx(forged)
 
     def test_truncated_tx_rejected(self):
-        data = encode_tx(_tx(0, 1, SctCompute(iteration=1, submitter=0)))
+        data = encode_tx(_tx(0, 1, SctCompute(iteration=1)))
         with pytest.raises(CodecError):
             decode_tx(data[:-3])
         with pytest.raises(CodecError):
@@ -236,20 +237,20 @@ class TestGoldenBytes:
     never drift from the one built field by field."""
 
     TXS = (
-        (HorizontalTrade(user=1, iteration=2, trades=(1.5, -0.25, 0.0, -0.0)),
+        (HorizontalTrade(user=1, iteration=2, export=(1.5, -0.25, 0.0, -0.0)),
          1, 3, "9c7bfa7538f8c1c10a741c2f52af8ffd"
                "9e0c77b6990d8d486999a831c472f9a8"),
-        (SctCompute(iteration=2, submitter=COORDINATOR), COORDINATOR, 7,
-         "dd13c65728ec0f87c8c6d12a880d0503"
-         "3bf77ef51988d0a59179f57d45d1eccd"),
+        (SctCompute(iteration=2), COORDINATOR, 7,
+         "ceae8a02b4c6fa3625922f9c8b41a773"
+         "882516e7472c2c101b8b591e91a49020"),
         (VerticalTrade(user=2, feed_in=(0.5, 2.0), dr_reduce=(0.0, 1.25)),
          2, 4, "35f4fdbcf95b1fda2879e1b7e3aebfa7"
                "fa04f419eb06af30aee62a916f39725b"),
     )
-    HEADER = ("009a498cceb6804be4440ca95784c424"
-              "789e76eb163db1a3f4b17e8c44781d5c")
-    VOTE = "ebcf2b14ff3f632c359db0028e271fbfcf600ef4f1f906d62c8abbf64f0767d6"
-    BLOCK = "7a658e310bf27251bfa0a32cca66e74d17e485522a70016187e9705e839bed08"
+    HEADER = ("0217acf89926dcc1920e53a1312349c4"
+              "75e2bb06711917b34b220237646e298c")
+    VOTE = "8c0e629cd3c205689d3ab09bc46e648734bc619d0ad384bf2126be5e334ec818"
+    BLOCK = "c7717f3e6483af0c44425f06c91d1bef37dcdf7989899fdd7b2e8d65d4f7ef95"
 
     def _txs(self):
         return [_tx(sender, nonce, payload)
@@ -288,7 +289,7 @@ class TestForgedTwin:
 
     def _pair(self):
         genuine = _tx(0, 1, HorizontalTrade(user=0, iteration=1,
-                                            trades=(1.0, -1.0)))
+                                            export=(1.0, -1.0)))
         # the genuine transaction is encoded and verified first
         assert tx_digest(genuine).hex() == _sha(encode_tx(genuine))
         assert verify_tx(genuine)
@@ -346,9 +347,9 @@ class TestBlocks:
 
     def test_tx_root_binds_transactions(self):
         a = self._block([_tx(0, 1, HorizontalTrade(user=0, iteration=1,
-                                                   trades=(1.0,)))])
+                                                   export=(1.0,)))])
         b = self._block([_tx(0, 1, HorizontalTrade(user=0, iteration=1,
-                                                   trades=(2.0,)))])
+                                                   export=(2.0,)))])
         assert a.header.tx_root != b.header.tx_root
         assert block_digest(a) != block_digest(b)
         assert compute_tx_root(list(a.txs)) == a.header.tx_root
@@ -433,6 +434,116 @@ class TestVotesAndProofs:
                    for a in acts) is accepted
 
 
+def _sent(acts, kind):
+    """(destination, message) of each send of ``kind`` among ``acts``."""
+    return [(a.dest, a.msg) for a in acts
+            if isinstance(a, Send) and isinstance(a.msg, kind)]
+
+
+class TestLookAhead:
+    """Node 0 of four (quorum 3) driven through ``handle`` alone: early
+    messages wait in its look-ahead buffer and are handed back when the
+    node gets there.  The leader of height h at view v is (h + v) % 4."""
+
+    VALIDATORS = (0, 1, 2, 3)
+
+    def _node(self, me=0):
+        return new_node(NodeConfig(node_id=me, validators=self.VALIDATORS),
+                        genesis(_config()))
+
+    def _block(self, height, proposer, round=0, parent=GENESIS_PARENT,
+               txs=()):
+        return make_block(height=height, parent=parent, timestamp_ms=0,
+                          proposer=proposer, round=round, txs=list(txs))
+
+    def _votes(self, phase, height, round, block, voters=(1, 2, 3)):
+        return tuple(make_vote(MockSigner(v), phase, height, round,
+                               block_digest(block)) for v in voters)
+
+    def _view_change(self, st, new_view, voters=(1, 2, 3)):
+        acts = []
+        for v in voters:
+            acts += handle(st, v, ViewChange(st.height, new_view, v, None, ()),
+                           0.0)
+        assert st.view == new_view
+        return acts
+
+    def test_next_height_proposal_is_accepted_after_the_commit(self):
+        st = self._node()
+        b1 = self._block(1, proposer=1)
+        handle(st, 1, PrePrepare(b1), 0.0)
+        b2 = self._block(2, proposer=2, parent=block_digest(b1))
+        assert handle(st, 2, PrePrepare(b2), 0.0) == []
+        assert st.candidate == b1
+        handle(st, 1, AggregatedPrepare(
+            1, 0, block_digest(b1), self._votes(PHASE_PREPARE, 1, 0, b1)), 0.0)
+        proof = ConsensusProof(1, 0, block_digest(b1),
+                               self._votes(PHASE_COMMIT, 1, 0, b1))
+        acts = handle(st, 1, AggregatedCommit(proof), 0.0)
+        assert st.height == 2 and st.candidate == b2
+        assert [(d, m.vote.height) for d, m in _sent(acts, PrepareVote)] \
+            == [(2, 2)]
+        assert st.future == {}
+
+    def test_later_round_proposal_waits_for_its_view(self):
+        st = self._node()
+        later = self._block(1, proposer=2, round=1)    # view 1's leader
+        assert handle(st, 2, PrePrepare(later), 0.0) == []
+        # accepting view 0's proposal replays the buffer: still too early
+        now = self._block(1, proposer=1)
+        acts = handle(st, 1, PrePrepare(now), 0.0)
+        assert [(d, m.vote.round) for d, m in _sent(acts, PrepareVote)] \
+            == [(1, 0)]
+        assert st.candidate == now
+        acts = self._view_change(st, 1)
+        assert st.candidate == later
+        assert [(d, m.vote.round) for d, m in _sent(acts, PrepareVote)] \
+            == [(2, 1)]
+
+    def test_held_reproposal_is_accepted_when_the_view_skips_its_round(self):
+        # view 2's leader (3) re-proposes a block certified at round 1
+        # (proposer 2); the node jumps from view 0 to view 2 and handles
+        # the held proposal as it would a fresh one
+        st = self._node()
+        certified = self._block(1, proposer=2, round=1)
+        assert handle(st, 3, PrePrepare(certified), 0.0) == []
+        acts = self._view_change(st, 2)
+        assert st.candidate == certified
+        assert [(d, m.vote.round) for d, m in _sent(acts, PrepareVote)] \
+            == [(3, 2)]
+
+    def test_prepare_certificate_before_its_proposal_is_replayed(self):
+        st = self._node()
+        block = self._block(1, proposer=1)
+        cert = AggregatedPrepare(1, 0, block_digest(block),
+                                 self._votes(PHASE_PREPARE, 1, 0, block))
+        assert handle(st, 1, cert, 0.0) == []
+        assert not st.prepared
+        acts = handle(st, 1, PrePrepare(block), 0.0)
+        assert st.prepared and st.prepared_votes == cert.votes
+        kinds = [type(m) for _, m in _sent(acts, (PrepareVote, CommitVote))]
+        assert kinds == [PrepareVote, CommitVote]
+
+    def test_only_the_first_executable_transaction_schedules_a_proposal(self):
+        st = self._node(me=1)    # the leader of height 1 at view 0
+
+        def due(acts):
+            return [a.msg for a in acts if isinstance(a, SetTimer)
+                    and isinstance(a.msg, ProposalDue)]
+
+        ahead = _tx(0, 2, VerticalTrade(user=0, feed_in=(0.0, 0.0),
+                                        dr_reduce=(0.0, 0.0)))
+        assert handle(st, CLIENT, SubmitTx(ahead), 0.0) == []
+        first = _tx(0, 1, VerticalTrade(user=0, feed_in=(1.0, 0.0),
+                                        dr_reduce=(0.0, 0.0)))
+        assert due(handle(st, CLIENT, SubmitTx(first), 0.0)) \
+            == [ProposalDue(1, 0)]
+        second = _tx(1, 1, VerticalTrade(user=1, feed_in=(1.0, 0.0),
+                                         dr_reduce=(0.0, 0.0)))
+        assert handle(st, CLIENT, SubmitTx(second), 0.0) == []
+        assert len(st.mempool) == 3
+
+
 class TestContract:
     def test_genesis_balances(self):
         state = genesis(_config())
@@ -443,7 +554,7 @@ class TestContract:
     def test_horizontal_applies(self):
         state = genesis(_config())
         tx = _tx(0, 1, HorizontalTrade(user=0, iteration=1,
-                                       trades=(1.0, -2.0)))
+                                       export=(1.0, -2.0)))
         out, recs = execute_transactions(state, [tx])
         assert recs[0].status == "applied"
         assert out.dual.exports[0].tolist() == [1.0, -2.0]
@@ -459,7 +570,7 @@ class TestContract:
         export = (1.25, -0.5)
         out, recs = execute_transactions(
             state, [_tx(1, 1, HorizontalTrade(user=1, iteration=1,
-                                              trades=export))])
+                                              export=export))])
         assert recs[0].status == "applied"
         # the export is stored as published; the step state waits for the
         # coordination step
@@ -472,7 +583,7 @@ class TestContract:
         state = genesis(_config(n_users=1))
         out, recs = execute_transactions(
             state, [_tx(0, 1, HorizontalTrade(user=0, iteration=1,
-                                              trades=(1.0, 2.0)))])
+                                              export=(1.0, 2.0)))])
         assert recs[0].status == "no-peers"
         assert out.nonces[0] == 1    # consumed: no replay later
         assert dual_state_digest(out.dual) == dual_state_digest(state.dual)
@@ -480,7 +591,7 @@ class TestContract:
     def test_stale_iteration_counted_and_nonce_used(self):
         state = genesis(_config())
         tx = _tx(0, 1, HorizontalTrade(user=0, iteration=5,
-                                       trades=(0.0, 0.0)))
+                                       export=(0.0, 0.0)))
         out, recs = execute_transactions(state, [tx])
         assert recs[0].status == "stale-iteration"
         assert out.stale_rejections == 1
@@ -489,7 +600,7 @@ class TestContract:
     def test_replay_rejected(self):
         state = genesis(_config())
         tx = _tx(0, 1, HorizontalTrade(user=0, iteration=1,
-                                       trades=(1.0, 0.0)))
+                                       export=(1.0, 0.0)))
         out, _ = execute_transactions(state, [tx])
         out2, recs = execute_transactions(out, [tx])
         assert recs[0].status == "bad-nonce"
@@ -497,9 +608,9 @@ class TestContract:
 
     def test_bad_signature_keeps_nonce(self):
         state = genesis(_config())
-        good = _tx(0, 1, SctCompute(iteration=1, submitter=0))
+        good = _tx(0, 1, SctCompute(iteration=1))
         forged = SignedTx(sender=good.sender, nonce=good.nonce,
-                          payload=SctCompute(iteration=2, submitter=0),
+                          payload=SctCompute(iteration=2),
                           signature=good.signature)
         out, recs = execute_transactions(state, [forged])
         assert recs[0].status == "bad-signature"
@@ -508,11 +619,11 @@ class TestContract:
     def test_sct_matches_reference_step(self):
         state = genesis(_config())
         txs = [_tx(0, 1, HorizontalTrade(user=0, iteration=1,
-                                         trades=(2.0, 0.0))),
+                                         export=(2.0, 0.0))),
                _tx(1, 1, HorizontalTrade(user=1, iteration=1,
-                                         trades=(-1.0, 0.0))),
+                                         export=(-1.0, 0.0))),
                _tx(COORDINATOR, 1,
-                   SctCompute(iteration=1, submitter=COORDINATOR))]
+                   SctCompute(iteration=1))]
         out, recs = execute_transactions(state, txs)
         assert all(r.status == "applied" for r in recs)
         ref = state.dual.copy()
@@ -558,10 +669,10 @@ class TestContract:
     def test_payload_must_belong_to_sender(self):
         state = genesis(_config())
         txs = [_tx(1, 1, HorizontalTrade(user=0, iteration=1,
-                                         trades=(5.0, 5.0))),
+                                         export=(5.0, 5.0))),
                _tx(1, 2, VerticalTrade(user=0, feed_in=(1.0, 1.0),
                                        dr_reduce=(0.0, 0.0))),
-               _tx(0, 1, SctCompute(iteration=1, submitter=0))]
+               _tx(0, 1, SctCompute(iteration=1))]
         out, recs = execute_transactions(state, txs)
         assert [r.status for r in recs] == ["wrong-sender"] * 3
         assert "belongs to 0" in recs[0].detail
@@ -582,7 +693,7 @@ class TestContract:
         state = genesis(_config())
         before = contract_digest(state)
         execute_transactions(state, [
-            _tx(0, 1, HorizontalTrade(user=0, iteration=1, trades=(1.0, 1.0))),
+            _tx(0, 1, HorizontalTrade(user=0, iteration=1, export=(1.0, 1.0))),
             _tx(0, 2, VerticalTrade(user=0, feed_in=(1.0, 0.0),
                                     dr_reduce=(0.0, 0.0)))])
         assert contract_digest(state) == before
@@ -590,7 +701,7 @@ class TestContract:
     def test_step_waits_for_every_home(self):
         state = genesis(_config(n_users=3))
         publish = [_tx(u, 1, HorizontalTrade(user=u, iteration=1,
-                                             trades=(1.0, -1.0)))
+                                             export=(1.0, -1.0)))
                    for u in (0, 2)]
         partial, _ = execute_transactions(state, publish)
         out, recs = execute_transactions(partial, [_step(1)])
@@ -604,7 +715,7 @@ class TestContract:
             dataclasses.replace(out, published=frozenset({0})))
         out, recs = execute_transactions(out, [
             _tx(1, 1, HorizontalTrade(user=1, iteration=1,
-                                      trades=(0.5, 0.5))),
+                                      export=(0.5, 0.5))),
             _step(2)])
         assert [r.status for r in recs] == ["applied", "applied"]
         assert out.dual.iteration == 1
@@ -647,7 +758,7 @@ class TestContract:
         state = genesis(_config())
         _, recs = execute_transactions(
             state, [_tx(0, 1, HorizontalTrade(user=0, iteration=1,
-                                              trades=(1.0,)))])
+                                              export=(1.0,)))])
         assert recs[0].status == "bad-shape"
 
 
@@ -847,7 +958,7 @@ class TestTransactionRounds:
     def test_one_instant_commits_one_block_in_sender_order(self):
         net = self._network()
         trades = [_tx(u, 1, HorizontalTrade(user=u, iteration=1,
-                                            trades=(1.0, -1.0)))
+                                            export=(1.0, -1.0)))
                   for u in (0, 1)]
         # the step is submitted first and still runs after both trades
         for tx in [_step(1)] + trades[::-1]:

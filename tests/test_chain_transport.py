@@ -68,7 +68,7 @@ class TestLockstep:
         for tx in txs:
             if isinstance(tx.payload, HorizontalTrade):
                 # one net export per slot, whatever the number of homes
-                assert len(tx.payload.trades) == s.grid.horizon
+                assert len(tx.payload.export) == s.grid.horizon
                 seen_trades.setdefault(tx.payload.iteration, set()).add(
                     tx.payload.user)
             elif isinstance(tx.payload, SctCompute):

@@ -216,13 +216,11 @@ class TestLayout:
                 covered[lay.span(u, name)] += 1
         assert np.all(covered == 1)
 
-    def test_col_and_span_agree(self):
+    def test_span_covers_horizon(self):
         lay = user_layout(2, 4, Mode.TEM)
         sp = lay.span(1, "supply_grid")
-        assert lay.col(1, "supply_grid", 0) == sp.start
-        assert lay.col(1, "supply_grid", 3) == sp.stop - 1
-        with pytest.raises(IndexError):
-            lay.col(1, "supply_grid", 4)
+        assert sp.stop - sp.start == 4
+        assert lay.span(0, "supply_grid").stop <= sp.start
         with pytest.raises(KeyError):
             lay.span(0, "no-such-segment")
 

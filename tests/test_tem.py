@@ -29,7 +29,6 @@ from gridledger.tem import (
     assemble_problem,
     assemble_ult,
     dual_state_digest,
-    has_converged,
     home_problem,
     new_dual_state,
     residuals,
@@ -275,9 +274,14 @@ class TestSchedules:
             AdmmParams(max_iter=0)
 
 
+def _converged(d, prev, eps):
+    return AdmmParams(eps=eps).converged(*residuals(d, prev))
+
+
 class TestConvergence:
     # N=2, rho=1: a change da of the shares moves the one pair's multipliers
-    # by g = da[0] + da[1]; primal = 2 |g|, dual = sqrt(2) |g|
+    # by g = da[0] + da[1]; primal = 2 |g|, dual = sqrt(2) |g|; the stop
+    # rule is AdmmParams.converged, which run_distributed calls
 
     def test_boundary_is_inclusive(self):
         eps = 0.5
@@ -285,14 +289,14 @@ class TestConvergence:
         d = prev.copy()
         d.shares[0, 0] = eps / 2    # primal residual exactly eps
         assert residuals(d, prev)[0] == eps
-        assert has_converged(d, prev, eps)
+        assert _converged(d, prev, eps)
 
     def test_just_above_fails(self):
         eps = 0.5
         prev = _state()
         d = prev.copy()
         d.shares[0, 0] = eps / 2 + 2.0 ** -20
-        assert not has_converged(d, prev, eps)
+        assert not _converged(d, prev, eps)
 
     def test_dual_movement_blocks(self):
         # a large rho makes the primal tiny; the dual still blocks
@@ -302,7 +306,7 @@ class TestConvergence:
         d.shares[0, 0] = 1.0
         primal, dual = residuals(d, prev)
         assert primal <= eps < dual
-        assert not has_converged(d, prev, eps)
+        assert not _converged(d, prev, eps)
 
 
 class _ReplayTransport:
@@ -351,6 +355,11 @@ class TestMirror:
                             _ReplayTransport(at=2))
 
 
+def _centre(d, user):
+    """Home ``user``'s row of the sweep's penalty centres."""
+    return tem._centres(d)[user]
+
+
 class TestUltAssembly:
     def test_penalty_terms(self, scen_2x4):
         s = scen_2x4
@@ -358,7 +367,7 @@ class TestUltAssembly:
         # pairs: aux[0][1] = 0.75 + 0.75 = 1.5, lam[0][1] = 0.25
         d.levels[0], d.levels[1] = 0.75, -0.75
         d.shares[:] = 0.125
-        prob = assemble_ult(home_problem(s, 0, Mode.TEM), 0, d)
+        prob = assemble_ult(home_problem(s, 0, Mode.TEM), _centre(d, 0), d)
         base_p, base_q, _ = build_user_objective(s, 0, Mode.TEM)
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[0])
         sp = lay.span(0, "export")
@@ -378,7 +387,7 @@ class TestUltAssembly:
         rng = np.random.default_rng(3)
         d = _random_state(rng, s.n_users, s.grid.horizon, 0.7)
         home = home_problem(s, 1, Mode.TEM)
-        prob = assemble_ult(home, 1, d)
+        prob = assemble_ult(home, _centre(d, 1), d)
         _, aux, lam = _pairs(d)
         centre = (aux[1] + lam[1] / d.rho).sum(axis=0)
         sp = user_layout(s.n_users, s.grid.horizon, Mode.TEM,
@@ -399,8 +408,8 @@ class TestUltAssembly:
     @pytest.mark.parametrize("n_users", [3, 40])
     def test_home_columns_independent_of_peers(self, n_users):
         s = generate_synthetic(seed=2, n_users=n_users, horizon=4)
-        prob = assemble_ult(home_problem(s, 0, Mode.TEM), 0,
-                            new_dual_state(n_users, 4, 1.0))
+        d = new_dual_state(n_users, 4, 1.0)
+        prob = assemble_ult(home_problem(s, 0, Mode.TEM), _centre(d, 0), d)
         assert prob.q.size == 12 * 4 + 1
 
     def test_penalty_leaves_home_problem_alone(self, scen_2x4):
@@ -410,7 +419,7 @@ class TestUltAssembly:
         p0, q0 = home.p.copy(), home.q.copy()
         d = new_dual_state(2, scen_2x4.grid.horizon, 3.0)
         d.levels[1] = 0.5
-        prob = assemble_ult(home, 1, d)
+        prob = assemble_ult(home, _centre(d, 1), d)
         assert prob.constraints is home.constraints
         assert not np.array_equal(prob.q, q0)
         assert np.array_equal(home.p, p0) and np.array_equal(home.q, q0)
@@ -422,8 +431,8 @@ class TestUltAssembly:
         polish certifies, where the interior-point point alone ended
         ``MaxIter`` at tol 1e-8 at one and two BLAS threads."""
         s = generate_synthetic(5, 5, 24)
-        prob = assemble_ult(home_problem(s, 1, Mode.TEM), 1,
-                            new_dual_state(5, 24, 1.0))
+        d = new_dual_state(5, 24, 1.0)
+        prob = assemble_ult(home_problem(s, 1, Mode.TEM), _centre(d, 1), d)
         sol = solve_qp(prob, tol=1e-8)
         assert sol.status is QpStatus.OPTIMAL
         assert sol.polish is Polish.POLISHED
@@ -487,7 +496,7 @@ class TestCentralized:
         want = np.zeros((t, lay.n_vars))
         for n in range(s.n_users):
             for tt in range(t):
-                want[tt, lay.col(n, "export", tt)] = 1.0
+                want[tt, lay.span(n, "export").start + tt] = 1.0
         assert np.array_equal(clearing, want)
 
     def test_joint_rows_stay_sparse_at_scale(self):
