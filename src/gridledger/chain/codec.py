@@ -20,8 +20,6 @@ __all__ = [
     "hexdigest",
 ]
 
-DIGEST_SIZE = 32
-
 
 class CodecError(ValueError):
     """Malformed, truncated or over-long canonical bytes."""

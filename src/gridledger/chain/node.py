@@ -315,6 +315,15 @@ def _pending_txs(st: NodeState) -> List[SignedTx]:
     return run
 
 
+def _has_pending(st: NodeState) -> bool:
+    """Whether ``_pending_txs`` is non-empty, without sorting: the mempool
+    holds no nonce below its sender's next one, so a run exists exactly
+    when some transaction carries its sender's next nonce."""
+    nonces = st.contract.nonces
+    return any(tx.nonce == nonces.get(tx.sender, 0) + 1
+               for tx in st.mempool.values())
+
+
 def _sorted_quorum(votes: Dict[int, Vote], quorum: int) -> Tuple[Vote, ...]:
     picked = sorted(votes.values(), key=lambda v: v.voter)[:quorum]
     return tuple(picked)
@@ -377,7 +386,7 @@ def _commit(st: NodeState, committed: CommittedBlock, now: float,
             del st.mempool[d]
     _reset_round(st)
     st.view_changes = {}
-    if st.config.produce_empty or _pending_txs(st):
+    if st.config.produce_empty or _has_pending(st):
         _arm_timer(st, acts)
     else:
         st.timer_epoch += 1
@@ -636,7 +645,7 @@ def _on_submit(st: NodeState, tx: SignedTx, now: float,
     head = st.candidate is None and tx.nonce == nxt
     # an idle leader holding executable transactions already has a
     # proposal due, so only the one that makes them executable schedules it
-    due = head and leader_for(st, st.height) == st.me and not _pending_txs(st)
+    due = head and leader_for(st, st.height) == st.me and not _has_pending(st)
     st.mempool[digest] = tx
     if not head:
         return

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +35,6 @@ __all__ = [
     "CostBreakdown",
     "Mode",
     "Schedule",
-    "VariableLayout",
     "build_user_constraints",
     "build_user_objective",
     "check_schedule",
@@ -91,50 +90,21 @@ SCHEDULE_SERIES: Tuple[str, ...] = tuple(
     f.name for f in fields(Schedule) if f.name != "peak")
 
 
-@dataclass(frozen=True)
-class VariableLayout:
-    """Column layout of the flat decision vector.
-
-    Every covered user owns one identical block of columns; ``users`` lists
-    the covered user ids in block order (a single id for one-home problems,
-    all ids for the joint problem).  ``segments`` gives (name, local start,
-    length) within a block.
-    """
-
-    mode: Mode
-    horizon: int
-    users: Tuple[int, ...]
-    segments: Tuple[Tuple[str, int, int], ...]
-    block_size: int
-
-    @property
-    def n_vars(self) -> int:
-        return self.block_size * len(self.users)
-
-    def span(self, user: int, name: str) -> slice:
-        for seg, start, length in self.segments:
-            if seg == name:
-                base = self.users.index(user) * self.block_size + start
-                return slice(base, base + length)
-        raise KeyError(f"no segment {name!r} in mode {self.mode.value}")
-
-
-def user_layout(scenario_users: int, horizon: int, mode: Mode,
-                users: Optional[Sequence[int]] = None) -> VariableLayout:
-    """Layout covering ``users`` (default: all users jointly): one
-    ``horizon``-long segment per schedule series the mode has, in
-    ``SCHEDULE_SERIES`` order, then the one-column peak."""
+def user_layout(n_users: int, horizon: int, mode: Mode) -> Dict[str, slice]:
+    """One home's columns: a ``horizon``-long slice per schedule series the
+    home has, in ``SCHEDULE_SERIES`` order, then the one-column ``peak``,
+    so ``layout["peak"].stop`` is the block size.  This is where the mode
+    decides the channels: feed-in and demand response with the grid
+    (vertical), a net export with peers (horizontal) when there are any.
+    A joint problem places home n's block at n times the block size."""
     absent = set() if mode.has_vertical else {"feed_in", "dr_reduce"}
-    if not (mode.has_horizontal and scenario_users > 1):
+    if not (mode.has_horizontal and n_users > 1):
         absent.add("export")
     names = [name for name in SCHEDULE_SERIES if name not in absent]
-    lengths = [horizon] * len(names) + [1]
-    names.append("peak")
-    starts = np.cumsum([0] + lengths).tolist()
-    covered = tuple(users) if users is not None else tuple(range(scenario_users))
-    return VariableLayout(mode=mode, horizon=horizon, users=covered,
-                          segments=tuple(zip(names, starts, lengths)),
-                          block_size=starts[-1])
+    layout = {name: slice(k * horizon, (k + 1) * horizon)
+              for k, name in enumerate(names)}
+    layout["peak"] = slice(len(names) * horizon, len(names) * horizon + 1)
+    return layout
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +207,18 @@ def combine_costs(cost: CostBreakdown, reward: CostBreakdown) -> CostBreakdown:
         net_cost=cost.home_cost - reward.vertical_reward - reward.trade_reward)
 
 
-def schedule_from_x(x: np.ndarray, layout: VariableLayout,
+def schedule_from_x(x: np.ndarray, layout: Dict[str, slice],
                     user: int) -> Schedule:
-    """Extract one home's schedule from a flat solution vector."""
-    names = {name for name, _, _ in layout.segments}
+    """Home ``user``'s schedule from a solution vector of ``layout`` blocks,
+    one per home (a home's own vector is block 0)."""
+    base = user * layout["peak"].stop
+    cols = {name: x[base + span.start:base + span.stop]
+            for name, span in layout.items()}
     # a channel the mode lacks (feed-in, demand response, export) stays zero
-    series = {name: np.array(x[layout.span(user, name)], dtype=float)
-              if name in names else np.zeros(layout.horizon)
+    series = {name: np.array(cols[name], dtype=float) if name in cols
+              else np.zeros(cols["load_hvac"].size)
               for name in SCHEDULE_SERIES}
-    return Schedule(**series, peak=float(x[layout.span(user, "peak")][0]))
+    return Schedule(**series, peak=float(cols["peak"][0]))
 
 
 def check_schedule(sch: Schedule, s: Scenario, user: int,
@@ -301,11 +274,11 @@ def check_schedule(sch: Schedule, s: Scenario, user: int,
 def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstraintSet:
     """All rows and bounds for one home (no cross-user clearing rows); each
     equation family is one block of rows built from (T x T) slot blocks."""
-    layout = user_layout(s.n_users, s.grid.horizon, mode, users=[user])
+    layout = user_layout(s.n_users, s.grid.horizon, mode)
     t = s.grid.horizon
     u = s.users[user]
     ev = u.ev
-    nv = layout.n_vars
+    nv = layout["peak"].stop
 
     def stack(families: list) -> sp.csr_array:
         """CSR rows of the (blocks by segment, right-hand side) families, one
@@ -315,7 +288,7 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
             for name, block in blocks.items():
                 r, c = np.nonzero(block)
                 parts.append((block[r, c], r + start,
-                              c + layout.span(user, name).start))
+                              c + layout[name].start))
             start += len(rhs)
         v, r, c = map(np.concatenate, zip(*parts))
         order = np.lexsort((c, r))
@@ -333,10 +306,9 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
     balance = dict(load_hvac=eye, load_shift=eye, load_curtail=eye,
                    ev_charge=eye, supply_renewable=-eye, supply_grid=-eye,
                    ev_discharge=-eye)
-    if mode.has_vertical:
-        balance["dr_reduce"] = eye
-    if mode.has_horizontal and s.n_users > 1:
-        balance["export"] = eye
+    for name in ("dr_reduce", "export"):
+        if name in layout:
+            balance[name] = eye
     # the indoor temperature enters slot 1 at temp_init
     thermal_rhs = u.hvac_beta * u.temp_out
     thermal_rhs[0] += (1.0 - u.hvac_beta) * u.temp_init
@@ -360,7 +332,7 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
           # the car leaves full
           (dict(ev_energy=eye[[depart - 1]]), [ev.capacity])]
     le = []
-    if mode.has_vertical:
+    if "feed_in" in layout:
         # demand response inside its window claims at most the grid draw;
         # feed-in and own use share the renewable output
         le += [(dict(dr_reduce=eye[dr_mask], supply_grid=-eye[dr_mask]),
@@ -372,14 +344,13 @@ def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstrai
     lo, hi = np.full(nv, -np.inf), np.full(nv, np.inf)
 
     def set_bounds(name: str, lo_vals, hi_vals) -> None:
-        cols = layout.span(user, name)
-        lo[cols], hi[cols] = lo_vals, hi_vals
+        lo[layout[name]], hi[layout[name]] = lo_vals, hi_vals
 
     set_bounds("load_hvac", 0.0, np.inf)
     set_bounds("load_shift", 0.0, np.where(shift_mask, np.inf, 0.0))
     set_bounds("load_curtail", 0.0, u.curtail_pref)
     set_bounds("supply_grid", 0.0, s.tariff.line_cap)
-    if mode.has_vertical:
+    if "feed_in" in layout:
         set_bounds("supply_renewable", 0.0, np.inf)
         set_bounds("feed_in", 0.0, u.renewable_cap)
         set_bounds("dr_reduce", 0.0, np.where(dr_mask, np.inf, 0.0))
@@ -400,18 +371,18 @@ def build_user_objective(s: Scenario, user: int,
                          mode: Mode) -> Tuple[np.ndarray, np.ndarray, float]:
     """Diagonal quadratic objective for one home.
 
-    Returns (p_diag, q, offset) over the single-user layout so that the
+    Returns (p_diag, q, offset) over the home's ``user_layout`` so that the
     home's net cost equals 0.5 * x' diag(p_diag) x + q' x + offset.
     """
-    layout = user_layout(s.n_users, s.grid.horizon, mode, users=[user])
+    layout = user_layout(s.n_users, s.grid.horizon, mode)
     u = s.users[user]
-    p_diag = np.zeros(layout.n_vars)
-    q = np.zeros(layout.n_vars)
+    p_diag = np.zeros(layout["peak"].stop)
+    q = np.zeros(layout["peak"].stop)
     offset = 0.0
 
     def quad(name: str, weight: float, target: np.ndarray | float) -> None:
         nonlocal offset
-        cols = layout.span(user, name)
+        cols = layout[name]
         p_diag[cols] += 2.0 * weight
         q[cols] += -2.0 * weight * np.asarray(target, dtype=float)
         offset += weight * float(np.sum(np.asarray(target, dtype=float) ** 2))
@@ -420,11 +391,11 @@ def build_user_objective(s: Scenario, user: int,
     quad("load_curtail", u.w_curtail, u.curtail_pref)
     quad("temp_in", u.w_comfort, u.temp_ref)
     quad("ev_discharge", u.ev.w_degrade, 0.0)
-    q[layout.span(user, "supply_grid")] += s.tariff.price_energy
-    q[layout.span(user, "peak")] += s.tariff.price_peak
-    if mode.has_vertical:
-        q[layout.span(user, "feed_in")] -= s.prices.feed_in
-        q[layout.span(user, "dr_reduce")] -= s.prices.dr * s.grid.dr_mask()
-    if mode.has_horizontal and s.n_users > 1:
-        q[layout.span(user, "export")] -= s.prices.trade
+    q[layout["supply_grid"]] += s.tariff.price_energy
+    q[layout["peak"]] += s.tariff.price_peak
+    if "feed_in" in layout:
+        q[layout["feed_in"]] -= s.prices.feed_in
+        q[layout["dr_reduce"]] -= s.prices.dr * s.grid.dr_mask()
+    if "export" in layout:
+        q[layout["export"]] -= s.prices.trade
     return p_diag, q, offset

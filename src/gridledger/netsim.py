@@ -211,8 +211,6 @@ class Network:
             self.counters["client_delivers"] += 1
         else:
             self.counters["delivers"] += 1
-            self.counters[f"recv:{type(msg).__name__}"] = \
-                self.counters.get(f"recv:{type(msg).__name__}", 0) + 1
         self._record("deliver", src, dst, msg)
         actions = self.handlers[dst](self.states[dst], src, msg, self.now)
         self._apply_actions(dst, actions)

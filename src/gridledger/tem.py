@@ -26,7 +26,6 @@ distributed run's cleared sale of home n to home m is
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 import json
 import math
@@ -69,9 +68,8 @@ __all__ = [
 ]
 
 
-# KKT tolerance of the joint solve and of each home's subproblem
-_JOINT_TOL = 1e-6
-_HOME_TOL = 1e-8
+# KKT tolerance of every solve, the joint one and each home's subproblem
+_KKT_TOL = 1e-8
 
 SCHEMA_OUTCOME = "gridledger.outcome.v3"
 SCHEMA_SCHEDULE = "gridledger.schedule.v2"
@@ -304,16 +302,16 @@ def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
     recomputed from the schedules.
     """
     layout = user_layout(s.n_users, s.grid.horizon, mode)
-    t, nv = s.grid.horizon, layout.n_vars
+    t, size = s.grid.horizon, layout["peak"].stop
+    nv = s.n_users * size
     homes = [home_problem(s, n, mode) for n in range(s.n_users)]
     cons = [h.constraints for h in homes]
-    starts = [n * layout.block_size for n in range(s.n_users)]
+    starts = [n * size for n in range(s.n_users)]
     a_eq = [(cs.a_eq, first) for cs, first in zip(cons, starts)]
     b_eq = [cs.b_eq for cs in cons]
-    if mode.has_horizontal and s.n_users > 1:
-        # each clearing row puts a 1 on its slot in every home's export
-        # span; home 0's block starts at column 0, so its span is local
-        cols = (layout.span(0, "export").start + np.arange(t)[:, None]
+    if "export" in layout:
+        # each clearing row puts a 1 on its slot in every home's export span
+        cols = (layout["export"].start + np.arange(t)[:, None]
                 + np.array(starts)).ravel()
         a_eq.append((sp.csr_array((np.ones(cols.size), cols,
                                    s.n_users * np.arange(t + 1)),
@@ -410,12 +408,11 @@ def _outcome_from_schedules(s: Scenario, mode: Mode, schedules: List[Schedule],
 def solve_centralized(s: Scenario, mode: Mode) -> Outcome:
     """Solve the joint problem; raises SolveFailed unless optimal.
 
-    The returned point is certified to KKT residuals <= 1e-6.  That bound
-    also admits the interior-point point, which plateaus near 1e-8 on joint
-    problems with several hundred variables, should the polish not certify.
+    The returned point is certified to KKT residuals <= 1e-8, the bound of
+    every home's subproblem.
     """
     problem = assemble_problem(s, mode)
-    sol = solve_qp(problem, tol=_JOINT_TOL)
+    sol = solve_qp(problem, tol=_KKT_TOL)
     if sol.status is not QpStatus.OPTIMAL:
         raise SolveFailed(f"joint {mode.value} solve ended with "
                           f"{sol.status.value} (kkt={sol.kkt})", sol.status)
@@ -427,32 +424,25 @@ def solve_centralized(s: Scenario, mode: Mode) -> Outcome:
 # ---------------------------------------------------------------------------
 # per-home subproblem
 
-@functools.lru_cache(maxsize=None)
-def _export_cols(n_users: int, horizon: int) -> slice:
-    """The net-export columns of a one-home TEM problem, which are the same
-    for every home of a neighbourhood of ``n_users`` (more than one)."""
-    return user_layout(n_users, horizon, Mode.TEM, users=[0]).span(0, "export")
-
-
-def assemble_ult(home: QpProblem, centre: np.ndarray,
-                 d: DualState) -> QpProblem:
+def assemble_ult(home: QpProblem, centre: np.ndarray, d: DualState,
+                 layout: Dict[str, slice]) -> QpProblem:
     """A home's subproblem given the latest coordination state ``d``.
 
     ``home`` is the home's own TEM problem (``home_problem``), built once
-    per run, and ``centre`` its row of ``_centres(d)``.  Objective: its net
-    cost plus, for every peer and slot, the penalty rho/2 * (aux - e)^2 -
-    lam * e on its proposed trades, minimized over the split of its net
-    export s.  Up to a constant that leaves rho / (2 (N-1)) * (s - C)^2
-    per slot, with C = ``centre`` the home's summed penalty centre, added
-    to copies of ``home.p`` and ``home.q``.
+    per run, ``layout`` its columns (``user_layout``) and ``centre`` its
+    row of ``_centres(d)``.  Objective: its net cost plus, for every peer
+    and slot, the penalty rho/2 * (aux - e)^2 - lam * e on its proposed
+    trades, minimized over the split of its net export s.  Up to a
+    constant that leaves rho / (2 (N-1)) * (s - C)^2 per slot, with C =
+    ``centre`` the home's summed penalty centre, added to copies of
+    ``home.p`` and ``home.q``.
     The constraint set is ``home``'s own object, so every solve of the run
     reuses its presolve; the clearing rows are replaced by the penalty.
     """
-    n_users, horizon = d.exports.shape
     p_diag, q = home.p.copy(), home.q.copy()
-    if n_users > 1:
-        cols = _export_cols(n_users, horizon)
-        w = d.rho / (n_users - 1)
+    if "export" in layout:
+        cols = layout["export"]
+        w = d.rho / (d.exports.shape[0] - 1)
         p_diag[cols] += w
         q[cols] -= w * centre
     return QpProblem(p=p_diag, q=q, constraints=home.constraints,
@@ -504,8 +494,7 @@ def run_distributed(s: Scenario, params: AdmmParams,
                             params.rho_schedule.rho_at(1))
     history: List[IterationRecord] = []
     warm: Dict[int, QpSolution] = {}
-    layouts = [user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[n])
-               for n in range(s.n_users)]
+    layout = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
     homes = [home_problem(s, n, Mode.TEM) for n in range(s.n_users)]
     converged = False
     iterations = 0
@@ -519,15 +508,15 @@ def run_distributed(s: Scenario, params: AdmmParams,
         # the sweep writes only mirror.exports, which no home reads
         centres = _centres(mirror)
         for n in range(s.n_users):
-            problem = assemble_ult(homes[n], centres[n], mirror)
-            sol = solve_qp(problem, tol=_HOME_TOL, warm_start=warm.get(n))
+            problem = assemble_ult(homes[n], centres[n], mirror, layout)
+            sol = solve_qp(problem, tol=_KKT_TOL, warm_start=warm.get(n))
             if sol.status is not QpStatus.OPTIMAL:
                 raise SolveFailed(
                     f"home {n} subproblem at iteration {k} ended with "
                     f"{sol.status.value}", sol.status)
             warm[n] = sol
-            if s.n_users > 1:
-                export = sol.x[_export_cols(s.n_users, s.grid.horizon)]
+            if "export" in layout:
+                export = sol.x[layout["export"]]
                 if transport is not None:
                     transport.publish(n, k, export)
                 mirror.exports[n] = export
@@ -550,7 +539,7 @@ def run_distributed(s: Scenario, params: AdmmParams,
             break
 
     cleared = s.n_users * mirror.levels - mirror.levels.sum(axis=0)
-    schedules = [replace(schedule_from_x(warm[n].x, layouts[n], n),
+    schedules = [replace(schedule_from_x(warm[n].x, layout, 0),
                          export=cleared[n])
                  for n in range(s.n_users)]
     outcome = _outcome_from_schedules(s, Mode.TEM, schedules, iterations,

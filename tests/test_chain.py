@@ -543,6 +543,29 @@ class TestLookAhead:
         assert handle(st, CLIENT, SubmitTx(second), 0.0) == []
         assert len(st.mempool) == 3
 
+    def test_idle_leader_takes_submissions_in_linear_time(self, monkeypatch):
+        """Deciding whether an idle leader already holds executable work
+        does not sort the mempool: M submissions from distinct senders
+        hash each transaction a bounded number of times and schedule one
+        proposal."""
+        import gridledger.chain.node as node_mod
+        st = self._node(me=1)
+        m = 1000
+        txs = [_tx(sender, 1, VerticalTrade(user=0, feed_in=(0.0, 0.0),
+                                            dr_reduce=(0.0, 0.0)))
+               for sender in range(m)]
+        hashed = []
+
+        def counting(tx):
+            hashed.append(tx)
+            return tx_digest(tx)
+        monkeypatch.setattr(node_mod, "tx_digest", counting)
+        acts = [a for tx in txs for a in handle(st, CLIENT, SubmitTx(tx), 0.0)]
+        assert len(hashed) <= 2 * m
+        assert [a.msg for a in acts if isinstance(a, SetTimer)
+                and isinstance(a.msg, ProposalDue)] == [ProposalDue(1, 0)]
+        assert len(st.mempool) == m
+
 
 class TestContract:
     def test_genesis_balances(self):

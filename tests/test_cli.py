@@ -1,7 +1,10 @@
 """Command-line behaviour: exit codes, schemas, env overrides, outputs."""
 
 import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -338,3 +341,35 @@ def test_negative_blocks_or_seed_is_usage_error(capsys, argv):
     assert code == EXIT_USAGE
     assert "usage error" in err
     assert "Traceback" not in err
+
+
+def _compare_modes_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_modes.py"
+    spec = importlib.util.spec_from_file_location("compare_modes", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+class TestCompareModesScript:
+    ARGV = ["compare_modes.py", "--users", "3", "--horizon", "8"]
+
+    def test_gap_within_bound_passes(self, monkeypatch, capsys):
+        script = _compare_modes_script()
+        monkeypatch.setattr(sys, "argv", self.ARGV)
+        script.main()
+        assert capsys.readouterr().err == ""
+
+    def test_broken_gap_exits_3(self, monkeypatch, capsys):
+        script = _compare_modes_script()
+        real = script.run_distributed
+
+        def off_by_one(*args, **kwargs):
+            out = real(*args, **kwargs)
+            return dataclasses.replace(out, total_cost=out.total_cost + 1.0)
+        monkeypatch.setattr(script, "run_distributed", off_by_one)
+        monkeypatch.setattr(sys, "argv", self.ARGV)
+        with pytest.raises(SystemExit) as info:
+            script.main()
+        assert info.value.code == 3
+        assert "past the relative bound 0.0001" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gridledger.energy_model import (
+    SCHEDULE_SERIES,
     Mode,
     Schedule,
     build_user_constraints,
@@ -180,6 +181,13 @@ class TestCosts:
         assert b >= a - 1e-12
 
 
+def _cols(layout, user, name):
+    """Home ``user``'s ``name`` columns in a joint vector of ``layout``
+    blocks."""
+    base = user * layout["peak"].stop
+    return slice(base + layout[name].start, base + layout[name].stop)
+
+
 class TestLayout:
     def test_mode_channels(self):
         assert Mode.TEM.has_vertical and Mode.TEM.has_horizontal
@@ -190,65 +198,71 @@ class TestLayout:
     def test_block_sizes(self):
         t, n = 8, 3
         # nine per-slot series plus the scalar peak, then per-mode extras
-        assert user_layout(n, t, Mode.BS1).block_size == 9 * t + 1
-        assert user_layout(n, t, Mode.BS2).block_size == 11 * t + 1
+        assert user_layout(n, t, Mode.BS1)["peak"].stop == 9 * t + 1
+        assert user_layout(n, t, Mode.BS2)["peak"].stop == 11 * t + 1
         # trading adds one net-export series, whatever the number of homes
-        assert user_layout(n, t, Mode.BS3).block_size == 10 * t + 1
-        assert user_layout(n, t, Mode.TEM).block_size == 12 * t + 1
-        lay = user_layout(n, t, Mode.TEM)
-        assert lay.n_vars == 3 * (12 * t + 1)
-        sp = lay.span(1, "export")
+        assert user_layout(n, t, Mode.BS3)["peak"].stop == 10 * t + 1
+        assert user_layout(n, t, Mode.TEM)["peak"].stop == 12 * t + 1
+        sp = user_layout(n, t, Mode.TEM)["export"]
         assert sp.stop - sp.start == t
         # a lone home has nobody to trade with
-        assert user_layout(1, t, Mode.TEM).block_size == 11 * t + 1
+        assert user_layout(1, t, Mode.TEM)["peak"].stop == 11 * t + 1
 
     def test_single_user_layout(self):
-        lay = user_layout(3, 4, Mode.TEM, users=[1])
-        assert lay.users == (1,)
-        assert lay.n_vars == lay.block_size
-        assert lay.span(1, "peak").stop == lay.n_vars
+        """A home's own problem is block 0 of the joint layout: its vector
+        reads as home n's block of the joint vector, peak last."""
+        lay = user_layout(3, 4, Mode.TEM)
+        size = lay["peak"].stop
+        assert list(lay)[-1] == "peak" and lay["peak"].start == size - 1
+        joint = np.arange(3 * size, dtype=float)
+        for n in range(3):
+            own = joint[n * size:(n + 1) * size]
+            a, b = schedule_from_x(joint, lay, n), schedule_from_x(own, lay, 0)
+            for name in SCHEDULE_SERIES:
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert a.peak == b.peak == own[-1]
 
     def test_spans_partition_block(self):
         lay = user_layout(2, 4, Mode.TEM)
-        covered = np.zeros(lay.n_vars, dtype=int)
-        for u in lay.users:
-            for name, _, _ in lay.segments:
-                covered[lay.span(u, name)] += 1
+        covered = np.zeros(lay["peak"].stop, dtype=int)
+        for span in lay.values():
+            covered[span] += 1
         assert np.all(covered == 1)
 
     def test_span_covers_horizon(self):
         lay = user_layout(2, 4, Mode.TEM)
-        sp = lay.span(1, "supply_grid")
+        sp = lay["supply_grid"]
         assert sp.stop - sp.start == 4
-        assert lay.span(0, "supply_grid").stop <= sp.start
+        assert lay["load_curtail"].stop <= sp.start
         with pytest.raises(KeyError):
-            lay.span(0, "no-such-segment")
+            lay["no-such-segment"]
 
     def test_schedule_from_x_round_trip(self):
         lay = user_layout(3, 4, Mode.TEM)
-        x = np.arange(lay.n_vars, dtype=float)
+        x = np.arange(3 * lay["peak"].stop, dtype=float)
         exports = np.array([[1.0, -2.0, 0.5, 0.0],
                             [2.0, 1.0, -1.5, 3.0],
                             [-3.0, 1.0, 1.0, -3.0]])    # cleared: columns sum to 0
-        for u in lay.users:
-            x[lay.span(u, "export")] = exports[u]
-        for u in lay.users:
+        for u in range(3):
+            x[_cols(lay, u, "export")] = exports[u]
+        for u in range(3):
             sch = schedule_from_x(x, lay, u)
-            assert np.array_equal(sch.supply_grid, x[lay.span(u, "supply_grid")])
-            assert np.array_equal(sch.feed_in, x[lay.span(u, "feed_in")])
-            assert sch.peak == x[lay.span(u, "peak")][0]
+            assert np.array_equal(sch.supply_grid,
+                                  x[_cols(lay, u, "supply_grid")])
+            assert np.array_equal(sch.feed_in, x[_cols(lay, u, "feed_in")])
+            assert sch.peak == x[_cols(lay, u, "peak")][0]
             assert np.array_equal(sch.export, exports[u])
 
     def test_one_home_layout_reads_its_export(self):
-        lay = user_layout(3, 4, Mode.TEM, users=[1])
-        x = np.arange(lay.n_vars, dtype=float)
-        sch = schedule_from_x(x, lay, 1)
-        assert np.array_equal(sch.export, x[lay.span(1, "export")])
-        assert sch.peak == x[lay.span(1, "peak")][0]
+        lay = user_layout(3, 4, Mode.TEM)
+        x = np.arange(lay["peak"].stop, dtype=float)
+        sch = schedule_from_x(x, lay, 0)
+        assert np.array_equal(sch.export, x[lay["export"]])
+        assert sch.peak == x[lay["peak"]][0]
 
     def test_schedule_from_x_fills_absent_channels(self):
         lay = user_layout(2, 4, Mode.BS1)
-        x = np.arange(lay.n_vars, dtype=float)
+        x = np.arange(2 * lay["peak"].stop, dtype=float)
         sch = schedule_from_x(x, lay, 0)
         assert np.all(sch.feed_in == 0.0)
         assert np.all(sch.dr_reduce == 0.0)
@@ -260,7 +274,7 @@ class TestConstraints:
     def test_shapes(self, scen_2x4, mode):
         s = scen_2x4
         cs = build_user_constraints(s, 0, mode)
-        nv = user_layout(s.n_users, s.grid.horizon, mode, users=[0]).n_vars
+        nv = user_layout(s.n_users, s.grid.horizon, mode)["peak"].stop
         assert cs.n_vars == nv
         assert cs.a_eq.shape == (cs.b_eq.size, nv)
         assert cs.a_in.shape == (cs.b_in.size, nv)
@@ -271,31 +285,31 @@ class TestConstraints:
     def test_bounds_respect_windows(self, scen_2x4):
         s = scen_2x4
         cs = build_user_constraints(s, 1, Mode.TEM)
-        lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[1])
-        assert np.array_equal(cs.hi[lay.span(1, "load_curtail")],
+        lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
+        assert np.array_equal(cs.hi[lay["load_curtail"]],
                               s.users[1].curtail_pref)
-        assert np.all(cs.hi[lay.span(1, "supply_grid")] == s.tariff.line_cap)
+        assert np.all(cs.hi[lay["supply_grid"]] == s.tariff.line_cap)
         ev_mask = s.grid.ev_mask(1)
-        hi_cha = cs.hi[lay.span(1, "ev_charge")]
+        hi_cha = cs.hi[lay["ev_charge"]]
         assert np.all(hi_cha[~ev_mask] == 0.0)
         assert np.all(hi_cha[ev_mask] == s.users[1].ev.charge_max)
-        dr_hi = cs.hi[lay.span(1, "dr_reduce")]
+        dr_hi = cs.hi[lay["dr_reduce"]]
         assert np.all(dr_hi[~s.grid.dr_mask()] == 0.0)
 
     def test_renewable_cap_moves_with_mode(self, scen_2x4):
         s = scen_2x4
-        lay_bs1 = user_layout(s.n_users, s.grid.horizon, Mode.BS1, users=[0])
+        lay_bs1 = user_layout(s.n_users, s.grid.horizon, Mode.BS1)
         cs_bs1 = build_user_constraints(s, 0, Mode.BS1)
         # without a feed-in split the renewable series is capped directly
-        assert np.array_equal(cs_bs1.hi[lay_bs1.span(0, "supply_renewable")],
+        assert np.array_equal(cs_bs1.hi[lay_bs1["supply_renewable"]],
                               s.users[0].renewable_cap)
         # with one, a row per slot caps renewable use plus feed-in instead
-        lay_tem = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[0])
+        lay_tem = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
         cs_tem = build_user_constraints(s, 0, Mode.TEM)
-        assert np.all(cs_tem.hi[lay_tem.span(0, "supply_renewable")] == np.inf)
+        assert np.all(cs_tem.hi[lay_tem["supply_renewable"]] == np.inf)
         a_in = cs_tem.a_in.toarray()
-        split = (a_in[:, lay_tem.span(0, "supply_renewable")] == 1.0) \
-            & (a_in[:, lay_tem.span(0, "feed_in")] == 1.0)
+        split = (a_in[:, lay_tem["supply_renewable"]] == 1.0) \
+            & (a_in[:, lay_tem["feed_in"]] == 1.0)
         rows, slots = np.nonzero(split)
         assert np.array_equal(slots, np.arange(s.grid.horizon))
         assert np.array_equal(cs_tem.b_in[rows], s.users[0].renewable_cap)
@@ -303,18 +317,18 @@ class TestConstraints:
     def test_balance_row_count(self, scen_2x4):
         s = scen_2x4
         cs = build_user_constraints(s, 0, Mode.TEM)
-        lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[0])
+        lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
         t = s.grid.horizon
         # a balance row serves its slot's HVAC load from its grid draw
         a_eq, a_in = cs.a_eq.toarray(), cs.a_in.toarray()
-        balance = (a_eq[:, lay.span(0, "load_hvac")] == 1.0) \
-            & (a_eq[:, lay.span(0, "supply_grid")] == -1.0)
+        balance = (a_eq[:, lay["load_hvac"]] == 1.0) \
+            & (a_eq[:, lay["supply_grid"]] == -1.0)
         rows, slots = np.nonzero(balance)
         assert np.array_equal(slots, np.arange(t))
         assert np.unique(rows).size == t
         # an epigraph row holds its slot's grid draw under the peak column
-        peak = a_in[:, lay.span(0, "peak")] == -1.0
-        epigraph = peak & (a_in[:, lay.span(0, "supply_grid")] == 1.0)
+        peak = a_in[:, lay["peak"]] == -1.0
+        epigraph = peak & (a_in[:, lay["supply_grid"]] == 1.0)
         rows, slots = np.nonzero(epigraph)
         assert np.array_equal(slots, np.arange(t))
         assert np.unique(rows).size == t
@@ -343,24 +357,24 @@ class TestConstraints:
                                      dr_window=(), ev_windows=((arrive, t),)),
             users=(u,), tariff=GridTariff(0.2, 0.8, 20.0),
             prices=TransactivePrices(feed_in=z, dr=z, trade=z), rng_seed=0)
-        lay = user_layout(1, t, mode, users=[0])
+        lay = user_layout(1, t, mode)
         window = s.grid.ev_slice(0)
-        x = np.zeros(lay.n_vars)
+        x = np.zeros(lay["peak"].stop)
         hvac, cha, dis = (data.draw(series) for _ in range(3))
-        x[lay.span(0, "load_hvac")] = hvac
-        x[lay.span(0, "temp_in")] = hvac_trajectory(
+        x[lay["load_hvac"]] = hvac
+        x[lay["temp_in"]] = hvac_trajectory(
             hvac, u.temp_out, u.temp_init, u.hvac_alpha, u.hvac_beta)
         # slots outside the window hold junk, which no window row may read
         energy = data.draw(series)
         energy[window] = ev_trajectory(cha[window], dis[window], ev.charge_init,
                                        ev.eff_charge, ev.eff_discharge)
-        x[lay.span(0, "ev_energy")] = energy
-        x[lay.span(0, "ev_charge")][window] = cha[window]
-        x[lay.span(0, "ev_discharge")][window] = dis[window]
+        x[lay["ev_energy"]] = energy
+        x[lay["ev_charge"]][window] = cha[window]
+        x[lay["ev_discharge"]][window] = dis[window]
 
         cs = build_user_constraints(s, 0, mode)
         a_eq = cs.a_eq.toarray()
-        touches = {name: np.any(a_eq[:, lay.span(0, name)] != 0.0, axis=1)
+        touches = {name: np.any(a_eq[:, lay[name]] != 0.0, axis=1)
                    for name in ("temp_in", "ev_energy", "ev_charge")}
         thermal = touches["temp_in"]
         battery = touches["ev_energy"] & touches["ev_charge"]
@@ -373,13 +387,13 @@ class TestConstraints:
         """Algebraic objective equals the schedule-level cost arithmetic."""
         s = scen_2x4
         mode = Mode.TEM
-        lay = user_layout(s.n_users, s.grid.horizon, mode, users=[0])
+        lay = user_layout(s.n_users, s.grid.horizon, mode)
         p_diag, q, offset = build_user_objective(s, 0, mode)
         rng = np.random.default_rng(5)
-        x = rng.uniform(0.0, 3.0, size=lay.n_vars)
-        sp = lay.span(0, "supply_grid")
-        x[lay.span(0, "peak")] = np.max(x[sp])    # epigraph tight at this point
-        dr = x[lay.span(0, "dr_reduce")]
+        x = rng.uniform(0.0, 3.0, size=lay["peak"].stop)
+        sp = lay["supply_grid"]
+        x[lay["peak"]] = np.max(x[sp])    # epigraph tight at this point
+        dr = x[lay["dr_reduce"]]
         dr[~s.grid.dr_mask()] = 0.0               # reward identity needs the window
         value = 0.5 * float(x @ (p_diag * x)) + float(q @ x) + offset
         sch = schedule_from_x(x, lay, 0)

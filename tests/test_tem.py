@@ -367,14 +367,15 @@ class TestUltAssembly:
         # pairs: aux[0][1] = 0.75 + 0.75 = 1.5, lam[0][1] = 0.25
         d.levels[0], d.levels[1] = 0.75, -0.75
         d.shares[:] = 0.125
-        prob = assemble_ult(home_problem(s, 0, Mode.TEM), _centre(d, 0), d)
+        lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
+        prob = assemble_ult(home_problem(s, 0, Mode.TEM), _centre(d, 0), d,
+                            lay)
         base_p, base_q, _ = build_user_objective(s, 0, Mode.TEM)
-        lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM, users=[0])
-        sp = lay.span(0, "export")
+        sp = lay["export"]
         # one peer: curvature rho / (N - 1), centre aux + lam / rho
         assert np.allclose(prob.p[sp], base_p[sp] + 2.0)
         assert np.allclose(prob.q[sp], base_q[sp] - 2.0 * (1.5 + 0.25 / 2.0))
-        outside = np.ones(lay.n_vars, dtype=bool)
+        outside = np.ones(lay["peak"].stop, dtype=bool)
         outside[sp] = False
         assert np.allclose(prob.p[outside], base_p[outside])
         assert np.allclose(prob.q[outside], base_q[outside])
@@ -387,11 +388,11 @@ class TestUltAssembly:
         rng = np.random.default_rng(3)
         d = _random_state(rng, s.n_users, s.grid.horizon, 0.7)
         home = home_problem(s, 1, Mode.TEM)
-        prob = assemble_ult(home, _centre(d, 1), d)
+        lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
+        prob = assemble_ult(home, _centre(d, 1), d, lay)
         _, aux, lam = _pairs(d)
         centre = (aux[1] + lam[1] / d.rho).sum(axis=0)
-        sp = user_layout(s.n_users, s.grid.horizon, Mode.TEM,
-                         users=[1]).span(1, "export")
+        sp = lay["export"]
         w = d.rho / (s.n_users - 1)
         assert np.allclose(prob.p[sp], home.p[sp] + w, rtol=0, atol=1e-12)
         assert np.allclose(prob.q[sp], home.q[sp] - w * centre, rtol=0,
@@ -409,7 +410,8 @@ class TestUltAssembly:
     def test_home_columns_independent_of_peers(self, n_users):
         s = generate_synthetic(seed=2, n_users=n_users, horizon=4)
         d = new_dual_state(n_users, 4, 1.0)
-        prob = assemble_ult(home_problem(s, 0, Mode.TEM), _centre(d, 0), d)
+        prob = assemble_ult(home_problem(s, 0, Mode.TEM), _centre(d, 0), d,
+                            user_layout(n_users, 4, Mode.TEM))
         assert prob.q.size == 12 * 4 + 1
 
     def test_penalty_leaves_home_problem_alone(self, scen_2x4):
@@ -419,7 +421,8 @@ class TestUltAssembly:
         p0, q0 = home.p.copy(), home.q.copy()
         d = new_dual_state(2, scen_2x4.grid.horizon, 3.0)
         d.levels[1] = 0.5
-        prob = assemble_ult(home, _centre(d, 1), d)
+        prob = assemble_ult(home, _centre(d, 1), d,
+                            user_layout(2, scen_2x4.grid.horizon, Mode.TEM))
         assert prob.constraints is home.constraints
         assert not np.array_equal(prob.q, q0)
         assert np.array_equal(home.p, p0) and np.array_equal(home.q, q0)
@@ -432,7 +435,8 @@ class TestUltAssembly:
         ``MaxIter`` at tol 1e-8 at one and two BLAS threads."""
         s = generate_synthetic(5, 5, 24)
         d = new_dual_state(5, 24, 1.0)
-        prob = assemble_ult(home_problem(s, 1, Mode.TEM), _centre(d, 1), d)
+        prob = assemble_ult(home_problem(s, 1, Mode.TEM), _centre(d, 1), d,
+                            user_layout(5, 24, Mode.TEM))
         sol = solve_qp(prob, tol=1e-8)
         assert sol.status is QpStatus.OPTIMAL
         assert sol.polish is Polish.POLISHED
@@ -456,7 +460,7 @@ class TestCentralized:
         c = prob.constraints
         a_eq, a_in = c.a_eq.toarray(), c.a_in.toarray()
         lay = user_layout(s.n_users, s.grid.horizon, mode)
-        t = s.grid.horizon
+        t, size = s.grid.horizon, lay["peak"].stop
         eq_home = np.zeros(a_eq.shape, dtype=bool)
         in_home = np.zeros(a_in.shape, dtype=bool)
         r_eq = r_in = 0
@@ -465,7 +469,7 @@ class TestCentralized:
             cs = build_user_constraints(s, n, mode)
             home_nnz += cs.a_eq.nnz
             p_diag, q, _ = build_user_objective(s, n, mode)
-            cols = slice(n * lay.block_size, (n + 1) * lay.block_size)
+            cols = slice(n * size, (n + 1) * size)
             rows_eq = slice(r_eq, r_eq + cs.b_eq.size)
             rows_in = slice(r_in, r_in + cs.b_in.size)
             assert np.array_equal(a_eq[rows_eq, cols], cs.a_eq.toarray())
@@ -493,10 +497,10 @@ class TestCentralized:
             return
         assert clearing.shape[0] == t
         assert np.all(rhs == 0.0)
-        want = np.zeros((t, lay.n_vars))
+        want = np.zeros((t, s.n_users * size))
         for n in range(s.n_users):
             for tt in range(t):
-                want[tt, lay.span(n, "export").start + tt] = 1.0
+                want[tt, n * size + lay["export"].start + tt] = 1.0
         assert np.array_equal(clearing, want)
 
     def test_joint_rows_stay_sparse_at_scale(self):
@@ -535,20 +539,33 @@ class TestCentralized:
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
         assert "trades" not in out.to_json_dict()
         for n, sch in enumerate(out.schedules):
-            assert np.array_equal(sch.export, sol.x[lay.span(n, "export")])
+            base = n * lay["peak"].stop
+            assert np.array_equal(sch.export, sol.x[base + lay["export"].start:
+                                                    base + lay["export"].stop])
 
     def test_trade_rewards_see_the_clearing(self, scen_2x4):
         # home 0 sells one unit per slot and no home buys it: the rewards
         # price each home's own export, so they do not cancel
         s = scen_2x4
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
-        x = np.zeros(lay.n_vars)
-        x[lay.span(0, "export")] = 1.0
+        x = np.zeros(s.n_users * lay["peak"].stop)
+        x[lay["export"]] = 1.0    # home 0's block starts at column 0
         total = sum(reward_terms(schedule_from_x(x, lay, n), s.prices)
                     .trade_reward for n in range(s.n_users))
         assert float(np.sum(s.prices.trade)) > 0.0
         assert total == pytest.approx(float(np.sum(s.prices.trade)),
                                       abs=1e-12)
+
+    def test_joint_solve_certifies_at_the_home_tolerance(self, scen_2x4,
+                                                         monkeypatch):
+        tols = []
+
+        def recording(problem, **kwargs):
+            tols.append(kwargs["tol"])
+            return solve_qp(problem, **kwargs)
+        monkeypatch.setattr(tem, "solve_qp", recording)
+        solve_centralized(scen_2x4, Mode.TEM)
+        assert tols == [1e-8]
 
     def test_infeasible_raises(self, scen_2x4):
         tariff = dataclasses.replace(scen_2x4.tariff, line_cap=0.001)
@@ -613,6 +630,17 @@ class TestDistributed:
         out = run_distributed(scen_3x8, AdmmParams(eps=1e-12, max_iter=4))
         assert out.iterations == 4
         assert calls == {"constraints": 3, "objective": 3}
+
+    def test_one_layout_per_run(self, scen_3x8, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return user_layout(*args)
+        monkeypatch.setattr(tem, "user_layout", counted)
+        out = run_distributed(scen_3x8, AdmmParams(eps=1e-12, max_iter=4))
+        assert out.iterations == 4
+        assert calls == [(3, scen_3x8.grid.horizon, Mode.TEM)]
 
     def test_one_home_converges_at_once(self):
         s = generate_synthetic(seed=3, n_users=1, horizon=4)
