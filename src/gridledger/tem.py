@@ -12,9 +12,9 @@ its multipliers a[n] + a[m].  So the state is three (N, T) arrays, the
 pending net exports, u and a, and ``sct_step`` updates them in O(N T)
 (the exchange form of Boyd et al., Distributed Optimization and
 Statistical Learning via ADMM, 2011, section 7.3).  A home publishes
-only its net export per slot.  All homes solve against the same snapshot
-in every sweep, so one iteration is a Jacobi round followed by one
-coordination step.
+only its net export per slot.  All homes solve against the same snapshot,
+and no term couples two of them, so one iteration is one block-diagonal
+QP, whose minimum is each home's own, followed by one coordination step.
 
 An outcome is written here, as JSON (``Outcome.write_json``) and as a
 per-slot schedule CSV (``Outcome.write_csv``).  Each home's schedule holds
@@ -40,8 +40,7 @@ from .energy_model import (SCHEDULE_SERIES, CostBreakdown, Mode, Schedule,
                            build_user_constraints, build_user_objective,
                            combine_costs, home_cost_terms, reward_terms,
                            schedule_from_x, user_layout)
-from .qp import (LinearConstraintSet, QpProblem, QpSolution, QpStatus,
-                 solve_qp)
+from .qp import LinearConstraintSet, QpProblem, QpStatus, solve_qp
 from .scenario import Scenario
 
 __all__ = [
@@ -272,62 +271,59 @@ def home_problem(s: Scenario, user: int, mode: Mode) -> QpProblem:
     coupling to the other homes."""
     p_diag, q, _ = build_user_objective(s, user, mode)
     return QpProblem(p=p_diag, q=q,
-                     constraints=build_user_constraints(s, user, mode),
-                     layout_tag=f"{mode.value}:user={user}:N={s.n_users}:"
-                                f"T={s.grid.horizon}")
+                     constraints=build_user_constraints(s, user, mode))
 
 
-def _stack_rows(parts: List[Tuple[sp.csr_array, int]],
-                n_vars: int) -> sp.csr_array:
-    """The rows of ``parts``, (rows, first column) pairs, one under the
-    other in one CSR array ``n_vars`` wide: their arrays end to end, each
-    one's columns shifted by its first column and its row pointers by the
-    entries before it."""
-    offsets = np.cumsum([0] + [m.nnz for m, _ in parts])
-    return sp.csr_array((
-        np.concatenate([m.data for m, _ in parts]),
-        np.concatenate([m.indices + first for m, first in parts]),
-        np.concatenate([[0]] + [m.indptr[1:] + k
-                                for (m, _), k in zip(parts, offsets)])),
-        shape=(sum(m.shape[0] for m, _ in parts), n_vars))
-
-
-def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
-    """Joint QP over all homes: the block-diagonal stack of the home QPs.
-
-    Home n's ``home_problem`` fills the n-th diagonal block; no row couples
-    two homes except, in trading modes with more than one home, one
-    clearing row per slot appended after the equality blocks, which makes
-    the net exports of all homes sum to zero.  Reported costs are
-    recomputed from the schedules.
-    """
-    layout = user_layout(s.n_users, s.grid.horizon, mode)
+def _stack_homes(s: Scenario, mode: Mode, layout: Dict[str, slice],
+                 clearing: bool) -> Tuple[List[QpProblem], QpProblem]:
+    """The homes' own QPs (``home_problem``) and their block-diagonal
+    stack: each row matrix is its parts' CSR arrays end to end, home n's
+    columns shifted by n times the block size and row pointers by the
+    entries before it.  ``clearing`` appends, where the homes trade, one
+    equality row per slot making their net exports sum to zero."""
     t, size = s.grid.horizon, layout["peak"].stop
     nv = s.n_users * size
     homes = [home_problem(s, n, mode) for n in range(s.n_users)]
     cons = [h.constraints for h in homes]
-    starts = [n * size for n in range(s.n_users)]
-    a_eq = [(cs.a_eq, first) for cs, first in zip(cons, starts)]
-    b_eq = [cs.b_eq for cs in cons]
-    if "export" in layout:
+    a_eq = [(c.a_eq, n * size) for n, c in enumerate(cons)]
+    b_eq = [c.b_eq for c in cons]
+    if clearing and "export" in layout:
         # each clearing row puts a 1 on its slot in every home's export span
         cols = (layout["export"].start + np.arange(t)[:, None]
-                + np.array(starts)).ravel()
+                + size * np.arange(s.n_users)).ravel()
         a_eq.append((sp.csr_array((np.ones(cols.size), cols,
                                    s.n_users * np.arange(t + 1)),
                                   shape=(t, nv)), 0))
         b_eq.append(np.zeros(t))
+
+    def stack(parts: List[Tuple[sp.csr_array, int]]) -> sp.csr_array:
+        offsets = np.cumsum([0] + [m.nnz for m, _ in parts])
+        return sp.csr_array((
+            np.concatenate([m.data for m, _ in parts]),
+            np.concatenate([m.indices + first for m, first in parts]),
+            np.concatenate([[0]] + [m.indptr[1:] + k
+                                    for (m, _), k in zip(parts, offsets)])),
+            shape=(sum(m.shape[0] for m, _ in parts), nv))
+
     constraints = LinearConstraintSet(
-        n_vars=nv, a_eq=_stack_rows(a_eq, nv), b_eq=np.concatenate(b_eq),
-        a_in=_stack_rows([(cs.a_in, first)
-                          for cs, first in zip(cons, starts)], nv),
-        b_in=np.concatenate([cs.b_in for cs in cons]),
-        lo=np.concatenate([cs.lo for cs in cons]),
-        hi=np.concatenate([cs.hi for cs in cons]))
-    return QpProblem(p=np.concatenate([h.p for h in homes]),
-                     q=np.concatenate([h.q for h in homes]),
-                     constraints=constraints,
-                     layout_tag=f"{mode.value}:joint:N={s.n_users}:T={t}")
+        n_vars=nv, a_eq=stack(a_eq), b_eq=np.concatenate(b_eq),
+        a_in=stack([(c.a_in, n * size) for n, c in enumerate(cons)]),
+        b_in=np.concatenate([c.b_in for c in cons]),
+        lo=np.concatenate([c.lo for c in cons]),
+        hi=np.concatenate([c.hi for c in cons]))
+    return homes, QpProblem(
+        p=np.concatenate([h.p for h in homes]),
+        q=np.concatenate([h.q for h in homes]), constraints=constraints,
+        layout_tag=f"{mode.value}:{'joint' if clearing else 'sweep'}:"
+                   f"N={s.n_users}:T={t}")
+
+
+def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
+    """Joint QP over all homes: the homes' block-diagonal stack with the
+    clearing rows in trading modes with more than one home
+    (``_stack_homes``).  Reported costs are recomputed from the schedules."""
+    layout = user_layout(s.n_users, s.grid.horizon, mode)
+    return _stack_homes(s, mode, layout, clearing=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -422,31 +418,45 @@ def solve_centralized(s: Scenario, mode: Mode) -> Outcome:
 
 
 # ---------------------------------------------------------------------------
-# per-home subproblem
+# sweep subproblem
 
-def assemble_ult(home: QpProblem, centre: np.ndarray, d: DualState,
+def assemble_ult(sweep: QpProblem, d: DualState,
                  layout: Dict[str, slice]) -> QpProblem:
-    """A home's subproblem given the latest coordination state ``d``.
+    """A sweep's subproblem given the latest coordination state ``d``.
 
-    ``home`` is the home's own TEM problem (``home_problem``), built once
-    per run, ``layout`` its columns (``user_layout``) and ``centre`` its
-    row of ``_centres(d)``.  Objective: its net cost plus, for every peer
-    and slot, the penalty rho/2 * (aux - e)^2 - lam * e on its proposed
-    trades, minimized over the split of its net export s.  Up to a
-    constant that leaves rho / (2 (N-1)) * (s - C)^2 per slot, with C =
-    ``centre`` the home's summed penalty centre, added to copies of
-    ``home.p`` and ``home.q``.
-    The constraint set is ``home``'s own object, so every solve of the run
-    reuses its presolve; the clearing rows are replaced by the penalty.
+    ``sweep`` is the homes' stack without clearing rows (``_stack_homes``)
+    and ``layout`` one home's columns.  Home n pays, per peer and slot,
+    rho/2 * (aux - e)^2 - lam * e on its proposed trades e; at the best
+    split of its net export s that is, up to a constant, rho / (2 (N-1))
+    * (s - C[n])^2 per slot, C = ``_centres(d)``.  It is added to copies
+    of ``sweep.p`` and ``sweep.q``, for all homes at once.  The constraint
+    set is ``sweep``'s own object, so every solve reuses its presolve.
     """
-    p_diag, q = home.p.copy(), home.q.copy()
+    p_diag, q = sweep.p.copy(), sweep.q.copy()
     if "export" in layout:
-        cols = layout["export"]
-        w = d.rho / (d.exports.shape[0] - 1)
-        p_diag[cols] += w
-        q[cols] -= w * centre
-    return QpProblem(p=p_diag, q=q, constraints=home.constraints,
-                     layout_tag=home.layout_tag)
+        n = d.exports.shape[0]
+        w = d.rho / (n - 1)
+        p_diag.reshape(n, -1)[:, layout["export"]] += w
+        q.reshape(n, -1)[:, layout["export"]] -= w * _centres(d)
+    return QpProblem(p=p_diag, q=q, constraints=sweep.constraints,
+                     layout_tag=sweep.layout_tag)
+
+
+def _failed_home(sweep: QpProblem, homes: List[QpProblem], k: int,
+                 status: QpStatus) -> SolveFailed:
+    """A sweep at iteration ``k`` that did not certify names the first home
+    whose block, solved alone, does not certify."""
+    size = sweep.q.size // len(homes)
+    for n, home in enumerate(homes):
+        cols = slice(n * size, (n + 1) * size)
+        own = solve_qp(replace(home, p=sweep.p[cols], q=sweep.q[cols]),
+                       tol=_KKT_TOL)
+        if own.status is not QpStatus.OPTIMAL:
+            return SolveFailed(f"home {n} subproblem at iteration {k} ended "
+                               f"with {own.status.value} (kkt={own.kkt})",
+                               own.status)
+    return SolveFailed(f"sweep at iteration {k} ended with {status.value}, "
+                       f"though each home alone certifies", status)
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +483,18 @@ class Transport(Protocol):
 
 def run_distributed(s: Scenario, params: AdmmParams,
                     transport: Optional[Transport] = None) -> Outcome:
-    """Jacobi sweeps of per-home solves plus coordination steps.
+    """Jacobi sweeps of the homes' subproblems plus coordination steps.
 
-    Each home's rows, bounds and own cost are built once per run
-    (``home_problem``); every sweep computes the snapshot's penalty
-    centres once, adds only the export penalty (``assemble_ult``), solves
-    all homes against that snapshot and runs the coordination step on the
-    local state (the mirror), whose pending exports are the homes' net
-    exports.  With a ``transport``, each export is also published through
-    it and its coordination step must reproduce the mirror's: a differing
-    digest raises ``RuntimeError``.  Without one, the mirror is the only
-    state and is recorded as its own transport digest.  A single home has
-    no peers and publishes nothing.  Each schedule's export is its home's
+    Each home's rows, bounds and own cost are built (``home_problem``) and
+    stacked once per run; every sweep adds the snapshot's export penalty
+    (``assemble_ult``), solves all homes in one ``solve_qp`` warm-started
+    from the previous sweep, and runs the coordination step on the local
+    state (the mirror), whose pending exports are the homes' net exports.
+    With a ``transport``, each export is also published through it and
+    its coordination step must reproduce the mirror's: a differing digest
+    raises ``RuntimeError``.  Without one, the mirror is the only state
+    and is recorded as its own transport digest.  A single home has no
+    peers and publishes nothing.  Each schedule's export is its home's
     cleared sales summed over peers, N u[n] - sum(u), so the exports clear
     to rounding.
     """
@@ -493,11 +503,10 @@ def run_distributed(s: Scenario, params: AdmmParams,
     mirror = new_dual_state(s.n_users, s.grid.horizon,
                             params.rho_schedule.rho_at(1))
     history: List[IterationRecord] = []
-    warm: Dict[int, QpSolution] = {}
     layout = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
-    homes = [home_problem(s, n, Mode.TEM) for n in range(s.n_users)]
-    converged = False
-    iterations = 0
+    export = layout.get("export")
+    homes, sweep = _stack_homes(s, Mode.TEM, layout, clearing=False)
+    sol = None
 
     for k in range(1, params.max_iter + 1):
         if transport is not None:
@@ -505,21 +514,15 @@ def run_distributed(s: Scenario, params: AdmmParams,
             if snap.iteration != mirror.iteration or snap.rho != mirror.rho:
                 raise RuntimeError(f"transport state diverged from the "
                                    f"local mirror before iteration {k}")
-        # the sweep writes only mirror.exports, which no home reads
-        centres = _centres(mirror)
-        for n in range(s.n_users):
-            problem = assemble_ult(homes[n], centres[n], mirror, layout)
-            sol = solve_qp(problem, tol=_KKT_TOL, warm_start=warm.get(n))
-            if sol.status is not QpStatus.OPTIMAL:
-                raise SolveFailed(
-                    f"home {n} subproblem at iteration {k} ended with "
-                    f"{sol.status.value}", sol.status)
-            warm[n] = sol
-            if "export" in layout:
-                export = sol.x[layout["export"]]
-                if transport is not None:
-                    transport.publish(n, k, export)
-                mirror.exports[n] = export
+        problem = assemble_ult(sweep, mirror, layout)
+        sol = solve_qp(problem, tol=_KKT_TOL, warm_start=sol)
+        if sol.status is not QpStatus.OPTIMAL:
+            raise _failed_home(problem, homes, k, sol.status)
+        if export is not None:
+            mirror.exports[:] = sol.x.reshape(s.n_users, -1)[:, export]
+            if transport is not None:
+                for n in range(s.n_users):
+                    transport.publish(n, k, mirror.exports[n])
         prev = mirror
         mirror = advance_iteration(sct_step(mirror), params.rho_schedule)
         dl = dr = dual_state_digest(mirror)
@@ -533,17 +536,14 @@ def run_distributed(s: Scenario, params: AdmmParams,
         history.append(IterationRecord(
             iteration=k, rho=prev.rho, primal_residual=primal,
             dual_residual=dual, digest_local=dl, digest_transport=dr))
-        iterations = k
         if params.converged(primal, dual):
-            converged = True
             break
 
     cleared = s.n_users * mirror.levels - mirror.levels.sum(axis=0)
-    schedules = [replace(schedule_from_x(warm[n].x, layout, 0),
-                         export=cleared[n])
+    schedules = [replace(schedule_from_x(sol.x, layout, n), export=cleared[n])
                  for n in range(s.n_users)]
-    outcome = _outcome_from_schedules(s, Mode.TEM, schedules, iterations,
-                                      converged, history)
+    outcome = _outcome_from_schedules(s, Mode.TEM, schedules, len(history),
+                                      params.converged(primal, dual), history)
     if transport is not None:
         transport.settle(s, outcome)
     return outcome

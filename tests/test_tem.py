@@ -29,7 +29,6 @@ from gridledger.tem import (
     assemble_problem,
     assemble_ult,
     dual_state_digest,
-    home_problem,
     new_dual_state,
     residuals,
     run_distributed,
@@ -355,9 +354,24 @@ class TestMirror:
                             _ReplayTransport(at=2))
 
 
-def _centre(d, user):
-    """Home ``user``'s row of the sweep's penalty centres."""
-    return tem._centres(d)[user]
+def _sweep(s):
+    """The homes' own TEM problems and their stack without clearing rows,
+    as ``run_distributed`` builds them."""
+    return tem._stack_homes(s, Mode.TEM,
+                            user_layout(s.n_users, s.grid.horizon, Mode.TEM),
+                            clearing=False)
+
+
+def _block(prob, homes, user):
+    """Home ``user``'s own problem with its block of the sweep's penalised
+    objective."""
+    size = prob.q.size // len(homes)
+    cols = slice(user * size, (user + 1) * size)
+    return dataclasses.replace(homes[user], p=prob.p[cols], q=prob.q[cols])
+
+
+def _exports(sol, lay, n_users):
+    return sol.x.reshape(n_users, -1)[:, lay["export"]]
 
 
 class TestUltAssembly:
@@ -368,8 +382,8 @@ class TestUltAssembly:
         d.levels[0], d.levels[1] = 0.75, -0.75
         d.shares[:] = 0.125
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
-        prob = assemble_ult(home_problem(s, 0, Mode.TEM), _centre(d, 0), d,
-                            lay)
+        homes, sweep = _sweep(s)
+        prob = _block(assemble_ult(sweep, d, lay), homes, 0)
         base_p, base_q, _ = build_user_objective(s, 0, Mode.TEM)
         sp = lay["export"]
         # one peer: curvature rho / (N - 1), centre aux + lam / rho
@@ -387,9 +401,10 @@ class TestUltAssembly:
         s = scen_3x8
         rng = np.random.default_rng(3)
         d = _random_state(rng, s.n_users, s.grid.horizon, 0.7)
-        home = home_problem(s, 1, Mode.TEM)
+        homes, sweep = _sweep(s)
+        home = homes[1]
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
-        prob = assemble_ult(home, _centre(d, 1), d, lay)
+        prob = _block(assemble_ult(sweep, d, lay), homes, 1)
         _, aux, lam = _pairs(d)
         centre = (aux[1] + lam[1] / d.rho).sum(axis=0)
         sp = lay["export"]
@@ -410,37 +425,133 @@ class TestUltAssembly:
     def test_home_columns_independent_of_peers(self, n_users):
         s = generate_synthetic(seed=2, n_users=n_users, horizon=4)
         d = new_dual_state(n_users, 4, 1.0)
-        prob = assemble_ult(home_problem(s, 0, Mode.TEM), _centre(d, 0), d,
-                            user_layout(n_users, 4, Mode.TEM))
-        assert prob.q.size == 12 * 4 + 1
+        homes, sweep = _sweep(s)
+        prob = assemble_ult(sweep, d, user_layout(n_users, 4, Mode.TEM))
+        assert _block(prob, homes, 0).q.size == 12 * 4 + 1
+        assert prob.q.size == n_users * (12 * 4 + 1)
 
     def test_penalty_leaves_home_problem_alone(self, scen_2x4):
         """Each iteration copies p and q and shares the constraint-set
         object, which is what lets a warm start reuse its presolve."""
-        home = home_problem(scen_2x4, 1, Mode.TEM)
-        p0, q0 = home.p.copy(), home.q.copy()
+        homes, sweep = _sweep(scen_2x4)
+        home = homes[1]
+        p0, q0 = sweep.p.copy(), sweep.q.copy()
+        hp0, hq0 = home.p.copy(), home.q.copy()
         d = new_dual_state(2, scen_2x4.grid.horizon, 3.0)
         d.levels[1] = 0.5
-        prob = assemble_ult(home, _centre(d, 1), d,
+        prob = assemble_ult(sweep, d,
                             user_layout(2, scen_2x4.grid.horizon, Mode.TEM))
-        assert prob.constraints is home.constraints
-        assert not np.array_equal(prob.q, q0)
-        assert np.array_equal(home.p, p0) and np.array_equal(home.q, q0)
+        assert prob.constraints is sweep.constraints
+        assert not np.array_equal(_block(prob, homes, 1).q, hq0)
+        assert np.array_equal(sweep.p, p0) and np.array_equal(sweep.q, q0)
+        assert np.array_equal(home.p, hp0) and np.array_equal(home.q, hq0)
 
     def test_home_subproblem_polishes_after_repair(self):
-        """Home 1 at iteration 1 of seed 5 (N=5, T=24): the interior-point
-        point has a complementarity residual of 2.5e-8, and the first
-        active-set guess leaves a row violated by 4.2e-4.  The repaired
-        polish certifies, where the interior-point point alone ended
-        ``MaxIter`` at tol 1e-8 at one and two BLAS threads."""
+        """Home 1 at iteration 1 of seed 5 (N=5, T=24), solved alone on its
+        block of the sweep: the interior-point point has a complementarity
+        residual of 2.5e-8, and the first active-set guess leaves a row
+        violated by 4.2e-4.  The repaired polish certifies, where the
+        interior-point point alone ended ``MaxIter`` at tol 1e-8 at one
+        and two BLAS threads."""
         s = generate_synthetic(5, 5, 24)
         d = new_dual_state(5, 24, 1.0)
-        prob = assemble_ult(home_problem(s, 1, Mode.TEM), _centre(d, 1), d,
-                            user_layout(5, 24, Mode.TEM))
+        homes, sweep = _sweep(s)
+        prob = _block(assemble_ult(sweep, d, user_layout(5, 24, Mode.TEM)),
+                      homes, 1)
         sol = solve_qp(prob, tol=1e-8)
         assert sol.status is QpStatus.OPTIMAL
         assert sol.polish is Polish.POLISHED
         assert sol.kkt.worst() <= 1e-12, sol.kkt
+
+
+class TestSweep:
+    """A sweep solves all homes' subproblems as one block-diagonal QP; in
+    the paper each home solves alone, so the sweep must give each home's
+    own answer."""
+
+    def test_sweep_is_each_homes_own_solve(self):
+        """On a cold sweep from a random state, and along the first sweeps
+        of a run, which are warm from the second on, every home's export
+        equals its block solved alone."""
+        s = generate_synthetic(seed=1, n_users=5, horizon=24)
+        lay = user_layout(5, 24, Mode.TEM)
+        homes, sweep = _sweep(s)
+
+        def check(d, warm):
+            prob = assemble_ult(sweep, d, lay)
+            sol = solve_qp(prob, tol=tem._KKT_TOL, warm_start=warm)
+            assert sol.status is QpStatus.OPTIMAL
+            own = np.array([solve_qp(_block(prob, homes, n),
+                                     tol=tem._KKT_TOL).x[lay["export"]]
+                            for n in range(5)])
+            got = _exports(sol, lay, 5)
+            assert np.max(np.abs(got - own)) <= 1e-12 * np.max(np.abs(own))
+            return sol
+
+        check(_random_state(np.random.default_rng(0), 5, 24, 1.0), None)
+        d, sol = new_dual_state(5, 24, 1.0), None
+        for _ in range(3):
+            sol = check(d, sol)
+            d = advance_iteration(sct_step(dataclasses.replace(
+                d, exports=_exports(sol, lay, 5).copy())),
+                RhoSchedule.fixed(1.0))
+        assert sol.polish is Polish.WARM
+
+    def test_one_homes_data_moves_only_its_export(self):
+        """Raising home 2's inflexible load changes its own export and
+        leaves every other home's export of the sweep unchanged."""
+        s = generate_synthetic(seed=1, n_users=5, horizon=24)
+        u = s.users[2]
+        moved = dataclasses.replace(s, users=(
+            *s.users[:2], dataclasses.replace(u, inflexible=u.inflexible + 0.5),
+            *s.users[3:]))
+        lay = user_layout(5, 24, Mode.TEM)
+        d = _random_state(np.random.default_rng(1), 5, 24, 1.0)
+        base, other = (_exports(solve_qp(assemble_ult(_sweep(sc)[1], d, lay),
+                                         tol=tem._KKT_TOL), lay, 5)
+                       for sc in (s, moved))
+        rest = [0, 1, 3, 4]
+        assert np.max(np.abs(other[rest] - base[rest])) \
+            <= 1e-12 * np.max(np.abs(base[rest]))
+        assert np.max(np.abs(other[2] - base[2])) > 1e-3
+
+    def test_failed_sweep_names_its_home(self, monkeypatch):
+        """Home 2 alone has an empty bound interval: the sweep fails, and
+        the error names home 2, the iteration and home 2's own status."""
+        real = tem.home_problem
+
+        def broken(s, user, mode):
+            home = real(s, user, mode)
+            if user != 2:
+                return home
+            c = home.constraints
+            j = int(np.flatnonzero(np.isfinite(c.hi))[0])
+            lo = c.lo.copy()
+            lo[j] = c.hi[j] + 1.0
+            return dataclasses.replace(
+                home, constraints=dataclasses.replace(c, lo=lo))
+        monkeypatch.setattr(tem, "home_problem", broken)
+        s = generate_synthetic(seed=2, n_users=4, horizon=8)
+        with pytest.raises(SolveFailed, match=r"^home 2 subproblem at "
+                           r"iteration 1 ended with Infeasible") as err:
+            run_distributed(s, AdmmParams(max_iter=3))
+        assert err.value.status is QpStatus.INFEASIBLE
+
+    def test_failed_sweep_without_a_failing_home(self, scen_3x8, monkeypatch):
+        """A sweep that does not certify although every home's block does
+        alone is reported as the sweep's failure, with the sweep's status."""
+        real = tem.solve_qp
+
+        def stalled(problem, *args, **kwargs):
+            sol = real(problem, *args, **kwargs)
+            if ":sweep:" in problem.layout_tag:
+                return dataclasses.replace(sol, status=QpStatus.MAX_ITER)
+            return sol
+        monkeypatch.setattr(tem, "solve_qp", stalled)
+        with pytest.raises(SolveFailed, match=r"^sweep at iteration 1 ended "
+                           r"with MaxIter, though each home alone") as err:
+            run_distributed(scen_3x8, AdmmParams(max_iter=3))
+        assert err.value.status is QpStatus.MAX_ITER
 
 
 class TestCentralized:
@@ -656,9 +767,10 @@ class TestDistributed:
         assert out.iterations == 1
 
 
-# a joint and a distributed TEM run, a joint TEM run at 40 homes (whose
-# long vectors a threaded BLAS splits) with its objective value, and the
-# residuals of ten 40-home coordination states, printed as one sha256
+# a joint and a distributed TEM run, a joint TEM run and a distributed one
+# at 40 homes (whose long vectors, a sweep's as well, a threaded BLAS
+# splits) with the joint objective value, and the residuals of ten 40-home
+# coordination states, printed as one sha256
 _DIGEST_SCRIPT = """
 import hashlib, json
 import numpy as np
@@ -669,9 +781,12 @@ from gridledger.scenario import generate_synthetic
 s = generate_synthetic(seed=3, n_users=3, horizon=24)
 h = hashlib.sha256()
 s40 = generate_synthetic(seed=0, n_users=40, horizon=24)
+d40 = tem.AdmmParams(rho_schedule=tem.RhoSchedule.fixed(9.75))
 for out in (tem.solve_centralized(s, Mode.TEM),
             tem.run_distributed(s, tem.AdmmParams()),
-            tem.solve_centralized(s40, Mode.TEM)):
+            tem.solve_centralized(s40, Mode.TEM),
+            tem.run_distributed(generate_synthetic(seed=1, n_users=40,
+                                                   horizon=24), d40)):
     h.update(json.dumps(out.to_json_dict(), sort_keys=True).encode())
 h.update(solve_qp(tem.assemble_problem(s40, Mode.TEM)).value.hex().encode())
 rng = np.random.default_rng(0)
