@@ -21,8 +21,10 @@ BS3    no                  yes
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, fields
-from typing import Dict, List, Tuple
+from operator import attrgetter
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -271,131 +273,152 @@ def check_schedule(sch: Schedule, s: Scenario, user: int,
 # ---------------------------------------------------------------------------
 # constraint and objective assembly
 
-def build_user_constraints(s: Scenario, user: int, mode: Mode) -> LinearConstraintSet:
-    """All rows and bounds for one home (no cross-user clearing rows); each
-    equation family is one block of rows built from (T x T) slot blocks."""
-    layout = user_layout(s.n_users, s.grid.horizon, mode)
-    t = s.grid.horizon
-    u = s.users[user]
-    ev = u.ev
-    nv = layout["peak"].stop
+def _per_home(homes: List[UserScenario], attr: str) -> np.ndarray:
+    """A parameter per home, one row each: (N, 1) numbers, (N, T) series."""
+    return np.array([attrgetter(attr)(u) for u in homes],
+                    dtype=float).reshape(len(homes), -1)
 
-    def stack(families: list) -> sp.csr_array:
-        """CSR rows of the (blocks by segment, right-hand side) families, one
-        under the other, each block's nonzeros in its segment's columns."""
-        parts, start = [], 0
-        for blocks, rhs in families:
-            for name, block in blocks.items():
-                r, c = np.nonzero(block)
-                parts.append((block[r, c], r + start,
-                              c + layout[name].start))
-            start += len(rhs)
-        v, r, c = map(np.concatenate, zip(*parts))
+
+def build_user_constraints(s: Scenario, users: Sequence[int],
+                           mode: Mode) -> LinearConstraintSet:
+    """All rows and bounds of the homes ``users`` (no cross-home clearing
+    rows), the k-th of them in the k-th block of ``user_layout`` columns.
+    Each equation family is emitted for all the homes at once as (row,
+    column, value) arrays over (N, T), in a fixed range of an (N, R) grid
+    of rows of which each home keeps those its windows open; the kept rows
+    are numbered home by home, and each row matrix is one lexsort and one
+    CSR of the nonzero values."""
+    layout = user_layout(s.n_users, s.grid.horizon, mode)
+    t, size, nh = s.grid.horizon, layout["peak"].stop, len(users)
+    homes = [s.users[n] for n in users]
+    tt, lag, home = np.arange(t), np.arange(t - 1), np.arange(nh)[:, None]
+    # (N, T) shift and plug-in masks and (N, 1) 0-based plug-in ends; a
+    # slot outside the horizon raises ValueError, as in ``slots_to_mask``
+    wins = [np.asarray(s.grid.shift_windows[n], dtype=int) - 1 for n in users]
+    ends = np.array([s.grid.ev_windows[n] for n in users]).reshape(-1, 2) - 1
+    used = np.concatenate([*wins, ends.ravel()])
+    bad = used[(used < 0) | (used >= t)]
+    if bad.size:
+        raise ValueError(f"slot index {bad[0] + 1} outside [1, {t}]")
+    shift = np.zeros((nh, t), dtype=bool)
+    shift[np.repeat(home[:, 0], [w.size for w in wins]),
+          np.concatenate(wins)] = True
+    arrive, depart = ends[:, :1], ends[:, 1:]
+    ev, dr = (tt >= arrive) & (tt <= depart), s.grid.dr_mask()
+    per = functools.partial(_per_home, homes)
+    at = {name: span.start for name, span in layout.items()}
+
+    def stack(entries: list, keep: np.ndarray, rhs: np.ndarray
+              ) -> Tuple[sp.csr_array, np.ndarray]:
+        """CSR of the (grid row, column, value) entries on the grid rows
+        that ``keep`` marks, and those rows' right-hand sides."""
+        parts = [np.empty((4, *np.broadcast(home, *e).shape)) for e in entries]
+        for part, (r, c, v) in zip(parts, entries):
+            # home, grid row, column and value; the indices are exact floats
+            part[0], part[1], part[2], part[3] = home, r, c, v
+        h, r, c, v = np.concatenate([a.reshape(4, -1) for a in parts], axis=1)
+        h, r, c = (a[v != 0.0].astype(int) for a in (h, r, c))
+        r = (np.cumsum(keep).reshape(keep.shape) - 1)[h, r]
+        c, v, m = h * size + c, v[v != 0.0], int(keep.sum())
         order = np.lexsort((c, r))
         return sp.csr_array((v[order], c[order], np.searchsorted(
-            r[order], np.arange(start + 1))), shape=(start, nv))
+            r[order], np.arange(m + 1))), shape=(m, nh * size)), rhs[keep]
 
-    shift_mask = s.grid.shift_mask(user)
-    dr_mask = s.grid.dr_mask()
-    ev_mask = s.grid.ev_mask(user)
-    arrive, depart = s.grid.ev_windows[user]
-    eye = np.eye(t)
-    lag = np.eye(t, k=-1)           # row tt reads column tt - 1
-
+    # equality grid: balance, shift, thermal, battery and departure rows
+    th, bat, dep = t + 1, 2 * t + 1, 3 * t + 1
     # supply must cover demand in every slot
-    balance = dict(load_hvac=eye, load_shift=eye, load_curtail=eye,
-                   ev_charge=eye, supply_renewable=-eye, supply_grid=-eye,
-                   ev_discharge=-eye)
-    for name in ("dr_reduce", "export"):
-        if name in layout:
-            balance[name] = eye
-    # the indoor temperature enters slot 1 at temp_init
-    thermal_rhs = u.hvac_beta * u.temp_out
-    thermal_rhs[0] += (1.0 - u.hvac_beta) * u.temp_init
+    signs = dict(load_hvac=1.0, load_shift=1.0, load_curtail=1.0,
+                 ev_charge=1.0, supply_renewable=-1.0, supply_grid=-1.0,
+                 ev_discharge=-1.0, dr_reduce=1.0, export=1.0)
+    eq = [(tt, at[name] + tt, sign) for name, sign in signs.items()
+          if name in layout]
+    beta = per("hvac_beta")
     # the battery enters its plug-in window at charge_init, so the arrival
-    # row carries nothing from the slot before
-    carry = lag.copy()
-    carry[arrive - 1] = 0.0
-    battery_rhs = np.zeros(t)
-    battery_rhs[arrive - 1] = ev.charge_init
-    # (blocks by segment, right-hand side) per equation family, in row order
-    eq = [(balance, -u.inflexible),
-          # total shiftable energy is conserved inside the shift window
-          (dict(load_shift=shift_mask[None, :].astype(float)),
-           [float(u.shift_pref[shift_mask].sum())]),
-          (dict(temp_in=eye - (1.0 - u.hvac_beta) * lag,
-                load_hvac=-u.hvac_alpha * eye), thermal_rhs),
-          (dict(ev_energy=(eye - carry)[ev_mask],
-                ev_charge=-ev.eff_charge * eye[ev_mask],
-                ev_discharge=eye[ev_mask] / ev.eff_discharge),
-           battery_rhs[ev_mask]),
-          # the car leaves full
-          (dict(ev_energy=eye[[depart - 1]]), [ev.capacity])]
-    le = []
-    if "feed_in" in layout:
+    # row carries nothing from the slot before; the car leaves full
+    eq += [(t, at["load_shift"] + tt, 1.0 * shift),
+           (th + tt, at["temp_in"] + tt, 1.0),
+           (th + 1 + lag, at["temp_in"] + lag, -(1.0 - beta)),
+           (th + tt, at["load_hvac"] + tt, -per("hvac_alpha")),
+           (bat + tt, at["ev_energy"] + tt, 1.0 * ev),
+           (bat + 1 + lag, at["ev_energy"] + lag,
+            -1.0 * (ev[:, 1:] & ev[:, :-1])),
+           (bat + tt, at["ev_charge"] + tt, -per("ev.eff_charge") * ev),
+           (bat + tt, at["ev_discharge"] + tt,
+            ev / per("ev.eff_discharge")),
+           (dep, at["ev_energy"] + depart, 1.0)]
+    keep_eq, rhs_eq = np.ones((nh, dep + 1), dtype=bool), np.zeros((nh, dep + 1))
+    keep_eq[:, bat:dep] = ev
+    rhs_eq[:, :t] = -per("inflexible")
+    # total shiftable energy is conserved inside the shift window
+    rhs_eq[:, t] = [u.shift_pref[m].sum() for u, m in zip(homes, shift)]
+    # the indoor temperature enters slot 1 at temp_init
+    rhs_eq[:, th:bat] = beta * per("temp_out")
+    rhs_eq[:, th] += (1.0 - beta[:, 0]) * per("temp_init")[:, 0]
+    rhs_eq[:, bat:dep] = np.where(tt == arrive, per("ev.charge_init"), 0.0)
+    rhs_eq[:, dep] = per("ev.capacity")[:, 0]
+
+    # inequality grid: demand-response and renewable-split rows where the
+    # mode is vertical, then the peak epigraph, whose peak variable
+    # dominates every grid draw
+    pk = 2 * t if "feed_in" in layout else 0
+    le = [(pk + tt, at["supply_grid"] + tt, 1.0),
+          (pk + tt, at["peak"], -1.0)]
+    keep_in, rhs_in = np.ones((nh, pk + t), dtype=bool), np.zeros((nh, pk + t))
+    if pk:
         # demand response inside its window claims at most the grid draw;
         # feed-in and own use share the renewable output
-        le += [(dict(dr_reduce=eye[dr_mask], supply_grid=-eye[dr_mask]),
-                np.zeros(int(dr_mask.sum()))),
-               (dict(supply_renewable=eye, feed_in=eye), u.renewable_cap)]
-    # peak epigraph: the peak variable dominates every grid draw
-    le.append((dict(supply_grid=eye, peak=-np.ones((t, 1))), np.zeros(t)))
+        le += [(tt, at["dr_reduce"] + tt, 1.0 * dr),
+               (tt, at["supply_grid"] + tt, -1.0 * dr),
+               (t + tt, at["supply_renewable"] + tt, 1.0),
+               (t + tt, at["feed_in"] + tt, 1.0)]
+        keep_in[:, :t] = dr
+        rhs_in[:, t:pk] = per("renewable_cap")
+    a_eq, b_eq = stack(eq, keep_eq, rhs_eq)
+    a_in, b_in = stack(le, keep_in, rhs_in)
 
-    lo, hi = np.full(nv, -np.inf), np.full(nv, np.inf)
-
-    def set_bounds(name: str, lo_vals, hi_vals) -> None:
-        lo[layout[name]], hi[layout[name]] = lo_vals, hi_vals
-
-    set_bounds("load_hvac", 0.0, np.inf)
-    set_bounds("load_shift", 0.0, np.where(shift_mask, np.inf, 0.0))
-    set_bounds("load_curtail", 0.0, u.curtail_pref)
-    set_bounds("supply_grid", 0.0, s.tariff.line_cap)
-    if "feed_in" in layout:
-        set_bounds("supply_renewable", 0.0, np.inf)
-        set_bounds("feed_in", 0.0, u.renewable_cap)
-        set_bounds("dr_reduce", 0.0, np.where(dr_mask, np.inf, 0.0))
-    else:
-        set_bounds("supply_renewable", 0.0, u.renewable_cap)
-    set_bounds("ev_charge", 0.0, np.where(ev_mask, ev.charge_max, 0.0))
-    set_bounds("ev_discharge", 0.0, np.where(ev_mask, ev.discharge_max, 0.0))
-    set_bounds("ev_energy", 0.0, np.where(ev_mask, ev.capacity, 0.0))
-    set_bounds("temp_in", u.temp_lo, u.temp_hi)
-    set_bounds("peak", 0.0, np.inf)
-
-    return LinearConstraintSet(
-        n_vars=nv, a_eq=stack(eq), b_eq=np.concatenate([b for _, b in eq]),
-        a_in=stack(le), b_in=np.concatenate([b for _, b in le]), lo=lo, hi=hi)
+    cap = per("renewable_cap")
+    tops = dict(load_hvac=np.inf, load_shift=np.where(shift, np.inf, 0.0),
+                load_curtail=per("curtail_pref"),
+                supply_grid=s.tariff.line_cap, supply_renewable=cap,
+                ev_charge=np.where(ev, per("ev.charge_max"), 0.0),
+                ev_discharge=np.where(ev, per("ev.discharge_max"), 0.0),
+                ev_energy=np.where(ev, per("ev.capacity"), 0.0),
+                peak=np.inf)
+    if pk:
+        tops.update(supply_renewable=np.inf, feed_in=cap,
+                    dr_reduce=np.where(dr, np.inf, 0.0))
+    lo, hi = np.full((nh, size), -np.inf), np.full((nh, size), np.inf)
+    for name, top in tops.items():
+        lo[:, layout[name]], hi[:, layout[name]] = 0.0, top
+    lo[:, layout["temp_in"]] = per("temp_lo")
+    hi[:, layout["temp_in"]] = per("temp_hi")
+    return LinearConstraintSet(nh * size, a_eq, b_eq, a_in, b_in, lo.ravel(),
+                               hi.ravel())
 
 
-def build_user_objective(s: Scenario, user: int,
+def build_user_objective(s: Scenario, users: Sequence[int],
                          mode: Mode) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Diagonal quadratic objective for one home.
-
-    Returns (p_diag, q, offset) over the home's ``user_layout`` so that the
-    home's net cost equals 0.5 * x' diag(p_diag) x + q' x + offset.
-    """
+    """(p_diag, q, offset) of the homes ``users``, on their columns as
+    ``build_user_constraints`` places them: the homes' summed net cost is
+    0.5 * x' diag(p_diag) x + q' x + offset."""
     layout = user_layout(s.n_users, s.grid.horizon, mode)
-    u = s.users[user]
-    p_diag = np.zeros(layout["peak"].stop)
-    q = np.zeros(layout["peak"].stop)
-    offset = 0.0
-
-    def quad(name: str, weight: float, target: np.ndarray | float) -> None:
-        nonlocal offset
-        cols = layout[name]
-        p_diag[cols] += 2.0 * weight
-        q[cols] += -2.0 * weight * np.asarray(target, dtype=float)
-        offset += weight * float(np.sum(np.asarray(target, dtype=float) ** 2))
-
-    quad("load_shift", u.w_shift, u.shift_pref)
-    quad("load_curtail", u.w_curtail, u.curtail_pref)
-    quad("temp_in", u.w_comfort, u.temp_ref)
-    quad("ev_discharge", u.ev.w_degrade, 0.0)
-    q[layout["supply_grid"]] += s.tariff.price_energy
-    q[layout["peak"]] += s.tariff.price_peak
+    homes = [s.users[n] for n in users]
+    p_diag = np.zeros((len(homes), layout["peak"].stop))
+    q, offset = np.zeros_like(p_diag), 0.0
+    for name, weight, target in (("load_shift", "w_shift", "shift_pref"),
+                                 ("load_curtail", "w_curtail", "curtail_pref"),
+                                 ("temp_in", "w_comfort", "temp_ref"),
+                                 ("ev_discharge", "ev.w_degrade", None)):
+        w = _per_home(homes, weight)
+        x = _per_home(homes, target) if target else 0.0
+        p_diag[:, layout[name]] += 2.0 * w
+        q[:, layout[name]] += -2.0 * w * x
+        offset += float(np.sum(w * x ** 2))
+    q[:, layout["supply_grid"]] += s.tariff.price_energy
+    q[:, layout["peak"]] += s.tariff.price_peak
     if "feed_in" in layout:
-        q[layout["feed_in"]] -= s.prices.feed_in
-        q[layout["dr_reduce"]] -= s.prices.dr * s.grid.dr_mask()
+        q[:, layout["feed_in"]] -= s.prices.feed_in
+        q[:, layout["dr_reduce"]] -= s.prices.dr * s.grid.dr_mask()
     if "export" in layout:
-        q[layout["export"]] -= s.prices.trade
-    return p_diag, q, offset
+        q[:, layout["export"]] -= s.prices.trade
+    return p_diag.ravel(), q.ravel(), offset

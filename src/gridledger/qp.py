@@ -143,6 +143,11 @@ class LinearConstraintSet:
             if value.shape != shape:
                 raise ValueError(f"{name} has shape {value.shape}, not {shape}"
                                  f" (n_vars {n}, one row per right-hand side)")
+            # a NaN bound or right-hand side compares false everywhere, so
+            # it would read as no constraint at all
+            if len(shape) == 1 and np.isnan(value).any():
+                raise ValueError(f"{name} is NaN at index "
+                                 f"{int(np.argmax(np.isnan(value)))}")
             setattr(self, name, value)
 
     @functools.cached_property
@@ -279,8 +284,11 @@ def _presolve(c: LinearConstraintSet) -> _Reduced:
     here depends on the objective, so a constraint set presolves once
     (``LinearConstraintSet._presolved``)."""
     lo, hi = c.lo, c.hi
-    if np.any(lo > hi):
-        i = int(np.argmax(lo > hi))
+    # no real number lies in [inf, inf] or [-inf, -inf]; every interval
+    # left has hi - lo defined
+    empty = (lo > hi) | (lo == np.inf) | (hi == -np.inf)
+    if np.any(empty):
+        i = int(np.argmax(empty))
         raise _Contradiction(f"bounds contradict at column {i}: "
                              f"[{lo[i]}, {hi[i]}] is empty")
     fixed = np.isfinite(lo) & np.isfinite(hi) & (hi - lo <= 1e-12)

@@ -40,7 +40,7 @@ from .energy_model import (SCHEDULE_SERIES, CostBreakdown, Mode, Schedule,
                            build_user_constraints, build_user_objective,
                            combine_costs, home_cost_terms, reward_terms,
                            schedule_from_x, user_layout)
-from .qp import LinearConstraintSet, QpProblem, QpStatus, solve_qp
+from .qp import QpProblem, QpStatus, solve_qp
 from .scenario import Scenario
 
 __all__ = [
@@ -266,56 +266,33 @@ def residuals(d: DualState, prev: DualState) -> Tuple[float, float]:
 # joint problem
 
 def home_problem(s: Scenario, user: int, mode: Mode) -> QpProblem:
-    """One home's own QP: its rows, bounds and net cost
-    (``build_user_constraints``, ``build_user_objective``), without any
-    coupling to the other homes."""
-    p_diag, q, _ = build_user_objective(s, user, mode)
+    """One home's own QP: its rows, bounds and net cost, built for home
+    ``user`` alone, without any coupling to the other homes."""
+    p_diag, q, _ = build_user_objective(s, [user], mode)
     return QpProblem(p=p_diag, q=q,
-                     constraints=build_user_constraints(s, user, mode))
+                     constraints=build_user_constraints(s, [user], mode))
 
 
 def _stack_homes(s: Scenario, mode: Mode, layout: Dict[str, slice],
-                 clearing: bool) -> Tuple[List[QpProblem], QpProblem]:
-    """The homes' own QPs (``home_problem``) and their block-diagonal
-    stack: each row matrix is its parts' CSR arrays end to end, home n's
-    columns shifted by n times the block size and row pointers by the
-    entries before it.  ``clearing`` appends, where the homes trade, one
-    equality row per slot making their net exports sum to zero."""
-    t, size = s.grid.horizon, layout["peak"].stop
-    nv = s.n_users * size
-    homes = [home_problem(s, n, mode) for n in range(s.n_users)]
-    cons = [h.constraints for h in homes]
-    a_eq = [(c.a_eq, n * size) for n, c in enumerate(cons)]
-    b_eq = [c.b_eq for c in cons]
+                 clearing: bool) -> QpProblem:
+    """The homes' block-diagonal QP, home n in the n-th block of ``layout``
+    columns, its rows and costs each built once for all homes.
+    ``clearing`` appends, where the homes trade, one equality row per slot
+    making their net exports sum to zero."""
+    t, n = s.grid.horizon, s.n_users
+    cons = build_user_constraints(s, range(n), mode)
+    p_diag, q, _ = build_user_objective(s, range(n), mode)
     if clearing and "export" in layout:
         # each clearing row puts a 1 on its slot in every home's export span
         cols = (layout["export"].start + np.arange(t)[:, None]
-                + size * np.arange(s.n_users)).ravel()
-        a_eq.append((sp.csr_array((np.ones(cols.size), cols,
-                                   s.n_users * np.arange(t + 1)),
-                                  shape=(t, nv)), 0))
-        b_eq.append(np.zeros(t))
-
-    def stack(parts: List[Tuple[sp.csr_array, int]]) -> sp.csr_array:
-        offsets = np.cumsum([0] + [m.nnz for m, _ in parts])
-        return sp.csr_array((
-            np.concatenate([m.data for m, _ in parts]),
-            np.concatenate([m.indices + first for m, first in parts]),
-            np.concatenate([[0]] + [m.indptr[1:] + k
-                                    for (m, _), k in zip(parts, offsets)])),
-            shape=(sum(m.shape[0] for m, _ in parts), nv))
-
-    constraints = LinearConstraintSet(
-        n_vars=nv, a_eq=stack(a_eq), b_eq=np.concatenate(b_eq),
-        a_in=stack([(c.a_in, n * size) for n, c in enumerate(cons)]),
-        b_in=np.concatenate([c.b_in for c in cons]),
-        lo=np.concatenate([c.lo for c in cons]),
-        hi=np.concatenate([c.hi for c in cons]))
-    return homes, QpProblem(
-        p=np.concatenate([h.p for h in homes]),
-        q=np.concatenate([h.q for h in homes]), constraints=constraints,
-        layout_tag=f"{mode.value}:{'joint' if clearing else 'sweep'}:"
-                   f"N={s.n_users}:T={t}")
+                + layout["peak"].stop * np.arange(n)).ravel()
+        cons = replace(cons, b_eq=np.concatenate([cons.b_eq, np.zeros(t)]),
+                       a_eq=sp.vstack([cons.a_eq, sp.csr_array(
+                           (np.ones(cols.size), cols, n * np.arange(t + 1)),
+                           shape=(t, cons.n_vars))], format="csr"))
+    kind = "joint" if clearing else "sweep"
+    return QpProblem(p=p_diag, q=q, constraints=cons,
+                     layout_tag=f"{mode.value}:{kind}:N={n}:T={t}")
 
 
 def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
@@ -323,7 +300,7 @@ def assemble_problem(s: Scenario, mode: Mode) -> QpProblem:
     clearing rows in trading modes with more than one home
     (``_stack_homes``).  Reported costs are recomputed from the schedules."""
     layout = user_layout(s.n_users, s.grid.horizon, mode)
-    return _stack_homes(s, mode, layout, clearing=True)[1]
+    return _stack_homes(s, mode, layout, clearing=True)
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +419,15 @@ def assemble_ult(sweep: QpProblem, d: DualState,
                      layout_tag=sweep.layout_tag)
 
 
-def _failed_home(sweep: QpProblem, homes: List[QpProblem], k: int,
+def _failed_home(s: Scenario, sweep: QpProblem, k: int,
                  status: QpStatus) -> SolveFailed:
     """A sweep at iteration ``k`` that did not certify names the first home
-    whose block, solved alone, does not certify."""
-    size = sweep.q.size // len(homes)
-    for n, home in enumerate(homes):
+    whose block (``home_problem``), solved alone, does not certify."""
+    size = sweep.q.size // s.n_users
+    for n in range(s.n_users):
         cols = slice(n * size, (n + 1) * size)
-        own = solve_qp(replace(home, p=sweep.p[cols], q=sweep.q[cols]),
-                       tol=_KKT_TOL)
+        own = solve_qp(replace(home_problem(s, n, Mode.TEM), p=sweep.p[cols],
+                               q=sweep.q[cols]), tol=_KKT_TOL)
         if own.status is not QpStatus.OPTIMAL:
             return SolveFailed(f"home {n} subproblem at iteration {k} ended "
                                f"with {own.status.value} (kkt={own.kkt})",
@@ -485,8 +462,8 @@ def run_distributed(s: Scenario, params: AdmmParams,
                     transport: Optional[Transport] = None) -> Outcome:
     """Jacobi sweeps of the homes' subproblems plus coordination steps.
 
-    Each home's rows, bounds and own cost are built (``home_problem``) and
-    stacked once per run; every sweep adds the snapshot's export penalty
+    The homes' rows, bounds and own costs are built in one stack once per
+    run (``_stack_homes``); every sweep adds the snapshot's export penalty
     (``assemble_ult``), solves all homes in one ``solve_qp`` warm-started
     from the previous sweep, and runs the coordination step on the local
     state (the mirror), whose pending exports are the homes' net exports.
@@ -505,7 +482,7 @@ def run_distributed(s: Scenario, params: AdmmParams,
     history: List[IterationRecord] = []
     layout = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
     export = layout.get("export")
-    homes, sweep = _stack_homes(s, Mode.TEM, layout, clearing=False)
+    sweep = _stack_homes(s, Mode.TEM, layout, clearing=False)
     sol = None
 
     for k in range(1, params.max_iter + 1):
@@ -517,7 +494,7 @@ def run_distributed(s: Scenario, params: AdmmParams,
         problem = assemble_ult(sweep, mirror, layout)
         sol = solve_qp(problem, tol=_KKT_TOL, warm_start=sol)
         if sol.status is not QpStatus.OPTIMAL:
-            raise _failed_home(problem, homes, k, sol.status)
+            raise _failed_home(s, problem, k, sol.status)
         if export is not None:
             mirror.exports[:] = sol.x.reshape(s.n_users, -1)[:, export]
             if transport is not None:

@@ -1,5 +1,7 @@
 """Energy model tests against hand-computed oracles plus invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,7 +275,7 @@ class TestConstraints:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_shapes(self, scen_2x4, mode):
         s = scen_2x4
-        cs = build_user_constraints(s, 0, mode)
+        cs = build_user_constraints(s, [0], mode)
         nv = user_layout(s.n_users, s.grid.horizon, mode)["peak"].stop
         assert cs.n_vars == nv
         assert cs.a_eq.shape == (cs.b_eq.size, nv)
@@ -284,7 +286,7 @@ class TestConstraints:
 
     def test_bounds_respect_windows(self, scen_2x4):
         s = scen_2x4
-        cs = build_user_constraints(s, 1, Mode.TEM)
+        cs = build_user_constraints(s, [1], Mode.TEM)
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
         assert np.array_equal(cs.hi[lay["load_curtail"]],
                               s.users[1].curtail_pref)
@@ -299,13 +301,13 @@ class TestConstraints:
     def test_renewable_cap_moves_with_mode(self, scen_2x4):
         s = scen_2x4
         lay_bs1 = user_layout(s.n_users, s.grid.horizon, Mode.BS1)
-        cs_bs1 = build_user_constraints(s, 0, Mode.BS1)
+        cs_bs1 = build_user_constraints(s, [0], Mode.BS1)
         # without a feed-in split the renewable series is capped directly
         assert np.array_equal(cs_bs1.hi[lay_bs1["supply_renewable"]],
                               s.users[0].renewable_cap)
         # with one, a row per slot caps renewable use plus feed-in instead
         lay_tem = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
-        cs_tem = build_user_constraints(s, 0, Mode.TEM)
+        cs_tem = build_user_constraints(s, [0], Mode.TEM)
         assert np.all(cs_tem.hi[lay_tem["supply_renewable"]] == np.inf)
         a_in = cs_tem.a_in.toarray()
         split = (a_in[:, lay_tem["supply_renewable"]] == 1.0) \
@@ -314,9 +316,41 @@ class TestConstraints:
         assert np.array_equal(slots, np.arange(s.grid.horizon))
         assert np.array_equal(cs_tem.b_in[rows], s.users[0].renewable_cap)
 
+    @pytest.mark.parametrize("windows", [
+        dict(shift_windows=((1, 2), (0, 3))),
+        dict(ev_windows=((1, 4), (2, 5))),
+    ], ids=["shift", "plug-in"])
+    def test_window_outside_horizon_raises(self, scen_2x4, windows):
+        """A window slot outside the horizon is refused, not wrapped onto
+        the other end of it."""
+        s = dataclasses.replace(
+            scen_2x4, grid=dataclasses.replace(scen_2x4.grid, **windows))
+        with pytest.raises(ValueError,
+                           match=r"^slot index [05] outside \[1, 4\]$"):
+            build_user_constraints(s, [0, 1], Mode.TEM)
+
+    def test_homes_objective_is_their_summed_cost(self, scen_2x4):
+        """Over two homes' blocks the objective is the sum of their net
+        costs."""
+        s = scen_2x4
+        lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
+        size = lay["peak"].stop
+        p_diag, q, offset = build_user_objective(s, [0, 1], Mode.TEM)
+        x = np.random.default_rng(6).uniform(0.0, 3.0, size=2 * size)
+        total = 0.0
+        for n in range(2):
+            block = x[n * size:(n + 1) * size]
+            block[lay["peak"]] = np.max(block[lay["supply_grid"]])
+            block[lay["dr_reduce"]][~s.grid.dr_mask()] = 0.0
+            sch = schedule_from_x(x, lay, n)
+            total += combine_costs(home_cost_terms(sch, s.users[n], s.tariff),
+                                   reward_terms(sch, s.prices)).net_cost
+        value = 0.5 * float(x @ (p_diag * x)) + float(q @ x) + offset
+        assert value == pytest.approx(total, abs=1e-9)
+
     def test_balance_row_count(self, scen_2x4):
         s = scen_2x4
-        cs = build_user_constraints(s, 0, Mode.TEM)
+        cs = build_user_constraints(s, [0], Mode.TEM)
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
         t = s.grid.horizon
         # a balance row serves its slot's HVAC load from its grid draw
@@ -372,7 +406,7 @@ class TestConstraints:
         x[lay["ev_charge"]][window] = cha[window]
         x[lay["ev_discharge"]][window] = dis[window]
 
-        cs = build_user_constraints(s, 0, mode)
+        cs = build_user_constraints(s, [0], mode)
         a_eq = cs.a_eq.toarray()
         touches = {name: np.any(a_eq[:, lay[name]] != 0.0, axis=1)
                    for name in ("temp_in", "ev_energy", "ev_charge")}
@@ -388,7 +422,7 @@ class TestConstraints:
         s = scen_2x4
         mode = Mode.TEM
         lay = user_layout(s.n_users, s.grid.horizon, mode)
-        p_diag, q, offset = build_user_objective(s, 0, mode)
+        p_diag, q, offset = build_user_objective(s, [0], mode)
         rng = np.random.default_rng(5)
         x = rng.uniform(0.0, 3.0, size=lay["peak"].stop)
         sp = lay["supply_grid"]

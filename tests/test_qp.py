@@ -1,6 +1,7 @@
 """QP solver tests: analytic cases, brute-force cross-checks, KKT quality."""
 
 import dataclasses
+import warnings
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from gridledger.qp import (
     Polish,
     QpProblem,
     QpStatus,
+    _Contradiction,
     _presolve,
     kkt_residuals,
     solve_qp,
@@ -276,6 +278,35 @@ class TestInfeasible:
                          constraints=make_cs(1, lo=[2.0], hi=[1.0]))
         assert solve_qp(prob).status == QpStatus.INFEASIBLE
 
+    @pytest.mark.parametrize("lo, hi", [([0.0, np.inf], [1.0, np.inf]),
+                                        ([0.0, -np.inf], [1.0, -np.inf]),
+                                        ([0.0, np.inf], [1.0, 5.0])],
+                             ids=["both-plus-inf", "both-minus-inf",
+                                  "lower-plus-inf"])
+    def test_infinite_empty_bounds(self, lo, hi):
+        """A column no real number satisfies is a contradiction named by
+        its column, reached without inf - inf."""
+        cs = make_cs(2, lo=lo, hi=hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(_Contradiction,
+                               match=r"^bounds contradict at column 1: "):
+                _presolve(cs)
+            sol = solve_qp(QpProblem(p=np.full(2, 2.0), q=np.zeros(2),
+                                     constraints=cs))
+        assert sol.status == QpStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("field", ["b_eq", "b_in", "lo", "hi"])
+    def test_nan_bound_or_rhs_rejected(self, field):
+        """A NaN bound or right-hand side raises, naming the field and the
+        first NaN's index, instead of reading as no constraint."""
+        rows = dict(a_eq=[[1.0, 1.0]] * 2, b_eq=[1.0, 1.0],
+                    a_in=[[1.0, 0.0]] * 2, b_in=[2.0, 2.0], lo=[0.0, 0.0],
+                    hi=[3.0, 3.0])
+        rows[field] = [rows[field][0], np.nan]
+        with pytest.raises(ValueError, match=rf"^{field} is NaN at index 1$"):
+            make_cs(2, **rows)
+
     def test_contradictory_equalities(self):
         prob = QpProblem(p=np.full(1, 2.0), q=np.zeros(1),
                          constraints=make_cs(1, a_eq=[[1.0], [1.0]],
@@ -431,8 +462,8 @@ class TestAgainstGridOracle:
 
 class TestOnModelProblems:
     def _single_user_problem(self, s, user, mode):
-        cs = build_user_constraints(s, user, mode)
-        p_diag, q, _ = build_user_objective(s, user, mode)
+        cs = build_user_constraints(s, [user], mode)
+        p_diag, q, _ = build_user_objective(s, [user], mode)
         return QpProblem(p=p_diag, q=q, constraints=cs,
                          layout_tag=f"user{user}-{mode.value}")
 

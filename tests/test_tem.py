@@ -1,6 +1,7 @@
 """Coordination layer tests: closed-form step, digests, joint and split solves."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -355,19 +356,20 @@ class TestMirror:
 
 
 def _sweep(s):
-    """The homes' own TEM problems and their stack without clearing rows,
-    as ``run_distributed`` builds them."""
+    """The homes' TEM stack without clearing rows, as ``run_distributed``
+    builds it."""
     return tem._stack_homes(s, Mode.TEM,
                             user_layout(s.n_users, s.grid.horizon, Mode.TEM),
                             clearing=False)
 
 
-def _block(prob, homes, user):
+def _block(prob, s, user):
     """Home ``user``'s own problem with its block of the sweep's penalised
     objective."""
-    size = prob.q.size // len(homes)
+    size = prob.q.size // s.n_users
     cols = slice(user * size, (user + 1) * size)
-    return dataclasses.replace(homes[user], p=prob.p[cols], q=prob.q[cols])
+    return dataclasses.replace(tem.home_problem(s, user, Mode.TEM),
+                               p=prob.p[cols], q=prob.q[cols])
 
 
 def _exports(sol, lay, n_users):
@@ -382,9 +384,8 @@ class TestUltAssembly:
         d.levels[0], d.levels[1] = 0.75, -0.75
         d.shares[:] = 0.125
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
-        homes, sweep = _sweep(s)
-        prob = _block(assemble_ult(sweep, d, lay), homes, 0)
-        base_p, base_q, _ = build_user_objective(s, 0, Mode.TEM)
+        prob = _block(assemble_ult(_sweep(s), d, lay), s, 0)
+        base_p, base_q, _ = build_user_objective(s, [0], Mode.TEM)
         sp = lay["export"]
         # one peer: curvature rho / (N - 1), centre aux + lam / rho
         assert np.allclose(prob.p[sp], base_p[sp] + 2.0)
@@ -401,10 +402,9 @@ class TestUltAssembly:
         s = scen_3x8
         rng = np.random.default_rng(3)
         d = _random_state(rng, s.n_users, s.grid.horizon, 0.7)
-        homes, sweep = _sweep(s)
-        home = homes[1]
+        home = tem.home_problem(s, 1, Mode.TEM)
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
-        prob = _block(assemble_ult(sweep, d, lay), homes, 1)
+        prob = _block(assemble_ult(_sweep(s), d, lay), s, 1)
         _, aux, lam = _pairs(d)
         centre = (aux[1] + lam[1] / d.rho).sum(axis=0)
         sp = lay["export"]
@@ -425,16 +425,15 @@ class TestUltAssembly:
     def test_home_columns_independent_of_peers(self, n_users):
         s = generate_synthetic(seed=2, n_users=n_users, horizon=4)
         d = new_dual_state(n_users, 4, 1.0)
-        homes, sweep = _sweep(s)
-        prob = assemble_ult(sweep, d, user_layout(n_users, 4, Mode.TEM))
-        assert _block(prob, homes, 0).q.size == 12 * 4 + 1
+        prob = assemble_ult(_sweep(s), d, user_layout(n_users, 4, Mode.TEM))
+        assert _block(prob, s, 0).q.size == 12 * 4 + 1
         assert prob.q.size == n_users * (12 * 4 + 1)
 
     def test_penalty_leaves_home_problem_alone(self, scen_2x4):
         """Each iteration copies p and q and shares the constraint-set
         object, which is what lets a warm start reuse its presolve."""
-        homes, sweep = _sweep(scen_2x4)
-        home = homes[1]
+        sweep = _sweep(scen_2x4)
+        home = tem.home_problem(scen_2x4, 1, Mode.TEM)
         p0, q0 = sweep.p.copy(), sweep.q.copy()
         hp0, hq0 = home.p.copy(), home.q.copy()
         d = new_dual_state(2, scen_2x4.grid.horizon, 3.0)
@@ -442,7 +441,7 @@ class TestUltAssembly:
         prob = assemble_ult(sweep, d,
                             user_layout(2, scen_2x4.grid.horizon, Mode.TEM))
         assert prob.constraints is sweep.constraints
-        assert not np.array_equal(_block(prob, homes, 1).q, hq0)
+        assert not np.array_equal(_block(prob, scen_2x4, 1).q, hq0)
         assert np.array_equal(sweep.p, p0) and np.array_equal(sweep.q, q0)
         assert np.array_equal(home.p, hp0) and np.array_equal(home.q, hq0)
 
@@ -455,9 +454,8 @@ class TestUltAssembly:
         and two BLAS threads."""
         s = generate_synthetic(5, 5, 24)
         d = new_dual_state(5, 24, 1.0)
-        homes, sweep = _sweep(s)
-        prob = _block(assemble_ult(sweep, d, user_layout(5, 24, Mode.TEM)),
-                      homes, 1)
+        prob = _block(assemble_ult(_sweep(s), d, user_layout(5, 24, Mode.TEM)),
+                      s, 1)
         sol = solve_qp(prob, tol=1e-8)
         assert sol.status is QpStatus.OPTIMAL
         assert sol.polish is Polish.POLISHED
@@ -475,13 +473,13 @@ class TestSweep:
         equals its block solved alone."""
         s = generate_synthetic(seed=1, n_users=5, horizon=24)
         lay = user_layout(5, 24, Mode.TEM)
-        homes, sweep = _sweep(s)
+        sweep = _sweep(s)
 
         def check(d, warm):
             prob = assemble_ult(sweep, d, lay)
             sol = solve_qp(prob, tol=tem._KKT_TOL, warm_start=warm)
             assert sol.status is QpStatus.OPTIMAL
-            own = np.array([solve_qp(_block(prob, homes, n),
+            own = np.array([solve_qp(_block(prob, s, n),
                                      tol=tem._KKT_TOL).x[lay["export"]]
                             for n in range(5)])
             got = _exports(sol, lay, 5)
@@ -507,7 +505,7 @@ class TestSweep:
             *s.users[3:]))
         lay = user_layout(5, 24, Mode.TEM)
         d = _random_state(np.random.default_rng(1), 5, 24, 1.0)
-        base, other = (_exports(solve_qp(assemble_ult(_sweep(sc)[1], d, lay),
+        base, other = (_exports(solve_qp(assemble_ult(_sweep(sc), d, lay),
                                          tol=tem._KKT_TOL), lay, 5)
                        for sc in (s, moved))
         rest = [0, 1, 3, 4]
@@ -518,19 +516,20 @@ class TestSweep:
     def test_failed_sweep_names_its_home(self, monkeypatch):
         """Home 2 alone has an empty bound interval: the sweep fails, and
         the error names home 2, the iteration and home 2's own status."""
-        real = tem.home_problem
+        real = tem.build_user_constraints
 
-        def broken(s, user, mode):
-            home = real(s, user, mode)
-            if user != 2:
-                return home
-            c = home.constraints
-            j = int(np.flatnonzero(np.isfinite(c.hi))[0])
+        def broken(s, users, mode):
+            c = real(s, users, mode)
+            if 2 not in users:
+                return c
+            size = c.n_vars // len(users)
+            first = list(users).index(2) * size
+            j = first + int(np.flatnonzero(np.isfinite(
+                c.hi[first:first + size]))[0])
             lo = c.lo.copy()
             lo[j] = c.hi[j] + 1.0
-            return dataclasses.replace(
-                home, constraints=dataclasses.replace(c, lo=lo))
-        monkeypatch.setattr(tem, "home_problem", broken)
+            return dataclasses.replace(c, lo=lo)
+        monkeypatch.setattr(tem, "build_user_constraints", broken)
         s = generate_synthetic(seed=2, n_users=4, horizon=8)
         with pytest.raises(SolveFailed, match=r"^home 2 subproblem at "
                            r"iteration 1 ended with Infeasible") as err:
@@ -554,6 +553,71 @@ class TestSweep:
         assert err.value.status is QpStatus.MAX_ITER
 
 
+def _count_builds(monkeypatch):
+    """Count the row and cost builds, through ``tem``'s names."""
+    calls = {"constraints": 0, "objective": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(tem, "build_user_constraints", counted(
+        "constraints", tem.build_user_constraints))
+    monkeypatch.setattr(tem, "build_user_objective", counted(
+        "objective", tem.build_user_objective))
+    return calls
+
+
+def _check_block_stack(s, mode):
+    prob = assemble_problem(s, mode)
+    c = prob.constraints
+    a_eq, a_in = c.a_eq.toarray(), c.a_in.toarray()
+    lay = user_layout(s.n_users, s.grid.horizon, mode)
+    t, size = s.grid.horizon, lay["peak"].stop
+    eq_home = np.zeros(a_eq.shape, dtype=bool)
+    in_home = np.zeros(a_in.shape, dtype=bool)
+    r_eq = r_in = 0
+    home_nnz = 0
+    for n in range(s.n_users):
+        home = tem.home_problem(s, n, mode)
+        cs = home.constraints
+        home_nnz += cs.a_eq.nnz
+        cols = slice(n * size, (n + 1) * size)
+        rows_eq = slice(r_eq, r_eq + cs.b_eq.size)
+        rows_in = slice(r_in, r_in + cs.b_in.size)
+        assert np.array_equal(a_eq[rows_eq, cols], cs.a_eq.toarray())
+        assert np.array_equal(c.b_eq[rows_eq], cs.b_eq)
+        assert np.array_equal(a_in[rows_in, cols], cs.a_in.toarray())
+        assert np.array_equal(c.b_in[rows_in], cs.b_in)
+        assert np.array_equal(c.lo[cols], cs.lo)
+        assert np.array_equal(c.hi[cols], cs.hi)
+        assert np.array_equal(prob.p[cols], home.p)
+        assert np.array_equal(prob.q[cols], home.q)
+        eq_home[rows_eq, cols] = True
+        in_home[rows_in, cols] = True
+        r_eq, r_in = rows_eq.stop, rows_in.stop
+    assert r_in == c.b_in.size
+    assert np.all(a_in[~in_home] == 0.0)
+    assert np.all(a_eq[:r_eq][~eq_home[:r_eq]] == 0.0)
+    # the joint rows store the homes' entries and one per home and slot
+    # of the clearing rows, nothing more
+    trading = mode.has_horizontal and s.n_users > 1
+    assert c.a_eq.nnz == home_nnz + trading * s.n_users * t
+    # the rows after the home blocks clear the exports, one per slot
+    clearing, rhs = a_eq[r_eq:], c.b_eq[r_eq:]
+    if not mode.has_horizontal:
+        assert clearing.shape[0] == 0
+        return
+    assert clearing.shape[0] == t
+    assert np.all(rhs == 0.0)
+    want = np.zeros((t, s.n_users * size))
+    for n in range(s.n_users):
+        for tt in range(t):
+            want[tt, n * size + lay["export"].start + tt] = 1.0
+    assert np.array_equal(clearing, want)
+
+
 class TestCentralized:
     def test_solves_and_checks_clean(self, scen_2x4):
         out = solve_centralized(scen_2x4, Mode.BS1)
@@ -566,53 +630,20 @@ class TestCentralized:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_joint_problem_is_block_stack(self, scen_3x8, mode):
-        s = scen_3x8
-        prob = assemble_problem(s, mode)
-        c = prob.constraints
-        a_eq, a_in = c.a_eq.toarray(), c.a_in.toarray()
-        lay = user_layout(s.n_users, s.grid.horizon, mode)
-        t, size = s.grid.horizon, lay["peak"].stop
-        eq_home = np.zeros(a_eq.shape, dtype=bool)
-        in_home = np.zeros(a_in.shape, dtype=bool)
-        r_eq = r_in = 0
-        home_nnz = 0
-        for n in range(s.n_users):
-            cs = build_user_constraints(s, n, mode)
-            home_nnz += cs.a_eq.nnz
-            p_diag, q, _ = build_user_objective(s, n, mode)
-            cols = slice(n * size, (n + 1) * size)
-            rows_eq = slice(r_eq, r_eq + cs.b_eq.size)
-            rows_in = slice(r_in, r_in + cs.b_in.size)
-            assert np.array_equal(a_eq[rows_eq, cols], cs.a_eq.toarray())
-            assert np.array_equal(c.b_eq[rows_eq], cs.b_eq)
-            assert np.array_equal(a_in[rows_in, cols], cs.a_in.toarray())
-            assert np.array_equal(c.b_in[rows_in], cs.b_in)
-            assert np.array_equal(c.lo[cols], cs.lo)
-            assert np.array_equal(c.hi[cols], cs.hi)
-            assert np.array_equal(prob.p[cols], p_diag)
-            assert np.array_equal(prob.q[cols], q)
-            eq_home[rows_eq, cols] = True
-            in_home[rows_in, cols] = True
-            r_eq, r_in = rows_eq.stop, rows_in.stop
-        assert r_in == c.b_in.size
-        assert np.all(a_in[~in_home] == 0.0)
-        assert np.all(a_eq[:r_eq][~eq_home[:r_eq]] == 0.0)
-        # the joint rows store the homes' entries and one per home and
-        # slot of the clearing rows, nothing more
-        trading = mode.has_horizontal and s.n_users > 1
-        assert c.a_eq.nnz == home_nnz + trading * s.n_users * t
-        # the rows after the home blocks clear the exports, one per slot
-        clearing, rhs = a_eq[r_eq:], c.b_eq[r_eq:]
-        if not mode.has_horizontal:
-            assert clearing.shape[0] == 0
-            return
-        assert clearing.shape[0] == t
-        assert np.all(rhs == 0.0)
-        want = np.zeros((t, s.n_users * size))
-        for n in range(s.n_users):
-            for tt in range(t):
-                want[tt, n * size + lay["export"].start + tt] = 1.0
-        assert np.array_equal(clearing, want)
+        """Home n's diagonal block of the joint problem is ``home_problem``
+        of home n, on homes with equal windows and on homes with windows of
+        their own."""
+        for s in (scen_3x8, _windowed()):
+            _check_block_stack(s, mode)
+
+    def test_one_build_per_mode(self, monkeypatch):
+        """A joint problem builds its rows and costs once each, for all
+        its homes."""
+        s = generate_synthetic(seed=1, n_users=40, horizon=24)
+        calls = _count_builds(monkeypatch)
+        for k, mode in enumerate(Mode, start=1):
+            assemble_problem(s, mode)
+            assert calls == {"constraints": k, "objective": k}
 
     def test_joint_rows_stay_sparse_at_scale(self):
         """Assembling and solving joint TEM at N=10 never holds as many bytes
@@ -697,6 +728,87 @@ class TestCentralized:
         assert len(loaded["users"]) == scen_2x4.n_users
 
 
+def _windowed():
+    """Generator seed 2 with per-home shift and plug-in windows of their
+    own (an empty shift window, a one-slot plug-in) and a split
+    demand-response window."""
+    s = generate_synthetic(seed=2, n_users=4, horizon=8)
+    grid = dataclasses.replace(
+        s.grid, shift_windows=((1, 2, 3), (), (2, 4, 5, 6, 7, 8), (8,)),
+        ev_windows=((1, 8), (3, 5), (8, 8), (2, 7)), dr_window=(2, 3, 7))
+    return dataclasses.replace(s, grid=grid)
+
+
+_PINNED_SCENARIOS = {
+    # the benchmark's homes, in generator order
+    "bench-5x8": lambda: generate_synthetic(
+        3, 5, 8, solar_range=(0.0, 10.0), ev_arrival_soc=0.85),
+    "seed1-40x24": lambda: generate_synthetic(1, 40, 24),
+    "windows-4x8": _windowed,
+}
+
+# SHA-256 of each assembled problem's arrays (dtype, shape and bytes) and
+# layout tag, made when each home's rows were built and stacked one by one
+_PINNED = {
+    "bench-5x8": {
+        "BS1": "0cada27f2ec20b0570c1f29af4f806f113646467f017cf8664e0abe36c541eca",
+        "BS2": "6edcac201dd5941ddda3f17f1ba78909134935263a918e57ae66b12ce08cc31e",
+        "BS3": "f18fef1722a6be06a81cf01aeb81957b11f1ba098281ed4288bed8d70fcf8082",
+        "TEM": "6d6a96888ac5a5ff423ade1bbdb41346777077a881927ab49488fc556b515e28",
+        "sweep": "2c86c394a2930ea265340593b3351003073828409435a3adbddb8f04366dbfdc"},
+    "seed1-40x24": {
+        "BS1": "f212bff332ab1dcfcb66126eaa9edfed95de825322cb83252f0e920e08b82750",
+        "BS2": "3c40f3a07509da782ecd420d9d159b3148506ff11ecabe594a0828cd14a6c94e",
+        "BS3": "06cd588596baf3067cc7ebf4fa2612faa5b1583c3f724a250ab71bc1e5226a47",
+        "TEM": "dae2bc24efd3a9b5720ed8c9c88c0e3fe9794904e9bd60ee5aa1a58130b945fb",
+        "sweep": "367a6f19ea562be644384398d465ed48afe3727194f9f399f8afb146796b15f0"},
+    "windows-4x8": {
+        "BS1": "5f7a329529deb6fbde46b904dc3a53cb3f2cb20ac2be2c9e37d7e154d229aad0",
+        "BS2": "39c1f9d26653316898a40a7748cab79535f245228a685249268b024db71bcb4b",
+        "BS3": "faa478c9c09d61cddf1d749c77446450840a8bac585dfa5b4e9439bbfe165902",
+        "TEM": "ba503771adfbec66b48400fdb93073708f7b12d3e48ca2a251befa52234edc5d",
+        "sweep": "dc9f9800aca4d430694d4c3c495e87c00b570c360816526761ad3d7fbda22a54"},
+}
+
+
+def _problem_digest(prob):
+    c = prob.constraints
+    h = hashlib.sha256()
+    for arr in (c.a_eq.data, c.a_eq.indices, c.a_eq.indptr, c.b_eq,
+                c.a_in.data, c.a_in.indices, c.a_in.indptr, c.b_in,
+                c.lo, c.hi, prob.p, prob.q):
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(prob.layout_tag.encode())
+    return h.hexdigest()
+
+
+class _Captured(Exception):
+    pass
+
+
+def _assembled_digests(s, monkeypatch):
+    """The digest of each mode's joint problem and of the distributed
+    sweep's stack, caught as the first sweep receives it."""
+    out = {mode.value: _problem_digest(assemble_problem(s, mode))
+           for mode in Mode}
+
+    def capture(sweep, d, layout):
+        out["sweep"] = _problem_digest(sweep)
+        raise _Captured
+    monkeypatch.setattr(tem, "assemble_ult", capture)
+    with pytest.raises(_Captured):
+        run_distributed(s, AdmmParams(max_iter=1))
+    return out
+
+
+class TestPinnedAssembly:
+    @pytest.mark.parametrize("name", sorted(_PINNED_SCENARIOS))
+    def test_assembled_bytes_are_pinned(self, name, monkeypatch):
+        got = _assembled_digests(_PINNED_SCENARIOS[name](), monkeypatch)
+        assert got == _PINNED[name]
+
+
 class TestDistributed:
     def test_lockstep_digests_and_clearing(self, scen_2x4):
         params = AdmmParams(eps=1e-5, max_iter=300)
@@ -727,20 +839,10 @@ class TestDistributed:
         assert last <= 1e-6
 
     def test_homes_built_once_per_run(self, scen_3x8, monkeypatch):
-        calls = {"constraints": 0, "objective": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-        monkeypatch.setattr(tem, "build_user_constraints", counted(
-            "constraints", tem.build_user_constraints))
-        monkeypatch.setattr(tem, "build_user_objective", counted(
-            "objective", tem.build_user_objective))
+        calls = _count_builds(monkeypatch)
         out = run_distributed(scen_3x8, AdmmParams(eps=1e-12, max_iter=4))
         assert out.iterations == 4
-        assert calls == {"constraints": 3, "objective": 3}
+        assert calls == {"constraints": 1, "objective": 1}
 
     def test_one_layout_per_run(self, scen_3x8, monkeypatch):
         calls = []
