@@ -2,8 +2,8 @@
 
 The contract holds the shared trading state: each home's pending net
 export, the cleared levels and price shares of the coordination step
-(``tem.DualState``, three (N, T) arrays), token balances and per-sender
-nonces.  Applying the same transactions in the same order to the same
+and their previous iterate (``tem.DualState``, five (N, T) arrays), token
+balances and per-sender nonces.  Applying the same transactions in the same order to the same
 state always yields the same state; validators compare state digests to
 prove it.
 

@@ -13,7 +13,7 @@ the trades it settles.  The settlement commits as one more block.
 
 The contract stores each home's export as its pending export and runs
 the same coordination-step code as the local mirror, so the two states,
-three (N, T) arrays each, stay bitwise identical and their digests can
+five (N, T) arrays each, stay bitwise identical and their digests can
 be compared per iteration.  Reads copy those arrays from the reference
 validator.
 """

@@ -742,10 +742,12 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
             best = (max(res_p, res_d) + mu,
                     (x.copy(), y.copy(), s.copy(), z.copy()))
         # iterate to the sharpest practical target regardless of the
-        # caller's tolerance; tol only gates certification at the end
+        # caller's tolerance; tol only gates certification at the end,
+        # which reads the largest s z, not their mean mu
         target = min(tol, 1e-8)
         if res_p <= 0.5 * target * scale and res_d <= 0.5 * target * scale \
-                and mu <= max(1e-12 * scale, 0.01 * target):
+                and mu <= max(1e-12 * scale, 0.01 * target) \
+                and float(np.max(s * z)) <= 0.5 * target:
             status = QpStatus.OPTIMAL
             break
 

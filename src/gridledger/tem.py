@@ -8,11 +8,13 @@ state) with a closed-form coordination step.  The paper's step works on pair
 tables of proposed trades, cleared trades and multipliers
 (``sct_step_pairwise``; Sorin, Bobo and Pinson, IEEE Trans. Power Syst.
 2019), but from the zero start its cleared trades stay u[n] - u[m] and
-its multipliers a[n] + a[m].  So the state is three (N, T) arrays, the
-pending net exports, u and a, and ``sct_step`` updates them in O(N T)
-(the exchange form of Boyd et al., Distributed Optimization and
-Statistical Learning via ADMM, 2011, section 7.3).  A home publishes
-only its net export per slot.  All homes solve against the same snapshot,
+its multipliers a[n] + a[m].  So the state is the pending net exports,
+u and a, and ``sct_step`` updates them in O(N T) (the exchange form of
+Boyd et al., Distributed Optimization and Statistical Learning via ADMM,
+2011, section 7.3).  The step is inertial (Chen, Chan, Ma and Yang, SIAM
+J. Imaging Sci. 2015): the sweep and the step read (u, a) extrapolated
+past the previous iterate, which the state keeps too, so the state is
+five (N, T) arrays.  A home publishes only its net export per slot.  All homes solve against the same snapshot,
 and no term couples two of them, so one iteration is one block-diagonal
 QP, whose minimum is each home's own, followed by one coordination step.
 
@@ -70,7 +72,7 @@ __all__ = [
 # KKT tolerance of every solve, the joint one and each home's subproblem
 _KKT_TOL = 1e-8
 
-SCHEMA_OUTCOME = "gridledger.outcome.v3"
+SCHEMA_OUTCOME = "gridledger.outcome.v4"
 SCHEMA_SCHEDULE = "gridledger.schedule.v2"
 
 
@@ -87,11 +89,13 @@ class SolveFailed(RuntimeError):
 
 @dataclass
 class DualState:
-    """Coordination state shared between homes, three (N, T) arrays.
+    """Coordination state shared between homes, five (N, T) arrays.
 
     ``exports`` holds each home's pending net export, which the next step
     clears.  In the paper's pair tables the cleared sale of n to m is
     ``levels[n] - levels[m]`` and the multiplier ``shares[n] + shares[m]``.
+    ``prev_levels`` and ``prev_shares`` are the step's previous iterate,
+    from which the next sweep and step extrapolate (``_extrapolated``).
     ``iteration`` counts completed coordination steps; ``rho`` is the
     penalty weight the next sweep will use.
     """
@@ -99,6 +103,8 @@ class DualState:
     exports: np.ndarray
     levels: np.ndarray
     shares: np.ndarray
+    prev_levels: np.ndarray
+    prev_shares: np.ndarray
     rho: float
     iteration: int
 
@@ -106,13 +112,13 @@ class DualState:
         return DualState(exports=self.exports.copy(),
                          levels=self.levels.copy(),
                          shares=self.shares.copy(),
+                         prev_levels=self.prev_levels.copy(),
+                         prev_shares=self.prev_shares.copy(),
                          rho=self.rho, iteration=self.iteration)
 
 
 def new_dual_state(n_users: int, horizon: int, rho: float) -> DualState:
-    shape = (n_users, horizon)
-    return DualState(exports=np.zeros(shape), levels=np.zeros(shape),
-                     shares=np.zeros(shape), rho=rho, iteration=0)
+    return DualState(*np.zeros((5, n_users, horizon)), rho=rho, iteration=0)
 
 
 def dual_state_digest(d: DualState) -> str:
@@ -123,7 +129,8 @@ def dual_state_digest(d: DualState) -> str:
     h.update(t.to_bytes(4, "little"))
     h.update(int(d.iteration).to_bytes(8, "little"))
     h.update(np.float64(d.rho).tobytes())
-    for arr in (d.exports, d.levels, d.shares):
+    for arr in (d.exports, d.levels, d.shares, d.prev_levels,
+                d.prev_shares):
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return h.hexdigest()
 
@@ -202,22 +209,37 @@ def sct_step_pairwise(trades: np.ndarray, duals: np.ndarray,
     return aux, duals + rho * (aux - trades)
 
 
-def _centres(d: DualState) -> np.ndarray:
+# inertia of the coordination step, a constant below the 1/3 under which
+# Chen et al. prove inertial ADMM converges
+_INERTIA = 0.3
+
+
+def _extrapolated(d: DualState) -> Tuple[np.ndarray, np.ndarray]:
+    """The point the sweep and the step read: (u, a) + beta ((u, a) -
+    (prev u, prev a)), beta = ``_INERTIA``.  From the zero start it is the
+    raw iterate, so the first step is the paper's."""
+    return (d.levels + _INERTIA * (d.levels - d.prev_levels),
+            d.shares + _INERTIA * (d.shares - d.prev_shares))
+
+
+def _centres(u: np.ndarray, a: np.ndarray, rho: float) -> np.ndarray:
     """C[n] = N u[n] - sum(u) + ((N - 2) a[n] + sum(a)) / rho, the sum over
-    peers m of home n's penalty centres aux[n][m] + lam[n][m] / rho."""
-    n = d.levels.shape[0]
-    return (n * d.levels - d.levels.sum(axis=0)
-            + ((n - 2) * d.shares + d.shares.sum(axis=0)) / d.rho)
+    peers m of home n's penalty centres aux[n][m] + lam[n][m] / rho at the
+    levels u and shares a."""
+    n = u.shape[0]
+    return n * u - u.sum(axis=0) + ((n - 2) * a + a.sum(axis=0)) / rho
 
 
 def sct_step(d: DualState) -> DualState:
     """Closed-form coordination update on the (N, T) state.
 
+    The step starts at the extrapolated point (u, a) (``_extrapolated``).
     Home n's penalty-optimal split of its pending export x[n] proposes to
     each peer its centre plus step[n] = (x[n] - C[n]) / (N - 1)
-    (``_centres``); ``sct_step_pairwise`` then moves the cleared trades by
-    (step[n] - step[m]) / 2 and sets the multipliers to
-    -rho (step[n] + step[m]) / 2.  A lone home's state does not change.
+    (``_centres`` at (u, a)); ``sct_step_pairwise`` then moves the cleared
+    trades by (step[n] - step[m]) / 2 and sets the multipliers to
+    -rho (step[n] + step[m]) / 2.  The raw levels and shares become the
+    new state's previous iterate.  A lone home's state does not change.
     The iteration counter is left unchanged; callers advance it once the
     step is applied everywhere.
     """
@@ -227,9 +249,12 @@ def sct_step(d: DualState) -> DualState:
     n = d.exports.shape[0]
     if n < 2:
         return d.copy()
-    step = (d.exports - _centres(d)) / (n - 1)
-    return DualState(exports=d.exports.copy(), levels=d.levels + step / 2.0,
-                     shares=-rho * step / 2.0, rho=rho, iteration=d.iteration)
+    u, a = _extrapolated(d)
+    step = (d.exports - _centres(u, a, rho)) / (n - 1)
+    return DualState(exports=d.exports.copy(), levels=u + step / 2.0,
+                     shares=-rho * step / 2.0, prev_levels=d.levels.copy(),
+                     prev_shares=d.shares.copy(), rho=rho,
+                     iteration=d.iteration)
 
 
 def advance_iteration(d: DualState, schedule: RhoSchedule) -> DualState:
@@ -239,27 +264,35 @@ def advance_iteration(d: DualState, schedule: RhoSchedule) -> DualState:
 
 
 def residuals(d: DualState, prev: DualState) -> Tuple[float, float]:
-    """Primal and dual residual of the step from ``prev`` to ``d``.
+    """Primal and dual residual of the step from ``prev`` to ``d``, both
+    measured from the point the step started at, ``prev`` extrapolated.
 
     Each pair multiplier moves by g[n][m] = da[n] + da[m], da the change
     of ``shares``, which is rho times the gap between the cleared and the
     proposed trade.  Primal: the sum over homes n of the norm of g[n] over
-    peers and slots, over the step's rho.  Dual: the norm of g.  Per slot,
-    sum over peers of g[n][m]^2 = (N - 4) da[n]^2 + 2 da[n] sum(da) +
-    sum(da^2), and over all pairs 2 (N - 2) sum(da^2) + 2 sum(da)^2, so
-    both take O(N T).  numpy sums them, not a BLAS dot product, whose
-    split across threads changes the last bits.
+    peers and slots, over the step's rho.  Per slot, sum over peers of
+    g[n][m]^2 = (N - 4) da[n]^2 + 2 da[n] sum(da) + sum(da^2).  Dual: rho
+    times the norm of the change of the cleared trades du[n] - du[m] over
+    ordered pairs, du the change of ``levels`` (Boyd et al., section
+    3.3); per slot its square is 2 N sum((du - mean(du))^2).  Both take
+    O(N T).  numpy sums them, not a BLAS dot product, whose split across
+    threads changes the last bits.
     """
     n = d.shares.shape[0]
     if n < 2:    # a lone home has no pairs
         return 0.0, 0.0
-    da = d.shares - prev.shares
+    u, a = _extrapolated(prev)
+    da, du = d.shares - a, d.levels - u
     s1, s2 = da.sum(axis=0), (da * da).sum(axis=0)
     # rounding can take a row whose exact value is zero just below it
     rows = np.maximum(((n - 4) * da * da + 2.0 * da * s1 + s2).sum(axis=1),
                       0.0)
     primal = float(np.sqrt(rows).sum()) / prev.rho
-    return primal, float(np.sqrt(np.sum(2.0 * (n - 2) * s2 + 2.0 * s1 * s1)))
+    # centred on home 0 first, so that a move common to all homes, which
+    # moves no trade, leaves no rounding behind
+    dc = du - du[0]
+    dc -= dc.mean(axis=0)
+    return primal, prev.rho * float(np.sqrt(2.0 * n * np.sum(dc * dc)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +345,8 @@ class IterationRecord:
     rho: float
     primal_residual: float
     dual_residual: float
+    # the path that answered the sweep: QpSolution.polish
+    polish: str
     digest_local: str
     digest_transport: str
 
@@ -405,7 +440,8 @@ def assemble_ult(sweep: QpProblem, d: DualState,
     and ``layout`` one home's columns.  Home n pays, per peer and slot,
     rho/2 * (aux - e)^2 - lam * e on its proposed trades e; at the best
     split of its net export s that is, up to a constant, rho / (2 (N-1))
-    * (s - C[n])^2 per slot, C = ``_centres(d)``.  It is added to copies
+    * (s - C[n])^2 per slot, C the centres at the extrapolated point
+    (``_centres``, ``_extrapolated``).  It is added to copies
     of ``sweep.p`` and ``sweep.q``, for all homes at once.  The constraint
     set is ``sweep``'s own object, so every solve reuses its presolve.
     """
@@ -414,7 +450,8 @@ def assemble_ult(sweep: QpProblem, d: DualState,
         n = d.exports.shape[0]
         w = d.rho / (n - 1)
         p_diag.reshape(n, -1)[:, layout["export"]] += w
-        q.reshape(n, -1)[:, layout["export"]] -= w * _centres(d)
+        q.reshape(n, -1)[:, layout["export"]] -= w * _centres(
+            *_extrapolated(d), d.rho)
     return QpProblem(p=p_diag, q=q, constraints=sweep.constraints,
                      layout_tag=sweep.layout_tag)
 
@@ -512,7 +549,8 @@ def run_distributed(s: Scenario, params: AdmmParams,
         primal, dual = residuals(mirror, prev)
         history.append(IterationRecord(
             iteration=k, rho=prev.rho, primal_residual=primal,
-            dual_residual=dual, digest_local=dl, digest_transport=dr))
+            dual_residual=dual, polish=sol.polish.value, digest_local=dl,
+            digest_transport=dr))
         if params.converged(primal, dual):
             break
 

@@ -655,6 +655,16 @@ class TestContract:
         ref = advance_iteration(sct_step(ref), state.config.rho_schedule)
         assert dual_state_digest(out.dual) == dual_state_digest(ref)
 
+    @pytest.mark.parametrize("field", ["prev_levels", "prev_shares"])
+    def test_previous_iterate_in_digests(self, field):
+        """The step extrapolates from the previous iterate, so validators
+        must agree on it: changing it alone changes both digests."""
+        state = genesis(_config())
+        moved = state.copy()
+        getattr(moved.dual, field)[1, 0] = 0.5
+        assert dual_state_digest(moved.dual) != dual_state_digest(state.dual)
+        assert contract_digest(moved) != contract_digest(state)
+
     def test_vertical_settlement_arithmetic(self):
         state = genesis(_config())
         tx = _tx(1, 1, VerticalTrade(user=1, feed_in=(1.0, 2.0),

@@ -108,9 +108,10 @@ class TestNoTrace:
     def test_chain_network_keeps_no_trace(self, small_run):
         net = small_run[1].network
         assert net.trace == []
-        # every event still runs and counts: 129 for this run, as when
-        # the trace was kept
-        assert net.events == 129
+        # every event still runs and counts: 172 for this run's four
+        # blocks (three steps and the settlement), as when the trace was
+        # kept
+        assert net.events == 172
 
     def test_tally_names_the_missing_trace(self, small_run):
         with pytest.raises(ValueError, match="network trace.*keeps none"):

@@ -48,19 +48,47 @@ def _state(n=2, t=1, rho=1.0):
 
 
 def _random_state(rng, n, t, rho):
-    return DualState(*rng.uniform(-3.0, 3.0, size=(3, n, t)), rho=rho,
+    return DualState(*rng.uniform(-3.0, 3.0, size=(5, n, t)), rho=rho,
                      iteration=0)
 
 
+def _at_rest(d):
+    """``d`` with its previous iterate equal to its current one, so the
+    step reads the raw levels and shares."""
+    return dataclasses.replace(d, prev_levels=d.levels.copy(),
+                               prev_shares=d.shares.copy())
+
+
+def _start(d):
+    """The point a step from ``d`` reads: levels and shares extrapolated
+    past their previous iterate by the step's inertia."""
+    b = tem._INERTIA
+    return (d.levels + b * (d.levels - d.prev_levels),
+            d.shares + b * (d.shares - d.prev_shares))
+
+
+def _tables(levels, shares):
+    """The cleared trades and the multipliers of (N, T) levels and shares,
+    as (N, N, T) tables with zero diagonals."""
+    off = ~np.eye(levels.shape[0], dtype=bool)[:, :, None]
+    return ((levels[:, None] - levels[None, :]) * off,
+            (shares[:, None] + shares[None, :]) * off)
+
+
+def _cleared(d):
+    """The pair tables a step left in ``d``: its raw levels and shares."""
+    return _tables(d.levels, d.shares)
+
+
 def _pairs(d):
-    """The paper's (N, N, T) tables of an (N, T) state: the proposed trades
-    (each pending export split over the peers as the home's penalty
-    prefers: each peer's centre aux + lam / rho plus one shared amount),
-    the cleared trades and the multipliers, all with zero diagonals."""
+    """The paper's (N, N, T) tables a step from ``d`` starts at (``_start``):
+    the proposed trades (each pending export split over the peers as the
+    home's penalty prefers: each peer's centre aux + lam / rho plus one
+    shared amount), the cleared trades and the multipliers, all with zero
+    diagonals."""
     n = d.exports.shape[0]
     off = ~np.eye(n, dtype=bool)[:, :, None]
-    aux = (d.levels[:, None] - d.levels[None, :]) * off
-    lam = (d.shares[:, None] + d.shares[None, :]) * off
+    aux, lam = _tables(*_start(d))
     centres = aux + lam / d.rho
     e = (centres + ((d.exports - centres.sum(axis=1))
                     / (n - 1))[:, None]) * off
@@ -68,32 +96,57 @@ def _pairs(d):
 
 
 def _pairwise_residuals(d, prev):
-    """The residuals' definitions evaluated pair by pair: each multiplier
-    moves by g[n][m] = da[n] + da[m], rho times the gap between the cleared
-    and the proposed trade; primal is the sum over homes of the norm of
-    their gaps, dual the norm of g."""
-    da = d.shares - prev.shares
+    """The residuals' definitions evaluated pair by pair, from the point
+    the step started at (``_start``): each multiplier moves by g[n][m] =
+    da[n] + da[m], rho times the gap between the cleared and the proposed
+    trade, and each cleared trade by du[n] - du[m]; primal is the sum over
+    homes of the norm of their gaps, dual rho times the norm of the
+    cleared trades' change."""
+    u, a = _start(prev)
+    da, du = d.shares - a, d.levels - u
     n = da.shape[0]
-    g = (da[:, None] + da[None, :]) * ~np.eye(n, dtype=bool)[:, :, None]
+    off = ~np.eye(n, dtype=bool)[:, :, None]
+    g = (da[:, None] + da[None, :]) * off
     primal = sum(float(np.sqrt(np.sum(g[i] * g[i])))
                  for i in range(n)) / prev.rho
-    return primal, float(np.sqrt(np.sum(g * g)))
+    moved = (du[:, None] - du[None, :]) * off
+    return primal, prev.rho * float(np.sqrt(np.sum(moved * moved)))
 
 
 def _rel(got, want):
     return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
 
 
+def _check_step(d, terms=False):
+    """``sct_step(d)`` against ``sct_step_pairwise`` at the point the step
+    starts from: the cleared trades and the multipliers to 1e-14 of their
+    largest magnitude.  With ``terms``, the multipliers to 1e-14 of the
+    largest term of their update lam + rho (aux - e): a multiplier is the
+    sum of two homes' shares, each rounded at the scale of those terms, so
+    on arbitrary states a table whose entries nearly cancel keeps only
+    that absolute accuracy."""
+    e, _, lam = _pairs(d)
+    aux_ref, lam_ref = sct_step_pairwise(e, lam, d.rho)
+    aux, lam_new = _cleared(sct_step(d))
+    assert _rel(aux, aux_ref) <= 1e-14
+    scale = np.max(np.abs(lam_ref))
+    if terms:
+        scale = max(scale, np.max(np.abs(lam)), d.rho * np.max(np.abs(e)))
+    assert float(np.max(np.abs(lam_new - lam_ref))) <= 1e-14 * scale
+
+
 class TestSctStep:
     def test_hand_oracle(self):
-        # N=2, rho=1: C[0] = 2*0.5 - 0 + (0 + 0.5) = 1.5, C[1] = -1 + 0.5
-        # = -0.5; step = x - C = (0.5, -0.5); levels += step / 2 and
-        # shares = -step / 2.  In pairs: aux[0][1] = 0.5 - (-0.5) + 0.5 =
-        # 1.5 and lam[0][1] = -0.25 + 0.25 = 0
+        # N=2, rho=1, a state at rest (previous iterate = current), so the
+        # step is the paper's: C[0] = 2*0.5 - 0 + (0 + 0.5) = 1.5, C[1] =
+        # -1 + 0.5 = -0.5; step = x - C = (0.5, -0.5); levels += step / 2
+        # and shares = -step / 2.  In pairs: aux[0][1] = 0.5 - (-0.5) + 0.5
+        # = 1.5 and lam[0][1] = -0.25 + 0.25 = 0
         d = _state()
         d.exports[:, 0] = [2.0, -1.0]
         d.levels[:, 0] = [0.5, -0.5]
         d.shares[:, 0] = [0.5, 0.0]
+        d = _at_rest(d)
         out = sct_step(d)
         assert out.levels[:, 0].tolist() == [0.75, -0.75]
         assert out.shares[:, 0].tolist() == [-0.25, 0.25]
@@ -102,6 +155,53 @@ class TestSctStep:
         aux_ref, lam_ref = sct_step_pairwise(e, lam, 1.0)
         assert aux_ref[0, 1, 0] == pytest.approx(1.5, abs=1e-15)
         assert lam_ref[0, 1, 0] == pytest.approx(0.0, abs=1e-15)
+
+    def test_inertial_hand_oracle(self):
+        # N=2, T=1, rho=1, beta=0.3: the levels moved by (1, -1) in the
+        # last step and the shares did not, so the step starts at u = 0.5
+        # + 0.3 = 0.8 and -0.8, a = (0.5, 0).  C[0] = 1.6 + 0.5 = 2.1,
+        # C[1] = -1.6 + 0.5 = -1.1; step = x - C = (-0.1, 0.1); levels =
+        # u + step / 2 = (0.75, -0.75), shares = -step / 2 = (0.05, -0.05).
+        # In pairs, from the start: e[0][1] = 2, e[1][0] = -1, aux[0][1] =
+        # 1.6 and lam[0][1] = 0.5; the paper's step gives aux[0][1] = (2 +
+        # 1) / 2 = 1.5 and lam[0][1] = 0.5 + (1.5 - 2) = 0.  At rest the
+        # same state would step to shares (-0.25, 0.25)
+        assert tem._INERTIA == 0.3
+        d = _state()
+        d.exports[:, 0] = [2.0, -1.0]
+        d.levels[:, 0] = [0.5, -0.5]
+        d.prev_levels[:, 0] = [-0.5, 0.5]
+        d.shares[:, 0] = d.prev_shares[:, 0] = [0.5, 0.0]
+        out = sct_step(d)
+        assert out.levels[:, 0] == pytest.approx([0.75, -0.75], abs=1e-15)
+        assert out.shares[:, 0] == pytest.approx([0.05, -0.05], abs=1e-15)
+        assert out.prev_levels[:, 0].tolist() == [0.5, -0.5]
+        assert out.prev_shares[:, 0].tolist() == [0.5, 0.0]
+        assert sct_step(_at_rest(d)).shares[:, 0].tolist() == [-0.25, 0.25]
+        e, aux, lam = _pairs(d)
+        assert e[:, :, 0][~np.eye(2, dtype=bool)] == pytest.approx(
+            [2.0, -1.0], abs=1e-15)
+        assert (aux[0, 1, 0], lam[0, 1, 0]) == pytest.approx((1.6, 0.5),
+                                                            abs=1e-15)
+        aux_ref, lam_ref = sct_step_pairwise(e, lam, 1.0)
+        assert aux_ref[0, 1, 0] == pytest.approx(1.5, abs=1e-15)
+        assert lam_ref[0, 1, 0] == pytest.approx(0.0, abs=1e-15)
+        # residuals from the start: each home's gap aux - e is -0.5, so
+        # primal = 2 * 0.5; the cleared trades moved by -0.1 and 0.1
+        primal, dual = residuals(out, d)
+        assert primal == pytest.approx(1.0, abs=1e-15)
+        assert dual == pytest.approx(np.sqrt(0.02), abs=1e-15)
+
+    def test_first_step_is_the_papers(self):
+        """From the zero start the previous iterate equals the current one,
+        so the first step of a run is the paper's step."""
+        rng = np.random.default_rng(4)
+        d = new_dual_state(4, 3, 1.5)
+        d.exports[:] = rng.uniform(-3.0, 3.0, size=(4, 3))
+        assert np.array_equal(_pairs(_at_rest(d))[0], _pairs(d)[0])
+        _check_step(d)
+        assert dual_state_digest(sct_step(d)) == dual_state_digest(
+            sct_step(_at_rest(d)))
 
     def test_leaves_inputs_and_counter_alone(self):
         d = _random_state(np.random.default_rng(1), 3, 2, 1.0)
@@ -141,13 +241,16 @@ class TestSctStep:
 
     @given(x=hnp.arrays(float, (2, 1), elements=small),
            u=hnp.arrays(float, (2, 1), elements=small),
-           a=hnp.arrays(float, (2, 1), elements=small))
+           a=hnp.arrays(float, (2, 1), elements=small),
+           pu=hnp.arrays(float, (2, 1), elements=small),
+           pa=hnp.arrays(float, (2, 1), elements=small))
     @settings(deadline=None, max_examples=60)
-    def test_matches_pairwise_formula(self, x, u, a):
+    def test_matches_pairwise_formula(self, x, u, a, pu, pa):
         rho = 2.0
-        d = DualState(exports=x, levels=u, shares=a, rho=rho, iteration=0)
+        d = DualState(exports=x, levels=u, shares=a, prev_levels=pu,
+                      prev_shares=pa, rho=rho, iteration=0)
         e, _, lam = _pairs(d)
-        _, aux, lam_new = _pairs(sct_step(d))
+        aux, lam_new = _cleared(sct_step(d))
         want = (rho * (e[0, 1, 0] - e[1, 0, 0]) - (lam[0, 1, 0] - lam[1, 0, 0])) \
             / (2.0 * rho)
         assert aux[0, 1, 0] == pytest.approx(want, abs=1e-12)
@@ -156,18 +259,16 @@ class TestSctStep:
 
 
 class TestPairwiseEquivalence:
-    """The (N, T) step and residuals against the paper's pair tables."""
+    """The (N, T) step and residuals against the paper's pair tables at the
+    point the step starts from, the extrapolated one."""
 
     def test_step_on_random_states(self):
         rng = np.random.default_rng(26)
         for _ in range(200):
             n, t = int(rng.integers(2, 7)), int(rng.integers(1, 6))
-            d = _random_state(rng, n, t, float(rng.uniform(0.2, 5.0)))
-            e, _, lam = _pairs(d)
-            aux_ref, lam_ref = sct_step_pairwise(e, lam, d.rho)
-            _, aux, lam_new = _pairs(sct_step(d))
-            assert _rel(aux, aux_ref) <= 1e-14
-            assert _rel(lam_new, lam_ref) <= 1e-14
+            _check_step(_random_state(rng, n, t,
+                                      float(rng.uniform(0.2, 5.0))),
+                        terms=True)
 
     def test_residuals_on_random_states(self):
         rng = np.random.default_rng(27)
@@ -181,11 +282,11 @@ class TestPairwiseEquivalence:
                 # a real step: the gaps between the cleared and the
                 # proposed trades of sct_step_pairwise
                 nxt = sct_step(prev)
-                e, _, lam = _pairs(prev)
+                e, aux0, lam = _pairs(prev)
                 aux, lam_new = sct_step_pairwise(e, lam, prev.rho)
                 primal = sum(float(np.sqrt(np.sum((aux[i] - e[i]) ** 2)))
                              for i in range(n))
-                dual = float(np.sqrt(np.sum((lam_new - lam) ** 2)))
+                dual = prev.rho * float(np.sqrt(np.sum((aux - aux0) ** 2)))
                 assert residuals(nxt, prev) == pytest.approx(
                     (primal, dual), rel=1e-12, abs=0.0)
 
@@ -198,11 +299,7 @@ class TestPairwiseEquivalence:
         assert out.converged and len(transport.states) == out.iterations
         for prev in transport.states:
             nxt = sct_step(prev)
-            e, _, lam = _pairs(prev)
-            aux_ref, lam_ref = sct_step_pairwise(e, lam, prev.rho)
-            _, aux, lam_new = _pairs(nxt)
-            assert _rel(aux, aux_ref) <= 1e-14
-            assert _rel(lam_new, lam_ref) <= 1e-14
+            _check_step(prev)
             assert residuals(nxt, prev) == pytest.approx(
                 _pairwise_residuals(nxt, prev), rel=1e-12, abs=0.0)
         assert out.history[-1].primal_residual <= 1e-8
@@ -218,6 +315,8 @@ class TestDigest:
         lambda d: d.exports.__setitem__((0, 0), 9.0),
         lambda d: d.levels.__setitem__((1, 0), 9.0),
         lambda d: d.shares.__setitem__((0, 0), 9.0),
+        lambda d: d.prev_levels.__setitem__((1, 0), 9.0),
+        lambda d: d.prev_shares.__setitem__((0, 0), 9.0),
         lambda d: setattr(d, "rho", 7.0),
         lambda d: setattr(d, "iteration", 5),
     ])
@@ -279,9 +378,11 @@ def _converged(d, prev, eps):
 
 
 class TestConvergence:
-    # N=2, rho=1: a change da of the shares moves the one pair's multipliers
-    # by g = da[0] + da[1]; primal = 2 |g|, dual = sqrt(2) |g|; the stop
-    # rule is AdmmParams.converged, which run_distributed calls
+    # N=2, rho=1, from the zero state: a change da of the shares moves the
+    # one pair's multipliers by g = da[0] + da[1], and primal = 2 |g|; a
+    # change du of the levels moves the cleared trades by du[0] - du[1],
+    # and dual = sqrt(2) rho |du[0] - du[1]|; the stop rule is
+    # AdmmParams.converged, which run_distributed calls
 
     def test_boundary_is_inclusive(self):
         eps = 0.5
@@ -299,13 +400,15 @@ class TestConvergence:
         assert not _converged(d, prev, eps)
 
     def test_dual_movement_blocks(self):
-        # a large rho makes the primal tiny; the dual still blocks
+        # cleared trades that move with the multipliers at rest: the
+        # primal is zero, the dual still blocks
         eps = 1e-6
         prev = _state(rho=1e9)
         d = prev.copy()
-        d.shares[0, 0] = 1.0
+        d.levels[0, 0] = 1.0
         primal, dual = residuals(d, prev)
         assert primal <= eps < dual
+        assert dual == np.sqrt(2.0) * 1e9
         assert not _converged(d, prev, eps)
 
 
@@ -383,6 +486,7 @@ class TestUltAssembly:
         # pairs: aux[0][1] = 0.75 + 0.75 = 1.5, lam[0][1] = 0.25
         d.levels[0], d.levels[1] = 0.75, -0.75
         d.shares[:] = 0.125
+        d = _at_rest(d)
         lay = user_layout(s.n_users, s.grid.horizon, Mode.TEM)
         prob = _block(assemble_ult(_sweep(s), d, lay), s, 0)
         base_p, base_q, _ = build_user_objective(s, [0], Mode.TEM)
@@ -488,12 +592,24 @@ class TestSweep:
 
         check(_random_state(np.random.default_rng(0), 5, 24, 1.0), None)
         d, sol = new_dual_state(5, 24, 1.0), None
-        for _ in range(3):
+        # from the second sweep on, the sweeps read extrapolated states
+        for _ in range(4):
             sol = check(d, sol)
             d = advance_iteration(sct_step(dataclasses.replace(
                 d, exports=_exports(sol, lay, 5).copy())),
                 RhoSchedule.fixed(1.0))
         assert sol.polish is Polish.WARM
+
+    def test_sweep_certifies_past_the_mean_complementarity(self):
+        """Iteration 2 of a 200-home run (generator seed 1, rho = 49.75):
+        the warm polish fails and the interior point reaches a mean s z of
+        1.3e-11 with one pair still at 9.8e-8.  Stopped there, no polish
+        certified and the run failed; the interior point now also waits
+        for the largest pair, and the polish certifies."""
+        s = generate_synthetic(seed=1, n_users=200, horizon=24)
+        out = run_distributed(s, AdmmParams(
+            max_iter=2, rho_schedule=RhoSchedule.fixed(49.75)))
+        assert [rec.polish for rec in out.history] == ["polished"] * 2
 
     def test_one_homes_data_moves_only_its_export(self):
         """Raising home 2's inflexible load changes its own export and
@@ -721,7 +837,7 @@ class TestCentralized:
         path = tmp_path / "outcome.json"
         out.write_json(path)
         loaded = json.loads(path.read_text())
-        assert loaded["schema"] == "gridledger.outcome.v3"
+        assert loaded["schema"] == "gridledger.outcome.v4"
         assert "trades" not in loaded
         assert loaded["mode"] == "BS2"
         assert loaded["total_cost"] == pytest.approx(out.total_cost)
@@ -863,6 +979,29 @@ class TestDistributed:
         assert out.converged and out.iterations == 1
         assert not out.schedules[0].export.any()
 
+    def test_stop_rule_bounds_the_trades_movement(self):
+        """Generator seed 8 of the benchmark's regime at T=24, rho=1.  A
+        stop rule whose dual residual was rho times the primal gap again
+        stopped here at iteration 61 with the exports still moving, 8.8e-5
+        above the joint cost; the change of the cleared trades is bounded
+        now, and the run ends at the joint cost."""
+        s = generate_synthetic(8, 5, 24, solar_range=(0.0, 10.0),
+                               ev_arrival_soc=0.85)
+        out = run_distributed(s, AdmmParams(eps=1e-6, max_iter=2000))
+        joint = solve_centralized(s, Mode.TEM).total_cost
+        assert out.converged
+        assert abs(out.total_cost - joint) / max(1.0, abs(joint)) <= 1e-8
+
+    def test_records_name_the_path_of_each_sweep(self, scen_3x8):
+        """Each iteration records which path answered its sweep: the first
+        sweep is cold, and later ones start warm."""
+        out = run_distributed(scen_3x8, AdmmParams(eps=1e-8, max_iter=500))
+        paths = [rec.polish for rec in out.history]
+        assert paths[0] in (Polish.POLISHED.value, Polish.INTERIOR.value)
+        assert set(paths) <= {p.value for p in Polish}
+        assert Polish.WARM.value in paths
+        assert [r["polish"] for r in out.to_json_dict()["history"]] == paths
+
     def test_unconverged_reports_honestly(self, scen_2x4):
         out = run_distributed(scen_2x4, AdmmParams(eps=1e-12, max_iter=1))
         assert not out.converged
@@ -893,7 +1032,7 @@ for out in (tem.solve_centralized(s, Mode.TEM),
 h.update(solve_qp(tem.assemble_problem(s40, Mode.TEM)).value.hex().encode())
 rng = np.random.default_rng(0)
 for _ in range(10):
-    d, prev = (tem.DualState(*rng.standard_normal((3, 40, 24)), 1.0, 1)
+    d, prev = (tem.DualState(*rng.standard_normal((5, 40, 24)), 1.0, 1)
                for _ in range(2))
     h.update(np.array(tem.residuals(d, prev)).tobytes())
 print(h.hexdigest())
