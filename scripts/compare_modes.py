@@ -17,6 +17,7 @@ Usage: python scripts/compare_modes.py [--users N] [--horizon T]
 import argparse
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from gridledger.energy_model import Mode
@@ -64,6 +65,10 @@ def main() -> None:
     print(f"\ndistributed TEM: {dist.iterations} iterations in "
           f"{time.perf_counter() - t0:.2f}s, cost {dist.total_cost:.4f} "
           f"(gap to centralized {gap:.2e})")
+    paths = Counter(r.polish for r in dist.history)
+    print("sweeps by path: " + ", ".join(f"{k} {v}" for k, v in
+                                         sorted(paths.items()))
+          + f"; {sum(r.factors for r in dist.history)} factorizations")
 
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -18,22 +18,25 @@ The active set settles long before the interior point's sharp target
 (El-Bakry, Tapia & Zhang, "A study of indicators for identifying zero
 variables in interior-point methods", SIAM Review 1994), so a guess that
 the predictor's affine point keeps is polished at once, and a certified
-candidate ends the solve.  A warm start runs the same polish on the
-previous solution's active set first.  A ``LinearConstraintSet`` presolves
-once, at its first solve, and holds that presolve, so every later solve on
-the same object reduces only ``p`` and ``q``; it holds its finite bounds
-for the residuals the same way.  Each regularised,
+candidate ends the solve; a warm start runs a primal active-set method
+from its point instead (``_continue``).  A ``LinearConstraintSet``
+presolves once, at its first solve, and holds that presolve, so every
+later solve on the same object reduces only ``p`` and ``q``; it holds its
+finite bounds for the residuals the same way.  Each regularised,
 quasi-definite saddle system (Vanderbei, SIAM J. Optim. 1995) is factored
 sparse by SuperLU with unrelaxed supernodes, which suit these very sparse
 factors (``_factor``).  Such a matrix has an LDL' factor in every
 symmetric order, so each solve orders its Newton pattern once and factors
 every Newton matrix in that order on the diagonal (``_NewtonOrder``); the
 polish and presolve saddles, with only the regularisation on some
-diagonal entries, keep threshold pivots (``_kkt_solver``).  The held
-presolve keeps the last polish factor for reuse on the same matrix
-(Stellato et al. 2020, section 3.1).  ``QpSolution.polish`` says which
-path produced the answer.  Everything is deterministic: same problem,
-same answer, bit for bit.
+diagonal entries, keep threshold pivots (``_saddle_parts``).  The held
+presolve keeps one polish factor per p, and solves the saddles of nearby
+active sets through a border on it (``_Border``) rather than refactor.
+``QpSolution.polish`` says which path produced the answer.  Everything is
+deterministic: the same sequence of solves on a constraint set gives the
+same answers, bit for bit.  A polish that borders the held factor depends
+on the solves before it on that set, as the factor keeps their active set
+and regularisation.
 """
 
 from __future__ import annotations
@@ -64,6 +67,11 @@ _IPM_CAP = 200
 _FEAS_TOL = 1e-9
 # polish retries after the first active-set guess
 _REPAIRS = 3
+# entries a polish factor's border holds before a refactor (``_Border``)
+# and steps of the warm start's active-set continuation (``_continue``)
+_BORDER, _STEPS = 32, 40
+# SuperLU factors made so far (``_factor``), for ``QpSolution.factors``
+_factored = [0]
 
 
 class QpStatus(enum.Enum):
@@ -78,8 +86,10 @@ class Polish(enum.Enum):
     ``polished``: the KKT solve on the interior point's active set, once
     its affine point keeps that set or at the end, or on that set as
     repaired from candidates that did not certify; ``warm``: the same
-    solve and repairs from the warm start's active set, without an
-    interior-point iteration (``iterations`` is 1); ``interior``: the
+    solve on the warm start's active set, from its point, without an
+    interior-point iteration (``iterations`` is 1); ``continued``: the
+    active-set continuation from there (``_continue``), ``iterations``
+    counting its steps; ``interior``: the
     interior-point point, because no polish candidate certified or the
     problem is infeasible; ``direct``: no iteration was needed (equality
     rows only, every variable fixed, or bounds or rows that presolve found
@@ -88,6 +98,7 @@ class Polish(enum.Enum):
 
     POLISHED = "polished"
     WARM = "warm"
+    CONTINUED = "continued"
     INTERIOR = "interior"
     DIRECT = "direct"
 
@@ -201,8 +212,10 @@ class QpProblem:
 @dataclass
 class QpSolution:
     """``iterations`` counts the interior point's Newton factors; an answer
-    without one counts its single KKT solve, 1 for ``warm`` and for the
-    equality-only ``direct`` solve, and 0 when nothing was solved."""
+    without one counts its KKT solves: 1 for ``warm`` and the equality-only
+    ``direct`` solve, one per step for ``continued``, and 0 when nothing
+    was solved; ``factors`` counts every SuperLU factorization the solve
+    made."""
 
     x: np.ndarray
     duals: Duals
@@ -211,6 +224,7 @@ class QpSolution:
     iterations: int
     polish: Polish
     value: float = 0.0
+    factors: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +284,10 @@ class _Reduced:
     ju: np.ndarray            # ... and with a finite upper bound
     b_max: float              # max |b| and max |h|, for the solve's scale
     h_max: float
-    # the last polish solver by its matrix, shared by every solve on the
-    # constraint set that holds this presolve
+    # the polish factor (``_Border``) by p, and what ``_held`` makes,
+    # shared by the solves on it
     factor: dict = field(default_factory=dict)
+    held: dict = field(default_factory=dict)
 
 
 class _Contradiction(Exception):
@@ -342,14 +357,46 @@ def _presolve(c: LinearConstraintSet) -> _Reduced:
         # regularised min-norm solve of [[I, A'], [A, -1e-10 I]] leaves a
         # residual only where b has a part outside the range of A
         nf = free.size
-        x = _saddle_solver(red, np.arange(nf), np.zeros(h_r.size, dtype=bool),
-                           np.ones(nf), 1e-10, 1)(
+        x = _refined(*_saddle_parts(red, np.arange(nf), np.zeros(
+            h_r.size, dtype=bool), np.ones(nf), 1e-10), 1)(
             np.concatenate([np.zeros(nf), b_r]))[:nf]
         gap = float(np.max(np.abs(a_r @ x - b_r)))
         if gap > 1e-7 * (1.0 + float(np.max(np.abs(b_r)))):
             raise _Contradiction(
                 f"equality rows are mutually inconsistent (residual {gap:.3e})")
     return red
+
+
+def _held(red: _Reduced, name: str) -> object:
+    """What the presolve holds under ``name``, made by the first solve that
+    needs it, so a presolve that only ever solves cold pays nothing for it:
+    ``cols``, a and g by column (``_Border``); ``part``, the component of
+    each column, then of each inequality and equality row (``_continue``)."""
+    if name not in red.held:
+        red.held[name] = (red.a.tocsc(), red.g.tocsc()) if name == "cols" \
+            else _components(sp.vstack([red.g, red.a], format="csr"))
+    return red.held[name]
+
+
+def _components(rows: sp.csr_array) -> np.ndarray:
+    """Each column's, then each row's component of the graph that joins a
+    row to the columns of its entries, named by one of its columns: labels
+    spread from columns to rows and back, and jump to their label's label
+    (Shiloach & Vishkin, J. Algorithms 1982), until they settle.  Every
+    row holds an entry, as presolve drops the empty ones."""
+    by_col = rows.tocsc()
+    on = np.flatnonzero(np.diff(by_col.indptr))     # columns in some row
+    label = np.arange(rows.shape[1])
+    while True:
+        at_row = np.minimum.reduceat(label[rows.indices], rows.indptr[:-1])
+        new = label.copy()
+        new[on] = np.minimum(label[on], np.minimum.reduceat(
+            at_row[by_col.indices], by_col.indptr[on]))
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            return np.concatenate([label, at_row])
+        label = new
 
 
 def _triplets(mat: sp.csr_array) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -384,6 +431,7 @@ def _factor(pattern: tuple, vals: np.ndarray, permc_spec: str,
     store and update explicit zeros.  Unrelaxed, one joint-modes pass's
     Newton factors took half the time, and the polish factor of joint TEM
     at N=200, T=24 fell from 975k to 479k entries in L+U."""
+    _factored[0] += 1
     slot, indices, indptr = pattern
     size = indptr.size - 1
     mat = sp.csc_matrix((np.bincount(slot, vals, indices.size), indices,
@@ -407,28 +455,39 @@ def _refined(solve: Callable[[np.ndarray], np.ndarray],
     return refined
 
 
-def _kkt_solver(pattern: tuple, vals: np.ndarray,
-                mul: Callable[[np.ndarray], np.ndarray],
-                refine: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the saddle matrix of ``pattern`` with entries summing ``vals``
-    (+reg on the primal diagonal, -reg on the rest) once; return its solve,
-    refined ``refine`` times against ``mul``.  The fixed ordering makes
-    equal matrices equal factors; a singular one raises.
+def _saddle_parts(red: _Reduced, free: np.ndarray, act_g: np.ndarray,
+                  pf: np.ndarray, reg: float
+                  ) -> Tuple[Callable[[np.ndarray], np.ndarray],
+                             Callable[[np.ndarray], np.ndarray]]:
+    """The factored solve of [[diag(pf) + reg I, R'], [R, -reg I]] on the
+    ``free`` columns, R: the equality rows over the ``act_g`` inequality
+    rows, read from their entries, so no stacked matrix is formed; and the
+    unregularised product; a singular one raises.
 
     Every saddle here is quasi-definite, so an LDL' factor exists in any
     symmetric order; how accurate it is depends on the diagonal.  The
     interior point's Newton matrices hold p and the slack weights there and
     factor on the diagonal alone (``_NewtonOrder``).  The polish and
-    presolve saddles, served here, hold only reg (about 1e-10) on the
+    presolve saddles, made here, hold only reg (about 1e-10) on the
     diagonal of columns with p = 0, and keep threshold pivots: factored on
     the diagonal, the saddles of one benchmark distributed run (N=5, T=8,
     48 iterations) took 54 factorizations instead of 52, and 109 instead
-    of 101 on the held-out scenario.  Like every factor here, they leave
-    supernodes unrelaxed (``_factor``): at N=200, T=24 that halves the
-    joint TEM polish factor's fill, to about 1.1 times a Newton
-    factor's."""
-    return _refined(_factor(pattern, vals, "MMD_AT_PLUS_A", 0.01).solve,
-                    mul, refine)
+    of 101 on the held-out scenario."""
+    nf, me, m = free.size, red.b.size, red.b.size + int(act_g.sum())
+    col = np.full(red.lo.size, -1)
+    col[free] = np.arange(nf)
+    (ar, ac, av), (gr, gc, gv) = _triplets(red.a), _triplets(red.g)
+    in_a, in_g = col[ac] >= 0, act_g[gr] & (col[gc] >= 0)
+    r = np.concatenate([ar[in_a], me + np.cumsum(act_g)[gr[in_g]] - 1])
+    c = col[np.concatenate([ac[in_a], gc[in_g]])]
+    v = np.concatenate([av[in_a], gv[in_g]])
+    diag = np.arange(nf)
+    lu = _factor(_saddle_pattern(diag, diag, r, c, nf, m),
+                 np.concatenate([pf + reg, v, v, np.full(m, -reg)]),
+                 "MMD_AT_PLUS_A", 0.01)
+    return lu.solve, lambda u: np.concatenate([
+        pf * u[:nf] + np.bincount(c, v * u[nf:][r], nf),
+        np.bincount(r, v * u[c], m)])
 
 
 class _NewtonOrder:
@@ -480,80 +539,190 @@ def _permuted(pattern: tuple, order: np.ndarray) -> tuple:
             np.searchsorted(keys, np.arange(size + 1) * size))
 
 
-def _saddle_solver(red: _Reduced, free: np.ndarray, act_g: np.ndarray,
-                   pf: np.ndarray, reg: float, refine: int
-                   ) -> Callable[[np.ndarray], np.ndarray]:
-    """The solver of [[diag(pf), R'], [R, 0]] on the ``free`` columns, R:
-    the equality rows over the ``act_g`` inequality rows, read from their
-    entries, so no stacked matrix is formed."""
-    nf, me, m = free.size, red.b.size, red.b.size + int(act_g.sum())
-    col = np.full(red.lo.size, -1)
-    col[free] = np.arange(nf)
-    (ar, ac, av), (gr, gc, gv) = _triplets(red.a), _triplets(red.g)
-    in_a, in_g = col[ac] >= 0, act_g[gr] & (col[gc] >= 0)
-    r = np.concatenate([ar[in_a], me + np.cumsum(act_g)[gr[in_g]] - 1])
-    c = col[np.concatenate([ac[in_a], gc[in_g]])]
-    v = np.concatenate([av[in_a], gv[in_g]])
-    diag = np.arange(nf)
-    return _kkt_solver(_saddle_pattern(diag, diag, r, c, nf, m),
-                       np.concatenate([pf + reg, v, v, np.full(m, -reg)]),
-                       lambda u: np.concatenate([
-                           pf * u[:nf] + np.bincount(c, v * u[nf:][r], nf),
-                           np.bincount(r, v * u[c], m)]), refine)
-
-
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0
     return float(min(1.0, np.min(-v[neg] / dv[neg], initial=1.0)))
+
+
+class _Border:
+    """A polish factor K made on one active set, and the saddles of nearby
+    ones as [[K, V], [V', C]] (Bartlett & Biegler, "QPSchur", Optim. Eng.
+    2006): a column fixed or row dropped pins its unknown (v = e_i, C = 0),
+    one released or added brings its entries.  Each entry held keeps K^-1 v
+    and its row of S = C - V'K^-1 V; the dense work is numpy, not BLAS."""
+
+    def __init__(self, red: _Reduced, fixed: np.ndarray, act_g: np.ndarray,
+                 reg: float):
+        n, me = red.lo.size, red.b.size
+        # red without the factor dict that holds this border, and solves
+        # that do not hold it either: no cycle keeps a dropped constraint
+        # set's factors alive until the garbage collector runs
+        self.red = replace(red, factor={})
+        self.reg, self.base = reg, np.concatenate([fixed, act_g])
+        self.free, self.act = np.flatnonzero(~fixed), np.flatnonzero(act_g)
+        nf = self.free.size
+        # base position of column j, and of inequality row i at n + i
+        self.pos = np.full(self.base.size, -1)
+        self.pos[self.free] = np.arange(nf)
+        self.pos[n + self.act] = nf + me + np.arange(self.act.size)
+        self.size = nf + me + self.act.size
+        self.solve, self.mul = _saddle_parts(red, self.free, act_g,
+                                             red.p[self.free], reg)
+        # entries held: index by entry, (position, value, index) of the
+        # nonzeros of V and K^-1 V, and S and C over them
+        self.slot = np.full(self.base.size, -1)
+        self.v = self.z = (np.zeros(0, int), np.zeros(0), np.zeros(0, int))
+        self.s, self.c = np.zeros((2, _BORDER, _BORDER))
+        self.held, self.last = 0, (None, None)  # last border, its solve
+
+    def _add(self, e: int) -> None:
+        """Hold entry e: column e, or inequality row e - n."""
+        red, n, k, g = self.red, self.red.lo.size, self.held, self.red.g
+        at, val, near = self.pos[e:e + 1], np.ones(1), np.zeros(0, int)
+        nval = near
+        if self.pos[e] < 0 and e < n:   # a column's entries on the rows
+            a, gc = _held(red, "cols")
+            i, j = (slice(m.indptr[e], m.indptr[e + 1]) for m in (a, gc))
+            at, val = self.free.size + a.indices[i], a.data[i]
+            near, nval = n + gc.indices[j], gc.data[j]
+        elif self.pos[e] < 0:           # a row's on the columns
+            i = slice(g.indptr[e - n], g.indptr[e - n + 1])
+            at, val, near, nval = [], [], g.indices[i], g.data[i]
+        if self.pos[e] < 0:             # on the base to V, else to C
+            on = self.pos[near] >= 0
+            at = np.concatenate([at, self.pos[near[on]]]).astype(int)
+            val = np.concatenate([val, nval[on]])
+            near, nval = self.slot[near[~on]], nval[~on]
+        c = np.zeros(k + 1)
+        c[near[near >= 0]] = nval[near >= 0]
+        c[k] = red.p[e] if self.pos[e] < 0 and e < n else 0.0
+        z = self.solve(np.bincount(at, val, self.size))
+        nz = np.flatnonzero(z)
+        self.v, self.z = (tuple(map(np.concatenate, zip(t, (i, w, np.full(
+            i.size, k))))) for t, i, w in ((self.v, at, val),
+                                           (self.z, nz, z[nz])))
+        row = c - np.bincount(self.v[2], self.v[1] * z[self.v[0]], k + 1)
+        row[k] += 0.0 if self.pos[e] >= 0 else self.reg if e < n else -self.reg
+        self.s[k, :k + 1] = self.s[:k + 1, k] = row
+        self.c[k, :k + 1] = self.c[:k + 1, k] = c
+        self.slot[e], self.held = k, k + 1
+
+    def solver(self, fixed: np.ndarray, act_g: np.ndarray
+               ) -> Optional[Callable[..., Tuple[np.ndarray, ...]]]:
+        """The solve, (x, y, row multiplier) steps from right-hand sides on
+        columns, equality and inequality rows, with bounds ``fixed`` and
+        rows ``act_g`` active, refined thrice on the base and once when
+        bordered; None past ``_BORDER`` entries held or when S is singular
+        or worse conditioned than 1e10."""
+        border = np.flatnonzero(np.concatenate([fixed, act_g]) != self.base)
+        if border.tobytes() != self.last[0]:
+            self.last = (border.tobytes(), self._solver(border))
+        return self.last[1]
+
+    def _solver(self, border: np.ndarray) -> Optional[Callable]:
+        for e in border[self.slot[border] < 0].tolist():
+            if self.held == _BORDER:
+                return None
+            self._add(e)
+        n, nf, size = self.red.lo.size, self.free.size, self.size
+        k, ix, pin = border.size, self.slot[border], self.pos[border] >= 0
+        base, mul, free, act = self.solve, self.mul, self.free, self.act
+        refined = _refined(base, mul, 3)
+        if k:
+            rank = np.full(self.held, -1)
+            rank[ix] = np.arange(k)
+            (at, val, own), (zr, zv, zo) = (
+                (t[0][i >= 0], t[1][i >= 0], i[i >= 0])
+                for t in (self.v, self.z) for i in [rank[t[2]]])
+            schur, c0 = self.s[ix[:, None], ix], self.c[ix[:, None], ix]
+            # the 1-norm condition number of D S D, D = |diag S|^-1/2
+            o = np.abs(np.diag(schur))
+            try:    # a zero on the diagonal reads as ill conditioned
+                o = 1.0 / np.sqrt(np.maximum(o[:, None] * o, 1e-300))
+                inv = np.linalg.inv(schur)
+            except np.linalg.LinAlgError:
+                return None
+            if not (np.abs(schur * o).sum(0).max() * np.abs(
+                    inv / o).sum(0).max() <= 1e10):
+                return None
+
+            def bordered(r):
+                t = base(r[:size])
+                w = np.einsum("ij,j->i", inv,
+                              r[size:] - np.bincount(own, val * t[at], k))
+                return np.concatenate([
+                    t - np.bincount(zr, zv * w[zo], size), w])
+            refined = _refined(bordered, lambda u: np.concatenate([
+                mul(u[:size]) + np.bincount(at, val * u[size:][own], size),
+                np.bincount(own, val * u[at], k)
+                + np.einsum("ij,j->i", c0, u[size:])]), 1)
+
+        def solve(rx, re, rg):
+            u = refined(np.concatenate([rx[free], re, rg[act], np.where(
+                pin, 0.0, np.concatenate([rx, rg])[border])]))
+            out = np.zeros(n + rg.size)
+            out[free], out[n + act] = u[:nf], u[nf + re.size:size]
+            out[border] = np.where(pin, 0.0, u[size:])
+            return out[:n], u[nf:nf + re.size], out[n:]
+        return solve
+
+
+def _kkt_point(red: _Reduced, x0: np.ndarray, y0: np.ndarray,
+               zg0: np.ndarray, act_g: np.ndarray, act_l: np.ndarray,
+               act_u: np.ndarray, reg: float) -> Optional[tuple]:
+    """The regularised KKT solve on an active set, bound columns fixed at
+    their bounds, as (x, y, raw row, lower and upper bound multipliers), or
+    None if it is singular.  Columns with an active bound are fixed; the
+    other columns, the equality rows and the active inequality rows form
+    one saddle system, solved for the step from (x0, y0, zg0), not for the
+    point itself, so the regularisation keeps flat primal directions and
+    degenerate multipliers where the start put them.  The held factor
+    solves it, made anew here, with this reg, if none is held for this p
+    or it cannot border this set (``_Border``)."""
+    fixed, key = act_l | act_u, red.p.tobytes()
+    x = np.where(act_l, red.lo, np.where(act_u, red.hi, x0))
+    raw_g = np.where(act_g, zg0, 0.0)     # no active-row matrix formed
+    grad = red.p * x + red.q + red.at @ y0 + red.gt @ raw_g
+    try:
+        solve = key in red.factor and red.factor[key].solver(fixed, act_g)
+        if not solve:
+            red.factor.clear()
+            red.factor[key] = _Border(red, fixed, act_g, reg)
+            solve = red.factor[key].solver(fixed, act_g)
+        dx, dy, dz = solve(-grad, -(red.a @ x - red.b), -(red.g @ x - red.h))
+    except RuntimeError:        # singular
+        return None
+    x, y, raw_g = (np.where(fixed, x, x + dx), y0 + dy,
+                   np.where(act_g, raw_g + dz, 0.0))
+    grad = red.p * x + red.q + red.at @ y + red.gt @ raw_g
+    return (x, y, raw_g, np.where(act_l, grad, 0.0),
+            np.where(act_u, -grad, 0.0))
 
 
 def _polish(red: _Reduced, x0: np.ndarray, y0: np.ndarray, zg0: np.ndarray,
             act_g: np.ndarray, act_l: np.ndarray, act_u: np.ndarray,
             reg: float, certify: Callable[..., QpSolution]
             ) -> Optional[QpSolution]:
-    """Regularised KKT solves on a guessed active set (OSQP polish), the
-    guess repaired from each candidate that does not certify.
+    """Regularised KKT solves on a guessed active set (OSQP polish,
+    ``_kkt_point``), the guess repaired from each candidate that does not
+    certify.
 
-    Columns with an active bound are fixed at it; the other columns, the
-    equality rows and the active inequality rows form one saddle system,
-    solved for the step from (x0, y0, zg0), not for the point itself, so
-    the regularisation keeps flat primal directions and degenerate
-    multipliers where the start put them.  The bound multipliers follow
-    from stationarity of the fixed columns; inequality multipliers are
-    clipped at 0.  ``certify`` maps the candidate (x, y, zg, zl, zu) to a
-    solution whose KKT residuals decide.  A candidate that does not
-    certify adds the rows and bounds it violates to the guess and drops
-    the active ones whose raw multiplier is negative, and the solve is
-    repeated from the same start, at most ``_REPAIRS`` times (Stellato et
-    al. 2020, section 5.2).  None when no candidate certifies.
+    The bound multipliers follow from stationarity of the fixed columns;
+    every multiplier is clipped at 0 before ``certify`` maps the candidate
+    (x, y, zg, zl, zu) to a solution whose KKT residuals decide.  A
+    candidate that does not certify adds the rows and bounds it violates
+    to the guess and drops the active ones whose raw multiplier is
+    negative, and the solve is repeated from the same start, at most
+    ``_REPAIRS`` times (Stellato et al. 2020, section 5.2).  None when no
+    candidate certifies.
     """
-    me = red.a.shape[0]
     act_u = act_u & ~act_l
     for _ in range(1 + _REPAIRS):
-        x = np.where(act_l, red.lo, np.where(act_u, red.hi, x0))
-        free = np.flatnonzero(~(act_l | act_u))
-        raw_g = np.where(act_g, zg0, 0.0)     # no active-row matrix formed
-        grad = red.p * x + red.q + red.at @ y0 + red.gt @ raw_g
-        gap = np.concatenate([red.a @ x - red.b, (red.g @ x - red.h)[act_g]])
-        key = (act_g.tobytes(), act_l.tobytes(), act_u.tobytes(),
-               red.p[free].tobytes(), reg)
-        if key not in red.factor:
-            red.factor.clear()
-            try:
-                red.factor[key] = _saddle_solver(red, free, act_g,
-                                                 red.p[free], reg, 3)
-            except RuntimeError:        # singular
-                return None
-        step = red.factor[key](-np.concatenate([grad[free], gap]))
-        x[free] += step[:free.size]
-        y = y0 + step[free.size:free.size + me]
-        raw_g[act_g] += step[free.size + me:]
-
-        grad = red.p * x + red.q + red.at @ y + red.gt @ raw_g
-        raw_l = np.where(act_l, grad, 0.0)
-        raw_u = np.where(act_u, -grad, 0.0)
-        cand = certify(x, y, np.maximum(raw_g, 0.0),
-                       np.maximum(raw_l, 0.0), np.maximum(raw_u, 0.0))
+        pt = _kkt_point(red, x0, y0, zg0, act_g, act_l, act_u, reg)
+        if pt is None:
+            return None
+        x, y, raw_g, raw_l, raw_u = pt
+        cand = certify(x, y, *(np.maximum(v, 0.0) for v in pt[2:]))
         if cand.status is QpStatus.OPTIMAL:
             return cand
         repaired = (np.where(act_g, raw_g >= 0.0, red.g @ x > red.h),
@@ -562,6 +731,48 @@ def _polish(red: _Reduced, x0: np.ndarray, y0: np.ndarray, zg0: np.ndarray,
         if all(map(np.array_equal, repaired, (act_g, act_l, act_u))):
             return None
         act_g, act_l, act_u = repaired
+    return None
+
+
+def _continue(red: _Reduced, x: np.ndarray, y: np.ndarray, zg: np.ndarray,
+              work: np.ndarray, reg: float, tol: float,
+              certify: Callable[..., QpSolution]) -> Optional[QpSolution]:
+    """A primal active-set method (Nocedal & Wright, Alg. 16.3) from the
+    feasible x on the working set ``work`` (rows, lower, upper bounds), one
+    ``_kkt_point`` a step.  A blocked step stops in each connected
+    component (the objective separates over them) at its nearest blocking
+    constraint, which joins the set; an unblocked one drops multipliers
+    below -``tol``, or else ``certify`` takes it with the steps made so far
+    and, if uncertified, drops the most negative.  None past ``_STEPS``
+    steps, at a singular saddle, or with no negative multiplier left."""
+    mi, n, comp = red.h.size, red.lo.size, _held(red, "part")
+    act_g, act_l, act_u = work[:mi], work[mi:mi + n], work[mi + n:]
+    part = np.concatenate([comp[n:n + mi], comp[:n], comp[:n]])
+    for step in range(_STEPS):
+        x = np.where(act_l, red.lo, np.where(act_u, red.hi, x))
+        pt = _kkt_point(red, x, y, zg, act_g, act_l, act_u, reg)
+        if pt is None:
+            return None
+        p, y, zg = pt[0] - x, pt[1], pt[2]
+        slack = np.concatenate([red.h - red.g @ x, x - red.lo, red.hi - x])
+        move = np.concatenate([red.g @ p, -p, p])
+        i = np.flatnonzero(~work & (move > slack + 1e-3 * _FEAS_TOL))
+        if i.size:
+            ratio = np.maximum(slack[i], 0.0) / move[i]
+            first = np.lexsort((ratio, part[i]))
+            first = first[np.unique(part[i][first], return_index=True)[1]]
+            alpha = np.ones(comp.size)
+            alpha[part[i[first]]] = ratio[first]
+            x, work[i[first]] = x + alpha[comp[:n]] * p, True
+            continue
+        raw = np.where(work, np.concatenate(pt[2:]), 0.0)
+        if raw.min() >= -tol:
+            cand = certify(*pt[:2], *(np.maximum(v, 0.0) for v in pt[2:]),
+                           steps=step + 1)
+            if cand.status is QpStatus.OPTIMAL or raw.min() >= 0.0:
+                return cand if cand.status is QpStatus.OPTIMAL else None
+        work[(raw < -tol) | (raw == raw.min())] = False
+        x = pt[0]
     return None
 
 
@@ -597,20 +808,28 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     which stay implicit, so the condensed matrix is G'W_gG + diag(p + w).
     The polish solves one KKT system on the rows whose multiplier exceeds
     their slack, repaired while its point does not certify within ``tol``
-    (``_polish``).  It runs inside the loop, after a predictor whose
-    affine point keeps that guess, and a certified candidate ends the
-    solve; a guess whose polish failed there is not polished again before
-    the end.  At the end the final point's guess is polished; if none
-    certifies, the interior-point point is returned.  ``warm_start`` takes
-    a previous solution of a problem with the same constraint geometry,
-    whose active set (rows with a positive multiplier) is polished first.
-    The presolve and last polish factor are held by the ``constraints``
-    object, whose arrays must not change in place once it has been solved;
-    every later solve on it reduces only ``p`` and ``q`` afresh.
-    ``QpSolution.polish`` records which path answered.
-    """
+    (``_polish``), inside the loop once the predictor's affine point keeps
+    that guess (a guess whose polish failed is not tried again) and at the
+    end; if none certifies, the interior-point point is returned.
+    ``warm_start`` takes a previous solution on the same constraints; from
+    its point, if feasible within ``_FEAS_TOL``, the active-set
+    continuation answers (``_continue``), else the interior point runs.  A
+    warm start sized for other constraints raises ValueError.  The
+    presolve and polish factor are held by the ``constraints`` object,
+    whose arrays must not change in place once it has been solved.
+    ``QpSolution.polish`` records which path answered."""
     c = problem.constraints
     n = problem.q.size
+    start = _factored[0]
+    if warm_start is not None:
+        wd = warm_start.duals
+        for name, v, size in (("x", warm_start.x, n),
+                              ("eq", wd.eq, c.b_eq.size),
+                              ("ineq", wd.ineq, c.b_in.size),
+                              ("lower", wd.lower, n), ("upper", wd.upper, n)):
+            if np.shape(v) != (size,):
+                raise ValueError(f"warm start {name} has shape {np.shape(v)}"
+                                 f", not ({size},): another constraint set's")
 
     try:
         red = c._presolved
@@ -621,7 +840,8 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
                       lower=np.zeros(n), upper=np.zeros(n))
         return QpSolution(x=x0, duals=duals, status=QpStatus.INFEASIBLE,
                           kkt=kkt_residuals(problem, x0, duals), iterations=0,
-                          value=problem.objective(x0), polish=Polish.DIRECT)
+                          value=problem.objective(x0), polish=Polish.DIRECT,
+                          factors=_factored[0] - start)
 
     red = replace(red, p=problem.p[red.free], q=problem.q[red.free])
     scale = 1.0 + max(float(np.max(np.abs(red.q), initial=0.0)), red.b_max,
@@ -640,7 +860,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
             status = QpStatus.OPTIMAL
         return QpSolution(x=x, duals=duals, status=status, kkt=kkt,
                           iterations=iters, value=problem.objective(x),
-                          polish=polish)
+                          polish=polish, factors=_factored[0] - start)
 
     nr = red.q.size
     if nr == 0:
@@ -654,22 +874,28 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
 
     if mc == 0:
         # equality-constrained (or unconstrained): one saddle solve
-        sol = _saddle_solver(red, np.arange(nr), np.zeros(0, dtype=bool),
-                             red.p, reg, 2)(np.concatenate([-red.q, red.b]))
+        sol = _refined(*_saddle_parts(red, np.arange(nr), np.zeros(
+            0, dtype=bool), red.p, reg), 2)(np.concatenate([-red.q, red.b]))
         return finish(sol[:nr], sol[nr:], np.zeros(0), np.zeros(nr),
                       np.zeros(nr), QpStatus.OPTIMAL, 1, Polish.DIRECT)
 
-    # --- warm start: polish on the previous solution's active set
-    if warm_start is not None and warm_start.x.shape == (n,):
-        wd = warm_start.duals
-        zg_w = wd.ineq[red.in_keep]
-        cand = _polish(red, warm_start.x[red.free], wd.eq[red.eq_keep], zg_w,
-                       zg_w > 0, wd.lower[red.free] > 0,
-                       wd.upper[red.free] > 0, reg,
-                       lambda *pt: finish(*pt, QpStatus.OPTIMAL, 1,
-                                          Polish.WARM))
-        if cand is not None:
-            return cand
+    # --- warm start: the active-set continuation from a feasible previous
+    # point, on the constraints it meets or holds a positive multiplier of
+    if warm_start is not None:
+        x_w, zg_w = warm_start.x[red.free], wd.ineq[red.in_keep]
+        gap = np.concatenate([red.g @ x_w - red.h, red.lo - x_w,
+                              x_w - red.hi])
+        if max(gap.max(), np.abs(red.a @ x_w - red.b).max(initial=0.0)) \
+                <= _FEAS_TOL:
+            cand = _continue(
+                red, x_w, wd.eq[red.eq_keep], zg_w, (gap >= 0) | (
+                    np.concatenate([zg_w, wd.lower[red.free],
+                                    wd.upper[red.free]]) > 0), reg,
+                tol, lambda *pt, steps: finish(
+                    *pt, QpStatus.OPTIMAL, steps,
+                    Polish.CONTINUED if steps > 1 else Polish.WARM))
+            if cand is not None:
+                return cand
 
     # --- interior point iteration on C x <= d, C = [G; -I_lo; I_hi]; the
     # bound rows stay implicit in these two products

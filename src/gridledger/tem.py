@@ -72,7 +72,7 @@ __all__ = [
 # KKT tolerance of every solve, the joint one and each home's subproblem
 _KKT_TOL = 1e-8
 
-SCHEMA_OUTCOME = "gridledger.outcome.v4"
+SCHEMA_OUTCOME = "gridledger.outcome.v5"
 SCHEMA_SCHEDULE = "gridledger.schedule.v2"
 
 
@@ -345,8 +345,9 @@ class IterationRecord:
     rho: float
     primal_residual: float
     dual_residual: float
-    # the path that answered the sweep: QpSolution.polish
+    # the path that answered the sweep, and its SuperLU factorizations
     polish: str
+    factors: int
     digest_local: str
     digest_transport: str
 
@@ -549,8 +550,8 @@ def run_distributed(s: Scenario, params: AdmmParams,
         primal, dual = residuals(mirror, prev)
         history.append(IterationRecord(
             iteration=k, rho=prev.rho, primal_residual=primal,
-            dual_residual=dual, polish=sol.polish.value, digest_local=dl,
-            digest_transport=dr))
+            dual_residual=dual, polish=sol.polish.value, factors=sol.factors,
+            digest_local=dl, digest_transport=dr))
         if params.converged(primal, dual):
             break
 

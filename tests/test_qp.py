@@ -6,6 +6,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -487,8 +489,9 @@ class TestOnModelProblems:
 
     def test_warm_start_with_wrong_active_set_falls_back(self):
         # min 0.5x^2 - cx on [0, 1]: c = 2 holds x at 1, c = -2 at 0.  The
-        # repair drops the upper bound (multiplier -3), then adds the lower
-        # bound that x = -2 violates, and certifies without an iteration
+        # continuation drops the upper bound (multiplier -3), stops at the
+        # lower bound on its way to x = -2, and certifies there: three KKT
+        # solves, no interior-point iteration
         def box(c):
             return QpProblem(p=np.full(1, 1.0), q=np.array([-c]),
                              constraints=make_cs(1, lo=[0.0], hi=[1.0]))
@@ -496,35 +499,45 @@ class TestOnModelProblems:
         assert first.duals.upper[0] > 0
         sol = solve_qp(box(-2.0), warm_start=first)
         assert sol.status == QpStatus.OPTIMAL
-        assert sol.polish is Polish.WARM
-        assert sol.iterations == 1
+        assert sol.polish is Polish.CONTINUED
+        assert sol.iterations == 3
         assert sol.x[0] == 0.0
         assert sol.duals.lower[0] == pytest.approx(2.0, abs=1e-12)
 
         # an isotonic fit whose warm start holds every row x_i <= x_{i+1}:
-        # releasing them frees x to c, and each repair then pools only one
-        # more adjacent violator, so four repairs would be needed; past the
-        # cap the cold interior point and its polish answer
+        # repairs, which pool one more adjacent violator each, would need
+        # four; the continuation drops the rows with negative multipliers
+        # and answers in five KKT solves, without an interior point
         iso = isotonic_rows(6)
         first = solve_qp(iso([5.0, 4.0, 3.0, 2.0, 1.0, 0.0]))
         assert np.all(first.duals.ineq > 0)
         sol = solve_qp(iso([0.0, -1.0, -1.0, -1.0, 2.0, 2.0]),
                        warm_start=first)
         assert sol.status == QpStatus.OPTIMAL
+        assert sol.polish is Polish.CONTINUED
+        assert sol.iterations == 5
+        assert np.allclose(sol.x, [-0.75] * 4 + [2.0, 2.0], atol=1e-12)
+
+        # a warm point that breaks the rows cannot start the continuation:
+        # the cold interior point and its polish answer
+        off = dataclasses.replace(first, x=np.array([5.0, 4, 3, 2, 1, 0]))
+        sol = solve_qp(iso([0.0, -1.0, -1.0, -1.0, 2.0, 2.0]), warm_start=off)
+        assert sol.status == QpStatus.OPTIMAL
         assert sol.polish is Polish.POLISHED
         assert np.allclose(sol.x, [-0.75] * 4 + [2.0, 2.0], atol=1e-12)
 
     def test_warm_start_one_row_off_is_repaired(self):
         """The warm start has row 0 of the isotonic fit active; the answer
-        needs rows 0 and 1.  The first candidate violates row 1, and the
-        one repair that adds it certifies as ``warm``."""
+        needs rows 0 and 1.  The continuation's first step crosses row 1,
+        which joins the set, and the next step certifies as ``continued``."""
         iso = isotonic_rows(6)
         first = solve_qp(iso([0.0, -1.0, 1.0, 2.0, 3.0, 4.0]))
         assert np.array_equal(np.flatnonzero(first.duals.ineq > 0), [0])
         sol = solve_qp(iso([0.0, -1.0, -1.0, 2.0, 2.0, 3.0]),
                        warm_start=first)
         assert sol.status == QpStatus.OPTIMAL
-        assert sol.polish is Polish.WARM
+        assert sol.polish is Polish.CONTINUED
+        assert sol.iterations == 2
         assert np.array_equal(np.flatnonzero(sol.duals.ineq > 0), [0, 1])
         assert np.allclose(sol.x, [-2 / 3] * 3 + [2.0, 2.0, 3.0], atol=1e-12)
 
@@ -773,3 +786,145 @@ def test_polish_factor_fill_at_scale(monkeypatch):
               if f[1] != 0.0]
     assert polish
     assert max(polish) <= 1.5 * newton, (max(polish), newton)
+
+
+# ---------------------------------------------------------------------------
+# warm starts across sweeps: the held factor's border and its checks
+
+def _sweep_state(seed, n_users, horizon, **kw):
+    """A cold sweep of the distributed run and its presolve with p and q,
+    the active set and the regularisation of its polish."""
+    from gridledger import tem
+    s = generate_synthetic(seed, n_users, horizon, **kw)
+    lay = user_layout(n_users, horizon, Mode.TEM)
+    prob = tem.assemble_ult(tem._stack_homes(s, Mode.TEM, lay, clearing=False),
+                            tem.new_dual_state(n_users, horizon, 1.0), lay)
+    sol = solve_qp(prob)
+    red = dataclasses.replace(prob.constraints._presolved,
+                              p=prob.p[prob.constraints._presolved.free],
+                              q=prob.q[prob.constraints._presolved.free])
+    fixed = (sol.duals.lower + sol.duals.upper)[red.free] > 0
+    return prob, sol, red, fixed, sol.duals.ineq[red.in_keep] > 0
+
+
+_SWEEPS = {"benchmark": _sweep_state(3, 5, 8, solar_range=(0.0, 10.0),
+                                     ev_arrival_soc=0.85),
+           "small": _sweep_state(0, 3, 4)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(_SWEEPS)), seed=st.integers(0, 2 ** 32 - 1),
+       changes=st.integers(1, 12))
+def test_bordered_solve_equals_a_fresh_factor(case, seed, changes):
+    """The held factor solves an active set up to ``changes`` bounds fixed
+    or released and rows added or dropped away from its own through its
+    Schur-complement border, and gives the solution a fresh factor of that
+    active set gives, refined as often, to 1e-10 relative.  The sweep's
+    saddles are singular but for the regularisation, so both are made at
+    a regularisation of 1e-2, where their solutions are well conditioned."""
+    _, _, red, fixed, act = _SWEEPS[case]
+    rng = np.random.default_rng(seed)
+    reg = 1e-2
+    border = qp._Border(red, fixed, act, reg)
+    f2, g2 = fixed.copy(), act.copy()
+    for _ in range(changes):
+        flip = f2 if rng.random() < 0.5 else g2
+        flip[rng.integers(flip.size)] ^= True
+    solve = border.solver(f2, g2)
+    assume(solve is not None)
+    free, n, me = np.flatnonzero(~f2), red.lo.size, red.b.size
+    rx, re, rg = (rng.standard_normal(k) for k in (n, me, red.h.size))
+    # refined thrice on the held factor's own active set, once bordered
+    refine = 1 if np.any(np.r_[f2, g2] != np.r_[fixed, act]) else 3
+    fresh = qp._refined(*qp._saddle_parts(red, free, g2, red.p[free], reg),
+                        refine)(np.concatenate([rx[free], re, rg[g2]]))
+    dx, dy, dz = solve(rx, re, rg)
+    got = np.concatenate([dx[free], dy, dz[g2]])
+    assert np.max(np.abs(got - fresh)) <= 1e-10 * np.max(np.abs(fresh))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 40),
+       cols=st.integers(1, 60))
+def test_components_match_scipys(seed, rows, cols):
+    """The continuation's components of the row-column graph are
+    scipy.sparse.csgraph's, on random rows of one to three entries,
+    isolated columns included."""
+    from scipy.sparse import csgraph
+    rng = np.random.default_rng(seed)
+    k = rng.integers(1, min(3, cols) + 1, rows)
+    mat = sp.csr_array((np.ones(k.sum()), np.concatenate(
+        [rng.choice(cols, j, replace=False) for j in k]),
+        np.concatenate([[0], np.cumsum(k)])), shape=(rows, cols))
+    got = qp._components(mat)
+    want = csgraph.connected_components(sp.bmat(
+        [[None, mat.T], [mat, None]]), directed=False)[1]
+    assert len(set(zip(got.tolist(), want.tolist()))) == \
+        len(set(want.tolist())) == len(set(got.tolist()))
+
+
+def test_changed_p_rebuilds_the_held_factor():
+    """A warm solve on the same constraints with another p (the reciprocal
+    rho schedule changes the export weight) factors anew, one factor held
+    per constraint set; the same p reuses it."""
+    prob, sol, red, _, _ = _SWEEPS["small"]
+    held = prob.constraints._presolved.factor
+    for shift in (1e-3, 2e-3):
+        sol = solve_qp(QpProblem(p=prob.p, q=prob.q + shift,
+                                 constraints=prob.constraints), warm_start=sol)
+    assert sol.status is QpStatus.OPTIMAL and sol.factors == 0
+    p2 = prob.p.copy()
+    p2[prob.p > 0] *= 1.5
+    other = solve_qp(QpProblem(p=p2, q=prob.q, constraints=prob.constraints),
+                     warm_start=sol)
+    assert other.status is QpStatus.OPTIMAL and other.factors == 1
+    assert list(held) == [p2[red.free].tobytes()]
+
+
+@pytest.mark.parametrize("field,extra", [("x", 0), ("ineq", 3), ("ineq", -3),
+                                         ("lower", 1)])
+def test_warm_start_from_other_constraints_is_refused(field, extra):
+    """A warm start sized for other constraints raises ValueError naming
+    the field, with fewer rows (once an IndexError in the presolve's row
+    map) and with more (once read silently as the wrong multipliers)."""
+    iso = isotonic_rows(6)
+    first = solve_qp(iso([0.0, -1.0, 1.0, 2.0, 3.0, 4.0]))
+    if field == "x":
+        bad = dataclasses.replace(first, x=np.zeros(7))
+    else:
+        v = getattr(first.duals, field)
+        v = np.r_[v, np.zeros(extra)] if extra > 0 else v[:extra]
+        bad = dataclasses.replace(first, duals=dataclasses.replace(
+            first.duals, **{field: v}))
+    with pytest.raises(ValueError, match=f"warm start {field} has shape"):
+        solve_qp(iso([0.0, -1.0, -1.0, 2.0, 2.0, 3.0]), warm_start=bad)
+
+
+def test_same_solves_on_equal_constraints_give_the_same_bits():
+    """A polish that borders the held factor depends on the solves made
+    before it on that constraint set, whose active set and regularisation
+    the factor keeps.  The same sequence of solves on two equal constraint
+    sets gives the same answers, bit for bit, as the in-process and chain
+    runs of the distributed mode rely on."""
+    def run():
+        prob = _sweep_state(3, 5, 8, solar_range=(0.0, 10.0),
+                            ev_arrival_soc=0.85)[0]
+        rng = np.random.default_rng(0)
+        sol, out = None, []
+        for scale in (0.0, 0.3, 0.1, 0.3, 0.03, 0.1):
+            q = prob.q * (1.0 + scale * rng.standard_normal(prob.q.size))
+            sol = solve_qp(QpProblem(p=prob.p, q=q,
+                                     constraints=prob.constraints),
+                           warm_start=sol)
+            assert sol.status is QpStatus.OPTIMAL
+            out.append(sol)
+        return out
+
+    first, second = run(), run()
+    assert {s.polish for s in first[1:]} >= {Polish.CONTINUED}
+    for a, b in zip(first, second):
+        assert (a.polish, a.iterations, a.factors) == \
+            (b.polish, b.iterations, b.factors)
+        for u, v in zip((a.x, *dataclasses.astuple(a.duals)),
+                        (b.x, *dataclasses.astuple(b.duals))):
+            assert u.tobytes() == v.tobytes()

@@ -598,18 +598,66 @@ class TestSweep:
             d = advance_iteration(sct_step(dataclasses.replace(
                 d, exports=_exports(sol, lay, 5).copy())),
                 RhoSchedule.fixed(1.0))
-        assert sol.polish is Polish.WARM
+        assert sol.polish in (Polish.WARM, Polish.CONTINUED)
 
-    def test_sweep_certifies_past_the_mean_complementarity(self):
-        """Iteration 2 of a 200-home run (generator seed 1, rho = 49.75):
-        the warm polish fails and the interior point reaches a mean s z of
-        1.3e-11 with one pair still at 9.8e-8.  Stopped there, no polish
-        certified and the run failed; the interior point now also waits
-        for the largest pair, and the polish certifies."""
+    def test_sweep_certifies_past_the_mean_complementarity(self, monkeypatch):
+        """Iteration 2 of a 200-home run (generator seed 1, rho = 49.75),
+        solved cold: the interior point reaches a mean s z of 1.3e-11 with
+        one pair still at 9.8e-8.  Stopped there, no polish certified and
+        the run failed; the interior point now also waits for the largest
+        pair, and the polish certifies.  Warm, the continuation answers."""
         s = generate_synthetic(seed=1, n_users=200, horizon=24)
+        real, problems = tem.solve_qp, []
+
+        def spy(problem, **kwargs):
+            problems.append(problem)
+            return real(problem, **kwargs)
+        monkeypatch.setattr(tem, "solve_qp", spy)
         out = run_distributed(s, AdmmParams(
             max_iter=2, rho_schedule=RhoSchedule.fixed(49.75)))
-        assert [rec.polish for rec in out.history] == ["polished"] * 2
+        assert [rec.polish for rec in out.history] == ["polished",
+                                                       "continued"]
+        cold = real(problems[1], tol=tem._KKT_TOL)
+        assert cold.status is QpStatus.OPTIMAL
+        assert cold.polish is Polish.POLISHED
+
+    # scenario seed -> (ADMM iterations, distributed cost before the
+    # active-set continuation, when every warm polish refactored and
+    # failed sweeps restarted the interior point)
+    BENCHMARK = {3: (28, 51.1736626763777), 0: (29, 46.75609897760689)}
+
+    @pytest.mark.parametrize("seed", sorted(BENCHMARK))
+    def test_benchmark_sweeps_are_warm_or_continued(self, seed):
+        """In the benchmark regime (N=5, T=8, rho=1) every sweep after the
+        first is answered from the previous one, without the interior
+        point, and the run keeps its iteration count and cost."""
+        s = generate_synthetic(seed, 5, 8, solar_range=(0.0, 10.0),
+                               ev_arrival_soc=0.85)
+        out = run_distributed(s, AdmmParams())
+        iters, cost = self.BENCHMARK[seed]
+        assert out.iterations == iters
+        assert out.total_cost == pytest.approx(cost, rel=1e-9)
+        assert {r.polish for r in out.history[1:]} == {"warm", "continued"}
+        assert sum(r.factors for r in out.history[1:]) <= 5
+
+    def test_benchmark_seed_3_sweep_3_continues(self, monkeypatch):
+        """Sweep 3 at scenario seed 3: the warm guess and three repairs of
+        it cycled between active sets of 57/106/8 and 57/107/8 rows, lower
+        and upper bounds, against the certified 57/108/8, and the interior
+        point restarted; the continuation from the previous point answers
+        it without a factorization."""
+        s = generate_synthetic(3, 5, 8, solar_range=(0.0, 10.0),
+                               ev_arrival_soc=0.85)
+        real, sols = tem.solve_qp, []
+
+        def spy(problem, **kwargs):
+            sols.append(real(problem, **kwargs))
+            return sols[-1]
+        monkeypatch.setattr(tem, "solve_qp", spy)
+        run_distributed(s, AdmmParams(max_iter=3))
+        assert sols[2].polish is Polish.CONTINUED
+        assert sols[2].factors == 0
+        assert sols[2].kkt.worst() <= tem._KKT_TOL
 
     def test_one_homes_data_moves_only_its_export(self):
         """Raising home 2's inflexible load changes its own export and
@@ -837,7 +885,7 @@ class TestCentralized:
         path = tmp_path / "outcome.json"
         out.write_json(path)
         loaded = json.loads(path.read_text())
-        assert loaded["schema"] == "gridledger.outcome.v4"
+        assert loaded["schema"] == "gridledger.outcome.v5"
         assert "trades" not in loaded
         assert loaded["mode"] == "BS2"
         assert loaded["total_cost"] == pytest.approx(out.total_cost)
@@ -1027,7 +1075,10 @@ for out in (tem.solve_centralized(s, Mode.TEM),
             tem.run_distributed(s, tem.AdmmParams()),
             tem.solve_centralized(s40, Mode.TEM),
             tem.run_distributed(generate_synthetic(seed=1, n_users=40,
-                                                   horizon=24), d40)):
+                                                   horizon=24), d40),
+            tem.run_distributed(generate_synthetic(
+                3, 5, 8, solar_range=(0.0, 10.0), ev_arrival_soc=0.85),
+                tem.AdmmParams())):
     h.update(json.dumps(out.to_json_dict(), sort_keys=True).encode())
 h.update(solve_qp(tem.assemble_problem(s40, Mode.TEM)).value.hex().encode())
 rng = np.random.default_rng(0)
