@@ -9,20 +9,20 @@ on the condensed KKT system treats inequality rows and finite bounds as
 one family C x <= d, with one slack and one multiplier per row, and moves
 primal and dual variables by one step length (Nocedal & Wright, Numerical
 Optimization, 2nd ed., Alg. 16.4), as with P != 0 unequal lengths leave
-(a_p - a_d) P dx in the dual residual.  The polish is a regularised KKT
-solve on the active set the interior point points to (Stellato et al.,
-"OSQP: an operator splitting solver for quadratic programs", Math. Prog.
-Comp. 2020, section 5.2), kept only when its KKT residuals certify it; a
-candidate that does not certify repairs the guess, at most three times.
-The active set settles long before the interior point's sharp target
-(El-Bakry, Tapia & Zhang, "A study of indicators for identifying zero
-variables in interior-point methods", SIAM Review 1994), so a guess that
-the predictor's affine point keeps is polished at once, and a certified
-candidate ends the solve; a warm start runs a primal active-set method
-from its point instead (``_continue``).  A ``LinearConstraintSet``
-presolves once, at its first solve, and holds that presolve, so every
-later solve on the same object reduces only ``p`` and ``q``; it holds its
-finite bounds for the residuals the same way.  Each regularised,
+(a_p - a_d) P dx in the dual residual.  One primal active-set method
+(ibid., Alg. 16.3; ``_continue``) polishes, each step a regularised KKT
+solve on its working set (Stellato et al., "OSQP: an operator splitting
+solver for quadratic programs", Math. Prog. Comp. 2020, section 5.2),
+from the interior point's point on the active set it points to, or from
+a warm start's point on the constraints that point meets; only an answer
+whose KKT residuals certify it is kept.  The active set settles long
+before the interior point's sharp target (El-Bakry, Tapia & Zhang, "A
+study of indicators for identifying zero variables in interior-point
+methods", SIAM Review 1994), so a guess that the predictor's affine point
+keeps is polished at once, and a certified answer ends the solve.  A
+``LinearConstraintSet`` presolves once, at its first solve, and holds it:
+every later solve on the same object reduces only ``p`` and ``q``; its
+finite bounds are held for the residuals the same way.  Each regularised,
 quasi-definite saddle system (Vanderbei, SIAM J. Optim. 1995) is factored
 sparse by SuperLU with unrelaxed supernodes, which suit these very sparse
 factors (``_factor``).  Such a matrix has an LDL' factor in every
@@ -65,10 +65,8 @@ __all__ = [
 _IPM_CAP = 200
 # primal feasibility tolerance of presolve and of the infeasibility test
 _FEAS_TOL = 1e-9
-# polish retries after the first active-set guess
-_REPAIRS = 3
 # entries a polish factor's border holds before a refactor (``_Border``)
-# and steps of the warm start's active-set continuation (``_continue``)
+# and steps of the active-set method (``_continue``)
 _BORDER, _STEPS = 32, 40
 # SuperLU factors made so far (``_factor``), for ``QpSolution.factors``
 _factored = [0]
@@ -83,16 +81,16 @@ class QpStatus(enum.Enum):
 class Polish(enum.Enum):
     """Which path produced a solution.
 
-    ``polished``: the KKT solve on the interior point's active set, once
-    its affine point keeps that set or at the end, or on that set as
-    repaired from candidates that did not certify; ``warm``: the same
-    solve on the warm start's active set, from its point, without an
+    The active-set method (``_continue``) answers three of them:
+    ``polished``: run from the interior point's point on its active set,
+    once the affine point keeps that set or at the end (``iterations``
+    counts the Newton factors, not its steps); ``warm``: run from the
+    warm start's point, certified at its first KKT solve, without an
     interior-point iteration (``iterations`` is 1); ``continued``: the
-    active-set continuation from there (``_continue``), ``iterations``
-    counting its steps; ``interior``: the
-    interior-point point, because no polish candidate certified or the
-    problem is infeasible; ``direct``: no iteration was needed (equality
-    rows only, every variable fixed, or bounds or rows that presolve found
+    same after more steps, ``iterations`` counting them.  ``interior``:
+    the interior-point point, because no polish certified or the problem
+    is infeasible; ``direct``: no iteration was needed (equality rows
+    only, every variable fixed, or bounds or rows that presolve found
     contradictory).
     """
 
@@ -699,55 +697,22 @@ def _kkt_point(red: _Reduced, x0: np.ndarray, y0: np.ndarray,
             np.where(act_u, -grad, 0.0))
 
 
-def _polish(red: _Reduced, x0: np.ndarray, y0: np.ndarray, zg0: np.ndarray,
-            act_g: np.ndarray, act_l: np.ndarray, act_u: np.ndarray,
-            reg: float, certify: Callable[..., QpSolution]
-            ) -> Optional[QpSolution]:
-    """Regularised KKT solves on a guessed active set (OSQP polish,
-    ``_kkt_point``), the guess repaired from each candidate that does not
-    certify.
-
-    The bound multipliers follow from stationarity of the fixed columns;
-    every multiplier is clipped at 0 before ``certify`` maps the candidate
-    (x, y, zg, zl, zu) to a solution whose KKT residuals decide.  A
-    candidate that does not certify adds the rows and bounds it violates
-    to the guess and drops the active ones whose raw multiplier is
-    negative, and the solve is repeated from the same start, at most
-    ``_REPAIRS`` times (Stellato et al. 2020, section 5.2).  None when no
-    candidate certifies.
-    """
-    act_u = act_u & ~act_l
-    for _ in range(1 + _REPAIRS):
-        pt = _kkt_point(red, x0, y0, zg0, act_g, act_l, act_u, reg)
-        if pt is None:
-            return None
-        x, y, raw_g, raw_l, raw_u = pt
-        cand = certify(x, y, *(np.maximum(v, 0.0) for v in pt[2:]))
-        if cand.status is QpStatus.OPTIMAL:
-            return cand
-        repaired = (np.where(act_g, raw_g >= 0.0, red.g @ x > red.h),
-                    np.where(act_l, raw_l >= 0.0, x < red.lo),
-                    np.where(act_u, raw_u >= 0.0, x > red.hi))
-        if all(map(np.array_equal, repaired, (act_g, act_l, act_u))):
-            return None
-        act_g, act_l, act_u = repaired
-    return None
-
-
 def _continue(red: _Reduced, x: np.ndarray, y: np.ndarray, zg: np.ndarray,
               work: np.ndarray, reg: float, tol: float,
               certify: Callable[..., QpSolution]) -> Optional[QpSolution]:
-    """A primal active-set method (Nocedal & Wright, Alg. 16.3) from the
-    feasible x on the working set ``work`` (rows, lower, upper bounds), one
-    ``_kkt_point`` a step.  A blocked step stops in each connected
-    component (the objective separates over them) at its nearest blocking
-    constraint, which joins the set; an unblocked one drops multipliers
-    below -``tol``, or else ``certify`` takes it with the steps made so far
-    and, if uncertified, drops the most negative.  None past ``_STEPS``
-    steps, at a singular saddle, or with no negative multiplier left."""
-    mi, n, comp = red.h.size, red.lo.size, _held(red, "part")
+    """A primal active-set method (Nocedal & Wright, Alg. 16.3) from x on
+    the working set ``work`` (rows, lower, upper bounds), one
+    ``_kkt_point`` a step.  x need not be feasible: each step meets the
+    equality and working rows and holds the working bounds, and stops in
+    each connected component (the objective separates over them) at the
+    nearest constraint outside the set that it would cross or leave
+    violated, a violated one at length 0, which joins the set.  An
+    unblocked step drops multipliers below -``tol``, or else ``certify``
+    takes it, multipliers clipped at 0, with the steps made so far and, if
+    uncertified, drops the most negative.  None past ``_STEPS`` steps, at
+    a singular saddle, or with no negative multiplier left."""
+    mi, n = red.h.size, red.lo.size
     act_g, act_l, act_u = work[:mi], work[mi:mi + n], work[mi + n:]
-    part = np.concatenate([comp[n:n + mi], comp[:n], comp[:n]])
     for step in range(_STEPS):
         x = np.where(act_l, red.lo, np.where(act_u, red.hi, x))
         pt = _kkt_point(red, x, y, zg, act_g, act_l, act_u, reg)
@@ -758,11 +723,14 @@ def _continue(red: _Reduced, x: np.ndarray, y: np.ndarray, zg: np.ndarray,
         move = np.concatenate([red.g @ p, -p, p])
         i = np.flatnonzero(~work & (move > slack + 1e-3 * _FEAS_TOL))
         if i.size:
-            ratio = np.maximum(slack[i], 0.0) / move[i]
-            first = np.lexsort((ratio, part[i]))
-            first = first[np.unique(part[i][first], return_index=True)[1]]
+            ratio = np.maximum(slack[i], 0.0) / np.where(
+                slack[i] > 0.0, move[i], 1.0)
+            comp = _held(red, "part")       # made once a step blocks
+            part = comp[np.where(i < mi, n + i, (i - mi) % n)]
+            first = np.lexsort((ratio, part))
+            first = first[np.unique(part[first], return_index=True)[1]]
             alpha = np.ones(comp.size)
-            alpha[part[i[first]]] = ratio[first]
+            alpha[part[first]] = ratio[first]
             x, work[i[first]] = x + alpha[comp[:n]] * p, True
             continue
         raw = np.where(work, np.concatenate(pt[2:]), 0.0)
@@ -806,14 +774,14 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     The interior point runs to its own sharp target on C x <= d, where
     C = [G; -I_lo; I_hi] stacks the inequality rows and the finite bounds,
     which stay implicit, so the condensed matrix is G'W_gG + diag(p + w).
-    The polish solves one KKT system on the rows whose multiplier exceeds
-    their slack, repaired while its point does not certify within ``tol``
-    (``_polish``), inside the loop once the predictor's affine point keeps
-    that guess (a guess whose polish failed is not tried again) and at the
-    end; if none certifies, the interior-point point is returned.
-    ``warm_start`` takes a previous solution on the same constraints; from
-    its point, if feasible within ``_FEAS_TOL``, the active-set
-    continuation answers (``_continue``), else the interior point runs.  A
+    The polish runs the active-set method (``_continue``) from the
+    interior point's point on the rows whose multiplier exceeds their
+    slack until a point certifies within ``tol``: inside the loop once the
+    predictor's affine point keeps that guess (a guess whose polish failed
+    is not tried again) and at the end; if none certifies, the
+    interior-point point is returned.  ``warm_start`` takes a previous
+    solution on the same constraints; from its point, if feasible within
+    ``_FEAS_TOL``, the same method answers, else the interior point runs.  A
     warm start sized for other constraints raises ValueError.  The
     presolve and polish factor are held by the ``constraints`` object,
     whose arrays must not change in place once it has been solved.
@@ -950,8 +918,12 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
     factors = 0         # Newton matrices factored: the reported iterations
     failed = set()      # active-set guesses whose polish did not certify
 
-    def polished(*pt) -> QpSolution:
-        return finish(*pt, QpStatus.OPTIMAL, factors, Polish.POLISHED)
+    def polish(x, y, z, guess) -> Optional[QpSolution]:
+        # its steps are not iterations, which count Newton factors
+        act_g, act_l, act_u = split(guess)
+        return _continue(red, x, y, z[:mi], np.concatenate(
+            [act_g, act_l, act_u & ~act_l]), reg, tol, lambda *pt, steps:
+            finish(*pt, QpStatus.OPTIMAL, factors, Polish.POLISHED))
 
     for _ in range(_IPM_CAP):
         rd = red.p * x + red.q + red.at @ y + ct_mul(z)
@@ -1012,7 +984,7 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
         guess = z > s
         key = guess.tobytes()
         if key not in failed and np.array_equal(z_aff > s_aff, guess):
-            cand = _polish(red, x, y, z[:mi], *split(guess), reg, polished)
+            cand = polish(x, y, z, guess)
             if cand is not None:
                 return cand
             failed.add(key)
@@ -1037,7 +1009,5 @@ def solve_qp(problem: QpProblem, tol: float = 1e-8,
         _, (x, y, s, z) = best
 
     # polish: a row is active when its multiplier exceeds its slack
-    cand = _polish(red, x, y, z[:mi], *split(z > s), reg, polished)
-    if cand is not None:
-        return cand
-    return finish(x, y, *split(z), status, factors, Polish.INTERIOR)
+    return polish(x, y, z, z > s) or finish(x, y, *split(z), status,
+                                            factors, Polish.INTERIOR)

@@ -24,6 +24,7 @@ from gridledger.qp import (
     LinearConstraintSet,
     Polish,
     QpProblem,
+    QpSolution,
     QpStatus,
     _Contradiction,
     _presolve,
@@ -477,13 +478,19 @@ class TestOnModelProblems:
         assert sol.kkt.worst() <= 1e-8
 
     def test_warm_start_consistent(self, scen_2x4):
+        """The cold polish ends on a degenerate optimum: column 37 sits on
+        its upper bound, held there by the working constraints around it,
+        with multiplier 0.  The warm start's working set takes every bound
+        its point meets, the nudge turns that multiplier to -1e-3, so the
+        continuation's first step drops the bound and its second
+        certifies."""
         prob = self._single_user_problem(scen_2x4, 0, Mode.TEM)
         cold = solve_qp(prob)
         nudged = QpProblem(p=prob.p, q=prob.q + 1e-3, constraints=prob.constraints)
         warm = solve_qp(nudged, warm_start=cold)
         ref = solve_qp(nudged)
         assert warm.status == QpStatus.OPTIMAL
-        assert warm.polish is Polish.WARM
+        assert warm.polish is Polish.CONTINUED and warm.iterations == 2
         assert warm.value == pytest.approx(ref.value, abs=1e-7)
         assert warm.iterations <= ref.iterations
 
@@ -561,7 +568,9 @@ class TestOnModelProblems:
         first = solve_qp(nudged(1e-3), warm_start=cold)
         warm = solve_qp(nudged(2e-3), warm_start=first)
         again = solve_qp(nudged(2e-3))
-        assert warm.polish is Polish.WARM
+        # each nudge drops the zero-multiplier upper bound of column 37 at
+        # the first step (test_warm_start_consistent)
+        assert warm.polish is Polish.CONTINUED and warm.iterations == 2
         assert cs._presolved is held and len(calls) == 1
         copied = dataclasses.replace(cs)
         fresh = solve_qp(nudged(2e-3, copied), warm_start=first)
@@ -753,13 +762,14 @@ def test_failed_polish_guess_is_not_polished_again(monkeypatch):
     """With every polish failing, the interior point runs to its target.
     Inside the loop each distinct active-set guess is polished at most
     once; the polish after the loop tries the final guess as before, and
-    the interior-point point answers."""
+    the interior-point point answers.  A joint solve takes no warm start,
+    so every continuation it runs is a polish."""
     guesses = []
 
-    def failing(red, x0, y0, zg0, act_g, act_l, act_u, reg, certify):
-        guesses.append((act_g.tobytes(), act_l.tobytes(), act_u.tobytes()))
+    def failing(red, x, y, zg, work, reg, tol, certify):
+        guesses.append(work.tobytes())
         return None
-    monkeypatch.setattr(qp, "_polish", failing)
+    monkeypatch.setattr(qp, "_continue", failing)
     s = generate_synthetic(**BENCHMARK_SCENARIO)
     for mode in Mode:
         guesses.clear()
@@ -769,6 +779,52 @@ def test_failed_polish_guess_is_not_polished_again(monkeypatch):
         inside = guesses[:-1]
         assert inside, mode
         assert len(set(inside)) == len(inside), (mode, len(inside))
+
+
+def test_early_polish_continues_where_a_repaired_guess_failed():
+    """Joint TEM at generator seed 8, N=5, T=24, dark and with full EVs:
+    the polish of the guess that the affine point keeps at iteration 12
+    certifies after 11 active-set steps from the interior point's point.
+    Repairing that guess from the same start gave up after four KKT
+    solves, and the interior point ran on to 14 iterations and 20
+    factorizations."""
+    s = generate_synthetic(8, 5, 24, solar_range=(0, 10), ev_arrival_soc=0.85)
+    sol = solve_qp(assemble_problem(s, Mode.TEM), tol=1e-6)
+    assert sol.status is QpStatus.OPTIMAL
+    assert sol.polish is Polish.POLISHED
+    assert sol.iterations <= 12 and sol.factors <= 14, (sol.iterations,
+                                                         sol.factors)
+
+
+def test_continuation_blocks_on_a_violated_row_without_dividing():
+    """min 0.5|x|^2 - 2 x_2 on [0, 1]^3 with x_0 + x_1 <= 1, started at
+    (1, 1, 0.5) with the upper bounds of x_0 and x_1 working: the row is
+    violated, and with both its columns held the step does not move it.
+    It blocks at length 0 without a 0/0 and joins the set, while x_2
+    stops at its upper bound; the working bounds' multipliers then turn
+    negative and go, then the row's, and the fourth step certifies
+    (0, 0, 1)."""
+    cs = make_cs(3, a_in=[[1.0, 1.0, 0.0]], b_in=[1.0], lo=np.zeros(3),
+                 hi=np.ones(3))
+    prob = QpProblem(p=np.ones(3), q=np.array([0.0, 0.0, -2.0]),
+                     constraints=cs)
+    red = dataclasses.replace(cs._presolved, p=prob.p, q=prob.q)
+
+    def certify(x, y, zg, zl, zu, steps):
+        duals = Duals(eq=y, ineq=zg, lower=zl, upper=zu)
+        kkt = kkt_residuals(prob, x, duals)
+        return QpSolution(x=x, duals=duals, kkt=kkt, iterations=steps,
+                          status=QpStatus.OPTIMAL if kkt.worst() <= 1e-9
+                          else QpStatus.MAX_ITER, polish=Polish.CONTINUED)
+    work = np.array([False] * 4 + [True, True, False])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = qp._continue(red, np.array([1.0, 1.0, 0.5]), np.zeros(0),
+                           np.zeros(1), work, 1e-10, 1e-8, certify)
+    assert sol is not None and sol.status is QpStatus.OPTIMAL
+    assert sol.iterations == 4
+    assert np.allclose(sol.x, [0.0, 0.0, 1.0], atol=1e-12)
+    assert sol.duals.upper[2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_polish_factor_fill_at_scale(monkeypatch):

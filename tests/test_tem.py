@@ -552,9 +552,10 @@ class TestUltAssembly:
     def test_home_subproblem_polishes_after_repair(self):
         """Home 1 at iteration 1 of seed 5 (N=5, T=24), solved alone on its
         block of the sweep: the interior-point point has a complementarity
-        residual of 2.5e-8, and the first active-set guess leaves a row
-        violated by 4.2e-4.  The repaired polish certifies, where the
-        interior-point point alone ended ``MaxIter`` at tol 1e-8 at one
+        residual of 2.5e-8, and the KKT solve on its active-set guess
+        leaves rows violated by up to 5.3e-3.  The polish's active-set
+        steps add one blocking row each and certify at the third, where
+        the interior-point point alone ended ``MaxIter`` at tol 1e-8 at one
         and two BLAS threads."""
         s = generate_synthetic(5, 5, 24)
         d = new_dual_state(5, 24, 1.0)
